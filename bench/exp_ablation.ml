@@ -73,7 +73,7 @@ let ablate_bound scale =
           seed = 77;
         }
       in
-      let r = Compi.Driver.run ~settings info in
+      let r = Util.campaign settings info in
       Printf.printf "  %-18s covered %4d (bound %s)\n%!" label
         r.Compi.Driver.covered_branches
         (match r.Compi.Driver.derived_bound with
@@ -110,7 +110,7 @@ let ablate_restart scale =
           seed = 13;
         }
       in
-      let r = Compi.Driver.run ~settings info in
+      let r = Util.campaign settings info in
       Printf.printf "  %-18s covered %4d\n%!" label r.Compi.Driver.covered_branches)
     [ ("restart @250", Some 250); ("no restart", None) ]
 
@@ -157,7 +157,7 @@ let ablate_conflict scale =
           seed = 21;
         }
       in
-      let r = Compi.Driver.run ~settings info in
+      let r = Util.campaign settings info in
       Printf.printf "  %-16s covered %2d / %d   needle (rank 2, y = 1234): %s\n%!" label
         r.Compi.Driver.covered_branches r.Compi.Driver.reachable_branches
         (if Concolic.Coverage.mem_branch r.Compi.Driver.coverage needle_branch then

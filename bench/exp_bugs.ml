@@ -29,7 +29,7 @@ let run (scale : Util.scale) =
       seed = 5;
     }
   in
-  let r = Compi.Driver.run ~settings info in
+  let r = Util.campaign settings info in
   let bugs = Compi.Driver.distinct_bugs r in
   List.iter
     (fun (b : Compi.Driver.bug) ->
@@ -59,7 +59,7 @@ let run (scale : Util.scale) =
       seed = 5;
     }
   in
-  let hr = Compi.Driver.run ~settings:hsettings hinfo in
+  let hr = Util.campaign hsettings hinfo in
   let overflow =
     List.find_opt
       (fun (b : Compi.Driver.bug) ->

@@ -27,7 +27,7 @@ let run (scale : Util.scale) =
         let settings =
           { (Util.settings_for t) with Compi.Driver.iterations = iters; strategy; seed = 11 }
         in
-        let r = Compi.Driver.run ~settings info in
+        let r = Util.campaign settings info in
         Printf.printf "%-22s %10d %10d %9.1f%%\n%!" label r.Compi.Driver.covered_branches
           reachable (Util.fixed_rate "hpl" r);
         (label, r.Compi.Driver.covered_branches))

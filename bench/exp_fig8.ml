@@ -35,7 +35,7 @@ let run (scale : Util.scale) =
                     seed = 100 + rep;
                   }
                 in
-                let r = Compi.Driver.run ~settings info in
+                let r = Util.campaign settings info in
                 (float_of_int r.Compi.Driver.covered_branches, r.Compi.Driver.wall_time))
           in
           let covs = List.map fst runs and times = List.map snd runs in

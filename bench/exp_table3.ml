@@ -16,7 +16,7 @@ let run (scale : Util.scale) =
           seed = 3;
         }
       in
-      let r = Compi.Driver.run ~settings info in
+      let r = Util.campaign settings info in
       Printf.printf "%-12s %8d %8d %12d %12d\n%!" name
         (Minic.Pretty.source_lines t.Targets.Registry.program)
         (List.length info.Minic.Branchinfo.funcs)

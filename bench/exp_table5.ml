@@ -33,7 +33,7 @@ let campaign t info ~budget ~reduce ~bound ~seed =
       seed;
     }
   in
-  Compi.Driver.run ~settings info
+  Util.campaign settings info
 
 let histogram sizes =
   let buckets = [ (0, 100); (100, 500); (500, 2000); (2000, max_int) ] in

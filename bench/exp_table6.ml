@@ -36,7 +36,7 @@ let run (scale : Util.scale) =
                 seed;
               }
             in
-            Compi.Driver.run ~settings info)
+            Util.campaign settings info)
       in
       let nofwk_avg, nofwk_max =
         runs (fun seed ->
@@ -49,7 +49,7 @@ let run (scale : Util.scale) =
                 seed;
               }
             in
-            Compi.Driver.run ~settings info)
+            Util.campaign settings info)
       in
       let rnd_avg, rnd_max =
         runs (fun seed ->

@@ -2,7 +2,7 @@
 
      compi-cli list                          targets and their tuning
      compi-cli show susy-hmc                 pretty-print a target
-     compi-cli test hpl --iterations 500     run a COMPI campaign
+     compi-cli run --target hpl -I 500       run a COMPI campaign
      compi-cli random hpl --time 10          random-testing baseline
      compi-cli exec susy-hmc -n 4 -i nt=4    one concrete run *)
 
@@ -71,12 +71,19 @@ let show_cmd =
     Term.(const run $ target_arg)
 
 (* ------------------------------------------------------------------ *)
-(* test / random                                                       *)
+(* campaign flags                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* run --help groups its many flags by subsystem; these are the section
+   headings (scripts/check_docs.py asserts the live help carries them). *)
+let s_execution = "EXECUTION OPTIONS"
+let s_parallelism = "PARALLELISM OPTIONS"
+let s_checkpoint = "CHECKPOINT OPTIONS"
+let s_telemetry = "TELEMETRY OPTIONS"
 
 (* The campaign flags are shared between subcommands; [?docs] lets the
    [run] subcommand sort them into its grouped help sections while
-   [test]/[random]/[test-file] keep the flat default layout. *)
+   [random]/[test-file] keep the flat default layout. *)
 let iterations_arg ?docs () =
   Arg.(
     value & opt int 500
@@ -103,15 +110,19 @@ let cap_arg ?docs () =
     & info [ "cap" ] ?docs ~docv:"INPUT=CAP" ~doc:"Override an input's cap (repeatable)")
 
 let no_reduce_arg =
-  Arg.(value & flag & info [ "no-reduce" ] ~doc:"Disable constraint-set reduction")
+  Arg.(
+    value & flag
+    & info [ "no-reduce" ] ~docs:s_execution ~doc:"Disable constraint-set reduction")
 
 let one_way_arg =
-  Arg.(value & flag & info [ "one-way" ] ~doc:"Disable two-way instrumentation")
+  Arg.(
+    value & flag
+    & info [ "one-way" ] ~docs:s_execution ~doc:"Disable two-way instrumentation")
 
 let no_fwk_arg =
   Arg.(
     value & flag
-    & info [ "no-fwk" ]
+    & info [ "no-fwk" ] ~docs:s_execution
         ~doc:"Disable the MPI framework: fixed focus and process count, focus-only coverage")
 
 let strategy_arg ?docs () =
@@ -293,87 +304,69 @@ let save_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "save-bugs" ] ~docv:"PATH" ~doc:"Save error-inducing inputs as test cases")
+    & info [ "save-bugs" ] ~docs:s_telemetry ~docv:"PATH"
+        ~doc:"Save error-inducing inputs as test cases")
 
 let csv_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "csv" ] ~docv:"PATH" ~doc:"Dump per-iteration statistics as CSV")
+    & info [ "csv" ] ~docs:s_telemetry ~docv:"PATH"
+        ~doc:"Dump per-iteration statistics as CSV")
 
 let curve_arg =
-  Arg.(value & flag & info [ "curve" ] ~doc:"Print an ASCII coverage curve")
+  Arg.(
+    value & flag
+    & info [ "curve" ] ~docs:s_telemetry ~doc:"Print an ASCII coverage curve")
 
 let uncovered_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "uncovered" ] ~docv:"N" ~doc:"List up to N still-uncovered branches")
+    & info [ "uncovered" ] ~docs:s_telemetry ~docv:"N"
+        ~doc:"List up to N still-uncovered branches")
 
 let annotate_arg =
   Arg.(
     value & flag
-    & info [ "annotate" ] ~doc:"Print the program with per-branch coverage markers")
+    & info [ "annotate" ] ~docs:s_telemetry
+        ~doc:"Print the program with per-branch coverage markers")
 
-let test_cmd =
-  let run t iterations time seed nprocs caps no_reduce one_way no_fwk strategy save_bugs
-      csv curve uncovered_n annotate trace_events metrics =
-    let info, settings =
-      settings_of t iterations time seed nprocs caps no_reduce one_way no_fwk strategy
+(* The optional per-campaign outputs, printed after the summary. *)
+let print_outputs (t : Targets.Registry.t) info (result : Compi.Driver.result) ~curve
+    ~uncovered_n ~annotate ~csv ~save_bugs =
+  if curve then print_string (Compi.Report.ascii_curve result);
+  (match uncovered_n with
+  | Some n ->
+    let misses = Compi.Report.uncovered info result.Compi.Driver.coverage in
+    Printf.printf "\nuncovered branches (%d total):\n" (List.length misses);
+    List.iteri
+      (fun k (cond, dir, func) ->
+        if k < n then
+          Printf.printf "  cond %d %s side in %s\n" cond (if dir then "T" else "F") func)
+      misses
+  | None -> ());
+  if annotate then print_string (Compi.Report.annotate info result.Compi.Driver.coverage);
+  (match csv with
+  | Some path ->
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc (Compi.Report.stats_csv result));
+    Printf.printf "statistics written to %s\n" path
+  | None -> ());
+  match save_bugs with
+  | Some path ->
+    let cases =
+      List.map
+        (Compi.Testcase.of_bug ~target:t.Targets.Registry.name)
+        (Compi.Driver.distinct_bugs result)
     in
-    let result =
-      with_telemetry ~trace_events ~metrics (fun () ->
-          Compi.Driver.run ~settings ~label:t.Targets.Registry.name info)
-    in
-    report result;
-    if curve then print_string (Compi.Report.ascii_curve result);
-    (match uncovered_n with
-    | Some n ->
-      let misses = Compi.Report.uncovered info result.Compi.Driver.coverage in
-      Printf.printf "\nuncovered branches (%d total):\n" (List.length misses);
-      List.iteri
-        (fun k (cond, dir, func) ->
-          if k < n then
-            Printf.printf "  cond %d %s side in %s\n" cond (if dir then "T" else "F") func)
-        misses
-    | None -> ());
-    if annotate then
-      print_string (Compi.Report.annotate info result.Compi.Driver.coverage);
-    (match csv with
-    | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc (Compi.Report.stats_csv result));
-      Printf.printf "statistics written to %s\n" path
-    | None -> ());
-    match save_bugs with
-    | Some path ->
-      let cases =
-        List.map
-          (Compi.Testcase.of_bug ~target:t.Targets.Registry.name)
-          (Compi.Driver.distinct_bugs result)
-      in
-      Compi.Testcase.save ~path cases;
-      Printf.printf "%d test case(s) written to %s\n" (List.length cases) path
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "test" ~doc:"Run a COMPI concolic-testing campaign on a target")
-    Term.(
-      const run $ target_arg $ iterations_arg () $ time_arg () $ seed_arg ()
-      $ nprocs_arg () $ cap_arg () $ no_reduce_arg $ one_way_arg $ no_fwk_arg
-      $ strategy_arg () $ save_arg $ csv_arg $ curve_arg $ uncovered_arg $ annotate_arg
-      $ trace_events_arg () $ metrics_arg ())
+    Compi.Testcase.save ~path cases;
+    Printf.printf "%d test case(s) written to %s\n" (List.length cases) path
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* run: a campaign with telemetry-first ergonomics                     *)
 (* ------------------------------------------------------------------ *)
-
-(* run --help groups its many flags by subsystem; these are the section
-   headings (scripts/check_docs.py asserts the live help carries them). *)
-let s_execution = "EXECUTION OPTIONS"
-let s_parallelism = "PARALLELISM OPTIONS"
-let s_checkpoint = "CHECKPOINT OPTIONS"
-let s_telemetry = "TELEMETRY OPTIONS"
 
 let schedules_arg =
   let choice = Arg.enum [ ("on", true); ("off", false) ] in
@@ -483,11 +476,12 @@ let run_cmd =
       & info [ "target" ] ~docs:s_execution ~docv:"TARGET"
           ~doc:"Target program (see $(b,compi-cli list))")
   in
-  let run t iterations time seed nprocs caps strategy exec_mode schedules schedule_depth
-      jobs batch solver_cache checkpoint checkpoint_every resume coverage_report
-      status_file ledger trace_events metrics =
+  let run t iterations time seed nprocs caps no_reduce one_way no_fwk strategy exec_mode
+      schedules schedule_depth jobs batch solver_cache checkpoint checkpoint_every resume
+      coverage_report status_file ledger save_bugs csv curve uncovered_n annotate
+      trace_events metrics =
     let info, base =
-      settings_of t iterations time seed nprocs caps false false false strategy
+      settings_of t iterations time seed nprocs caps no_reduce one_way no_fwk strategy
     in
     let base = { base with Compi.Driver.exec_mode; schedules; schedule_depth } in
     let settings =
@@ -513,6 +507,8 @@ let run_cmd =
         exit 1
     in
     report result.Compi.Campaign.summary;
+    print_outputs t info result.Compi.Campaign.summary ~curve ~uncovered_n ~annotate ~csv
+      ~save_bugs;
     Printf.printf "engine          %d round(s), %d execution(s), %d solver call(s), %d job(s), %s executor\n"
       result.Compi.Campaign.rounds result.Compi.Campaign.executed
       result.Compi.Campaign.solver_calls jobs
@@ -560,8 +556,8 @@ let run_cmd =
       `S s_execution;
       `P
         "What runs and for how long: the target, the iteration/time budget, the \
-         search strategy, the executor ($(b,--exec-mode)) and the initial process \
-         count.";
+         search strategy, the executor ($(b,--exec-mode)), the initial process \
+         count and the paper's ablation switches.";
       `S s_parallelism;
       `P
         "The parallel campaign engine: worker domains, dispatch batch and the \
@@ -571,24 +567,27 @@ let run_cmd =
       `S s_telemetry;
       `P
         "Structured event streams, metrics snapshots and canonical reports for \
-         $(b,compi-cli explain)/$(b,report)/$(b,profile).";
+         $(b,compi-cli explain)/$(b,report)/$(b,profile), plus per-campaign \
+         outputs: saved bug test cases, statistics CSV, coverage curve and \
+         uncovered-branch listings.";
     ]
   in
   Cmd.v
     (Cmd.info "run" ~man
        ~doc:
-         "Run a COMPI campaign on the parallel engine ($(b,--jobs), \
-          $(b,--solver-cache)) with structured telemetry \
-          ($(b,--trace-events)/$(b,--metrics)); like $(b,test) but the target is \
-          named with $(b,--target)")
+         "Run a COMPI concolic-testing campaign on a target, on the parallel \
+          engine ($(b,--jobs), $(b,--solver-cache)) with structured telemetry \
+          ($(b,--trace-events)/$(b,--metrics))")
     Term.(
       const run $ target_opt_arg $ iterations_arg ~docs:s_execution ()
       $ time_arg ~docs:s_execution () $ seed_arg ~docs:s_execution ()
       $ nprocs_arg ~docs:s_execution () $ cap_arg ~docs:s_execution ()
+      $ no_reduce_arg $ one_way_arg $ no_fwk_arg
       $ strategy_arg ~docs:s_execution () $ exec_mode_arg ~docs:s_execution ()
       $ schedules_arg $ schedule_depth_arg
       $ jobs_arg $ batch_arg $ solver_cache_arg $ checkpoint_arg $ checkpoint_every_arg
       $ resume_arg $ coverage_report_arg $ status_file_arg $ run_ledger_arg
+      $ save_arg $ csv_arg $ curve_arg $ uncovered_arg $ annotate_arg
       $ trace_events_arg ~docs:s_telemetry () $ metrics_arg ~docs:s_telemetry ())
 
 (* ------------------------------------------------------------------ *)
@@ -1366,7 +1365,10 @@ let test_file_cmd =
             seed;
           }
         in
-        report (Compi.Driver.run ~settings info))
+        let campaign =
+          { Compi.Campaign.default_settings with Compi.Campaign.base = settings }
+        in
+        report (Compi.Campaign.run ~settings:campaign info).Compi.Campaign.summary)
   in
   Cmd.v
     (Cmd.info "test-file"
@@ -1385,7 +1387,7 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [
-            list_cmd; show_cmd; test_cmd; run_cmd; random_cmd; exec_cmd; replay_cmd;
+            list_cmd; show_cmd; run_cmd; random_cmd; exec_cmd; replay_cmd;
             explain_cmd; report_cmd; profile_cmd; status_cmd; watch_cmd;
             history_cmd; compare_cmd; test_file_cmd;
           ]))

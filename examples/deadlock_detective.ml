@@ -51,7 +51,8 @@ let () =
     }
   in
   Printf.printf "searching for the deadlocking mode value...\n";
-  let result = Compi.Driver.run ~settings info in
+  let campaign = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  let result = (Compi.Campaign.run ~settings:campaign info).Compi.Campaign.summary in
   let deadlocks =
     List.filter
       (fun (b : Compi.Driver.bug) ->

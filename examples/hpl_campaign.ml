@@ -24,7 +24,8 @@ let () =
       cap_overrides = [ ("n", cap) ];
     }
   in
-  let result = Compi.Driver.run ~settings info in
+  let campaign = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  let result = (Compi.Campaign.run ~settings:campaign info).Compi.Campaign.summary in
   (* coverage curve, sampled every 10% of the run *)
   let stats = Array.of_list result.Compi.Driver.stats in
   let n = Array.length stats in

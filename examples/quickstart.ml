@@ -57,7 +57,8 @@ let () =
       initial_nprocs = 4;
     }
   in
-  let result = Compi.Driver.run ~settings info in
+  let campaign = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  let result = (Compi.Campaign.run ~settings:campaign info).Compi.Campaign.summary in
   Printf.printf "covered %d / %d reachable branches (%.1f%%) in %d iterations\n"
     result.Compi.Driver.covered_branches result.Compi.Driver.reachable_branches
     (100.0 *. result.Compi.Driver.coverage_rate)

@@ -20,7 +20,8 @@ let () =
       seed = 5;
     }
   in
-  let result = Compi.Driver.run ~settings info in
+  let campaign = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  let result = (Compi.Campaign.run ~settings:campaign info).Compi.Campaign.summary in
   let bugs = Compi.Driver.distinct_bugs result in
   Printf.printf "%d distinct defects in %d iterations (%.1fs):\n\n"
     (List.length bugs) result.Compi.Driver.iterations_run result.Compi.Driver.wall_time;

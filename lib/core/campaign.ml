@@ -1,12 +1,14 @@
 open Minic
 open Concolic
 
-(* Parallel campaign engine.
+(* The campaign engine: the paper's testing loop (run, negate, solve,
+   derive, repeat) and the only one in the repository — the experiments,
+   examples, tests and CLI all run it.
 
-   The sequential driver interleaves "execute the pending test" and
-   "derive the next test" in one loop, so each iteration depends on the
-   previous one. This engine restructures the campaign into a
-   deterministic pipeline: each round's work list of independent items
+   A loop that interleaves "execute the pending test" and "derive the
+   next test" makes each iteration depend on the previous one. This
+   engine instead runs the campaign as a deterministic pipeline: each
+   round's work list of independent items
    — fresh tests to execute, or branch negations to attempt — is
    published to a {!Taskpool} of persistent worker domains, and the
    main domain consumes results {e in work-list order as they stream
@@ -33,8 +35,7 @@ open Concolic
    then a pure function of the cache key, so a hit replays exactly what
    a live solve would have returned even though the verdict was found
    under a different run's concrete model, and cache on/off cannot
-   change the trajectory. (The sequential driver keeps CREST's
-   prefer-previous-values heuristic; it never replays across runs.)
+   change the trajectory.
 
    Checkpointing piggybacks on the same structure. Every state mutation
    happens on the main domain at a merge position — after item k of the
@@ -117,7 +118,7 @@ type done_item =
       outcome : negated_outcome;
     }
 
-(* --- telemetry (same instruments as the sequential driver) --------- *)
+(* --- telemetry ------------------------------------------------------ *)
 
 let m_iterations = Obs.Metrics.counter "driver.iterations"
 let m_restarts = Obs.Metrics.counter "driver.restarts"
@@ -131,7 +132,38 @@ let emit_restart ~iteration reason =
   Obs.Metrics.incr m_restarts;
   Obs.Sink.emit (Obs.Event.Restart { iteration; reason })
 
-(* Derive the next test from a SAT negation — the driver's input- and
+(* Lineage events: each merged test records where it came from, each
+   negation attempt its verdict against the candidate it negated. *)
+let origin_fields = function
+  | Driver.O_seed -> ("seed", -1, -1, -1, false)
+  | Driver.O_restart -> ("restart", -1, -1, -1, false)
+  | Driver.O_negated { parent; branch; index; cached } ->
+    ("negated", parent, branch, index, cached)
+  | Driver.O_schedule { parent; point; source } ->
+    (* reuse the lineage slots: index = flipped choice point, branch =
+       alternative source delivered *)
+    ("schedule", parent, source, point, false)
+
+let emit_lineage_test ~test origin =
+  if Obs.Sink.active () then begin
+    let origin, parent, branch, index, cached = origin_fields origin in
+    Obs.Sink.emit (Obs.Event.Lineage_test { test; parent; origin; branch; index; cached })
+  end
+
+let emit_lineage_negation ~(cand : Strategy.candidate) ~outcome ~cached =
+  if Obs.Sink.active () then
+    Obs.Sink.emit
+      (Obs.Event.Lineage_negation
+         {
+           parent = cand.Strategy.record.Execution.exec_id;
+           index = cand.Strategy.index;
+           (* the *negated* branch: the flipped side of the conditional *)
+           branch = Execution.branch_at cand.Strategy.record cand.Strategy.index lxor 1;
+           outcome;
+           cached;
+         })
+
+(* Derive the next test from a SAT negation — the input- and
    process-derivation step (conflict resolution included). Pure with
    respect to shared state, so workers run it. *)
 let derive (s : Driver.settings) ~cached (cand : Strategy.candidate)
@@ -357,7 +389,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       }
   in
   (* Merge one completed execution: assigns the next iteration id and
-     feeds every accumulator the sequential driver feeds. *)
+     feeds every accumulator. *)
   let merge_exec (p : Driver.pending) ~solve_s (res : exec_result) =
     let nprocs = min p.Driver.p_nprocs s.Driver.max_procs in
     let focus = min p.Driver.p_focus (nprocs - 1) in
@@ -375,7 +407,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       (* assign the campaign-wide test id before the strategy observes
          the execution, so every candidate carries a valid parent *)
       r.Runner.execution.Execution.exec_id <- !iter;
-      Driver.emit_lineage_test ~test:!iter p.Driver.p_origin;
+      emit_lineage_test ~test:!iter p.Driver.p_origin;
       (* schedule enumeration: fork this run's recorded wildcard
          decisions into alternative prescriptions (POR-pruned — only
          non-prescribed choice points with >1 eligible source fork).
@@ -453,7 +485,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         faults;
       Obs.Prof.time "strategy" (fun () ->
           Strategy.observe !strategy ~depth:p.Driver.p_depth r.Runner.execution);
-      (* two-phase bound derivation, exactly as in the driver *)
+      (* two-phase bound derivation *)
       (match s.Driver.strategy with
       | Driver.Two_phase_dfs when !iter + 1 = s.Driver.dfs_phase_iters ->
         let bound =
@@ -816,7 +848,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             | N_unknown -> Obs.Event.Unknown
             | N_sat _ -> Obs.Event.Sat
           in
-          Driver.emit_lineage_negation ~cand ~outcome:o ~cached:(not solved)
+          emit_lineage_negation ~cand ~outcome:o ~cached:(not solved)
         | W_fresh _ -> ());
         (* verdicts publish here, on the main domain at the ordered
            merge position — the cache's single-writer protocol *)

@@ -1,8 +1,10 @@
-(** Parallel campaign engine: a deterministic pipeline of concurrent
-    test execution with an in-order streaming merge.
+(** The campaign engine: a deterministic pipeline of concurrent test
+    execution with an in-order streaming merge. It is the one
+    implementation of the paper's testing phase (section II-A); the
+    experiments, {!Variants}, the examples and the CLI all run it, with
+    {!Driver} supplying the settings and result records.
 
-    Restructures the sequential {!Driver} loop into pipelined rounds.
-    Each round the strategy yields a batch of negation candidates (plus
+    The campaign runs in pipelined rounds. Each round the strategy yields a batch of negation candidates (plus
     any queued restart tests); every item becomes one fused task —
     solve the negation if needed, derive the next test, execute it —
     published to a {!Taskpool} of persistent worker domains. The main
@@ -25,11 +27,8 @@
     [--solver-cache] changes solver work, never the trajectory.
     Unknown (budget-exhausted) solver outcomes are never cached.
 
-    The per-iteration semantics differ from the sequential driver in
-    one deliberate way: the driver charges an iteration's [solve_time]
-    to deriving the {e next} test, while here each merged execution
-    carries the solve that {e produced it} (0 for fresh random tests).
-    See DESIGN.md, "Parallel campaigns".
+    Each merged execution's [solve_time] is the solve that {e produced
+    it} (0 for fresh random tests). See DESIGN.md §7.
 
     Campaigns are resumable: with [checkpoint] set, the engine writes a
     crash-safe {!Checkpoint.snapshot} every [checkpoint_every]
@@ -76,7 +75,7 @@ val default_settings : settings
     file, no ledger. *)
 
 type result = {
-  summary : Driver.result;  (** same shape the sequential driver reports *)
+  summary : Driver.result;  (** the campaign summary every caller reads *)
   rounds : int;
   executed : int;  (** test executions merged into the campaign *)
   speculated : int;
@@ -102,8 +101,12 @@ type result = {
 }
 
 val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
-(** Emits the driver's full event vocabulary plus the worker, cache and
-    checkpoint events, and feeds the same [driver.*] metrics. Raises
+(** [label] names the target in the telemetry stream (the
+    [campaign_start] event) and the checkpoint fingerprint. Emits the
+    full campaign event vocabulary (campaign/iteration boundaries,
+    negation attempts, lineage, restarts, faults, coverage deltas) plus
+    the worker, cache and checkpoint events, and feeds the [driver.*]
+    metrics and the [exec]/[solve]/[strategy]/[report] phase timers. Raises
     {!Checkpoint.Load_error} when [resume] is set and the checkpoint
     cannot be used (never partially applies one). *)
 

@@ -40,8 +40,7 @@ type settings = {
   schedules : bool;
       (* explore the schedule dimension: runs execute in schedule mode
          and the campaign enumerates alternative wildcard-match orders
-         (POR-pruned) alongside input negations. Campaign-only; the
-         sequential driver ignores it. *)
+         (POR-pruned) alongside input negations *)
   schedule_depth : int;
       (* only the first [schedule_depth] wildcard choice points of a run
          are eligible for forking — the schedule-space analogue of the
@@ -178,369 +177,9 @@ type pending = {
   p_schedule : int list;  (* wildcard-match prescription ([] = default order) *)
 }
 
-let origin_fields = function
-  | O_seed -> ("seed", -1, -1, -1, false)
-  | O_restart -> ("restart", -1, -1, -1, false)
-  | O_negated { parent; branch; index; cached } -> ("negated", parent, branch, index, cached)
-  | O_schedule { parent; point; source } ->
-    (* reuse the lineage slots: index = flipped choice point, branch =
-       alternative source delivered *)
-    ("schedule", parent, source, point, false)
-
-let emit_lineage_test ~test origin =
-  if Obs.Sink.active () then begin
-    let origin, parent, branch, index, cached = origin_fields origin in
-    Obs.Sink.emit (Obs.Event.Lineage_test { test; parent; origin; branch; index; cached })
-  end
-
-let emit_lineage_negation ~(cand : Strategy.candidate) ~outcome ~cached =
-  if Obs.Sink.active () then
-    Obs.Sink.emit
-      (Obs.Event.Lineage_negation
-         {
-           parent = cand.Strategy.record.Execution.exec_id;
-           index = cand.Strategy.index;
-           (* the *negated* branch: the flipped side of the conditional *)
-           branch = Execution.branch_at cand.Strategy.record cand.Strategy.index lxor 1;
-           outcome;
-           cached;
-         })
-
 let make_strategy settings (info : Branchinfo.t) =
   match settings.strategy with
   | Two_phase_dfs -> Strategy.create ~seed:settings.seed (Strategy.Bounded_dfs max_int)
   | Fixed_strategy kind -> Strategy.create ~seed:settings.seed kind
   | Cfg_strategy ->
     Strategy.create ~seed:settings.seed (Strategy.Cfg_directed (Cfg.build info))
-
-(* --- telemetry ---------------------------------------------------- *)
-
-let m_iterations = Obs.Metrics.counter "driver.iterations"
-let m_restarts = Obs.Metrics.counter "driver.restarts"
-let m_faults = Obs.Metrics.counter "driver.faults"
-let m_solve_attempts = Obs.Metrics.histogram "driver.solve_attempts"
-let m_cs_size = Obs.Metrics.histogram "driver.constraint_set"
-let g_covered = Obs.Metrics.gauge "driver.covered"
-let g_reachable = Obs.Metrics.gauge "driver.reachable"
-
-let emit_restart ~iteration reason =
-  Obs.Metrics.incr m_restarts;
-  Obs.Sink.emit (Obs.Event.Restart { iteration; reason })
-
-let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
-  let rng = Random.State.make [| settings.seed |] in
-  let program = info.Branchinfo.program in
-  let coverage = Coverage.create () in
-  let strategy = ref (make_strategy settings info) in
-  let base_runner =
-    {
-      (Runner.default_config ~info) with
-      Runner.reduce = settings.reduce;
-      two_way = settings.two_way;
-      mark_mpi_sem = settings.framework;
-      record_all = settings.framework;
-      nprocs_cap = settings.nprocs_cap;
-      cap_overrides = settings.cap_overrides;
-      step_limit = settings.step_limit;
-      max_procs = settings.max_procs;
-      compiled = Runner.prepare ~target:label settings.exec_mode info;
-    }
-  in
-  Obs.Sink.emit
-    (Obs.Event.Campaign_start
-       {
-         target = label;
-         iterations = settings.iterations;
-         seed = settings.seed;
-         nprocs = settings.initial_nprocs;
-       });
-  let t_start = Unix.gettimeofday () in
-  let elapsed () = Unix.gettimeofday () -. t_start in
-  let time_ok () =
-    match settings.time_budget with Some b -> elapsed () < b | None -> true
-  in
-  let stats = ref [] in
-  let bugs = ref [] in
-  let max_cs = ref 0 in
-  let derived_bound = ref None in
-  let pending =
-    ref
-      {
-        p_inputs = random_inputs rng settings program;
-        p_nprocs = settings.initial_nprocs;
-        p_focus = settings.initial_focus;
-        p_depth = 0;
-        p_origin = O_seed;
-        p_schedule = [];
-      }
-  in
-  let iter = ref 0 in
-  let finished = ref false in
-  let best_covered = ref 0 in
-  let last_improvement = ref 0 in
-  (* re-arm the search after a stagnation restart: keep the derived
-     BoundedDFS bound once phase two has started *)
-  let fresh_strategy () =
-    match (settings.strategy, !derived_bound) with
-    | Two_phase_dfs, Some bound ->
-      Strategy.create ~seed:(settings.seed + !iter) (Strategy.Bounded_dfs bound)
-    | (Two_phase_dfs | Fixed_strategy _ | Cfg_strategy), _ -> make_strategy settings info
-  in
-  while (not !finished) && !iter < settings.iterations && time_ok () do
-    let p = !pending in
-    let config =
-      {
-        base_runner with
-        Runner.inputs = p.p_inputs;
-        nprocs = min p.p_nprocs settings.max_procs;
-        focus = min p.p_focus (min p.p_nprocs settings.max_procs - 1);
-      }
-    in
-    if Obs.Sink.active () then
-      Obs.Sink.emit
-        (Obs.Event.Iter_start
-           {
-             iteration = !iter;
-             nprocs = config.Runner.nprocs;
-             focus = config.Runner.focus;
-           });
-    match Runner.run config with
-    | Error (`Platform_limit _) ->
-      (* should be prevented by the sw cap; recover with a fresh test *)
-      emit_restart ~iteration:!iter "platform-limit";
-      pending :=
-        {
-          p_inputs = random_inputs rng settings program;
-          p_nprocs = settings.initial_nprocs;
-          p_focus = settings.initial_focus;
-          p_depth = 0;
-          p_origin = O_restart;
-          p_schedule = [];
-        };
-      incr iter
-    | Ok res ->
-      res.Runner.execution.Execution.exec_id <- !iter;
-      emit_lineage_test ~test:!iter p.p_origin;
-      Coverage.absorb ~into:coverage res.Runner.coverage;
-      max_cs := max !max_cs res.Runner.constraint_set_size;
-      Obs.Metrics.observe_int m_cs_size res.Runner.constraint_set_size;
-      let faults = Runner.faults res in
-      List.iter
-        (fun (rank, fault) ->
-          Obs.Metrics.incr m_faults;
-          if Obs.Sink.active () then
-            Obs.Sink.emit
-              (Obs.Event.Fault
-                 {
-                   iteration = !iter;
-                   rank;
-                   kind = Fault.kind_name fault;
-                   detail = Fault.to_string fault;
-                 });
-          bugs :=
-            {
-              bug_iteration = !iter;
-              bug_rank = rank;
-              bug_fault = fault;
-              bug_inputs = p.p_inputs;
-              bug_nprocs = config.Runner.nprocs;
-              bug_focus = config.Runner.focus;
-              bug_context = res.Runner.focus_tail;
-            }
-            :: !bugs)
-        faults;
-      Obs.Prof.time "strategy" (fun () ->
-          Strategy.observe !strategy ~depth:p.p_depth res.Runner.execution);
-      (* two-phase bound derivation *)
-      (match settings.strategy with
-      | Two_phase_dfs when !iter + 1 = settings.dfs_phase_iters ->
-        let bound =
-          match settings.depth_bound with
-          | Some b -> b
-          | None -> (!max_cs * 6 / 5) + 10
-        in
-        derived_bound := Some bound;
-        let s = Strategy.create ~seed:(settings.seed + 1) (Strategy.Bounded_dfs bound) in
-        Strategy.observe s ~depth:0 res.Runner.execution;
-        strategy := s
-      | Two_phase_dfs | Fixed_strategy _ | Cfg_strategy -> ());
-      (* stagnation restart: redo the testing with a fresh tree *)
-      let covered_now = Coverage.covered_branches coverage in
-      if covered_now > !best_covered then begin
-        if Obs.Sink.active () then
-          Obs.Sink.emit
-            (Obs.Event.Coverage_delta
-               {
-                 iteration = !iter;
-                 covered_before = !best_covered;
-                 covered_after = covered_now;
-               });
-        best_covered := covered_now;
-        last_improvement := !iter
-      end;
-      let stagnated =
-        match settings.stagnation_restart with
-        | Some k -> !iter - !last_improvement >= k
-        | None -> false
-      in
-      if stagnated then begin
-        emit_restart ~iteration:!iter "stagnation";
-        last_improvement := !iter;
-        strategy := fresh_strategy ()
-      end;
-      (* derive the next test *)
-      let t_solve = Unix.gettimeofday () in
-      let next = ref None in
-      let attempts = ref 0 in
-      let exhausted = ref stagnated in
-      Obs.Prof.time "solve" (fun () ->
-      while !next = None && (not !exhausted) && !attempts < settings.max_solve_attempts do
-        match Obs.Prof.time "strategy" (fun () -> Strategy.next !strategy ~coverage) with
-        | None -> exhausted := true
-        | Some cand -> (
-          incr attempts;
-          (* set COMPI_DEBUG=1 to trace every negation attempt *)
-          let debug = Sys.getenv_opt "COMPI_DEBUG" <> None in
-          if debug then
-            Printf.eprintf "[%d] neg idx=%d/%d %s => " !iter cand.Strategy.index
-              (Execution.length cand.Strategy.record)
-              (Format.asprintf "%a" Smt.Constr.pp
-                 (Execution.constr_at cand.Strategy.record cand.Strategy.index));
-          let emit_negation sat =
-            if Obs.Sink.active () then
-              Obs.Sink.emit
-                (Obs.Event.Negation
-                   { iteration = !iter; index = cand.Strategy.index; sat })
-          in
-          match
-            Execution.solve_negation ~budget:settings.solver_budget cand.Strategy.record
-              cand.Strategy.index
-          with
-          | Error ((`Unsat | `Unknown) as verdict) ->
-            emit_negation false;
-            emit_lineage_negation ~cand
-              ~outcome:
-                (match verdict with
-                | `Unsat -> Obs.Event.Unsat
-                | `Unknown -> Obs.Event.Unknown)
-              ~cached:false;
-            if debug then Printf.eprintf "unsat\n%!"
-          | Ok solver_result ->
-            emit_negation true;
-            emit_lineage_negation ~cand ~outcome:Obs.Event.Sat ~cached:false;
-            if debug then Printf.eprintf "sat\n%!";
-            let record = cand.Strategy.record in
-            let decision =
-              Conflict.resolve ~prev_nprocs:record.Execution.nprocs
-                ~prev_focus:record.Execution.focus ~mapping:record.Execution.mapping
-                ~symtab:record.Execution.symtab ~result:solver_result
-            in
-            let inputs =
-              Symtab.input_values record.Execution.symtab solver_result.Smt.Solver.model
-            in
-            let nprocs, focus =
-              if not settings.framework then
-                (settings.initial_nprocs, settings.initial_focus)
-              else if settings.resolve_conflicts then
-                (decision.Conflict.nprocs, decision.Conflict.focus)
-              else
-                ( decision.Conflict.nprocs,
-                  min record.Execution.focus (decision.Conflict.nprocs - 1) )
-            in
-            next :=
-              Some
-                {
-                  p_inputs = inputs;
-                  p_nprocs = nprocs;
-                  p_focus = focus;
-                  p_depth = cand.Strategy.index + 1;
-                  p_origin =
-                    O_negated
-                      {
-                        parent = record.Execution.exec_id;
-                        branch =
-                          Execution.branch_at record cand.Strategy.index lxor 1;
-                        index = cand.Strategy.index;
-                        cached = false;
-                      };
-                  p_schedule = record.Execution.exec_schedule;
-                })
-      done);
-      let solve_time = Unix.gettimeofday () -. t_solve in
-      let restarted = !next = None in
-      Obs.Metrics.observe_int m_solve_attempts !attempts;
-      if restarted && not stagnated then emit_restart ~iteration:!iter "exhausted";
-      (pending :=
-         match !next with
-         | Some nx -> nx
-         | None ->
-           {
-             p_inputs = random_inputs rng settings program;
-             p_nprocs = p.p_nprocs;
-             p_focus = p.p_focus;
-             p_depth = 0;
-             p_origin = O_restart;
-             p_schedule = [];
-           });
-      let reachable =
-        Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage)
-      in
-      Obs.Metrics.incr m_iterations;
-      Obs.Metrics.set g_covered (float_of_int (Coverage.covered_branches coverage));
-      Obs.Metrics.set g_reachable (float_of_int reachable);
-      if Obs.Sink.active () then
-        Obs.Sink.emit
-          (Obs.Event.Iter_end
-             {
-               iteration = !iter;
-               covered = Coverage.covered_branches coverage;
-               reachable;
-               cs_size = res.Runner.constraint_set_size;
-               faults = List.length faults;
-               restarted;
-               exec_s = res.Runner.wall_time;
-               solve_s = solve_time;
-             });
-      stats :=
-        {
-          iteration = !iter;
-          nprocs = config.Runner.nprocs;
-          focus = config.Runner.focus;
-          constraint_set_size = res.Runner.constraint_set_size;
-          covered_after = Coverage.covered_branches coverage;
-          reachable_after = reachable;
-          faults_seen = List.length faults;
-          restarted;
-          exec_time = res.Runner.wall_time;
-          solve_time;
-        }
-        :: !stats;
-      incr iter
-  done;
-  let reachable =
-    Obs.Prof.time "report" (fun () ->
-        Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage))
-  in
-  let covered = Coverage.covered_branches coverage in
-  Obs.Sink.emit
-    (Obs.Event.Campaign_end
-       {
-         iterations_run = !iter;
-         covered;
-         reachable;
-         bugs = List.length !bugs;
-         wall_s = elapsed ();
-       });
-  {
-    coverage;
-    stats = List.rev !stats;
-    bugs = List.rev !bugs;
-    total_branches = info.Branchinfo.total_branches;
-    reachable_branches = reachable;
-    covered_branches = covered;
-    coverage_rate = (if reachable = 0 then 0.0 else float_of_int covered /. float_of_int reachable);
-    iterations_run = !iter;
-    wall_time = elapsed ();
-    max_constraint_set = !max_cs;
-    derived_bound = !derived_bound;
-  }

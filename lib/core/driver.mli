@@ -1,11 +1,14 @@
-(** The COMPI campaign driver: iterative concolic testing.
+(** The campaign vocabulary shared by every COMPI engine client.
 
-    Implements the paper's testing phase (section II-A): run the
-    instrumented program, negate one path constraint according to the
-    search strategy, solve the updated set incrementally, derive the
-    next test's inputs — including the number of processes and the focus
-    process from the MPI-semantics variables — and repeat until the
-    iteration or time budget is exhausted.
+    The paper's testing phase (section II-A) — run the instrumented
+    program, negate one path constraint according to the search
+    strategy, solve, derive the next test's inputs (including the number
+    of processes and the focus process from the MPI-semantics
+    variables), repeat until the iteration or time budget is exhausted —
+    is implemented once, by {!Campaign.run}. This module holds the types
+    and helpers around it: the campaign [settings], the bug and
+    per-iteration records, the [result] summary, test provenance, the
+    random input generator and the strategy constructor.
 
     The default strategy is the paper's two-phase scheme (section II-B):
     pure DFS for the first [dfs_phase_iters] iterations to observe the
@@ -56,8 +59,7 @@ type settings = {
       (** explore the schedule dimension: runs execute in schedule mode
           (wildcard receives served at quiescence under a prescription)
           and the campaign enumerates POR-pruned alternative match
-          orders alongside input negations. Campaign-only; the
-          sequential driver ignores it. *)
+          orders alongside input negations *)
   schedule_depth : int;
       (** only the first [schedule_depth] wildcard choice points of a
           run may fork alternative schedules — the schedule-space
@@ -144,26 +146,9 @@ type pending = {
 (** What the next test should run with — the unit of work the parallel
     campaign engine ({!Campaign}) queues and executes. *)
 
-val emit_lineage_test : test:int -> origin -> unit
-(** Emit the [lineage_test] event for a merged test case (no-op without
-    an active sink). Shared with {!Campaign}. *)
-
-val emit_lineage_negation :
-  cand:Concolic.Strategy.candidate -> outcome:Obs.Event.solver_outcome -> cached:bool -> unit
-(** Emit the [lineage_negation] event for one negation attempt against
-    [cand] (no-op without an active sink). Shared with {!Campaign}. *)
-
 val make_strategy : settings -> Minic.Branchinfo.t -> Concolic.Strategy.t
 (** The strategy the settings select (phase one of the two-phase scheme
-    when [strategy = Two_phase_dfs]). Shared with {!Campaign}. *)
-
-val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
-(** [label] names the target in the telemetry stream (the
-    [campaign_start] event); it does not affect the campaign. When an
-    {!Obs.Sink} is installed the driver emits the full event vocabulary
-    (campaign/iteration boundaries, negation attempts, restarts, faults,
-    coverage deltas) and always feeds the [driver.*] metrics and the
-    [exec]/[solve]/[strategy]/[report] phase timers. *)
+    when [strategy = Two_phase_dfs]). *)
 
 val random_inputs :
   Random.State.t -> settings -> Minic.Ast.program -> (string * int) list

@@ -41,4 +41,6 @@ let apply t (settings : Driver.settings) =
   | No_framework -> { settings with Driver.framework = false }
   | Strategy_of kind -> { settings with Driver.strategy = Driver.Fixed_strategy kind }
 
-let run t ~settings info = Driver.run ~settings:(apply t settings) info
+let run t ~settings info =
+  let settings = { Campaign.default_settings with Campaign.base = apply t settings } in
+  (Campaign.run ~settings info).Campaign.summary

@@ -18,5 +18,6 @@ val apply : t -> Driver.settings -> Driver.settings
 
 val run :
   t -> settings:Driver.settings -> Minic.Branchinfo.t -> Driver.result
-(** Run the configured campaign ({!Driver.run}); the [Random] baseline of
-    Table VI is {!Random_testing.run} and needs no preset. *)
+(** Run the configured campaign ({!Campaign.run} at its default engine
+    settings) and return its summary; the [Random] baseline of Table VI
+    is {!Random_testing.run} and needs no preset. *)

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Documentation consistency checker.
 
-Fails (exit 1) when README.md, docs/*.md, or DESIGN.md reference things
-that don't exist:
+Fails (exit 1) when README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md
+reference things that don't exist:
 
   1. markdown links `[text](path)` whose target file is missing
      (external URLs and #anchors are skipped);
   2. inline-code file references like `lib/core/campaign.ml` that don't
      resolve (globs like `examples/programs/*.mc` must match something);
-  3. CLI flags like `--jobs` that bin/compi_cli.ml does not define;
+  3. flags like `--jobs` that neither bin/compi_cli.ml nor the bench
+     harness (bench/main.ml) defines, and
+     `compi-cli <cmd>` / `compi_cli.exe -- <cmd>` invocations naming a
+     subcommand it does not define;
   4. telemetry vocabulary drift: every event kind `lib/obs/event.ml`
      can emit must have a `### `kind`` section in docs/TELEMETRY.md,
      and every `Obs.Prof.time "phase"` string used by lib/ or bin/
@@ -37,15 +40,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_FILES = [
     os.path.join(ROOT, "README.md"),
     os.path.join(ROOT, "DESIGN.md"),
+    os.path.join(ROOT, "EXPERIMENTS.md"),
 ] + sorted(glob.glob(os.path.join(ROOT, "docs", "*.md")))
 
 # Extensions that make an inline-code token a checkable file reference.
-FILE_EXTS = (".ml", ".mli", ".mc", ".md", ".json", ".jsonl", ".py", ".yml")
+FILE_EXTS = (".ml", ".mli", ".mc", ".md", ".json", ".jsonl", ".py", ".yml",
+             ".txt")
 
 FENCE_RE = re.compile(r"^```.*?^```", re.M | re.S)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_RE = re.compile(r"`([^`\n]+)`")
 FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+SUBCMD_RE = re.compile(r"\bcompi[-_]cli(?:\.exe)?[ \t]+(?:--[ \t]+)?([a-z][a-z-]*)")
 
 # Flags cmdliner generates for every command.
 BUILTIN_FLAGS = {"--help", "--version"}
@@ -56,7 +62,9 @@ BUILTIN_FLAGS = {"--help", "--version"}
 REQUIRED_FLAGS = {
     "run": {"--checkpoint", "--checkpoint-every", "--resume", "--trace-events",
             "--exec-mode", "--schedules", "--schedule-depth",
-            "--status-file", "--ledger"},
+            "--status-file", "--ledger", "--no-reduce", "--one-way",
+            "--no-fwk", "--save-bugs", "--csv", "--curve", "--uncovered",
+            "--annotate"},
     "explain": {"--branch", "--testcase", "--target"},
     "report": {"--out", "--stable", "--target"},
     "profile": {"--out", "--stable"},
@@ -133,6 +141,18 @@ def cli_flags():
     return flags
 
 
+def bench_flags():
+    """Flags the bench harness's argument parser (bench/main.ml) accepts."""
+    src = open(os.path.join(ROOT, "bench", "main.ml")).read()
+    return set(re.findall(r'"(--[a-z][a-z-]*)"\s*::', src))
+
+
+def cli_subcommands():
+    """Subcommands bin/compi_cli.ml defines via `Cmd.info "name"`."""
+    src = open(os.path.join(ROOT, "bin", "compi_cli.ml")).read()
+    return set(re.findall(r'Cmd\.info\s+"([a-z][a-z-]*)"', src)) - {"compi-cli"}
+
+
 def help_flags(exe, cmd):
     """Flags `EXE <cmd> --help` actually reports (live binary truth)."""
     out = subprocess.run(
@@ -161,7 +181,7 @@ def check_cmd_help(exe, cmd, required, source_flags, doc_flags, errors):
         errors.append(f"{exe}: `{cmd} --help` lists {flag}, source scan does not")
 
 
-def check_file(path, flags, errors, doc_flags):
+def check_file(path, flags, subcommands, errors, doc_flags):
     rel = os.path.relpath(path, ROOT)
     text = open(path).read()
     base = os.path.dirname(path)
@@ -198,6 +218,10 @@ def check_file(path, flags, errors, doc_flags):
         if flag not in flags:
             errors.append(f"{rel}: documented flag not defined by the CLI: {flag}")
 
+    for cmd in SUBCMD_RE.findall(text):
+        if cmd not in subcommands:
+            errors.append(f"{rel}: documented subcommand not defined by the CLI: {cmd}")
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -208,12 +232,13 @@ def main():
     )
     args = parser.parse_args()
 
-    flags = cli_flags()
+    flags = cli_flags() | bench_flags()
+    subcommands = cli_subcommands()
     errors = []
     doc_flags = set()
     for path in DOC_FILES:
         if os.path.exists(path):
-            check_file(path, flags, errors, doc_flags)
+            check_file(path, flags, subcommands, errors, doc_flags)
         else:
             errors.append(
                 f"missing documentation file: {os.path.relpath(path, ROOT)}"

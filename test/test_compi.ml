@@ -217,7 +217,7 @@ let test_runner_inputs_respected () =
     Alcotest.(check bool) "no faults" true (Compi.Runner.faults res = [])
 
 (* ------------------------------------------------------------------ *)
-(* Driver end-to-end                                                   *)
+(* Campaign end-to-end                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let quick_settings iters =
@@ -229,9 +229,13 @@ let quick_settings iters =
     seed = 7;
   }
 
-let test_driver_full_coverage_fig1 () =
+let campaign settings info =
+  let settings = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  (Compi.Campaign.run ~settings info).Compi.Campaign.summary
+
+let test_campaign_full_coverage_fig1 () =
   let info = Targets.Registry.instrument Targets.Toy.fig1 in
-  let r = Compi.Driver.run ~settings:(quick_settings 30) info in
+  let r = campaign (quick_settings 30) info in
   Alcotest.(check int) "100%% of fig1" 4 r.Compi.Driver.covered_branches;
   (* every bug carries the focus's failure context, ending at the buggy
      conditional's true side (cond 0, x == 100) *)
@@ -250,68 +254,68 @@ let test_driver_full_coverage_fig1 () =
          | _ -> false)
        r.Compi.Driver.bugs)
 
-let test_driver_beats_random_on_fig2 () =
+let test_campaign_beats_random_on_fig2 () =
   let info = Lazy.force fig2_info in
-  let compi = Compi.Driver.run ~settings:(quick_settings 60) info in
+  let compi = campaign (quick_settings 60) info in
   let random = Compi.Random_testing.run ~settings:(quick_settings 60) info in
   Alcotest.(check bool) "compi >= random coverage" true
     (compi.Compi.Driver.covered_branches >= random.Compi.Driver.covered_branches);
   Alcotest.(check bool) "compi nearly complete" true
     (compi.Compi.Driver.covered_branches >= 14)
 
-let test_driver_framework_varies_focus () =
+let test_campaign_framework_varies_focus () =
   (* fig2 branches on rank: negating rank = 0 must shift the focus *)
   let info = Lazy.force fig2_info in
-  let r = Compi.Driver.run ~settings:(quick_settings 60) info in
+  let r = campaign (quick_settings 60) info in
   let focus_seen =
     List.sort_uniq Int.compare
       (List.map (fun (s : Compi.Driver.iter_stat) -> s.Compi.Driver.focus) r.Compi.Driver.stats)
   in
   Alcotest.(check bool) "multiple focus processes tried" true (List.length focus_seen > 1)
 
-let test_driver_framework_varies_nprocs () =
+let test_campaign_framework_varies_nprocs () =
   (* susy-hmc branches on size (nt >= size, size == 1, size == 2, ...):
      the framework must end up varying the process count *)
   let info = Targets.Registry.instrument Targets.Susy_hmc.target in
   let settings = { (quick_settings 120) with Compi.Driver.dfs_phase_iters = 30 } in
-  let r = Compi.Driver.run ~settings info in
+  let r = campaign settings info in
   let nprocs_seen =
     List.sort_uniq Int.compare
       (List.map (fun (s : Compi.Driver.iter_stat) -> s.Compi.Driver.nprocs) r.Compi.Driver.stats)
   in
   Alcotest.(check bool) "multiple process counts tried" true (List.length nprocs_seen > 1)
 
-let test_driver_no_fwk_fixed_nprocs () =
+let test_campaign_no_fwk_fixed_nprocs () =
   let info = Lazy.force fig2_info in
   let settings = { (quick_settings 40) with Compi.Driver.framework = false } in
-  let r = Compi.Driver.run ~settings info in
+  let r = campaign settings info in
   let nprocs_seen =
     List.sort_uniq Int.compare
       (List.map (fun (s : Compi.Driver.iter_stat) -> s.Compi.Driver.nprocs) r.Compi.Driver.stats)
   in
   Alcotest.(check (list int)) "always the initial count" [ 4 ] nprocs_seen
 
-let test_driver_two_phase_derives_bound () =
+let test_campaign_two_phase_derives_bound () =
   let info = Lazy.force fig2_info in
-  let r = Compi.Driver.run ~settings:(quick_settings 20) info in
+  let r = campaign (quick_settings 20) info in
   match r.Compi.Driver.derived_bound with
   | Some b -> Alcotest.(check bool) "bound above observed max" true (b > r.Compi.Driver.max_constraint_set / 2)
   | None -> Alcotest.fail "two-phase should derive a bound"
 
-let test_driver_time_budget_respected () =
+let test_campaign_time_budget_respected () =
   let info = Targets.Registry.instrument Targets.Susy_hmc.target in
   let settings =
     { (quick_settings max_int) with Compi.Driver.time_budget = Some 0.5; iterations = max_int }
   in
   let t0 = Unix.gettimeofday () in
-  let r = Compi.Driver.run ~settings info in
+  let r = campaign settings info in
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "stopped within ~3x budget" true (elapsed < 1.5);
   Alcotest.(check bool) "ran some iterations" true (r.Compi.Driver.iterations_run > 0)
 
-let test_driver_distinct_bugs_dedupe () =
+let test_campaign_distinct_bugs_dedupe () =
   let info = Targets.Registry.instrument Targets.Toy.fig1 in
-  let r = Compi.Driver.run ~settings:(quick_settings 30) info in
+  let r = campaign (quick_settings 30) info in
   let distinct = Compi.Driver.distinct_bugs r in
   let keys = List.map Compi.Driver.bug_key distinct in
   Alcotest.(check int) "unique keys" (List.length keys)
@@ -355,9 +359,9 @@ let test_focus_shift_end_to_end () =
         Alcotest.(check bool) "focus within bounds" true
           (d.Compi.Conflict.focus >= 0 && d.Compi.Conflict.focus < d.Compi.Conflict.nprocs)))
 
-let test_driver_deterministic_given_seed () =
+let test_campaign_deterministic_given_seed () =
   let info = Lazy.force fig2_info in
-  let run () = Compi.Driver.run ~settings:(quick_settings 40) info in
+  let run () = campaign (quick_settings 40) info in
   let a = run () and b = run () in
   Alcotest.(check int) "same coverage" a.Compi.Driver.covered_branches
     b.Compi.Driver.covered_branches;
@@ -467,7 +471,7 @@ let test_testcase_replay_reproduces_bug () =
 
 let test_report_uncovered_and_annotate () =
   let info = Lazy.force fig2_info in
-  let r = Compi.Driver.run ~settings:(quick_settings 60) info in
+  let r = campaign (quick_settings 60) info in
   let misses = Compi.Report.uncovered info r.Compi.Driver.coverage in
   (* fig2's [total > 0] false side is infeasible (sanity forces x > 0),
      so exactly that branch remains *)
@@ -509,7 +513,7 @@ let test_runner_reports_leaks () =
 
 let test_report_outputs () =
   let info = Targets.Registry.instrument Targets.Toy.fig1 in
-  let r = Compi.Driver.run ~settings:(quick_settings 20) info in
+  let r = campaign (quick_settings 20) info in
   let csv = Compi.Report.stats_csv r in
   Alcotest.(check bool) "csv has header + rows" true
     (List.length (String.split_on_char '\n' csv) > r.Compi.Driver.iterations_run);
@@ -541,16 +545,16 @@ let unit_tests =
     ("runner auto marking", `Quick, test_runner_auto_marking);
     ("runner marking disabled", `Quick, test_runner_no_marking_when_disabled);
     ("runner inputs respected", `Quick, test_runner_inputs_respected);
-    ("driver fig1 complete + bug", `Quick, test_driver_full_coverage_fig1);
-    ("driver beats random (fig2)", `Quick, test_driver_beats_random_on_fig2);
-    ("driver varies focus", `Quick, test_driver_framework_varies_focus);
-    ("driver varies nprocs", `Quick, test_driver_framework_varies_nprocs);
-    ("driver No_Fwk fixed nprocs", `Quick, test_driver_no_fwk_fixed_nprocs);
-    ("driver two-phase bound", `Quick, test_driver_two_phase_derives_bound);
-    ("driver time budget", `Quick, test_driver_time_budget_respected);
-    ("driver bug dedupe", `Quick, test_driver_distinct_bugs_dedupe);
+    ("driver fig1 complete + bug", `Quick, test_campaign_full_coverage_fig1);
+    ("driver beats random (fig2)", `Quick, test_campaign_beats_random_on_fig2);
+    ("driver varies focus", `Quick, test_campaign_framework_varies_focus);
+    ("driver varies nprocs", `Quick, test_campaign_framework_varies_nprocs);
+    ("driver No_Fwk fixed nprocs", `Quick, test_campaign_no_fwk_fixed_nprocs);
+    ("driver two-phase bound", `Quick, test_campaign_two_phase_derives_bound);
+    ("driver time budget", `Quick, test_campaign_time_budget_respected);
+    ("driver bug dedupe", `Quick, test_campaign_distinct_bugs_dedupe);
     ("focus shift end-to-end (fig 3)", `Quick, test_focus_shift_end_to_end);
-    ("driver deterministic", `Quick, test_driver_deterministic_given_seed);
+    ("driver deterministic", `Quick, test_campaign_deterministic_given_seed);
     ("runner one-way same coverage", `Quick, test_runner_one_way_same_coverage);
     ("variants apply", `Quick, test_variants_apply);
     ("testcase roundtrip", `Quick, test_testcase_roundtrip);

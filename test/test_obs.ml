@@ -323,7 +323,8 @@ let toy_result () =
   let settings =
     { Compi.Driver.default_settings with Compi.Driver.iterations = 30; seed = 7 }
   in
-  Compi.Driver.run ~settings info
+  let settings = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  (Compi.Campaign.run ~settings info).Compi.Campaign.summary
 
 (* Everything observable about a result except wall-clock times. *)
 let fingerprint (r : Compi.Driver.result) =

@@ -97,30 +97,20 @@ let test_cache_invariance () =
     "cache reduces solver calls" true
     (on.Compi.Campaign.solver_calls < off.Compi.Campaign.solver_calls)
 
-let test_matches_reference_coverage () =
-  (* the engine must find what the sequential driver finds: same final
-     coverage on the toy target (trajectories differ by design — the
-     driver interleaves, the engine batches — but toy-fig1 saturates) *)
-  let seq =
-    Compi.Driver.run
-      ~settings:
-        {
-          Compi.Driver.default_settings with
-          Compi.Driver.iterations = 60;
-          dfs_phase_iters = 12;
-          initial_nprocs = 2;
-          seed = 11;
-        }
-      (toy ())
-  in
-  let par = campaign ~jobs:2 (toy ()) in
+let test_toy_saturates () =
+  (* toy-fig1 is small enough to saturate in the budget: the engine must
+     cover every reachable branch and hit the planted abort *)
+  let r = (campaign ~jobs:2 (toy ())).Compi.Campaign.summary in
   Alcotest.(check int)
-    "same covered branches" seq.Compi.Driver.covered_branches
-    par.Compi.Campaign.summary.Compi.Driver.covered_branches;
+    "covered = reachable" r.Compi.Driver.reachable_branches r.Compi.Driver.covered_branches;
   Alcotest.(check bool)
-    "both find the planted bug" true
-    (Compi.Driver.distinct_bugs seq <> []
-    && Compi.Driver.distinct_bugs par.Compi.Campaign.summary <> [])
+    "finds the planted bug" true
+    (List.exists
+       (fun (b : Compi.Driver.bug) ->
+         match b.Compi.Driver.bug_fault with
+         | Minic.Fault.Abort_called _ -> true
+         | _ -> false)
+       (Compi.Driver.distinct_bugs r))
 
 let test_budget_respected () =
   let r = campaign ~jobs:4 ~iterations:25 ~batch:6 (susy ()) in
@@ -193,8 +183,7 @@ let suite =
         Alcotest.test_case "jobs invariance (examples corpus)" `Quick
           test_jobs_invariance_corpus;
         Alcotest.test_case "cache invariance + savings" `Quick test_cache_invariance;
-        Alcotest.test_case "coverage parity with the driver" `Quick
-          test_matches_reference_coverage;
+        Alcotest.test_case "toy-fig1 saturates, finds bug" `Quick test_toy_saturates;
         Alcotest.test_case "iteration budget respected" `Quick test_budget_respected;
       ] );
     ( "parallel:taskpool",

@@ -294,7 +294,8 @@ let campaign_on src ~iterations =
       seed = 9;
     }
   in
-  Compi.Driver.run ~settings info
+  let settings = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  (Compi.Campaign.run ~settings info).Compi.Campaign.summary
 
 let test_corpus () =
   match corpus_dir with

@@ -219,6 +219,11 @@ let test_hpl_tall_grid_needs_12_procs () =
   Alcotest.(check bool) "np=12 reaches tall grid" true (encountered 12);
   Alcotest.(check bool) "np=8 never does" false (encountered 8)
 
+(* Campaigns run the one engine at its default engine settings. *)
+let campaign settings info =
+  let settings = { Compi.Campaign.default_settings with Compi.Campaign.base = settings } in
+  (Compi.Campaign.run ~settings info).Compi.Campaign.summary
+
 let test_unreachable_functions_stay_dead () =
   (* eig_measure (SUSY) and pdfact_custom / bench_rma_put guards are
      outside the capped input space: a healthy campaign never enters them *)
@@ -234,7 +239,7 @@ let test_unreachable_functions_stay_dead () =
         step_limit = t.Targets.Registry.tuning.Targets.Registry.step_limit;
       }
     in
-    let r = Compi.Driver.run ~settings info in
+    let r = campaign settings info in
     Alcotest.(check bool)
       (Printf.sprintf "%s.%s unreachable" name func)
       false
@@ -258,7 +263,7 @@ let test_bug_replay_via_testcase () =
       seed = 5;
     }
   in
-  let r = Compi.Driver.run ~settings info in
+  let r = campaign settings info in
   let bugs = Compi.Driver.distinct_bugs r in
   Alcotest.(check bool) "found at least one bug" true (bugs <> []);
   List.iter
@@ -271,6 +276,33 @@ let test_bug_replay_via_testcase () =
           true (faults <> [])
       | Error (`Platform_limit _) -> Alcotest.fail "platform limit")
     bugs
+
+let test_susy_four_bugs () =
+  (* the paper's headline claim (section VI-A): a campaign with the bugs
+     experiment's settings (catalogue tuning, seed 5, 800 iterations)
+     finds all four seeded SUSY-HMC defects *)
+  let t = Targets.Catalog.find_exn "susy-hmc" in
+  let tn = t.Targets.Registry.tuning in
+  let settings =
+    {
+      Compi.Driver.default_settings with
+      Compi.Driver.iterations = 800;
+      dfs_phase_iters = tn.Targets.Registry.dfs_phase;
+      initial_nprocs = tn.Targets.Registry.initial_nprocs;
+      step_limit = tn.Targets.Registry.step_limit;
+      seed = 5;
+    }
+  in
+  let r = campaign settings (Targets.Registry.instrument t) in
+  let site (b : Compi.Driver.bug) =
+    match b.Compi.Driver.bug_fault with
+    | Minic.Fault.Segfault { func; _ } | Minic.Fault.Fpe { func } -> func
+    | f -> Minic.Fault.to_string f
+  in
+  Alcotest.(check (list string))
+    "all four seeded sites"
+    [ "congrad_alloc"; "layout_timeslices"; "setup_gauge"; "setup_sources" ]
+    (List.sort_uniq String.compare (List.map site (Compi.Driver.distinct_bugs r)))
 
 let heat2d_inputs ny =
   [ ("nx", 8); ("ny", ny); ("steps", 3); ("source_temp", 100); ("tol", 2) ]
@@ -297,7 +329,7 @@ let test_npb_cg_clean_and_class_verification () =
       step_limit = 4_000_000;
     }
   in
-  let r = Compi.Driver.run ~settings info in
+  let r = campaign settings info in
   Alcotest.(check int) "no defects" 0 (List.length (Compi.Driver.distinct_bugs r));
   Alcotest.(check bool) "good coverage" true (r.Compi.Driver.coverage_rate > 0.6)
 
@@ -341,6 +373,7 @@ let unit_tests =
     ("hpl tall grid", `Quick, test_hpl_tall_grid_needs_12_procs);
     ("unreachable functions dead", `Quick, test_unreachable_functions_stay_dead);
     ("bug replay via testcase", `Quick, test_bug_replay_via_testcase);
+    ("susy campaign finds 4 bugs", `Quick, test_susy_four_bugs);
     ("heat2d remainder bug", `Quick, test_heat2d_remainder_bug);
     ("npb-cg clean + class verify", `Quick, test_npb_cg_clean_and_class_verification);
     ("targets sloc (table III)", `Quick, test_pretty_printed_sloc);
