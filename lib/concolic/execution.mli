@@ -6,6 +6,12 @@
     constraint set (inherent MPI-semantics constraints plus any campaign
     caps) that must hold in every solve. *)
 
+type closure_index
+(** Per-execution index of the path's distinct constraints, their
+    hashes, variables and first positions, used by {!prepare_negation}.
+    Holds only ints and the path's own constraints, so it marshals with
+    the execution. *)
+
 type t = {
   constraints : (int * Smt.Constr.t) array;
       (** [(branch_id, constraint)] in path order *)
@@ -26,6 +32,9 @@ type t = {
           mode). Input-negation candidates derived from this run replay
           the same prescription, so the (input, schedule) pair stays a
           coherent test identity. *)
+  mutable closure_index : closure_index option;
+      (** built by the first {!prepare_negation} of this run and reused
+          by every later one; construct with [None]. *)
 }
 
 val length : t -> int
@@ -53,18 +62,23 @@ val solve_negation :
 type prepared
 (** The canonical identity of one negation solve, computed once: the
     {!Smt.Cache.key} plus the dependency closure's variable set. The
-    closure walk and canonicalizing sort dominate the cost of the cheap
-    incremental solves, so the cache-on campaign path prepares each
-    candidate once and derives the probe, the miss solve, and the hit
-    replay from the same value instead of recomputing the closure for
-    each. *)
+    campaign prepares every candidate, cache on or off, and derives the
+    probe, the miss solve and the hit replay from the same value. *)
 
 val prepare_negation : t -> int -> prepared
 (** Negate the constraint at position [i], take the dependency closure
     within the path prefix plus [t.extra], and canonicalize it with the
-    run's domains. *)
+    run's domains. The key and variable set equal those of
+    {!Smt.Cache.key} over {!Smt.Constr.dependency_closure} of the same
+    problem, but are read off the run's {!closure_index} (built on the
+    first call): a walk over the constraints present before [i] and one
+    pass in the index's sorted order, with no sort per call. *)
 
 val prepared_key : prepared -> Smt.Cache.key
+
+val prepared_vars : prepared -> Smt.Varid.Set.t
+(** The variables the prepared closure mentions — what a solve of it
+    resolves. *)
 
 val solve_prepared :
   ?budget:int ->

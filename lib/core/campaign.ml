@@ -749,16 +749,13 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
           match w with
           | W_fresh p -> `Fresh p
           | W_negate cand -> (
-            match cache with
-            | None -> `Miss (cand, None)
-            | Some c -> (
-              (* one canonicalization per candidate: the prepared value
-                 carries the key for the probe below AND the closure the
-                 miss-path solve / hit-path replay run on *)
-              let p = Execution.prepare_negation cand.Strategy.record cand.Strategy.index in
-              match Smt.Cache.find c (Execution.prepared_key p) with
-              | Some outcome -> `Hit (cand, p, outcome)
-              | None -> `Miss (cand, Some p))))
+            (* one canonicalization per candidate, cache on or off: the
+               prepared value carries the key for the probe below AND
+               the closure the miss-path solve / hit-path replay run on *)
+            let p = Execution.prepare_negation cand.Strategy.record cand.Strategy.index in
+            match Option.bind cache (fun c -> Smt.Cache.find c (Execution.prepared_key p)) with
+            | Some outcome -> `Hit (cand, p, outcome)
+            | None -> `Miss (cand, p)))
         !work
     in
     let thunks =
@@ -783,21 +780,16 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
                   solve_s = 0.0;
                   outcome = N_sat { fresh = sr.Smt.Solver.fresh; next; run = exec next };
                 })
-          | `Miss (cand, prep) -> (
+          | `Miss (cand, p) -> (
             let index = cand.Strategy.index in
-            let key = Option.map Execution.prepared_key prep in
+            let key = Some (Execution.prepared_key p) in
             let t0 = Unix.gettimeofday () in
             let outcome =
               Obs.Prof.time "solve" (fun () ->
-                  match prep with
-                  | Some p ->
-                    (* cache on: the dispatch-time key already holds the
-                       canonical closure — solve it directly *)
-                    Execution.solve_prepared ~budget:s.Driver.solver_budget
-                      cand.Strategy.record p
-                  | None ->
-                    Execution.solve_negation ~budget:s.Driver.solver_budget
-                      ~canonical:true cand.Strategy.record index)
+                  (* the dispatch-time key already holds the canonical
+                     closure — solve it directly *)
+                  Execution.solve_prepared ~budget:s.Driver.solver_budget
+                    cand.Strategy.record p)
             in
             let solve_s = Unix.gettimeofday () -. t0 in
             match outcome with

@@ -56,8 +56,10 @@ type snapshot = {
    different layout than v2.
    version 4: schedule-space exploration — [Driver.pending] gained
    [p_schedule], [Execution.t] gained [exec_schedule], and the snapshot
-   gained [ck_schedules] (enumerated-but-unexecuted schedule forks) *)
-let version = 4
+   gained [ck_schedules] (enumerated-but-unexecuted schedule forks).
+   version 5: [Execution.t] gained [closure_index], the per-run
+   constraint index negations are prepared from *)
+let version = 5
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"

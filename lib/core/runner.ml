@@ -249,6 +249,7 @@ let run_raw config =
         mapping;
         exec_id = -1;
         exec_schedule = Option.value config.schedule ~default:[];
+        closure_index = None;
       }
     in
     let nonfocus_log_bytes =

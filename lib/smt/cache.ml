@@ -49,38 +49,33 @@ type key = {
   kdoms : (Varid.t * int * int) list;  (* domains of the vars, in var order *)
 }
 
-let key ?vars ~domains cs =
-  let kconstrs = List.sort_uniq Constr.compare cs in
-  (* [vars] lets a caller that just walked the dependency closure (and
-     so already holds its variable set) skip re-unioning it here — the
-     set folds are a measurable share of key construction. *)
-  let vars =
-    match vars with
-    | Some vs -> vs
-    | None ->
-      List.fold_left
-        (fun acc c -> Varid.Set.union acc (Constr.vars c))
-        Varid.Set.empty cs
-  in
+let key_sorted ~domains ~vars ~hashes kconstrs =
   let kdoms =
-    Varid.Set.fold
-      (fun v acc ->
+    List.map
+      (fun v ->
         let d =
           match Varid.Map.find_opt v domains with Some d -> d | None -> Domain.full
         in
-        (v, d.Domain.lo, d.Domain.hi) :: acc)
-      vars []
-    |> List.rev
+        (v, d.Domain.lo, d.Domain.hi))
+      vars
   in
   let mix acc x = (acc * 0x01000193) lxor (x land max_int) in
-  let khash =
-    List.fold_left (fun acc c -> mix acc (Constr.hash c)) 0x811c9dc5 kconstrs
-  in
+  let khash = List.fold_left mix 0x811c9dc5 hashes in
   let khash =
     List.fold_left (fun acc (v, lo, hi) -> mix (mix (mix acc v) lo) hi) khash kdoms
     land max_int
   in
   { khash; kconstrs; kdoms }
+
+let key ~domains cs =
+  let kconstrs = List.sort_uniq Constr.compare cs in
+  let vars =
+    List.fold_left
+      (fun acc c -> Varid.Set.union acc (Constr.vars c))
+      Varid.Set.empty cs
+  in
+  key_sorted ~domains ~vars:(Varid.Set.elements vars)
+    ~hashes:(List.map Constr.hash kconstrs) kconstrs
 
 let key_size k = List.length k.kconstrs
 let key_constrs k = k.kconstrs

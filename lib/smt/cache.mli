@@ -31,13 +31,18 @@ type outcome = Sat of Model.t | Unsat
 
 type key
 
-val key :
-  ?vars:Varid.Set.t -> domains:Domain.t Varid.Map.t -> Constr.t list -> key
+val key : domains:Domain.t Varid.Map.t -> Constr.t list -> key
 (** Canonicalize a constraint set: sort and deduplicate, then attach the
     domain interval of every variable mentioned. Constraint order and
-    duplicates do not affect the key. [vars], when given, must be the
-    set of variables the constraints mention (e.g. from
-    [Constr.dependency_closure]) and saves recomputing it. *)
+    duplicates do not affect the key. *)
+
+val key_sorted :
+  domains:Domain.t Varid.Map.t -> vars:Varid.t list -> hashes:int list -> Constr.t list -> key
+(** [key_sorted ~domains ~vars ~hashes cs] is [key ~domains cs] for a
+    caller that already holds the canonical form: [cs] sorted by
+    {!Constr.compare} and deduplicated, [hashes] the {!Constr.hash} of
+    each element of [cs] in the same order, and [vars] the variables
+    [cs] mentions in ascending order. Nothing is sorted or re-hashed. *)
 
 val key_size : key -> int
 (** Number of distinct constraints under the key. *)

@@ -109,6 +109,7 @@ let exec_record ?(cx = 3) ?(cy = 4) () =
     mapping = [];
     exec_id = -1;
     exec_schedule = [];
+    closure_index = None;
   }
 
 let test_apply_cached_matches_solver () =
@@ -207,6 +208,7 @@ let test_unsat_negation_cached () =
       mapping = [];
       exec_id = -1;
       exec_schedule = [];
+      closure_index = None;
     }
   in
   (match Concolic.Execution.solve_negation t 0 with
@@ -220,6 +222,85 @@ let test_unsat_negation_cached () =
     | Error `Unsat -> ()
     | Error `Unknown | Ok _ -> Alcotest.fail "cached unsat must replay as unsat")
   | None -> Alcotest.fail "unsat verdict must hit"
+
+(* Differential oracle for the closure index: at every path position,
+   [prepare_negation] must yield exactly the key and variables of the
+   reference construction — [Cache.key] over [Constr.dependency_closure]
+   of the negated constraint, the prefix and [extra]. *)
+let reference_negation t i =
+  let negated = Constr.negate (Concolic.Execution.constr_at t i) in
+  let closure, vars =
+    Constr.dependency_closure ~seed:(Constr.vars negated)
+      ((negated :: Concolic.Execution.prefix t i) @ t.Concolic.Execution.extra)
+  in
+  (Cache.key ~domains:t.Concolic.Execution.domains closure, vars)
+
+let prepared_matches_reference t i =
+  let ref_key, ref_vars = reference_negation t i in
+  let p = Concolic.Execution.prepare_negation t i in
+  Concolic.Execution.prepared_key p = ref_key
+  && Varid.Set.equal (Concolic.Execution.prepared_vars p) ref_vars
+
+let every_position_matches t =
+  List.for_all (prepared_matches_reference t)
+    (List.init (Concolic.Execution.length t) Fun.id)
+
+let gen_constr =
+  QCheck.Gen.(
+    map3
+      (fun terms k rel -> Constr.make (Linexp.of_terms terms k) rel)
+      (list_size (int_range 0 3) (pair (int_range (-2) 2) (int_range 0 5)))
+      (int_range (-3) 3)
+      (oneofl Constr.[ Eq; Ne; Lt; Le; Gt; Ge ]))
+
+(* paths drawn mostly from a small pool, so constraints repeat, and
+   partly from the pool's negations, so a negated constraint can equal
+   an earlier or a later path constraint; terms may cancel or be absent,
+   so some constraints are variable-free *)
+let gen_path =
+  QCheck.Gen.(
+    list_size (int_range 1 6) gen_constr >>= fun pool ->
+    let pick =
+      frequency
+        [ (4, oneofl pool); (2, map Constr.negate (oneofl pool)); (1, gen_constr) ]
+    in
+    pair (list_size (int_range 1 25) pick) (list_size (int_range 0 3) pick))
+
+let print_path (path, extra) =
+  let show cs = String.concat "; " (List.map (Format.asprintf "%a" Constr.pp) cs) in
+  Printf.sprintf "path [%s] extra [%s]" (show path) (show extra)
+
+let record_of (path, extra) =
+  {
+    Concolic.Execution.constraints = Array.of_list (List.mapi (fun k c -> (k, c)) path);
+    symtab = Concolic.Symtab.create ();
+    model = Model.empty;
+    domains = doms (-8) 8 [ v 0; v 2; v 3 ];
+    extra;
+    nprocs = 1;
+    focus = 0;
+    mapping = [];
+    exec_id = -1;
+    exec_schedule = [];
+    closure_index = None;
+  }
+
+let prop_prepare_matches_reference =
+  QCheck.Test.make ~name:"cache: prepared negation equals the reference key" ~count:300
+    (QCheck.make ~print:print_path gen_path)
+    (fun path -> every_position_matches (record_of path))
+
+let test_prepare_matches_reference_on_targets () =
+  List.iter
+    (fun name ->
+      let info = Targets.Registry.instrument (Targets.Catalog.find_exn name) in
+      match Compi.Runner.run (Compi.Runner.default_config ~info) with
+      | Error (`Platform_limit _) -> Alcotest.fail "platform limit"
+      | Ok res ->
+        let t = res.Compi.Runner.execution in
+        Alcotest.(check bool) (name ^ ": non-empty path") true (Concolic.Execution.length t > 0);
+        Alcotest.(check bool) (name ^ ": every position") true (every_position_matches t))
+    [ "susy-hmc"; "hpl" ]
 
 let suite =
   [
@@ -235,5 +316,8 @@ let suite =
         Alcotest.test_case "replay is pure across runs" `Quick
           test_replay_pure_across_runs;
         Alcotest.test_case "unsat verdicts replay" `Quick test_unsat_negation_cached;
+        Alcotest.test_case "prepared negation equals reference on targets" `Quick
+          test_prepare_matches_reference_on_targets;
+        QCheck_alcotest.to_alcotest prop_prepare_matches_reference;
       ] );
   ]

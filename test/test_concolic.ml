@@ -189,6 +189,7 @@ let mk_record ?(extra = []) constrs model =
     mapping = [];
     exec_id = -1;
     exec_schedule = [];
+    closure_index = None;
   }
 
 let test_execution_prefix () =
