@@ -9,7 +9,11 @@
 type t
 
 val create : unit -> t
+
 val add_branch : t -> int -> unit
+(** Constant time: branch ids are small non-negative integers (two per
+    conditional site) indexing a byte map that grows on demand. *)
+
 val add_func : t -> string -> unit
 val mem_branch : t -> int -> bool
 val covered_branches : t -> int

@@ -13,21 +13,15 @@
     size of a full symbolic log, {!light_bytes} the size of a
     branches-only log. *)
 
-type event = {
-  cond_id : int;
-  branch : int;
-  taken : bool;
-  constr : Smt.Constr.t option;  (** [None]: concrete branch or dropped by reduction *)
-}
-
 type t
 
 val create : reduce:bool -> t
 
 val record : t -> cond_id:int -> taken:bool -> constr:Smt.Constr.t option -> unit
-
-val events : t -> event list
-(** In execution order. *)
+(** Log one branch event; [constr] is [None] for a concrete branch.
+    Events are stored flat and the reduction state is one byte per
+    conditional id, so only array growth and a kept constraint's list
+    cell allocate. *)
 
 val constraints : t -> (int * Smt.Constr.t) array
 (** The constraint path: kept symbolic constraints in order, each with

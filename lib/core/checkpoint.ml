@@ -58,8 +58,11 @@ type snapshot = {
    [p_schedule], [Execution.t] gained [exec_schedule], and the snapshot
    gained [ck_schedules] (enumerated-but-unexecuted schedule forks).
    version 5: [Execution.t] gained [closure_index], the per-run
-   constraint index negations are prepared from *)
-let version = 5
+   constraint index negations are prepared from.
+   version 6: [Concolic.Coverage.t] became a byte map indexed by branch
+   id plus a count, so [ck_coverage] marshals a different layout than
+   v5's balanced set *)
+let version = 6
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"

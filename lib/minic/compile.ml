@@ -21,7 +21,10 @@
 
    Heavy expression closures return the concrete [Value.t] and leave the
    shadow in [ctx.sh] as their final action — a shadow register instead
-   of a tuple allocation per node.
+   of a tuple allocation per node. Concrete int arithmetic in the heavy
+   tree builds no linear expression: a constant shadow always equals the
+   concrete value, so it is a constant constructor ([Konst], see
+   [shadow]) rather than a [Linexp.const].
 
    Every observable — fault constructor and message, operand evaluation
    order (including the right-to-left record-field order the interpreter
@@ -29,9 +32,27 @@
    is byte-identical to [Interp]; test/test_compile.ml holds the
    differential proof. *)
 
+(* The heavy tree's symbolic shadow of an int value. The interpreter's
+   shadow is a [Linexp.t option]; here its [Some] case is split so that
+   concrete arithmetic never builds a linear expression:
+   - [Unshadowed] is the interpreter's [None] (literals, loads, results
+     of non-linear operators, concretized values);
+   - [Konst] is a constant shadow [Some (Linexp.const v)]. It always
+     equals the concrete value [v], so it needs no expression and can
+     never yield a constraint;
+   - [Sym e] is [Some e].
+   [Unshadowed] and [Konst] behave alike everywhere but in one place: a
+   product whose left operand has a shadow, even a constant one, scales
+   that shadow by the right operand's value (CREST's linearisation), so
+   [Konst * symbolic] is concrete while [Unshadowed * symbolic] stays
+   symbolic. *)
+type shadow = Unshadowed | Konst | Sym of Smt.Linexp.t
+
+let shadow_of_option = function Some e -> Sym e | None -> Unshadowed
+
 type frame = {
   vals : Value.t array;
-  shs : Smt.Linexp.t option array;  (* heavy frames only; [||] in light *)
+  shs : shadow array;  (* heavy frames only; [||] in light *)
   bnd : bool array;  (* slot currently bound? (interp: name in hashtable) *)
 }
 
@@ -39,13 +60,13 @@ type ctx = {
   hooks : Interp.hooks;
   mutable steps : int;
   mutable func : string;  (* current function, for fault reports *)
-  mutable sh : Smt.Linexp.t option;  (* heavy shadow register *)
+  mutable sh : shadow;  (* heavy shadow register *)
   mutable cs : Smt.Constr.t option;
       (* heavy branch-constraint register: written by every heavy
          condition closure, read by If/While right after — a register
          rather than a tuple return so the light build's hot path
          allocates nothing per branch *)
-  mutable ret : (Value.t * Smt.Linexp.t option) option;
+  mutable ret : (Value.t * shadow) option;
   mutable returning : bool;
       (* return register: a [return] statement stores its value and
          sets the flag instead of raising. Every statement closure
@@ -113,9 +134,6 @@ let vtrue = Value.Vint 1
 let vfalse = Value.Vint 0
 let bool_to_value b = if b then vtrue else vfalse
 
-let soc value shadow =
-  match shadow with Some e -> e | None -> Smt.Linexp.const value
-
 let zero_value ctype n =
   match ctype with
   | Ast.Tint -> Value.Varr_int (Array.make n 0)
@@ -130,12 +148,12 @@ let coerce c ctype value =
   | (Ast.Tint | Ast.Tfloat), (Value.Varr_int _ | Value.Varr_float _) ->
     type_error c "cannot store array into scalar"
 
-let no_shadows : Smt.Linexp.t option array = [||]
+let no_shadows : shadow array = [||]
 
 let make_frame heavy n =
   {
     vals = Array.make n (Value.Vint 0);
-    shs = (if heavy then Array.make n None else no_shadows);
+    shs = (if heavy then Array.make n Unshadowed else no_shadows);
     bnd = Array.make n false;
   }
 
@@ -321,32 +339,51 @@ let float_op : Ast.binop -> ctx -> float -> float -> Value.t = function
     fun c _ _ -> type_error c "bitwise operation on floats"
 
 (* Shadow builder for the linear ops (the only ones whose result shadow
-   depends on operand shadows). *)
-let lin_shadow : Ast.binop -> (int -> Smt.Linexp.t option -> int -> Smt.Linexp.t option -> Smt.Linexp.t) option
+   depends on operand shadows). Under the [shadow] correspondence each
+   case is the interpreter's
+   [Some (Linexp.add (shadow_or_const x sa) (shadow_or_const y sb))]
+   (resp. [sub], the CREST product): concrete operands give [Konst], and
+   a concrete side folds into the symbolic side's constant term. *)
+let shadow_add x sa y sb =
+  match (sa, sb) with
+  | Sym ea, Sym eb -> Sym (Smt.Linexp.add ea eb)
+  | Sym ea, (Unshadowed | Konst) -> Sym (Smt.Linexp.plus_const ea y)
+  | (Unshadowed | Konst), Sym eb -> Sym (Smt.Linexp.plus_const eb x)
+  | (Unshadowed | Konst), (Unshadowed | Konst) -> Konst
+
+let shadow_sub x sa y sb =
+  match (sa, sb) with
+  | Sym ea, Sym eb -> Sym (Smt.Linexp.sub ea eb)
+  | Sym ea, (Unshadowed | Konst) -> Sym (Smt.Linexp.plus_const ea (-y))
+  | (Unshadowed | Konst), Sym eb -> Sym (Smt.Linexp.const_minus x eb)
+  | (Unshadowed | Konst), (Unshadowed | Konst) -> Konst
+
+(* CREST-style linearization: scale the symbolic side by the other
+   side's concrete value; two symbolic sides concretize the right one.
+   A shadowed left side is scaled even when it is constant, which leaves
+   a constant. *)
+let shadow_mul x sa y sb =
+  match (sa, sb) with
+  | Sym ea, (Sym _ | Unshadowed | Konst) -> Sym (Smt.Linexp.scale y ea)
+  | Konst, (Sym _ | Unshadowed | Konst) | Unshadowed, (Unshadowed | Konst) -> Konst
+  | Unshadowed, Sym eb -> Sym (Smt.Linexp.scale x eb)
+
+let lin_shadow : Ast.binop -> (int -> shadow -> int -> shadow -> shadow) option
     = function
-  | Ast.Add -> Some (fun x sa y sb -> Smt.Linexp.add (soc x sa) (soc y sb))
-  | Ast.Sub -> Some (fun x sa y sb -> Smt.Linexp.sub (soc x sa) (soc y sb))
-  | Ast.Mul ->
-    Some
-      (fun x sa y sb ->
-        (* CREST-style linearization: scale the symbolic side by the
-           other side's concrete value; two symbolic sides concretize
-           the right one. *)
-        match (sa, sb) with
-        | Some ea, (Some _ | None) -> Smt.Linexp.scale y ea
-        | None, Some eb -> Smt.Linexp.scale x eb
-        | None, None -> Smt.Linexp.const (x * y))
+  | Ast.Add -> Some shadow_add
+  | Ast.Sub -> Some shadow_sub
+  | Ast.Mul -> Some shadow_mul
   | Ast.Div | Ast.Mod | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge
   | Ast.Logand | Ast.Logor | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl
   | Ast.Shr ->
     None
 
 (* Wrap a shadow-free closure for use in the heavy tree: the result
-   shadow of these nodes is always [None]. *)
+   shadow of these nodes is always [Unshadowed]. *)
 let nosh env (lc : ecode) : ecode =
   if env.heavy then fun c f ->
     let v = lc c f in
-    c.sh <- None;
+    c.sh <- Unshadowed;
     v
   else lc
 
@@ -414,13 +451,13 @@ let rec compile_expr env (e : Ast.expr) : ecode =
   | Ast.Int n ->
     let v = Value.Vint n in
     if env.heavy then fun c _f ->
-      c.sh <- None;
+      c.sh <- Unshadowed;
       v
     else fun _c _f -> v
   | Ast.Float x ->
     let v = Value.Vfloat x in
     if env.heavy then fun c _f ->
-      c.sh <- None;
+      c.sh <- Unshadowed;
       v
     else fun _c _f -> v
   | Ast.Var name ->
@@ -477,10 +514,12 @@ let rec compile_expr env (e : Ast.expr) : ecode =
     if env.heavy then fun c f ->
       match ce c f with
       | Value.Vint n ->
-        c.sh <- Option.map Smt.Linexp.neg c.sh;
+        (match c.sh with
+        | Sym e -> c.sh <- Sym (Smt.Linexp.neg e)
+        | Unshadowed | Konst -> ());
         Value.Vint (-n)
       | Value.Vfloat x ->
-        c.sh <- None;
+        c.sh <- Unshadowed;
         Value.Vfloat (-.x)
       | Value.Varr_int _ | Value.Varr_float _ -> type_error c "negation of array"
     else fun c f ->
@@ -508,11 +547,11 @@ let rec compile_expr env (e : Ast.expr) : ecode =
         (match (va, vb) with
         | Value.Vint x, Value.Vint y ->
           let r = iop c x y in
-          c.sh <- Some (mk x sa y sb);
+          c.sh <- mk x sa y sb;
           r
         | (Value.Vfloat _ | Value.Vint _), (Value.Vfloat _ | Value.Vint _) ->
           let r = fop c (as_float c va) (as_float c vb) in
-          c.sh <- None;
+          c.sh <- Unshadowed;
           r
         | (Value.Varr_int _ | Value.Varr_float _), _
         | _, (Value.Varr_int _ | Value.Varr_float _) ->
@@ -651,11 +690,15 @@ let rec compile_cond env (e : Ast.expr) : ccode =
         match (va, vb) with
         | Value.Vint x, Value.Vint y ->
           let taken = irel x y in
+          (* [Constr.cmp a rel b] is [make (Linexp.sub a b) rel]; no
+             variable on either side makes a concrete branch, and with
+             no symbolic side no expression is built at all *)
           c.cs <-
-            (let cns = Smt.Constr.cmp (soc x sa) rel (soc y sb) in
-             (* constants on both sides: a concrete branch, no constraint *)
-             if Smt.Varid.Set.is_empty (Smt.Constr.vars cns) then None
-             else Some (if taken then cns else Smt.Constr.negate cns));
+            (match shadow_sub x sa y sb with
+            | Sym exp when Smt.Linexp.is_const exp = None ->
+              let cns = Smt.Constr.make exp rel in
+              Some (if taken then cns else Smt.Constr.negate cns)
+            | Sym _ | Unshadowed | Konst -> None);
           taken
         | (Value.Vfloat _ | Value.Vint _), (Value.Vfloat _ | Value.Vint _) ->
           (* float comparisons: concrete only (Interp re-evaluates the
@@ -721,10 +764,10 @@ let rec compile_cond env (e : Ast.expr) : ccode =
         let taken = n <> 0 in
         c.cs <-
           (match c.sh with
-          | Some exp when not (Smt.Varid.Set.is_empty (Smt.Linexp.vars exp)) ->
+          | Sym exp when Smt.Linexp.is_const exp = None ->
             let cns = Smt.Constr.make exp Smt.Constr.Ne in
             Some (if taken then cns else Smt.Constr.negate cns)
-          | Some _ | None -> None);
+          | Sym _ | Unshadowed | Konst -> None);
         taken
       | Value.Vfloat x ->
         c.cs <- None;
@@ -788,11 +831,11 @@ let compile_store env (lv : Ast.lval) : ctx -> frame -> Value.t -> unit =
           | Value.Vint _ -> coerce c Ast.Tint value
           | Value.Vfloat _ -> coerce c Ast.Tfloat value
           | Value.Varr_int _ | Value.Varr_float _ -> value);
-        f.shs.(i) <- None
+        f.shs.(i) <- Unshadowed
       end
       else begin
         f.vals.(i) <- value;
-        f.shs.(i) <- None;
+        f.shs.(i) <- Unshadowed;
         f.bnd.(i) <- true
       end
     else fun c f value ->
@@ -857,11 +900,11 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let rank = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Rank comm)) in
       let kind = if is_world then Interp.Rank_world else Interp.Rank_comm comm in
       let shadow = c.hooks.Interp.on_mpi_sem kind rank in
-      set f (Value.Vint rank) shadow
+      set f (Value.Vint rank) (shadow_of_option shadow)
     else fun c f ->
       let comm = ch c f in
       let rank = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Rank comm)) in
-      set f (Value.Vint rank) None
+      set f (Value.Vint rank) Unshadowed
   | Ast.Comm_size (cref, var) ->
     let ch = compile_comm env cref in
     let set = set_slot env (slot env var) in
@@ -871,11 +914,11 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let size = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Size comm)) in
       let kind = if is_world then Interp.Size_world else Interp.Size_comm comm in
       let shadow = c.hooks.Interp.on_mpi_sem kind size in
-      set f (Value.Vint size) shadow
+      set f (Value.Vint size) (shadow_of_option shadow)
     else fun c f ->
       let comm = ch c f in
       let size = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Size comm)) in
-      set f (Value.Vint size) None
+      set f (Value.Vint size) Unshadowed
   | Ast.Comm_split { comm; color; key; into } ->
     let ch = compile_comm env comm in
     let ccolor = cint env color in
@@ -886,7 +929,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let color = ccolor c f in
       let comm = ch c f in
       let reply = c.hooks.Interp.mpi (Mpi_iface.Split { comm; color; key }) in
-      set f (Value.Vint (expect_int c reply)) None
+      set f (Value.Vint (expect_int c reply)) Unshadowed
   | Ast.Barrier comm ->
     let ch = compile_comm env comm in
     fun c f ->
@@ -931,7 +974,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let reply =
         c.hooks.Interp.mpi (Mpi_iface.Isend { comm; dest; tag; data = Value.copy v })
       in
-      set f (Value.Vint (expect_int c reply)) None
+      set f (Value.Vint (expect_int c reply)) Unshadowed
   | Ast.Irecv { comm; src; tag; req } ->
     let ctag = cint_opt env tag in
     let csrc = cint_opt env src in
@@ -942,7 +985,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let src = csrc c f in
       let comm = ch c f in
       let reply = c.hooks.Interp.mpi (Mpi_iface.Irecv { comm; src; tag }) in
-      set f (Value.Vint (expect_int c reply)) None
+      set f (Value.Vint (expect_int c reply)) Unshadowed
   | Ast.Wait { req; into } -> (
     let creq = cint env req in
     match into with
@@ -1022,7 +1065,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       in
       match reply with
       | Mpi_iface.Rnone -> ()
-      | Mpi_iface.Rvalue arr -> set f arr None
+      | Mpi_iface.Rvalue arr -> set f arr Unshadowed
       | Mpi_iface.Runit | Mpi_iface.Rint _ | Mpi_iface.Rvalues _ ->
         type_error c "MPI reply: bad gather reply")
   | Ast.Scatter { comm; root; data; into } ->
@@ -1057,7 +1100,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let reply =
         c.hooks.Interp.mpi (Mpi_iface.Allgather { comm; data = Value.copy v })
       in
-      set f (expect_value c reply) None
+      set f (expect_value c reply) Unshadowed
   | Ast.Alltoall { comm; data; into } ->
     let i_data = slot env data in
     let data_msg = "undefined variable " ^ data in
@@ -1069,7 +1112,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       in
       let comm = ch c f in
       let reply = c.hooks.Interp.mpi (Mpi_iface.Alltoall { comm; data = v }) in
-      set f (expect_value c reply) None
+      set f (expect_value c reply) Unshadowed
 
 (* ------------------------------------------------------------------ *)
 (* Statements (CPS: each closure ends by running the rest of the block) *)
@@ -1106,7 +1149,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
     if env.heavy then fun c f ->
       tick c;
       f.vals.(i) <- coerce c Ast.Tfloat (ce c f);
-      f.shs.(i) <- None;
+      f.shs.(i) <- Unshadowed;
       f.bnd.(i) <- true;
       k c f
     else fun c f ->
@@ -1123,7 +1166,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       let n = as_int c (cs c f) in
       if n < 0 then
         fault (Fault.Segfault { array = name; index = n; length = 0; func = c.func });
-      set f (zero_value ctype n) None;
+      set f (zero_value ctype n) Unshadowed;
       k c f
   | Ast.Assign (Ast.Lvar name, e) ->
     let i = slot env name in
@@ -1145,7 +1188,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
           | Value.Vint _ | Value.Vfloat _ -> type_error c "scalar into array variable")
       in
       f.vals.(i) <- value;
-      f.shs.(i) <- (match value with Value.Vint _ -> s | _ -> None);
+      f.shs.(i) <- (match value with Value.Vint _ -> s | _ -> Unshadowed);
       k c f
     else fun c f ->
       tick c;
@@ -1240,7 +1283,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
           | Value.Vint _ -> coerce c Ast.Tint v
           | Value.Vfloat _ -> coerce c Ast.Tfloat v
           | Value.Varr_int _ | Value.Varr_float _ -> v);
-        f.shs.(i) <- (match f.vals.(i) with Value.Vint _ -> s | _ -> None)
+        f.shs.(i) <- (match f.vals.(i) with Value.Vint _ -> s | _ -> Unshadowed)
       | None -> type_error c none_msg);
       k c f
     else fun c f ->
@@ -1272,7 +1315,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       c.returning <- true
     else fun c f ->
       tick c;
-      c.ret <- Some (ce c f, None);
+      c.ret <- Some (ce c f, Unshadowed);
       c.returning <- true
   | Ast.Assert (cond, message) ->
     (* the constraint is discarded, so even the heavy tree uses the
@@ -1297,11 +1340,11 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       tick c;
       let concrete = c.hooks.Interp.input_value decl in
       let shadow = c.hooks.Interp.on_input decl concrete in
-      set f (Value.Vint concrete) shadow;
+      set f (Value.Vint concrete) (shadow_of_option shadow);
       k c f
     else fun c f ->
       tick c;
-      set f (Value.Vint (c.hooks.Interp.input_value decl)) None;
+      set f (Value.Vint (c.hooks.Interp.input_value decl)) Unshadowed;
       k c f
   | Ast.Mpi m ->
     let cm = compile_mpi env m in
@@ -1310,7 +1353,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       cm c f;
       k c f
 
-and compile_call env name args : ctx -> frame -> (Value.t * Smt.Linexp.t option) option
+and compile_call env name args : ctx -> frame -> (Value.t * shadow) option
     =
   match Hashtbl.find_opt env.funcs name with
   | None ->
@@ -1339,7 +1382,7 @@ and compile_call env name args : ctx -> frame -> (Value.t * Smt.Linexp.t option)
                    (* arrays pass by reference *)
                  in
                  nf.vals.(pslot) <- value;
-                 nf.shs.(pslot) <- (match value with Value.Vint _ -> s | _ -> None);
+                 nf.shs.(pslot) <- (match value with Value.Vint _ -> s | _ -> Unshadowed);
                  nf.bnd.(pslot) <- true
                else fun c f nf ->
                  let v = ca c f in
@@ -1493,7 +1536,7 @@ let run t (hooks : Interp.hooks) =
       hooks;
       steps = 0;
       func = t.t_program.Ast.entry;
-      sh = None;
+      sh = Unshadowed;
       cs = None;
       ret = None;
       returning = false;

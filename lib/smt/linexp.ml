@@ -29,6 +29,14 @@ let scale s a =
   else { coeffs = Varid.Map.map (fun c -> s * c) a.coeffs; k = s * a.k }
 
 let add_const k a = { a with k = a.k + k }
+
+(* [add]/[sub] against a constant only shift [k] and drop zero
+   coefficients. [a] holds none unless [scale] wrapped a product to 0,
+   so the shortcut is taken exactly when it is [equal] (and hashes the
+   same) to the merge it replaces. *)
+let normalized a = Varid.Map.for_all (fun _ c -> c <> 0) a.coeffs
+let plus_const a k = if normalized a then add_const k a else add a (const k)
+let const_minus k a = if normalized a then add_const k (neg a) else sub (const k) a
 let is_const a = if Varid.Map.is_empty a.coeffs then Some a.k else None
 let coeff v a = match Varid.Map.find_opt v a.coeffs with Some c -> c | None -> 0
 let constant a = a.k

@@ -20,6 +20,15 @@ val neg : t -> t
 val scale : int -> t -> t
 val add_const : int -> t -> t
 
+val plus_const : t -> int -> t
+(** [plus_const a k] is [add a (const k)] — {!equal} to it with the same
+    {!hash} — without rebuilding [a]'s terms when [a] holds no zero
+    coefficient (only {!scale} can leave one, when a product wraps to 0). *)
+
+val const_minus : int -> t -> t
+(** [const_minus k a] is [sub (const k) a], with the same shortcut as
+    {!plus_const}. *)
+
 val is_const : t -> int option
 (** [is_const e] is [Some k] iff [e] mentions no variable. *)
 

@@ -193,6 +193,44 @@ let test_while_and_nonlinear () =
            ];
        ])
 
+(* The heavy executor carries a constant shadow as a bare constructor,
+   but it must keep the interpreter's distinction from no shadow at all:
+   a product whose left operand has a shadow (even a constant one, from
+   concrete arithmetic) scales it by the right operand's value and goes
+   concrete, while a literal or loaded left operand scales the symbolic
+   right side. *)
+let test_constant_shadow_product () =
+  let p =
+    program
+      [
+        func "main" []
+          [
+            input "n" ~default:3;
+            decl "a" (i 1);
+            decl "c" (v "a" +: i 1);
+            if_ ((v "c" *: v "n") =: i 6) [] [];
+            if_ ((i 2 *: v "n") =: i 6) [] [];
+            if_ ((neg (v "c") *: v "n") <: i 0) [] [];
+            if_ (((v "n" -: v "n") *: v "n") =: i 0) [] [];
+            if_ ((v "n" *: v "c") >: i 1) [] [];
+            if_ ((v "a" -: v "n") <: i 0) [] [];
+          ];
+      ]
+  in
+  differential ~inputs:[ ("n", 3) ] "constant shadow product" p;
+  let info = instrument p in
+  let branches =
+    List.filter
+      (fun s -> String.length s > 7 && String.sub s 0 7 = "branch ")
+      (observe interp_exec Interp.Heavy info ~inputs:[ ("n", 3) ])
+  in
+  Alcotest.(check (list bool))
+    "symbolic branches (interpreter)"
+    [ false; true; false; false; true; true ]
+    (List.map
+       (fun s -> not (String.ends_with ~suffix:"concrete" s))
+       branches)
+
 let test_step_limit () =
   differential ~step_limit:100 "step limit"
     (program [ func "main" [] [ decl "x" (i 1); while_ (v "x") [] ] ])
@@ -427,6 +465,7 @@ let unit_tests =
     ("recursion and shadow through call", `Quick, test_recursion_and_shadow_through_call);
     ("floats and bitwise", `Quick, test_floats_and_bitwise);
     ("while and nonlinear", `Quick, test_while_and_nonlinear);
+    ("constant shadow product", `Quick, test_constant_shadow_product);
     ("step limit", `Quick, test_step_limit);
     ("compiled reuse", `Quick, test_compiled_reuse);
     ("compile metadata", `Quick, test_compile_metadata);

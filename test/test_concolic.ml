@@ -440,6 +440,154 @@ let prop_reduction_keeps_flips =
       in
       Pathlog.constraint_count log = flips)
 
+(* Reference model of the coverage store: sorted sets of branch ids and
+   function names. *)
+module Iset = Set.Make (Int)
+module Sset = Set.Make (String)
+
+type cov_op = Branch of int | Func of string | Absorb of cov_op list | Copy
+
+(* ids straddle the map's initial capacity, with some far beyond it *)
+let gen_branch_id =
+  QCheck.Gen.(
+    frequency
+      [ (6, int_range 0 300); (2, int_range 0 5_000); (1, int_range 5_000 70_000) ])
+
+let gen_cov_ops =
+  QCheck.Gen.(
+    let leaf =
+      frequency
+        [
+          (6, map (fun b -> Branch b) gen_branch_id);
+          (2, map (fun fn -> Func fn) (oneofl [ "main"; "f"; "g"; "h_1" ]));
+          (1, return Copy);
+        ]
+    in
+    let op = frequency [ (8, leaf); (1, map (fun l -> Absorb l) (list_size (int_range 0 20) leaf)) ] in
+    list_size (int_range 0 60) op)
+
+let model_report (bs, fs) =
+  Printf.sprintf "branches %d:%s\nfunctions %d:%s\n" (Iset.cardinal bs)
+    (String.concat "" (List.map (Printf.sprintf " %d") (Iset.elements bs)))
+    (Sset.cardinal fs)
+    (String.concat "" (List.map (fun fn -> " " ^ fn) (Sset.elements fs)))
+
+let prop_coverage_matches_set_model =
+  QCheck.Test.make ~name:"coverage: byte map agrees with a set model" ~count:300
+    (QCheck.make gen_cov_ops)
+    (fun ops ->
+      let agrees c (bs, fs) =
+        Coverage.covered_branches c = Iset.cardinal bs
+        && Coverage.branch_list c = Iset.elements bs
+        && Coverage.encountered_functions c = Sset.elements fs
+        && Coverage.report c = model_report (bs, fs)
+        && Iset.for_all (Coverage.mem_branch c) bs
+      in
+      let rec apply (c, m) op =
+        match (op, m) with
+        | Branch b, (bs, fs) ->
+          Coverage.add_branch c b;
+          (c, (Iset.add b bs, fs))
+        | Func fn, (bs, fs) ->
+          Coverage.add_func c fn;
+          (c, (bs, Sset.add fn fs))
+        | Copy, _ ->
+          (* the copy is independent: writes to it leave the original alone *)
+          let c' = Coverage.copy c in
+          Coverage.add_branch c' 80_003;
+          if Coverage.mem_branch c 80_003 && not (Iset.mem 80_003 (fst m)) then
+            failwith "copy shares its map with the original";
+          (Coverage.copy c, m)
+        | Absorb ops, (bs, fs) ->
+          let src, (sbs, sfs) = List.fold_left apply (Coverage.create (), (Iset.empty, Sset.empty)) ops in
+          let before = Coverage.report src in
+          Coverage.absorb ~into:c src;
+          if Coverage.report src <> before || not (agrees src (sbs, sfs)) then
+            failwith "absorb changed its source";
+          (c, (Iset.union bs sbs, Sset.union fs sfs))
+      in
+      let c, m = List.fold_left apply (Coverage.create (), (Iset.empty, Sset.empty)) ops in
+      let probes = [ -1; min_int; max_int; 70_001; 80_003 ] @ List.init 40 (fun b -> b * 7) in
+      agrees c m
+      && List.for_all (fun b -> Coverage.mem_branch c b = Iset.mem b (fst m)) probes)
+
+(* Reference model of the path log: the per-conditional outcome table as
+   a Hashtbl, the event list in order, and the serialized text. *)
+let model_pathlog ~reduce events =
+  let last = Hashtbl.create 16 in
+  let kept =
+    List.map
+      (fun (cond_id, taken, constr) ->
+        let keep =
+          match constr with
+          | Some _ when reduce && Hashtbl.find_opt last cond_id = Some taken -> None
+          | c -> c
+        in
+        Hashtbl.replace last cond_id taken;
+        (cond_id, Minic.Branchinfo.branch_of_cond cond_id taken, taken, keep))
+      events
+  in
+  let line (_, branch, _, keep) =
+    string_of_int branch
+    ^ (match keep with
+      | None -> ""
+      | Some c ->
+        " " ^ Smt.Constr.rel_to_string c.Smt.Constr.rel
+        ^ String.concat ""
+            (List.map (fun (k, v) -> Printf.sprintf " %d*%d" k v) (Smt.Linexp.terms c.Smt.Constr.exp))
+        ^ Printf.sprintf " %d" (Smt.Linexp.constant c.Smt.Constr.exp))
+    ^ "\n"
+  in
+  let constraints = List.filter_map (fun (_, b, _, k) -> Option.map (fun c -> (b, c)) k) kept in
+  let constr_bytes (_, c) = 16 + (16 * List.length (Smt.Linexp.terms c.Smt.Constr.exp)) in
+  let n = List.length kept in
+  ( constraints,
+    n,
+    List.filteri (fun i _ -> i >= n - 8) (List.map (fun (id, _, t, _) -> (id, t)) kept),
+    64 + (8 * n) + List.fold_left (fun acc c -> acc + constr_bytes c) 0 constraints,
+    String.concat "" (List.map line kept) )
+
+let gen_path_events =
+  QCheck.Gen.(
+    let cond_id =
+      frequency [ (6, int_range 0 6); (2, int_range 0 200); (1, int_range 200 50_000) ]
+    in
+    let constr =
+      frequency
+        [
+          (1, return None);
+          ( 3,
+            let* terms = list_size (int_range 1 3) (pair (int_range (-4) 4) (int_range 0 5)) in
+            let* k = int_range (-9) 9 in
+            let* rel = oneofl Smt.Constr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+            return (Some (Smt.Constr.make (Smt.Linexp.of_terms terms k) rel)) );
+        ]
+    in
+    list_size (int_range 0 200) (triple cond_id bool constr))
+
+let prop_pathlog_matches_model =
+  QCheck.Test.make ~name:"pathlog: flat reduction state agrees with a Hashtbl model"
+    ~count:300 (QCheck.make gen_path_events)
+    (fun events ->
+      List.for_all
+        (fun reduce ->
+          let log = Pathlog.create ~reduce in
+          List.iter
+            (fun (cond_id, taken, constr) -> Pathlog.record log ~cond_id ~taken ~constr)
+            events;
+          let constraints, n, tail, heavy, text = model_pathlog ~reduce events in
+          let got = Array.to_list (Pathlog.constraints log) in
+          List.length got = List.length constraints
+          && List.for_all2
+               (fun (b, c) (b', c') -> b = b' && Smt.Constr.equal c c')
+               got constraints
+          && Pathlog.constraint_count log = List.length constraints
+          && Pathlog.branch_events log = n
+          && Pathlog.tail log = tail
+          && Pathlog.heavy_bytes log = heavy
+          && Pathlog.serialize log = text)
+        [ true; false ])
+
 let prop_dfs_indices_unique_per_record =
   QCheck.Test.make ~name:"strategy: DFS pops each index once" ~count:100
     QCheck.(make Gen.(int_range 1 30))
@@ -496,6 +644,12 @@ let unit_tests =
 
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_reduction_never_more; prop_reduction_keeps_flips; prop_dfs_indices_unique_per_record ]
+    [
+      prop_reduction_never_more;
+      prop_reduction_keeps_flips;
+      prop_coverage_matches_set_model;
+      prop_pathlog_matches_model;
+      prop_dfs_indices_unique_per_record;
+    ]
 
 let suite = [ ("concolic:unit", unit_tests); ("concolic:property", property_tests) ]

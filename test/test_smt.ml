@@ -471,6 +471,51 @@ let arb_constrs =
     ~print:(fun cs -> Fmt.str "%a" (Fmt.list ~sep:Fmt.comma Constr.pp) cs)
     QCheck.Gen.(int_range 1 6 >>= fun n -> list_repeat n gen_constr)
 
+(* The heavy executor folds a concrete operand into a symbolic one with
+   [plus_const]/[const_minus]; each must equal the merge it replaces and
+   hash the same, or cache keys and reports would drift. [scale] by a
+   multiple of a large power of two wraps some coefficient products to 0,
+   the one shape where the merge (which drops zero terms) differs from a
+   bare constant shift. *)
+let gen_shifted_linexp =
+  QCheck.Gen.(
+    let* e = gen_linexp in
+    let* s =
+      oneof
+        [
+          return 1;
+          int_range (-7) 7;
+          oneofl [ min_int; 1 lsl 61; 3 lsl 61; -(1 lsl 60); max_int ];
+        ]
+    in
+    let* k = oneof [ int_range (-50) 50; oneofl [ min_int; max_int ] ] in
+    return (Linexp.scale s e, k))
+
+let linexp_same a b = Linexp.equal a b && Linexp.hash a = Linexp.hash b
+
+let prop_linexp_const_shortcuts =
+  QCheck.Test.make ~name:"linexp: constant shortcuts equal the merge path" ~count:1000
+    (QCheck.make
+       ~print:(fun (e, k) ->
+         Fmt.str "%a (terms %d) k=%d" Linexp.pp e (List.length (Linexp.terms e)) k)
+       gen_shifted_linexp)
+    (fun (e, k) ->
+      linexp_same (Linexp.plus_const e k) (Linexp.add e (Linexp.const k))
+      && linexp_same (Linexp.plus_const e k) (Linexp.add (Linexp.const k) e)
+      && linexp_same (Linexp.plus_const e (-k)) (Linexp.sub e (Linexp.const k))
+      && linexp_same (Linexp.const_minus k e) (Linexp.sub (Linexp.const k) e))
+
+let test_linexp_shortcut_wrapped_scale () =
+  (* min_int * 2 wraps to 0: [scale] keeps the zero term, the merge drops it *)
+  let e = Linexp.scale min_int (Linexp.of_terms [ (2, 0); (3, 1) ] 0) in
+  Alcotest.(check int) "scale keeps the wrapped term" 2 (List.length (Linexp.terms e));
+  let shifted = Linexp.plus_const e 5 in
+  Alcotest.(check bool) "equal to the merge" true
+    (linexp_same shifted (Linexp.add e (Linexp.const 5)));
+  Alcotest.(check int) "zero term dropped" 1 (List.length (Linexp.terms shifted));
+  Alcotest.(check bool) "const_minus equal to the merge" true
+    (linexp_same (Linexp.const_minus 5 e) (Linexp.sub (Linexp.const 5) e))
+
 let prop_solver_sound =
   QCheck.Test.make ~name:"solver: Sat models satisfy all constraints" ~count:300
     arb_constrs (fun cs ->
@@ -562,6 +607,7 @@ let unit_tests =
     ("linexp cancellation", `Quick, test_linexp_cancellation);
     ("linexp scale", `Quick, test_linexp_scale);
     ("linexp duplicate terms", `Quick, test_linexp_duplicate_terms);
+    ("linexp shortcut on wrapped scale", `Quick, test_linexp_shortcut_wrapped_scale);
     ("constr negate involutive", `Quick, test_negate_involutive);
     ("constr negate flips holds", `Quick, test_negate_flips_holds);
     ("constr trivial", `Quick, test_trivial);
@@ -603,6 +649,7 @@ let property_tests =
       prop_incremental_preserves_untouched;
       prop_prefer_stable;
       prop_normalize_preserves_solutions;
+      prop_linexp_const_shortcuts;
     ]
 
 let suite = [ ("smt:unit", unit_tests); ("smt:property", property_tests) ]
