@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks for the hot kernels underpinning every
    experiment: the solver, the interpreter in heavy vs light mode (the
    per-process cost difference that two-way instrumentation exploits),
-   and path logging with and without constraint-set reduction. *)
+   path logging with and without constraint-set reduction, and the
+   path log's render/read-back round trip. *)
 
 open Bechamel
 open Toolkit
@@ -51,6 +52,19 @@ let pathlog_test ~name ~reduce =
            Concolic.Pathlog.record log ~cond_id:(k mod 7) ~taken:(k mod 11 < 9) ~constr
          done;
          ignore (Concolic.Pathlog.constraint_count log)))
+
+(* The focus log's per-iteration round trip: record, render, read back. *)
+let pathlog_round_trip_test =
+  let constr =
+    Some (Smt.Constr.cmp (Smt.Linexp.var 0) Smt.Constr.Lt (Smt.Linexp.const 100))
+  in
+  Test.make ~name:"pathlog: 1000 events, round trip"
+    (Staged.stage (fun () ->
+         let log = Concolic.Pathlog.create ~reduce:true in
+         for k = 0 to 999 do
+           Concolic.Pathlog.record log ~cond_id:(k mod 7) ~taken:(k mod 11 < 9) ~constr
+         done;
+         ignore (Concolic.Pathlog.parse_count (Concolic.Pathlog.serialize log))))
 
 (* The observatory fold over a synthetic 1k-line trace: the hot path of
    [compi-cli replay/report] on a real campaign's JSONL. *)
@@ -117,6 +131,7 @@ let tests =
       interp_test ~name:"runner: fig2 x4 procs, one-way" ~heavy:true;
       pathlog_test ~name:"pathlog: 1000 events, reduction" ~reduce:true;
       pathlog_test ~name:"pathlog: 1000 events, no reduction" ~reduce:false;
+      pathlog_round_trip_test;
       fold_test;
     ]
 

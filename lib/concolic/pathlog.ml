@@ -86,33 +86,94 @@ let light_bytes t =
   done;
   64 + (8 * Hashtbl.length distinct)
 
-let serialize t =
-  let buf = Buffer.create (t.constraint_bytes + (16 * t.nevents) + 64) in
-  let kept = constraints t in
-  let next = ref 0 in
-  for i = 0 to t.nevents - 1 do
-    let word = t.events.(i) in
-    Buffer.add_string buf (string_of_int (word lsr 1));
-    if word land 1 = 1 then begin
-      let c = snd kept.(!next) in
-      incr next;
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (Smt.Constr.rel_to_string c.Smt.Constr.rel);
-      List.iter
-        (fun (coeff, var) ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int coeff);
-          Buffer.add_char buf '*';
-          Buffer.add_string buf (string_of_int var))
-        (Smt.Linexp.terms c.Smt.Constr.exp);
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int (Smt.Linexp.constant c.Smt.Constr.exp))
-    end;
-    Buffer.add_char buf '\n'
+(* Decimal width of [n], sign included. Both helpers work on [-|n|],
+   which never overflows, so [min_int] needs no special case. *)
+let rec neg_width m =
+  if m > -10 then 1
+  else if m > -100 then 2
+  else if m > -1000 then 3
+  else if m > -10000 then 4
+  else 4 + neg_width (m / 10000)
+
+let int_width n = if n < 0 then 1 + neg_width n else neg_width (-n)
+
+(* [write_int b pos n] writes [n] in decimal ending just before [pos] and
+   returns where it starts. *)
+let write_int b pos n =
+  let pos = ref pos and m = ref (if n < 0 then n else -n) in
+  while
+    decr pos;
+    Bytes.set b !pos (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10;
+    !m <> 0
+  do
+    ()
   done;
-  Buffer.contents buf
+  if n < 0 then begin
+    decr pos;
+    Bytes.set b !pos '-'
+  end;
+  !pos
+
+(* One line per event: the branch id, then for a kept constraint
+   [" <rel> <coeff>*<var>... <const>"], then a newline. *)
+let constr_width c =
+  let exp = c.Smt.Constr.exp in
+  List.fold_left
+    (fun w (coeff, var) -> w + 2 + int_width coeff + int_width var)
+    (2 + String.length (Smt.Constr.rel_to_string c.Smt.Constr.rel)
+    + int_width (Smt.Linexp.constant exp))
+    (Smt.Linexp.terms exp)
+
+(* Writes [" <coeff>*<var>"] for each term, ending at [pos]. *)
+let rec write_terms b pos = function
+  | [] -> pos
+  | (coeff, var) :: rest ->
+    let pos = write_int b (write_terms b pos rest) var - 1 in
+    Bytes.set b pos '*';
+    let pos = write_int b pos coeff - 1 in
+    Bytes.set b pos ' ';
+    pos
+
+(* Two passes and one exact-size allocation: the width pass sums every
+   line's byte count, the write pass fills the bytes from the end, so
+   the kept constraints (newest first) are met in the order they are
+   stored. *)
+let serialize t =
+  let size = ref t.nevents in
+  for i = 0 to t.nevents - 1 do
+    size := !size + int_width (t.events.(i) lsr 1)
+  done;
+  List.iter (fun (_, c) -> size := !size + constr_width c) t.kept_rev;
+  let b = Bytes.create !size in
+  let pos = ref !size and kept = ref t.kept_rev in
+  for i = t.nevents - 1 downto 0 do
+    let word = t.events.(i) in
+    decr pos;
+    Bytes.set b !pos '\n';
+    if word land 1 = 1 then begin
+      match !kept with
+      | [] -> assert false
+      | (_, c) :: rest ->
+        kept := rest;
+        let exp = c.Smt.Constr.exp in
+        let p = write_int b !pos (Smt.Linexp.constant exp) - 1 in
+        Bytes.set b p ' ';
+        let p = write_terms b p (Smt.Linexp.terms exp) in
+        let rel = Smt.Constr.rel_to_string c.Smt.Constr.rel in
+        let p = p - String.length rel - 1 in
+        Bytes.blit_string rel 0 b (p + 1) (String.length rel);
+        Bytes.set b p ' ';
+        pos := p
+    end;
+    pos := write_int b !pos (word lsr 1)
+  done;
+  assert (!pos = 0 && !kept = []);
+  Bytes.unsafe_to_string b
 
 let parse_count text =
   let n = ref 0 in
-  String.iter (fun c -> if c = '\n' then incr n) text;
+  for i = 0 to String.length text - 1 do
+    if String.unsafe_get text i = '\n' then incr n
+  done;
   !n

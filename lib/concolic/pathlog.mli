@@ -43,8 +43,15 @@ val serialize : t -> string
     and every kept constraint, line-oriented. CREST ships this file
     between the target and the search at {e every} iteration; calling
     this (and {!parse_count} on the result) in the runner charges that
-    real cost, which is exactly what constraint-set reduction shrinks. *)
+    real cost, which is exactly what constraint-set reduction shrinks.
+
+    One line per event: the branch id, then for a kept constraint its
+    relation, each term as [coeff*var] and the constant, space-separated.
+    Rendering is exact-size: a width pass sums every line's bytes from
+    each integer's decimal width (sign included), one [Bytes.create]
+    of that size follows, and a write pass puts the digits in place, so
+    no per-integer string or intermediate buffer is allocated. *)
 
 val parse_count : string -> int
-(** Scan a serialized log and count its records (the read-back half of
-    the round trip). *)
+(** Scan a serialized log and count its records, one per newline (the
+    read-back half of the round trip). *)

@@ -221,13 +221,20 @@ let run_raw config =
        symbolic log and the search reads it back. This is real work
        proportional to the constraint-set size — the cost that
        constraint-set reduction exists to shrink (paper section IV-C).
-       One-way runs pay it once per heavy process. *)
-    let focus_serialized = Pathlog.serialize focus_log in
-    let _ = Pathlog.parse_count focus_serialized in
-    Array.iter
-      (function
-        | Some log -> ignore (Pathlog.parse_count (Pathlog.serialize log))
-        | None -> ())
+       One-way runs pay it once per heavy process. The read-back must
+       find one record per branch event. *)
+    let round_trip rank log =
+      let text = Pathlog.serialize log in
+      let records = Pathlog.parse_count text in
+      if records <> Pathlog.branch_events log then
+        invalid_arg
+          (Printf.sprintf "Runner: rank %d's path log reads back %d records for %d branch events"
+             rank records (Pathlog.branch_events log));
+      text
+    in
+    let focus_serialized = round_trip focus focus_log in
+    Array.iteri
+      (fun rank -> function Some log -> ignore (round_trip rank log) | None -> ())
       heavy_logs;
     let wall_time = Unix.gettimeofday () -. t0 in
     let coverage = Coverage.create () in

@@ -162,6 +162,108 @@ let test_runner_two_way_log_sizes () =
   Alcotest.(check bool) "focus log unchanged in kind" true
     (two_way.Compi.Runner.focus_log_bytes > 0)
 
+(* [Runner.run_raw] reads every rendered log back and fails with
+   [Invalid_argument] unless it finds one record per branch event: the
+   focus log in both modes, and each non-focus rank's heavy log one-way. *)
+let test_runner_log_read_back_checked () =
+  let info = Targets.Registry.instrument Targets.Npb_cg.target in
+  List.iter
+    (fun two_way ->
+      let config =
+        { (Compi.Runner.default_config ~info) with Compi.Runner.nprocs = 4; two_way }
+      in
+      match Compi.Runner.run config with
+      | Error (`Platform_limit _) -> Alcotest.fail "platform limit"
+      | Ok res ->
+        Alcotest.(check bool) "focus log rendered" true (res.Compi.Runner.focus_log_bytes > 0);
+        Alcotest.(check bool) "no faults" true (Compi.Runner.faults res = []))
+    [ true; false ]
+
+(* Byte oracle for [Pathlog.serialize]: the straightforward renderer,
+   one [Buffer] and one [string_of_int] per integer, reading the
+   constraint path as an array. [events] are each branch event's id and
+   whether it kept a constraint, oldest first. *)
+let buffer_serialize events kept =
+  let buf = Buffer.create 256 in
+  let next = ref 0 in
+  List.iter
+    (fun (branch, has_constr) ->
+      Buffer.add_string buf (string_of_int branch);
+      if has_constr then begin
+        let c = snd kept.(!next) in
+        incr next;
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (Smt.Constr.rel_to_string c.Smt.Constr.rel);
+        List.iter
+          (fun (coeff, var) ->
+            Buffer.add_char buf ' ';
+            Buffer.add_string buf (string_of_int coeff);
+            Buffer.add_char buf '*';
+            Buffer.add_string buf (string_of_int var))
+          (Smt.Linexp.terms c.Smt.Constr.exp);
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (string_of_int (Smt.Linexp.constant c.Smt.Constr.exp))
+      end;
+      Buffer.add_char buf '\n')
+    events;
+  Buffer.contents buf
+
+(* One np-4 execution of [target] with default inputs and every rank
+   heavily instrumented, as in a one-way run: rank 0's log plays the
+   focus log, ranks 1-3's the one-way heavy logs. Inputs and MPI
+   semantics values are symbolic. Each log comes with its event stream,
+   oldest first, for the oracle. *)
+let heavy_executions ~reduce target =
+  let info = Targets.Registry.instrument target in
+  let nprocs = 4 in
+  let logs = Array.init nprocs (fun _ -> Pathlog.create ~reduce) in
+  let events = Array.make nprocs [] in
+  let gen = Smt.Varid.make_gen () in
+  let fresh _ _ = Some (Smt.Linexp.var (Smt.Varid.fresh gen)) in
+  let sched =
+    Mpisim.Scheduler.run ~nprocs (fun ~rank ~mpi ->
+        let log = logs.(rank) in
+        let on_branch ~id ~taken ~constr =
+          let before = Pathlog.constraint_count log in
+          Pathlog.record log ~cond_id:id ~taken ~constr;
+          events.(rank) <-
+            (Minic.Branchinfo.branch_of_cond id taken, Pathlog.constraint_count log > before)
+            :: events.(rank)
+        in
+        Minic.Interp.run
+          {
+            (Minic.Interp.plain_hooks ~mpi ()) with
+            Minic.Interp.mode = Minic.Interp.Heavy;
+            on_input = fresh;
+            on_mpi_sem = fresh;
+            on_branch;
+          }
+          info.Minic.Branchinfo.program)
+  in
+  Alcotest.(check bool) "every rank finished" true
+    (Array.for_all Result.is_ok sched.Mpisim.Scheduler.outcomes);
+  List.init nprocs (fun rank -> (logs.(rank), List.rev events.(rank)))
+
+let test_pathlog_serialize_matches_buffer_oracle () =
+  List.iter
+    (fun target ->
+      List.iter
+        (fun reduce ->
+          List.iteri
+            (fun rank (log, events) ->
+              let what =
+                Printf.sprintf "%s rank %d %s" target.Targets.Registry.name rank
+                  (if reduce then "reduced" else "unreduced")
+              in
+              Alcotest.(check bool) (what ^ ": symbolic") true
+                (Pathlog.constraint_count log > 0);
+              Alcotest.(check string) what
+                (buffer_serialize events (Pathlog.constraints log))
+                (Pathlog.serialize log))
+            (heavy_executions ~reduce target))
+        [ true; false ])
+    Targets.[ Susy_hmc.target; Hpl.target; Npb_cg.target; Imb_mpi1.target ]
+
 let test_runner_platform_limit () =
   let info = Lazy.force fig2_info in
   let config =
@@ -541,6 +643,8 @@ let unit_tests =
     ("conflict nprocs from sw", `Quick, test_conflict_nprocs_from_sw);
     ("runner all recorders", `Quick, test_runner_records_all_processes);
     ("runner two-way log sizes", `Quick, test_runner_two_way_log_sizes);
+    ("runner log read-back checked", `Quick, test_runner_log_read_back_checked);
+    ("pathlog serialize = Buffer renderer", `Quick, test_pathlog_serialize_matches_buffer_oracle);
     ("runner platform limit", `Quick, test_runner_platform_limit);
     ("runner auto marking", `Quick, test_runner_auto_marking);
     ("runner marking disabled", `Quick, test_runner_no_marking_when_disabled);

@@ -165,6 +165,29 @@ let test_pathlog_serialize_reduction_smaller () =
     (String.length (Pathlog.serialize without)
     > 3 * String.length (Pathlog.serialize with_r))
 
+(* Integers whose decimal form is easy to get wrong: zero, both sides of
+   each sign and width boundary, long negatives, and the extremes, where
+   [-min_int] overflows. *)
+let decimal_boundaries =
+  [ 0; 1; -1; 9; -9; 10; -10; 99; -99; 100; -100; 9999; -9999; 10_000; -10_000;
+    99_999_999; 100_000_000; -1_000_000_000_000; -123_456_789_012_345;
+    max_int; max_int - 1; min_int; min_int + 1 ]
+
+(* The renderer's decimal writer, seen through [serialize] in the
+   coefficient, variable and constant positions, agrees with
+   [string_of_int]. *)
+let test_pathlog_decimal_writer () =
+  List.iter
+    (fun v ->
+      let coeff = if v = 0 then 1 else v in
+      let log = Pathlog.create ~reduce:false in
+      Pathlog.record log ~cond_id:0 ~taken:true
+        ~constr:(Some (Smt.Constr.make (Smt.Linexp.of_terms [ (coeff, v) ] v) Smt.Constr.Le));
+      Alcotest.(check string) (string_of_int v)
+        ("0 <= " ^ string_of_int coeff ^ "*" ^ string_of_int v ^ " " ^ string_of_int v ^ "\n")
+        (Pathlog.serialize log))
+    decimal_boundaries
+
 let test_pathlog_bytes () =
   let log = Pathlog.create ~reduce:false in
   for k = 0 to 99 do
@@ -588,6 +611,43 @@ let prop_pathlog_matches_model =
           && Pathlog.serialize log = text)
         [ true; false ])
 
+(* Path events with wide integers everywhere the log prints one: branch
+   ids up to 10^7 (a larger conditional id would grow the per-conditional
+   reduction state to hundreds of megabytes), coefficients and constants
+   over the whole int range with the decimal boundaries over-weighted,
+   variables up to 10^9. *)
+let gen_wide_path_events =
+  QCheck.Gen.(
+    let cond_id = frequency [ (4, int_range 0 6); (1, int_range 0 5_000_000) ] in
+    let wide = frequency [ (3, oneofl decimal_boundaries); (3, int); (1, neg_int) ] in
+    let constr =
+      frequency
+        [
+          (1, return None);
+          ( 3,
+            let* terms = list_size (int_range 0 3) (pair wide (int_range 0 1_000_000_000)) in
+            let* k = wide in
+            let* rel = oneofl Smt.Constr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+            return (Some (Smt.Constr.make (Smt.Linexp.of_terms terms k) rel)) );
+        ]
+    in
+    list_size (int_range 0 100) (triple cond_id bool constr))
+
+let prop_pathlog_wide_ints_match_printf =
+  QCheck.Test.make ~name:"pathlog: serialize is byte-equal to the Printf model on wide ints"
+    ~count:200 (QCheck.make gen_wide_path_events)
+    (fun events ->
+      List.for_all
+        (fun reduce ->
+          let log = Pathlog.create ~reduce in
+          List.iter
+            (fun (cond_id, taken, constr) -> Pathlog.record log ~cond_id ~taken ~constr)
+            events;
+          let _, n, _, _, text = model_pathlog ~reduce events in
+          let got = Pathlog.serialize log in
+          got = text && Pathlog.parse_count got = n)
+        [ true; false ])
+
 let prop_dfs_indices_unique_per_record =
   QCheck.Test.make ~name:"strategy: DFS pops each index once" ~count:100
     QCheck.(make Gen.(int_range 1 30))
@@ -625,6 +685,7 @@ let unit_tests =
     ("pathlog order", `Quick, test_pathlog_constraints_order);
     ("pathlog serialize roundtrip", `Quick, test_pathlog_serialize_roundtrip);
     ("pathlog serialize reduction", `Quick, test_pathlog_serialize_reduction_smaller);
+    ("pathlog decimal writer", `Quick, test_pathlog_decimal_writer);
     ("pathlog bytes", `Quick, test_pathlog_bytes);
     ("execution prefix", `Quick, test_execution_prefix);
     ("execution negation", `Quick, test_execution_solve_negation);
@@ -649,6 +710,7 @@ let property_tests =
       prop_reduction_keeps_flips;
       prop_coverage_matches_set_model;
       prop_pathlog_matches_model;
+      prop_pathlog_wide_ints_match_printf;
       prop_dfs_indices_unique_per_record;
     ]
 
