@@ -104,7 +104,18 @@ let fold_test =
                 outcome = (if k mod 4 = 0 then Obs.Event.Unsat else Obs.Event.Sat);
                 cached = k mod 3 = 0;
               }
-          | 3 -> Obs.Event.Msg_matched { src = k mod 4; dst = (k + 1) mod 4; comm = 0; tag = 0 }
+          | 3 ->
+            let src = k mod 4 in
+            Obs.Event.Mpi_summary
+              {
+                nprocs = 4;
+                sends = List.init 4 (fun r -> if r = src then 1 else 0);
+                recvs = List.init 4 (fun r -> if r = (src + 1) mod 4 then 1 else 0);
+                colls = [ 1; 1; 1; 1 ];
+                blocked = List.init 4 (fun r -> if r = (src + 1) mod 4 then 1 else 0);
+                matrix = List.init 16 (fun i -> if i = (src * 4) + ((src + 1) mod 4) then 1 else 0);
+                collectives = [ (0, "barrier", 1) ];
+              }
           | _ ->
             Obs.Event.Solver_call
               {

@@ -911,7 +911,7 @@ let profile_cmd =
        ~doc:
          "Fold the timeline spans of a $(b,--trace-events) JSONL trace into a \
           performance profile: per-kind wall breakdown, per-worker utilization, \
-          merge-barrier stall, cache-lock contention and per-round critical path — \
+          pipeline queue wait, worker idle, pool join and per-round critical path — \
           HTML with a Gantt timeline via $(b,--out), ASCII otherwise")
     Term.(const run $ trace_pos_arg $ report_out_arg $ stable_arg)
 
@@ -1279,23 +1279,33 @@ let trace_jsonl_arg =
     value
     & opt (some string) None
     & info [ "trace-jsonl" ] ~docv:"FILE.jsonl"
-        ~doc:"Write the communication trace as JSON Lines")
+        ~doc:
+          "Write the run's telemetry trace as JSON Lines: one $(b,mpi_summary) \
+           event with the per-rank and rank-to-rank message counts, plus any \
+           deadlock and schedule-choice events")
 
 let exec_cmd =
   let run (t : Targets.Registry.t) nprocs inputs trace trace_jsonl =
     let info = Targets.Registry.instrument t in
     let tracer = Mpisim.Trace.create () in
-    let tracing = trace || trace_jsonl <> None in
     let config =
       {
         (Compi.Runner.default_config ~info) with
         Compi.Runner.nprocs = Option.value nprocs ~default:4;
         inputs;
         step_limit = t.Targets.Registry.tuning.Targets.Registry.step_limit;
-        on_event = (if tracing then Mpisim.Trace.collector tracer else fun _ -> ());
+        on_event = (if trace then Mpisim.Trace.collector tracer else fun _ -> ());
       }
     in
-    match Compi.Runner.run config with
+    let result =
+      match trace_jsonl with
+      | None -> Compi.Runner.run config
+      | Some path ->
+        Out_channel.with_open_text path (fun oc ->
+            Obs.Sink.with_sink (Obs.Sink.Channel_sink oc) (fun () ->
+                Compi.Runner.run config))
+    in
+    match result with
     | Error (`Platform_limit n) -> Printf.printf "platform limit: %d processes\n" n
     | Ok res ->
       Printf.printf "covered %d branches across %d processes in %.1fms\n"
@@ -1319,12 +1329,7 @@ let exec_cmd =
           (Mpisim.Trace.summary tracer);
         print_string (Mpisim.Trace.timeline ~limit:60 tracer)
       end;
-      match trace_jsonl with
-      | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Mpisim.Trace.to_jsonl tracer));
-        Printf.printf "communication trace written to %s\n" path
-      | None -> ()
+      Option.iter (Printf.printf "telemetry trace written to %s\n") trace_jsonl
   in
   Cmd.v
     (Cmd.info "exec" ~doc:"Execute a target once with concrete inputs")

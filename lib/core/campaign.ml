@@ -120,13 +120,13 @@ type done_item =
 
 (* --- telemetry ------------------------------------------------------ *)
 
-let m_iterations = Obs.Metrics.counter "driver.iterations"
-let m_restarts = Obs.Metrics.counter "driver.restarts"
-let m_faults = Obs.Metrics.counter "driver.faults"
+let m_iterations = Obs.Metrics.counter "campaign.iterations"
+let m_restarts = Obs.Metrics.counter "campaign.restarts"
+let m_faults = Obs.Metrics.counter "campaign.faults"
 let m_checkpoints = Obs.Metrics.counter "campaign.checkpoints"
-let m_cs_size = Obs.Metrics.histogram "driver.constraint_set"
-let g_covered = Obs.Metrics.gauge "driver.covered"
-let g_reachable = Obs.Metrics.gauge "driver.reachable"
+let m_cs_size = Obs.Metrics.histogram "campaign.constraint_set"
+let g_covered = Obs.Metrics.gauge "campaign.covered"
+let g_reachable = Obs.Metrics.gauge "campaign.reachable"
 
 let emit_restart ~iteration reason =
   Obs.Metrics.incr m_restarts;

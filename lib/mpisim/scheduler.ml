@@ -119,6 +119,17 @@ let m_collectives = Obs.Metrics.counter "sched.collectives"
 let m_deadlocks = Obs.Metrics.counter "sched.deadlocks"
 let m_msgs_per_run = Obs.Metrics.histogram "sched.messages_per_run"
 
+(* Per-run MPI aggregates for the trace's one [Mpi_summary] event;
+   allocated only when a sink is writing at run start. *)
+type tally = {
+  t_sends : int array;  (* per global rank *)
+  t_recvs : int array;
+  t_colls : int array;
+  t_blocked : int array;
+  t_matrix : int array;  (* row-major src x dst *)
+  t_coll_sigs : (int * string, int) Hashtbl.t;
+}
+
 type sched = {
   nprocs : int;
   registry : Rankmap.t;
@@ -130,6 +141,7 @@ type sched = {
   nb_tables : nb_table array;  (* per global rank *)
   pending_waits : (int, pending_wait) Hashtbl.t;  (* per waiting rank *)
   on_event : Trace.event -> unit;
+  tally : tally option;
   mutable deadlocked : int list;
   mutable msg_count : int;
   lazy_wildcards : bool;
@@ -140,12 +152,54 @@ type sched = {
   mutable choice_points : int;
 }
 
-(* Every observable scheduler occurrence goes through here: the caller's
-   collector and the live telemetry sink see the same event, rendered by
-   the one [Trace.to_obs_event] vocabulary bridge. *)
-let notify s ev =
-  s.on_event ev;
-  if Obs.Sink.active () then Obs.Sink.emit (Trace.to_obs_event ev)
+(* Every observable scheduler occurrence goes to the caller's collector;
+   the telemetry sink sees only the per-run summary and the deadlock and
+   schedule-choice events, which stay per occurrence. *)
+let notify s ev = s.on_event ev
+
+(* [count s field i] adds one to cell [i] of a tally array; a no-op,
+   allocating nothing, when no sink was writing at run start. *)
+let count s field i =
+  match s.tally with
+  | Some t ->
+    let a = field t in
+    a.(i) <- a.(i) + 1
+  | None -> ()
+
+let sends t = t.t_sends
+let recvs t = t.t_recvs
+let blocks t = t.t_blocked
+let matrix t = t.t_matrix
+
+(* A point-to-point message was delivered: global sender to receiver. *)
+let delivered s ~src ~dst ~comm ~tag =
+  count s matrix ((src * s.nprocs) + dst);
+  notify s (Trace.Matched { src; dst; comm; tag })
+
+(* A blocking receive completed on global [rank], fed by [src_local]. *)
+let recv_completed s ~rank ~src_local ~src ~comm ~tag =
+  count s recvs rank;
+  notify s (Trace.Recv_matched { rank; src_local; tag; comm });
+  delivered s ~src ~dst:rank ~comm ~tag
+
+let blocked s ~rank ~comm ~kind ~peer =
+  count s blocks rank;
+  notify s (Trace.Blocked { rank; comm; kind; peer })
+
+let summary_event s t =
+  Obs.Event.Mpi_summary
+    {
+      nprocs = s.nprocs;
+      sends = Array.to_list t.t_sends;
+      recvs = Array.to_list t.t_recvs;
+      colls = Array.to_list t.t_colls;
+      blocked = Array.to_list t.t_blocked;
+      matrix = Array.to_list t.t_matrix;
+      collectives =
+        Hashtbl.fold (fun (comm, signature) n acc -> (comm, signature, n) :: acc)
+          t.t_coll_sigs []
+        |> List.sort compare;
+    }
 
 let resume s rank k reply = Queue.push (rank, fun () -> Effect.Deep.continue k reply) s.runq
 
@@ -209,6 +263,13 @@ let crash_all s arrivals message =
 let complete_collective s comm (site : site) =
   Obs.Metrics.incr m_collectives;
   let arrivals = List.sort (fun a b -> Int.compare a.arr_local b.arr_local) site.arrivals in
+  (match s.tally with
+  | Some t ->
+    List.iter (fun a -> t.t_colls.(a.arr_rank) <- t.t_colls.(a.arr_rank) + 1) arrivals;
+    let key = (comm, site.signature) in
+    Hashtbl.replace t.t_coll_sigs key
+      (1 + Option.value (Hashtbl.find_opt t.t_coll_sigs key) ~default:0)
+  | None -> ());
   notify s
     (Trace.Collective
        {
@@ -377,6 +438,7 @@ let handle_request s rank req k =
         let msg = { src_local = my_local; src_global = rank; tag; data } in
         s.msg_count <- s.msg_count + 1;
         Obs.Metrics.incr m_messages;
+        count s sends rank;
         notify s (Trace.Send { from_rank = rank; to_local = dest; comm; tag });
         (* matching priority: a blocked Recv first, then posted Irecvs in
            post order, then the mailbox. (Strict MPI interleaves blocked
@@ -388,15 +450,13 @@ let handle_request s rank req k =
           when matches ~src_filter:pr.src_filter ~tag_filter:pr.tag_filter msg
                && not (s.lazy_wildcards && pr.src_filter = None) ->
           Hashtbl.remove s.pending_recvs (comm, dest);
-          notify s
-            (Trace.Recv_matched { rank = pr.recv_rank; src_local = my_local; tag; comm });
-          notify s (Trace.Matched { src = rank; dst = pr.recv_rank; comm; tag });
+          recv_completed s ~rank:pr.recv_rank ~src_local:my_local ~src:rank ~comm ~tag;
           resume s pr.recv_rank pr.recv_k (Mpi_iface.Rvalue data)
         | Some _ | None -> (
           let dest_rank = Option.get (Rankmap.global_of_local s.registry ~comm ~local:dest) in
           match find_posted s ~dest_rank ~comm ~dest_local:dest msg with
           | Some handle ->
-            notify s (Trace.Matched { src = rank; dst = dest_rank; comm; tag });
+            delivered s ~src:rank ~dst:dest_rank ~comm ~tag;
             complete_posted s ~rank:dest_rank ~handle ~data
           | None -> Queue.push msg (mailbox s (comm, dest))));
         match req with
@@ -409,7 +469,7 @@ let handle_request s rank req k =
       let table = s.nb_tables.(rank) in
       match take_matching (mailbox s (comm, my_local)) ~src_filter:src ~tag_filter:tag with
       | Some m ->
-        notify s (Trace.Matched { src = m.src_global; dst = rank; comm; tag = m.tag });
+        delivered s ~src:m.src_global ~dst:rank ~comm ~tag:m.tag;
         let handle = fresh_handle table (Nb_recv_done m.data) in
         resume s rank k (Mpi_iface.Rint handle)
       | None ->
@@ -440,7 +500,7 @@ let handle_request s rank req k =
                 ~default:(-1)
             | None -> -1
           in
-          notify s (Trace.Blocked { rank; comm = p.comm; kind = "wait"; peer });
+          blocked s ~rank ~comm:p.comm ~kind:"wait" ~peer;
           Hashtbl.replace s.pending_waits rank
             { wait_rank = rank; wait_handle = handle; wait_k = k }
         end)
@@ -459,8 +519,7 @@ let handle_request s rank req k =
       in
       match eager with
       | Some m ->
-        notify s (Trace.Recv_matched { rank; src_local = m.src_local; tag = m.tag; comm });
-        notify s (Trace.Matched { src = m.src_global; dst = rank; comm; tag = m.tag });
+        recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
         resume s rank k (Mpi_iface.Rvalue m.data)
       | None ->
         if Hashtbl.mem s.pending_recvs (comm, my_local) then
@@ -473,7 +532,7 @@ let handle_request s rank req k =
                 ~default:(-1)
             | None -> -1
           in
-          notify s (Trace.Blocked { rank; comm; kind = "recv"; peer });
+          blocked s ~rank ~comm ~kind:"recv" ~peer;
           Hashtbl.replace s.pending_recvs (comm, my_local)
             { recv_rank = rank; src_filter = src; tag_filter = tag; recv_k = k }
         end)
@@ -494,12 +553,12 @@ let handle_request s rank req k =
           Hashtbl.remove s.sites comm;
           complete_collective s comm site
         end
-        else notify s (Trace.Blocked { rank; comm; kind = "collective"; peer = -1 })
+        else blocked s ~rank ~comm ~kind:"collective" ~peer:(-1)
       | None ->
         if size = 1 then
           complete_collective s comm { signature; arrivals = [ arrival ] }
         else begin
-          notify s (Trace.Blocked { rank; comm; kind = "collective"; peer = -1 });
+          blocked s ~rank ~comm ~kind:"collective" ~peer:(-1);
           Hashtbl.replace s.sites comm { signature; arrivals = [ arrival ] }
         end))
 
@@ -590,8 +649,9 @@ let serve_choice s =
       }
       :: s.choices_rev;
     notify s (Trace.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
-    notify s (Trace.Recv_matched { rank; src_local = m.src_local; tag = m.tag; comm });
-    notify s (Trace.Matched { src = m.src_global; dst = rank; comm; tag = m.tag });
+    if Obs.Sink.active () then
+      Obs.Sink.emit (Obs.Event.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
+    recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
     resume s rank pr.recv_k (Mpi_iface.Rvalue m.data);
     true
 
@@ -646,10 +706,15 @@ let break_deadlock s =
   Hashtbl.reset s.sites;
   if !blocked <> [] then begin
     Obs.Metrics.incr m_deadlocks;
+    let sink = Obs.Sink.active () in
     List.iter
-      (fun (rank, kind, peer, comm) -> notify s (Trace.Witness { rank; comm; kind; peer }))
+      (fun (rank, kind, peer, comm) ->
+        notify s (Trace.Witness { rank; comm; kind; peer });
+        if sink then Obs.Sink.emit (Obs.Event.Deadlock_witness { rank; comm; kind; peer }))
       (List.sort compare !edges);
-    notify s (Trace.Deadlock { ranks = List.map fst !blocked })
+    let ranks = List.map fst !blocked in
+    notify s (Trace.Deadlock { ranks });
+    if sink then Obs.Sink.emit (Obs.Event.Sched_deadlock { ranks })
   end;
   List.iter
     (fun (rank, k) ->
@@ -663,6 +728,18 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
   let s =
     {
       on_event;
+      tally =
+        (if Obs.Sink.active () then
+           Some
+             {
+               t_sends = Array.make nprocs 0;
+               t_recvs = Array.make nprocs 0;
+               t_colls = Array.make nprocs 0;
+               t_blocked = Array.make nprocs 0;
+               t_matrix = Array.make (nprocs * nprocs) 0;
+               t_coll_sigs = Hashtbl.create 8;
+             }
+         else None);
       nprocs;
       registry = Rankmap.create ~nprocs;
       results = Array.make nprocs None;
@@ -700,6 +777,7 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
   in
   Obs.Prof.time "schedule" settle;
   Obs.Metrics.observe_int m_msgs_per_run s.msg_count;
+  Option.iter (fun t -> Obs.Sink.emit (summary_event s t)) s.tally;
   let leaked =
     Hashtbl.fold
       (fun (comm, dest) q acc ->

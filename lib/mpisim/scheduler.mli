@@ -55,4 +55,9 @@ val run :
     names an ineligible source). Every decision is recorded in
     [choices] and emitted as a [Schedule_choice] trace event. Without
     [?schedule] the legacy eager matching is byte-identical to previous
-    releases. *)
+    releases.
+
+    [on_event] sees every occurrence, message by message. The {!Obs.Sink}
+    sees, when one is writing at run start, one [Obs.Event.Mpi_summary]
+    at the end of the run plus each [Schedule_choice],
+    [Deadlock_witness] and [Sched_deadlock] as it happens. *)

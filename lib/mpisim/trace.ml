@@ -91,57 +91,3 @@ let timeline ?(limit = 200) t =
       (Printf.sprintf "... (%d of %d events elided by limit %d)\n" (length t - limit)
          (length t) limit);
   Buffer.contents buf
-
-(* The single vocabulary bridge: a scheduler trace event rendered as the
-   Obs event the live sink would have emitted for the same occurrence.
-   [Scheduler] routes its live emissions through this too, so traces
-   written by [to_jsonl] and traces captured by --trace-events parse
-   through the one [Obs.Event.of_json] replay path. *)
-let to_obs_event : event -> Obs.Event.t = function
-  | Send { from_rank; to_local; comm; tag } ->
-    Obs.Event.Sched_step
-      {
-        kind = "send";
-        rank = from_rank;
-        comm;
-        detail = Printf.sprintf "dest=%d tag=%d" to_local tag;
-      }
-  | Recv_matched { rank; src_local; tag; comm } ->
-    Obs.Event.Sched_step
-      {
-        kind = "recv";
-        rank;
-        comm;
-        detail = Printf.sprintf "src=%d tag=%d" src_local tag;
-      }
-  | Matched { src; dst; comm; tag } -> Obs.Event.Msg_matched { src; dst; comm; tag }
-  | Collective { comm; signature; ranks } ->
-    Obs.Event.Coll_done { comm; signature; ranks }
-  | Blocked { rank; comm; kind; peer } -> Obs.Event.Rank_blocked { rank; comm; kind; peer }
-  | Finished { rank; ok } ->
-    Obs.Event.Sched_step
-      { kind = "finished"; rank; comm = 0; detail = (if ok then "ok" else "fault") }
-  | Deadlock { ranks } -> Obs.Event.Sched_deadlock { ranks }
-  | Witness { rank; comm; kind; peer } ->
-    Obs.Event.Deadlock_witness { rank; comm; kind; peer }
-  | Schedule_choice { rank; comm; tag; chosen; alts; point } ->
-    Obs.Event.Schedule_choice { rank; comm; tag; chosen; alts; point }
-
-(* JSONL rendering through the shared Obs vocabulary, plus a [seq] field
-   giving the emission index within this trace. Consumers parse each
-   line with [Obs.Event.of_json] (extra fields are ignored), so one
-   replay path covers live traces and these captured ones. *)
-let event_to_json k ev =
-  match Obs.Event.to_json (to_obs_event ev) with
-  | Obs.Json.Obj (("ev", kind) :: rest) ->
-    Obs.Json.Obj (("ev", kind) :: ("seq", Obs.Json.Int k) :: rest)
-  | j -> j
-
-let to_jsonl t =
-  let buf = Buffer.create 4096 in
-  List.iteri
-    (fun k ev ->
-      Buffer.add_string buf (Obs.Json.to_string (event_to_json k ev));
-      Buffer.add_char buf '\n')
-    (events t);
-  Buffer.contents buf

@@ -2,8 +2,12 @@
     timeline renderer.
 
     Pass {!collector} as [on_event] to {!Scheduler.run} to capture what
-    the simulated communication actually did — useful when debugging a
-    target, and the backbone of `compi-cli exec --trace`. *)
+    the simulated communication actually did, message by message —
+    useful when debugging a target, and the backbone of
+    `compi-cli exec --trace`. The telemetry trace records only a
+    per-run [Obs.Event.Mpi_summary] of these events (plus deadlocks and
+    schedule choices); re-executing a test under this collector recovers
+    the full history. *)
 
 type event =
   | Send of { from_rank : int; to_local : int; comm : int; tag : int }
@@ -54,14 +58,3 @@ val timeline : ?limit:int -> t -> string
 (** One line per event, capped at [limit] (default 200). When the cap
     truncates, the last line states how many events were elided and the
     full count. *)
-
-val to_obs_event : event -> Obs.Event.t
-(** The {!Obs.Event} this trace event corresponds to — the same value
-    the scheduler emits to the live sink, so captured and live traces
-    share one vocabulary (and one replay path). *)
-
-val to_jsonl : t -> string
-(** One JSON object per line in the {!Obs.Event} wire format plus a
-    [seq] field (emission index) — each line parses with
-    [Obs.Event.of_json], so `compi-cli replay`/`report` consume these
-    traces exactly like [--trace-events] ones. *)

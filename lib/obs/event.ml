@@ -39,7 +39,6 @@ type t =
     }
   | Negation of { iteration : int; index : int; sat : bool }
   | Restart of { iteration : int; reason : string }
-  | Sched_step of { kind : string; rank : int; comm : int; detail : string }
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }
   | Coverage_delta of { iteration : int; covered_before : int; covered_after : int }
@@ -65,9 +64,15 @@ type t =
       outcome : solver_outcome;
       cached : bool;
     }
-  | Msg_matched of { src : int; dst : int; comm : int; tag : int }
-  | Coll_done of { comm : int; signature : string; ranks : int list }
-  | Rank_blocked of { rank : int; comm : int; kind : string; peer : int }
+  | Mpi_summary of {
+      nprocs : int;
+      sends : int list;
+      recvs : int list;
+      colls : int list;
+      blocked : int list;
+      matrix : int list;
+      collectives : (int * string * int) list;
+    }
   | Deadlock_witness of { rank : int; comm : int; kind : string; peer : int }
   | Schedule_choice of {
       rank : int;
@@ -99,7 +104,6 @@ let kind_name = function
   | Solver_call _ -> "solver_call"
   | Negation _ -> "negation"
   | Restart _ -> "restart"
-  | Sched_step _ -> "sched_step"
   | Sched_deadlock _ -> "sched_deadlock"
   | Fault _ -> "fault"
   | Coverage_delta _ -> "coverage_delta"
@@ -112,9 +116,7 @@ let kind_name = function
   | Checkpoint_load _ -> "checkpoint_load"
   | Lineage_test _ -> "lineage_test"
   | Lineage_negation _ -> "lineage_negation"
-  | Msg_matched _ -> "msg_matched"
-  | Coll_done _ -> "coll_done"
-  | Rank_blocked _ -> "rank_blocked"
+  | Mpi_summary _ -> "mpi_summary"
   | Deadlock_witness _ -> "deadlock_witness"
   | Schedule_choice _ -> "schedule_choice"
   | Schedule_enum _ -> "schedule_enum"
@@ -177,13 +179,6 @@ let fields = function
     [ ("iteration", Json.Int iteration); ("index", Json.Int index); ("sat", Json.Bool sat) ]
   | Restart { iteration; reason } ->
     [ ("iteration", Json.Int iteration); ("reason", Json.Str reason) ]
-  | Sched_step { kind; rank; comm; detail } ->
-    [
-      ("kind", Json.Str kind);
-      ("rank", Json.Int rank);
-      ("comm", Json.Int comm);
-      ("detail", Json.Str detail);
-    ]
   | Sched_deadlock { ranks } ->
     [ ("ranks", Json.List (List.map (fun r -> Json.Int r) ranks)) ]
   | Fault { iteration; rank; kind; detail } ->
@@ -241,25 +236,18 @@ let fields = function
       ("outcome", Json.Str (outcome_name outcome));
       ("cached", Json.Bool cached);
     ]
-  | Msg_matched { src; dst; comm; tag } ->
+  | Mpi_summary { nprocs; sends; recvs; colls; blocked; matrix; collectives } ->
+    let ints xs = Json.List (List.map (fun n -> Json.Int n) xs) in
     [
-      ("src", Json.Int src);
-      ("dst", Json.Int dst);
-      ("comm", Json.Int comm);
-      ("tag", Json.Int tag);
-    ]
-  | Coll_done { comm; signature; ranks } ->
-    [
-      ("comm", Json.Int comm);
-      ("signature", Json.Str signature);
-      ("ranks", Json.List (List.map (fun r -> Json.Int r) ranks));
-    ]
-  | Rank_blocked { rank; comm; kind; peer } ->
-    [
-      ("rank", Json.Int rank);
-      ("comm", Json.Int comm);
-      ("kind", Json.Str kind);
-      ("peer", Json.Int peer);
+      ("nprocs", Json.Int nprocs);
+      ("sends", ints sends);
+      ("recvs", ints recvs);
+      ("colls", ints colls);
+      ("blocked", ints blocked);
+      ("matrix", ints matrix);
+      ("coll_comms", ints (List.map (fun (c, _, _) -> c) collectives));
+      ("coll_sigs", Json.List (List.map (fun (_, s, _) -> Json.Str s) collectives));
+      ("coll_counts", ints (List.map (fun (_, _, n) -> n) collectives));
     ]
   | Deadlock_witness { rank; comm; kind; peer } ->
     [
@@ -337,6 +325,14 @@ let of_json j =
     | Some b -> Ok b
     | None -> Error (Printf.sprintf "missing bool field %s" name)
   in
+  let list name elt =
+    match Option.bind (Json.member name j) Json.to_list with
+    | None -> Error (Printf.sprintf "missing list field %s" name)
+    | Some xs ->
+      let ys = List.filter_map elt xs in
+      if List.length ys = List.length xs then Ok ys
+      else Error (Printf.sprintf "ill-typed element in %s" name)
+  in
   let ( let* ) = Result.bind in
   let* ev = str "ev" in
   match ev with
@@ -397,19 +393,9 @@ let of_json j =
     let* iteration = int "iteration" in
     let* reason = str "reason" in
     Ok (Restart { iteration; reason })
-  | "sched_step" ->
-    let* kind = str "kind" in
-    let* rank = int "rank" in
-    let* comm = int "comm" in
-    let* detail = str "detail" in
-    Ok (Sched_step { kind; rank; comm; detail })
-  | "sched_deadlock" -> (
-    match Option.bind (Json.member "ranks" j) Json.to_list with
-    | None -> Error "missing list field ranks"
-    | Some xs -> (
-      let ranks = List.filter_map Json.to_int xs in
-      if List.length ranks = List.length xs then Ok (Sched_deadlock { ranks })
-      else Error "non-integer rank in ranks"))
+  | "sched_deadlock" ->
+    let* ranks = list "ranks" Json.to_int in
+    Ok (Sched_deadlock { ranks })
   | "fault" ->
     let* iteration = int "iteration" in
     let* rank = int "rank" in
@@ -471,46 +457,47 @@ let of_json j =
     in
     let* cached = bool "cached" in
     Ok (Lineage_negation { parent; index; branch; outcome; cached })
-  | "msg_matched" ->
-    let* src = int "src" in
-    let* dst = int "dst" in
-    let* comm = int "comm" in
-    let* tag = int "tag" in
-    Ok (Msg_matched { src; dst; comm; tag })
-  | "coll_done" -> (
-    let* comm = int "comm" in
-    let* signature = str "signature" in
-    match Option.bind (Json.member "ranks" j) Json.to_list with
-    | None -> Error "missing list field ranks"
-    | Some xs ->
-      let ranks = List.filter_map Json.to_int xs in
-      if List.length ranks = List.length xs then Ok (Coll_done { comm; signature; ranks })
-      else Error "non-integer rank in ranks")
-  | "rank_blocked" ->
-    let* rank = int "rank" in
-    let* comm = int "comm" in
-    let* kind = str "kind" in
-    let* peer = int "peer" in
-    Ok (Rank_blocked { rank; comm; kind; peer })
+  | "mpi_summary" ->
+    let* nprocs = int "nprocs" in
+    let* sends = list "sends" Json.to_int in
+    let* recvs = list "recvs" Json.to_int in
+    let* colls = list "colls" Json.to_int in
+    let* blocked = list "blocked" Json.to_int in
+    let* matrix = list "matrix" Json.to_int in
+    let* comms = list "coll_comms" Json.to_int in
+    let* sigs = list "coll_sigs" Json.to_str in
+    let* counts = list "coll_counts" Json.to_int in
+    let sized name n xs =
+      if List.length xs = n then Ok ()
+      else Error (Printf.sprintf "%s has %d entries, expected %d" name (List.length xs) n)
+    in
+    let* () = if nprocs >= 0 then Ok () else Error "negative nprocs" in
+    let* () = sized "sends" nprocs sends in
+    let* () = sized "recvs" nprocs recvs in
+    let* () = sized "colls" nprocs colls in
+    let* () = sized "blocked" nprocs blocked in
+    let* () = sized "matrix" (nprocs * nprocs) matrix in
+    let* () = sized "coll_sigs" (List.length comms) sigs in
+    let* () = sized "coll_counts" (List.length comms) counts in
+    if List.exists (fun n -> n < 0) (List.concat [ sends; recvs; colls; blocked; matrix; counts ])
+    then Error "negative count in mpi_summary"
+    else
+      let collectives = List.map2 (fun (c, s) n -> (c, s, n)) (List.combine comms sigs) counts in
+      Ok (Mpi_summary { nprocs; sends; recvs; colls; blocked; matrix; collectives })
   | "deadlock_witness" ->
     let* rank = int "rank" in
     let* comm = int "comm" in
     let* kind = str "kind" in
     let* peer = int "peer" in
     Ok (Deadlock_witness { rank; comm; kind; peer })
-  | "schedule_choice" -> (
+  | "schedule_choice" ->
     let* rank = int "rank" in
     let* comm = int "comm" in
     let* tag = int "tag" in
     let* chosen = int "chosen" in
+    let* alts = list "alts" Json.to_int in
     let* point = int "point" in
-    match Option.bind (Json.member "alts" j) Json.to_list with
-    | None -> Error "missing list field alts"
-    | Some xs ->
-      let alts = List.filter_map Json.to_int xs in
-      if List.length alts = List.length xs then
-        Ok (Schedule_choice { rank; comm; tag; chosen; alts; point })
-      else Error "non-integer source in alts")
+    Ok (Schedule_choice { rank; comm; tag; chosen; alts; point })
   | "schedule_enum" ->
     let* parent = int "parent" in
     let* points = int "points" in

@@ -48,9 +48,6 @@ type t =
   | Restart of { iteration : int; reason : string }
       (** [reason] is one of ["stagnation"], ["exhausted"],
           ["platform-limit"] *)
-  | Sched_step of { kind : string; rank : int; comm : int; detail : string }
-      (** scheduler progress: [kind] is ["send"], ["recv"],
-          ["collective"], or ["finished"] *)
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }
   | Coverage_delta of { iteration : int; covered_before : int; covered_after : int }
@@ -103,16 +100,26 @@ type t =
           targeting [branch]; recorded for every attempt (including
           Unsat/Unknown ones that produce no test) so plateaus are
           diagnosable from the trace alone *)
-  | Msg_matched of { src : int; dst : int; comm : int; tag : int }
-      (** a point-to-point message was delivered: global sender [src] to
-          global receiver [dst] — the communication-matrix source *)
-  | Coll_done of { comm : int; signature : string; ranks : int list }
-      (** a collective completed on [comm] with the listed global
-          participants *)
-  | Rank_blocked of { rank : int; comm : int; kind : string; peer : int }
-      (** global [rank] blocked: [kind] is ["recv"], ["wait"], or
-          ["collective"]; [peer] is the global rank it waits on (-1 for
-          wildcard receives and collectives) *)
+  | Mpi_summary of {
+      nprocs : int;
+      sends : int list;
+      recvs : int list;
+      colls : int list;
+      blocked : int list;
+      matrix : int list;
+      collectives : (int * string * int) list;
+    }
+      (** one simulated execution ([Scheduler.run]) of [nprocs] ranks,
+          summed up: per global rank the sends posted, blocking
+          receives completed, collectives joined and blocking episodes
+          begun; [matrix] is the row-major [nprocs × nprocs] count of
+          point-to-point messages delivered from global sender to
+          global receiver; [collectives] lists each completed
+          [(comm, signature, count)]. On the wire the per-rank and
+          matrix lists are flat integer arrays and [collectives] is
+          three parallel arrays ([coll_comms], [coll_sigs],
+          [coll_counts]); a line whose lengths disagree with [nprocs]
+          or with each other fails to decode. *)
   | Deadlock_witness of { rank : int; comm : int; kind : string; peer : int }
       (** one wait-for edge of a proven deadlock: blocked [rank] waits
           on [peer] (a missing collective participant, or the sender it

@@ -245,14 +245,16 @@ let step st ev =
       | Event.Unknown -> (sa, us, uk + 1)
     in
     Hashtbl.replace st.s_negs branch (a + 1, sa, us, uk, (if cached then ca + 1 else ca))
-  | Event.Msg_matched { src; dst; comm = _; tag = _ } -> bump st.s_matrix (src, dst) 1
-  | Event.Sched_step { kind = "send"; rank; _ } -> bump st.s_sends rank 1
-  | Event.Sched_step { kind = "recv"; rank; _ } -> bump st.s_recvs rank 1
-  | Event.Sched_step _ -> ()
-  | Event.Coll_done { comm; signature; ranks } ->
-    bump st.s_coll_sigs (comm, signature) 1;
-    List.iter (fun r -> bump st.s_colls r 1) ranks
-  | Event.Rank_blocked { rank; _ } -> bump st.s_blocked rank 1
+  | Event.Mpi_summary { nprocs; sends; recvs; colls; blocked; matrix; collectives } ->
+    (* zero cells add no row: only ranks, pairs and collectives that occurred appear *)
+    let add tbl key n = if n > 0 then bump tbl key n in
+    let per_rank tbl = List.iteri (fun r n -> add tbl r n) in
+    per_rank st.s_sends sends;
+    per_rank st.s_recvs recvs;
+    per_rank st.s_colls colls;
+    per_rank st.s_blocked blocked;
+    List.iteri (fun i n -> add st.s_matrix (i / nprocs, i mod nprocs) n) matrix;
+    List.iter (fun (comm, signature, n) -> add st.s_coll_sigs (comm, signature) n) collectives
   | Event.Sched_deadlock _ -> st.s_deadlocks <- st.s_deadlocks + 1
   | Event.Schedule_choice { alts; _ } ->
     st.s_sched_choices <- st.s_sched_choices + 1;
@@ -965,18 +967,18 @@ let to_html ?(stable = false) ?(branch_label = string_of_int) t =
 (* ------------------------------------------------------------------ *)
 
 (* The span vocabulary this build understands. Wait kinds are time a
-   domain provably spent not working (parked on a condition variable or
-   a lock); busy kinds are work, possibly nested (a "round" contains
+   domain provably spent not working (parked on a condition variable);
+   busy kinds are work, possibly nested (a "round" contains
    "merge", an "exec" contains "schedule"). Unknown kinds — a newer
    producer — are skipped and counted, mirroring the event-kind triage. *)
 let span_wait_kind = function
-  | "idle" | "barrier" | "join" | "queue.wait" | "cache.lock.wait" -> true
+  | "idle" | "join" | "queue.wait" -> true
   | _ -> false
 
 let span_busy_kind = function
   | "campaign" | "task" | "exec" | "solve" | "solver.call" | "interp" | "compiled"
   | "compile" | "schedule" | "strategy" | "checkpoint" | "report" | "round"
-  | "inflight" | "dispatch" | "merge" | "cache.probe" | "cache.lock.hold" -> true
+  | "inflight" | "dispatch" | "merge" | "cache.probe" -> true
   | _ -> false
 
 (* Structural umbrellas: they tile the main domain so attribution can
@@ -1052,17 +1054,12 @@ type profile = {
   pf_wall_ns : int;
   pf_kinds : (string * (int * int)) list;
   pf_domains : domain_prof list;
-  pf_barrier_ns : int;
   pf_queue_wait_ns : int;
   pf_queue_waits : int;
   pf_idle_ns : int;
   pf_join_ns : int;
-  pf_lock_wait_ns : int;
-  pf_lock_hold_ns : int;
-  pf_lock_acqs : int;
   pf_probe_ns : int;
   pf_probes : int;
-  pf_lock_hist : (int * int) list;
   pf_rounds : round_prof list;
   pf_attributed_pct : float;
 }
@@ -1083,17 +1080,12 @@ let empty_profile =
     pf_wall_ns = 0;
     pf_kinds = [];
     pf_domains = [];
-    pf_barrier_ns = 0;
     pf_queue_wait_ns = 0;
     pf_queue_waits = 0;
     pf_idle_ns = 0;
     pf_join_ns = 0;
-    pf_lock_wait_ns = 0;
-    pf_lock_hold_ns = 0;
-    pf_lock_acqs = 0;
     pf_probe_ns = 0;
     pf_probes = 0;
-    pf_lock_hist = [];
     pf_rounds = [];
     pf_attributed_pct = 0.0;
   }
@@ -1127,7 +1119,7 @@ let profile t =
       List.sort_uniq compare (List.map (fun s -> s.sp_domain) known)
     in
     (* exclusive busy = union(busy \ structural) minus union(wait): a
-       domain blocked on the merge barrier or holding no task is not
+       domain waiting on the result queue or holding no task is not
        busy, so per-domain utilization can never exceed 1; umbrella
        spans ("round", "campaign") are excluded or domain 0 would look
        always-busy. *)
@@ -1151,9 +1143,6 @@ let profile t =
           })
         per_domain
     in
-    let lock_waits = List.filter (fun s -> s.sp_kind = "cache.lock.wait") known in
-    let lock_hist = Hashtbl.create 8 in
-    List.iter (fun s -> bump lock_hist (ns_bucket (s.sp_t1 - s.sp_t0)) 1) lock_waits;
     (* critical path per round: the longest exclusive-busy time any one
        domain accumulated inside the round window; the remainder of the
        round's wall is stall no schedule could have hidden. *)
@@ -1200,17 +1189,12 @@ let profile t =
         sorted_assoc kinds
         |> List.sort (fun (ka, (_, na)) (kb, (_, nb)) -> compare (nb, ka) (na, kb));
       pf_domains;
-      pf_barrier_ns = kind_total "barrier";
       pf_queue_wait_ns = kind_total "queue.wait";
       pf_queue_waits = kind_count "queue.wait";
       pf_idle_ns = kind_total "idle";
       pf_join_ns = kind_total "join";
-      pf_lock_wait_ns = kind_total "cache.lock.wait";
-      pf_lock_hold_ns = kind_total "cache.lock.hold";
-      pf_lock_acqs = kind_count "cache.lock.wait";
       pf_probe_ns = kind_total "cache.probe";
       pf_probes = kind_count "cache.probe";
-      pf_lock_hist = sorted_assoc lock_hist;
       pf_rounds;
       pf_attributed_pct = 100.0 *. float_of_int main_cover /. float_of_int wall;
     }
@@ -1275,26 +1259,12 @@ let profile_text ?(stable = false) t =
           (dur ~stable d.dp_wait_ns) u bar)
       p.pf_domains;
     pf "\nstalls and contention:\n";
-    pf "  merge-barrier stall (main waiting on workers): %s (%s of wall)\n"
-      (dur ~stable p.pf_barrier_ns)
-      (share ~stable p.pf_barrier_ns p.pf_wall_ns);
     pf "  pipeline queue wait (main waiting on the next in-order result): %s (%s of wall) across %d wait(s)\n"
       (dur ~stable p.pf_queue_wait_ns)
       (share ~stable p.pf_queue_wait_ns p.pf_wall_ns)
       p.pf_queue_waits;
     pf "  worker idle (no task claimable): %s\n" (dur ~stable p.pf_idle_ns);
     pf "  pool join: %s\n" (dur ~stable p.pf_join_ns);
-    pf "  cache-lock wait: %s across %d acquisition(s); hold %s; probe %s over %d probe(s)\n"
-      (dur ~stable p.pf_lock_wait_ns) p.pf_lock_acqs (dur ~stable p.pf_lock_hold_ns)
-      (dur ~stable p.pf_probe_ns) p.pf_probes;
-    if p.pf_lock_hist <> [] then begin
-      pf "  cache-lock wait histogram (power-of-two ns buckets):\n";
-      List.iter
-        (fun (e, n) ->
-          if e = 0 then pf "    %-10s %8d\n" "0ns" n
-          else pf "    <=2^%-6d %8d\n" e n)
-        p.pf_lock_hist
-    end;
     if p.pf_rounds <> [] then begin
       let nr = List.length p.pf_rounds in
       let tot f = List.fold_left (fun acc r -> acc + f r) 0 p.pf_rounds in
@@ -1383,12 +1353,9 @@ let profile_html ?(stable = false) t =
         pf "<tr><td class=\"l\">%s</td><td>%s</td><td>%s</td></tr>\n" label
           (dur ~stable ns) (share ~stable ns p.pf_wall_ns))
       [
-        ("merge-barrier stall", p.pf_barrier_ns);
         ("pipeline queue wait", p.pf_queue_wait_ns);
         ("worker idle", p.pf_idle_ns);
         ("pool join", p.pf_join_ns);
-        ("cache-lock wait", p.pf_lock_wait_ns);
-        ("cache-lock hold", p.pf_lock_hold_ns);
       ];
     pf "</table>\n";
     (* gantt *)

@@ -47,7 +47,7 @@ type witness_edge = { we_rank : int; we_kind : string; we_peer : int; we_comm : 
 
 type span = {
   sp_domain : int;  (** pool worker index; 0 = main domain *)
-  sp_kind : string;  (** e.g. ["exec"], ["barrier"], ["cache.lock.wait"] *)
+  sp_kind : string;  (** e.g. ["exec"], ["queue.wait"], ["cache.probe"] *)
   sp_t0 : int;  (** begin tick, ns since the timeline was enabled *)
   sp_t1 : int;  (** end tick, ns *)
 }
@@ -175,8 +175,7 @@ val to_html : ?stable:bool -> ?branch_label:(int -> string) -> t -> string
 val span_wait_kind : string -> bool
 (** Time a domain provably spent not working: ["idle"], ["queue.wait"]
     (the pipelined engine's main domain parked on the next in-order
-    result), ["join"], and — from traces of older builds — ["barrier"]
-    and ["cache.lock.wait"]. *)
+    result) and ["join"]. *)
 
 val span_busy_kind : string -> bool
 (** Work kinds this build understands (["task"], ["exec"], ["solve"],
@@ -209,24 +208,13 @@ type profile = {
   pf_kinds : (string * (int * int)) list;
       (** kind → (count, total ns), descending by total *)
   pf_domains : domain_prof list;  (** ascending domain id *)
-  pf_barrier_ns : int;
-      (** main waiting on a whole-batch merge barrier — only present in
-          traces of pre-pipeline builds; 0 for current campaigns *)
   pf_queue_wait_ns : int;
       (** main parked on the next in-order pipeline result *)
   pf_queue_waits : int;  (** number of such waits *)
   pf_idle_ns : int;  (** workers parked with nothing claimable *)
   pf_join_ns : int;
-  pf_lock_wait_ns : int;
-      (** solver-cache lock acquisition wait — legacy traces only; the
-          sharded cache takes no lock *)
-  pf_lock_hold_ns : int;
-  pf_lock_acqs : int;
-  pf_probe_ns : int;
+  pf_probe_ns : int;  (** solver-cache probes *)
   pf_probes : int;
-  pf_lock_hist : (int * int) list;
-      (** lock-wait histogram: power-of-two exponent → count; bucket [e]
-          is the smallest e ≥ 1 with wait ≤ 2^e ns, bucket 0 holds ≤ 0 *)
   pf_rounds : round_prof list;
   pf_attributed_pct : float;
       (** % of wall covered by named spans on the main domain — the
@@ -239,8 +227,7 @@ val profile : t -> profile
 
 val profile_text : ?stable:bool -> t -> string
 (** Text breakdown: per-kind totals, per-worker utilization bars,
-    pipeline queue wait, merge-barrier stall (legacy traces),
-    cache-lock wait histogram, per-round critical
+    pipeline queue wait, worker idle, pool join, per-round critical
     path. Under [stable], absolute durations collapse to power-of-two
     buckets and percentages to whole points, so reruns over the same
     trace are byte-identical and shapes are comparable across hosts. *)

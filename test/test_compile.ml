@@ -275,6 +275,26 @@ let test_compile_metadata () =
 (* Full Runner stack: targets and the .mc corpus under N processes     *)
 (* ------------------------------------------------------------------ *)
 
+(* Every field of one scheduler trace event. *)
+let render_trace_event (ev : Mpisim.Trace.event) =
+  let ints xs = String.concat "," (List.map string_of_int xs) in
+  match ev with
+  | Send { from_rank; to_local; comm; tag } ->
+    Printf.sprintf "send %d %d %d %d" from_rank to_local comm tag
+  | Recv_matched { rank; src_local; tag; comm } ->
+    Printf.sprintf "recv %d %d %d %d" rank src_local tag comm
+  | Matched { src; dst; comm; tag } -> Printf.sprintf "match %d %d %d %d" src dst comm tag
+  | Collective { comm; signature; ranks } ->
+    Printf.sprintf "collective %d %S [%s]" comm signature (ints ranks)
+  | Blocked { rank; comm; kind; peer } ->
+    Printf.sprintf "blocked %d %d %S %d" rank comm kind peer
+  | Finished { rank; ok } -> Printf.sprintf "finished %d %b" rank ok
+  | Deadlock { ranks } -> Printf.sprintf "deadlock [%s]" (ints ranks)
+  | Witness { rank; comm; kind; peer } ->
+    Printf.sprintf "witness %d %d %S %d" rank comm kind peer
+  | Schedule_choice { rank; comm; tag; chosen; alts; point } ->
+    Printf.sprintf "choice %d %d %d %d [%s] %d" rank comm tag chosen (ints alts) point
+
 (* Everything a Runner result exposes, as strings: per-rank verdicts,
    coverage, the focus path log, deadlocks, leaks and the full MPI
    communication trace. *)
@@ -310,7 +330,7 @@ let runner_observe exec_mode (info : Branchinfo.t) ~step_limit ~nprocs =
       string_of_int r.Compi.Runner.constraint_set_size;
       String.concat "," (List.map string_of_int r.Compi.Runner.deadlocked);
       string_of_int r.Compi.Runner.leaked_messages;
-      Mpisim.Trace.to_jsonl tracer;
+      String.concat "\n" (List.map render_trace_event (Mpisim.Trace.events tracer));
     ]
 
 let runner_differential name info ~step_limit ~nprocs =

@@ -14,6 +14,11 @@ let tmp_file suffix = Filename.temp_file "compi-live" suffix
    qcheck properties draw arbitrary streams (any order, any length,
    with repetition) from it, so they exercise arbitrary permutations
    and prefixes of a realistic event vocabulary. *)
+let summary ?(sends = [ 0; 0; 0; 0 ]) ?(recvs = [ 0; 0; 0; 0 ]) ?(colls = [ 0; 0; 0; 0 ])
+    ?(blocked = [ 0; 0; 0; 0 ]) ?(matrix = List.init 16 (fun _ -> 0)) ?(collectives = []) ()
+    =
+  Obs.Event.Mpi_summary { nprocs = 4; sends; recvs; colls; blocked; matrix; collectives }
+
 let pool : Obs.Event.t array =
   [|
     Campaign_start { target = "toy"; iterations = 40; seed = 7; nprocs = 4 };
@@ -36,7 +41,7 @@ let pool : Obs.Event.t array =
         constraints = 9; time_s = 0.1 };
     Negation { iteration = 2; index = 1; sat = true };
     Restart { iteration = 3; reason = "stagnation" };
-    Sched_step { kind = "send"; rank = 0; comm = 0; detail = "dest=1 tag=0" };
+    summary ~sends:[ 1; 0; 0; 0 ] ();
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 4; rank = 1; kind = "assert"; detail = "boom" };
     Coverage_delta { iteration = 4; covered_before = 5; covered_after = 7 };
@@ -56,9 +61,9 @@ let pool : Obs.Event.t array =
       { parent = 1; index = 3; branch = 9; outcome = Obs.Event.Unsat; cached = true };
     Lineage_negation
       { parent = 0; index = 1; branch = 7; outcome = Obs.Event.Sat; cached = false };
-    Msg_matched { src = 0; dst = 1; comm = 0; tag = 0 };
-    Coll_done { comm = 0; signature = "barrier"; ranks = [ 0; 1; 2; 3 ] };
-    Rank_blocked { rank = 2; comm = 0; kind = "recv"; peer = 0 };
+    summary ~recvs:[ 0; 1; 0; 0 ] ~matrix:(List.init 16 (fun i -> if i = 1 then 1 else 0)) ();
+    summary ~colls:[ 1; 1; 1; 1 ] ~collectives:[ (0, "barrier", 1) ] ();
+    summary ~blocked:[ 0; 0; 1; 0 ] ();
     Deadlock_witness { rank = 1; comm = 0; kind = "recv"; peer = 2 };
     Schedule_choice { rank = 0; comm = 0; tag = 3; chosen = 2; alts = [ 1; 2 ]; point = 0 };
     Schedule_enum { parent = 1; points = 2; emitted = 1; pruned = 1 };

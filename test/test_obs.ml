@@ -117,7 +117,6 @@ let sample_events : Obs.Event.t list =
       };
     Negation { iteration = 7; index = 4; sat = false };
     Restart { iteration = 50; reason = "stagnation" };
-    Sched_step { kind = "send"; rank = 1; comm = 0; detail = "dest=2 tag=0" };
     Sched_deadlock { ranks = [ 0; 1; 3 ] };
     Fault { iteration = 9; rank = 2; kind = "assert"; detail = "x > 0\nline 3" };
     Coverage_delta { iteration = 9; covered_before = 10; covered_after = 12 };
@@ -134,9 +133,18 @@ let sample_events : Obs.Event.t list =
       { test = 0; parent = -1; origin = "seed"; branch = -1; index = -1; cached = false };
     Lineage_negation
       { parent = 12; index = 9; branch = 18; outcome = Obs.Event.Unsat; cached = false };
-    Msg_matched { src = 1; dst = 2; comm = 0; tag = 7 };
-    Coll_done { comm = 3; signature = "allreduce:max"; ranks = [ 0; 1; 2; 3 ] };
-    Rank_blocked { rank = 2; comm = 0; kind = "recv"; peer = -1 };
+    Mpi_summary
+      {
+        nprocs = 2;
+        sends = [ 3; 0 ];
+        recvs = [ 0; 2 ];
+        colls = [ 1; 1 ];
+        blocked = [ 0; 1 ];
+        matrix = [ 0; 3; 0; 0 ];
+        collectives = [ (0, "barrier", 1); (3, "allreduce:max", 0) ];
+      };
+    Mpi_summary
+      { nprocs = 0; sends = []; recvs = []; colls = []; blocked = []; matrix = []; collectives = [] };
     Deadlock_witness { rank = 1; comm = 0; kind = "collective:barrier"; peer = 3 };
     Schedule_choice { rank = 0; comm = 0; tag = 3; chosen = 2; alts = [ 1; 2 ]; point = 0 };
     Schedule_enum { parent = 12; points = 2; emitted = 1; pruned = 1 };
@@ -153,7 +161,7 @@ let test_event_roundtrip () =
   let kinds =
     List.sort_uniq String.compare (List.map Obs.Event.kind_name sample_events)
   in
-  Alcotest.(check int) "all 29 event kinds sampled" 29 (List.length kinds);
+  Alcotest.(check int) "all 26 event kinds sampled" 26 (List.length kinds);
   List.iter
     (fun ev ->
       let wire = Obs.Json.to_string (Obs.Event.to_json ~t:1.25 ev) in
@@ -181,6 +189,58 @@ let test_event_of_json_rejects () =
   reject "{\"ev\": \"not_a_kind\"}";
   reject "{\"ev\": \"negation\", \"iteration\": 1}";
   reject "[1,2,3]"
+
+(* Random summaries of any shape round-trip exactly through the wire
+   format and the line triage. *)
+let gen_summary =
+  QCheck.Gen.(
+    let count = int_bound 1_000_000 in
+    let* nprocs = int_bound 9 in
+    let per_rank = list_repeat nprocs count in
+    let* sends = per_rank in
+    let* recvs = per_rank in
+    let* colls = per_rank in
+    let* blocked = per_rank in
+    let* matrix = list_repeat (nprocs * nprocs) count in
+    let* collectives =
+      list_size (int_bound 6)
+        (triple (int_bound 20) (string_size ~gen:printable (int_bound 12)) count)
+    in
+    return (Obs.Event.Mpi_summary { nprocs; sends; recvs; colls; blocked; matrix; collectives }))
+
+let prop_summary_roundtrip =
+  QCheck.Test.make ~name:"mpi_summary: wire round trip" ~count:300
+    (QCheck.make gen_summary)
+    (fun ev ->
+      match Obs.Fold.classify_line (Obs.Json.to_string (Obs.Event.to_json ~t:0.5 ev)) with
+      | `Event ev' -> ev = ev'
+      | `Blank | `Unknown _ | `Malformed _ -> false)
+
+(* A summary line whose lists disagree in length with [nprocs] or with
+   each other is corruption, not a newer producer. *)
+let test_summary_length_mismatch () =
+  let line ?(sends = "[1,0]") ?(matrix = "[0,1,0,0]") ?(coll_counts = "[1]") () =
+    Printf.sprintf
+      "{\"ev\":\"mpi_summary\",\"nprocs\":2,\"sends\":%s,\"recvs\":[0,1],\
+       \"colls\":[0,0],\"blocked\":[0,0],\"matrix\":%s,\"coll_comms\":[0],\
+       \"coll_sigs\":[\"barrier\"],\"coll_counts\":%s}"
+      sends matrix coll_counts
+  in
+  (match Obs.Fold.classify_line (line ()) with
+  | `Event (Obs.Event.Mpi_summary _) -> ()
+  | _ -> Alcotest.fail "well-formed summary rejected");
+  List.iter
+    (fun (what, raw) ->
+      match Obs.Fold.classify_line raw with
+      | `Malformed _ -> ()
+      | _ -> Alcotest.failf "%s: not classified malformed" what)
+    [
+      ("short per-rank list", line ~sends:"[1]" ());
+      ("long matrix", line ~matrix:"[0,1,0,0,0]" ());
+      ("collective lists disagree", line ~coll_counts:"[1,2]" ());
+      ("negative count", line ~sends:"[-1,0]" ());
+      ("ill-typed element", line ~sends:"[1,\"x\"]" ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: histogram bucketing edge cases                             *)
@@ -368,6 +428,9 @@ let suite =
         Alcotest.test_case "json structures" `Quick test_json_structures;
         Alcotest.test_case "event round-trip (all kinds)" `Quick test_event_roundtrip;
         Alcotest.test_case "event decode rejects junk" `Quick test_event_of_json_rejects;
+        QCheck_alcotest.to_alcotest prop_summary_roundtrip;
+        Alcotest.test_case "mpi_summary length mismatch is malformed" `Quick
+          test_summary_length_mismatch;
         Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;
         Alcotest.test_case "histogram snapshot edge cases" `Quick test_histogram_snapshot;
         Alcotest.test_case "metrics registry" `Quick test_metrics_registry;

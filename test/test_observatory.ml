@@ -1,7 +1,8 @@
 (* Campaign observatory: the trace fold (lineage graph, comm matrix,
-   deadlock witnesses, renderers) and the unified Trace/Obs wire
-   format, exercised end to end — events are emitted by real campaign
-   and scheduler runs, serialized as JSONL, and folded back. *)
+   deadlock witnesses, renderers) exercised end to end — events are
+   emitted by real campaign and scheduler runs, serialized as JSONL, and
+   folded back; each run's one mpi_summary must fold to what its
+   per-message scheduler events add up to. *)
 
 open Minic
 open Mpisim
@@ -91,8 +92,6 @@ let all_kind_samples : Obs.Event.t list =
       };
     Negation { iteration = 0; index = 2; sat = true };
     Restart { iteration = 3; reason = "stagnation" };
-    Sched_step { kind = "send"; rank = 0; comm = 0; detail = "dest=1 tag=0" };
-    Sched_step { kind = "recv"; rank = 1; comm = 0; detail = "src=0 tag=0" };
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 0; rank = 1; kind = "assert"; detail = "boom" };
     Coverage_delta { iteration = 0; covered_before = 0; covered_after = 5 };
@@ -105,9 +104,16 @@ let all_kind_samples : Obs.Event.t list =
     Checkpoint_load { iteration = 5; path = "/tmp/c" };
     Lineage_test { test = 1; parent = 0; origin = "negated"; branch = 7; index = 2; cached = false };
     Lineage_negation { parent = 1; index = 3; branch = 9; outcome = Obs.Event.Unsat; cached = true };
-    Msg_matched { src = 0; dst = 1; comm = 0; tag = 0 };
-    Coll_done { comm = 0; signature = "barrier"; ranks = [ 0; 1; 2; 3 ] };
-    Rank_blocked { rank = 2; comm = 0; kind = "recv"; peer = 0 };
+    Mpi_summary
+      {
+        nprocs = 4;
+        sends = [ 1; 0; 0; 0 ];
+        recvs = [ 0; 1; 0; 0 ];
+        colls = [ 1; 1; 1; 1 ];
+        blocked = [ 0; 0; 1; 0 ];
+        matrix = List.init 16 (fun i -> if i = 1 then 1 else 0);
+        collectives = [ (0, "barrier", 1) ];
+      };
     Deadlock_witness { rank = 1; comm = 0; kind = "recv"; peer = 2 };
     Span { domain = 1; kind = "exec"; t0 = 1_000; t1 = 2_000 };
     Status_snapshot
@@ -125,8 +131,8 @@ let test_roundtrip_fold_every_kind () =
   Alcotest.(check int) "no skips" 0 (List.length f.Obs.Fold.unknown_kinds);
   Alcotest.(check int) "no malformed" 0 f.Obs.Fold.malformed;
   Alcotest.(check int) "all lines folded" (List.length lines) f.Obs.Fold.events;
-  (* every one of the 27 kinds appears in the census *)
-  Alcotest.(check int) "27 kinds in census" 27 (List.length f.Obs.Fold.census);
+  (* every one of the 24 kinds appears in the census *)
+  Alcotest.(check int) "24 kinds in census" 24 (List.length f.Obs.Fold.census);
   (* spot-check the aggregation paths fed by the new kinds *)
   Alcotest.(check int) "matrix has the matched pair" 1
     (List.length f.Obs.Fold.matrix);
@@ -203,25 +209,30 @@ let test_lineage_invariants () =
 (* deadlock witness: the edges name the wait-for cycle                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Run under a buffer sink and fold what the sink wrote: the path of
+   `compi-cli exec --trace-jsonl` and `run --trace-events`. *)
+let traced f =
+  let buf = Buffer.create 4096 in
+  let r = Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) f in
+  (r, Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf)))
+
+(* rank 0 finishes; 1 and 2 wait on each other — the classic cycle *)
+let cycle_deadlock ~rank ~mpi =
+  if rank = 0 then Ok ()
+  else if rank = 1 then
+    match mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some 2; tag = None }) with
+    | _ -> Ok ()
+  else
+    match mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some 1; tag = None }) with
+    | _ -> Ok ()
+
+(* rank 0 never joins the barrier: 1 and 2 block in the collective *)
+let barrier_deadlock ~rank ~mpi =
+  if rank = 0 then Ok () else match mpi (Mpi_iface.Barrier Mpi_iface.world) with _ -> Ok ()
+
 let test_deadlock_witness () =
-  (* rank 0 finishes; 1 and 2 wait on each other — the classic cycle *)
-  let tracer = Trace.create () in
-  let r =
-    Scheduler.run ~nprocs:3 ~on_event:(Trace.collector tracer)
-      (fun ~rank ~mpi ->
-        if rank = 0 then Ok ()
-        else if rank = 1 then
-          match mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some 2; tag = None }) with
-          | _ -> Ok ()
-        else
-          match mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some 1; tag = None }) with
-          | _ -> Ok ())
-  in
+  let r, f = traced (fun () -> Scheduler.run ~nprocs:3 cycle_deadlock) in
   Alcotest.(check (list int)) "ranks 1,2 deadlocked" [ 1; 2 ] r.Scheduler.deadlocked;
-  (* fold the trace through the unified JSONL wire format *)
-  let f =
-    Obs.Fold.of_lines (String.split_on_char '\n' (Trace.to_jsonl tracer))
-  in
   Alcotest.(check int) "one deadlock" 1 f.Obs.Fold.deadlocks;
   let edge rank peer =
     List.exists
@@ -246,17 +257,9 @@ let test_deadlock_witness () =
     (contains ~needle:"wait-for cycle" html)
 
 let test_collective_witness_no_false_cycle () =
-  (* rank 0 never joins the barrier: 1 and 2 block in the collective.
-     Witness edges point at the absent rank — no directed cycle. *)
-  let tracer = Trace.create () in
-  let r =
-    Scheduler.run ~nprocs:3 ~on_event:(Trace.collector tracer)
-      (fun ~rank ~mpi ->
-        if rank = 0 then Ok ()
-        else match mpi (Mpi_iface.Barrier Mpi_iface.world) with _ -> Ok ())
-  in
+  (* witness edges point at the absent rank — no directed cycle *)
+  let r, f = traced (fun () -> Scheduler.run ~nprocs:3 barrier_deadlock) in
   Alcotest.(check (list int)) "ranks 1,2 deadlocked" [ 1; 2 ] r.Scheduler.deadlocked;
-  let f = Obs.Fold.of_lines (String.split_on_char '\n' (Trace.to_jsonl tracer)) in
   Alcotest.(check bool) "witness edges present" true (f.Obs.Fold.witness <> []);
   List.iter
     (fun ((e : Obs.Fold.witness_edge), _) ->
@@ -275,23 +278,23 @@ let test_collective_witness_no_false_cycle () =
 
 let test_comm_matrix_ring () =
   (* 4-rank ring: each rank sends one message to (rank+1) mod 4 *)
-  let tracer = Trace.create () in
-  let r =
-    Scheduler.run ~nprocs:4 ~on_event:(Trace.collector tracer)
-      (fun ~rank ~mpi ->
-        let next = (rank + 1) mod 4 in
-        let prev = (rank + 3) mod 4 in
-        match
-          mpi (Mpi_iface.Send { comm = Mpi_iface.world; dest = next; tag = 0; data = Value.Vint rank })
-        with
-        | _ -> (
-          match
-            mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some prev; tag = None })
-          with
-          | _ -> Ok ()))
+  let r, f =
+    traced (fun () ->
+        Scheduler.run ~nprocs:4 (fun ~rank ~mpi ->
+            let next = (rank + 1) mod 4 in
+            let prev = (rank + 3) mod 4 in
+            match
+              mpi
+                (Mpi_iface.Send
+                   { comm = Mpi_iface.world; dest = next; tag = 0; data = Value.Vint rank })
+            with
+            | _ -> (
+              match
+                mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some prev; tag = None })
+              with
+              | _ -> Ok ())))
   in
   Alcotest.(check (list int)) "no deadlock" [] r.Scheduler.deadlocked;
-  let f = Obs.Fold.of_lines (String.split_on_char '\n' (Trace.to_jsonl tracer)) in
   Alcotest.(check int) "four matrix cells" 4 (List.length f.Obs.Fold.matrix);
   List.iter
     (fun src ->
@@ -309,6 +312,149 @@ let test_comm_matrix_ring () =
       Alcotest.(check (option int)) "one recv" (Some 1)
         (List.assoc_opt rank f.Obs.Fold.rank_recvs))
     [ 0; 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
+(* summary oracle: one mpi_summary equals the per-message events       *)
+(* ------------------------------------------------------------------ *)
+
+type aggregates = {
+  a_matrix : ((int * int) * int) list;
+  a_sends : (int * int) list;
+  a_recvs : (int * int) list;
+  a_colls : (int * int) list;
+  a_blocked : (int * int) list;
+  a_collectives : ((int * string) * int) list;
+  a_deadlocks : int;
+  a_witness : (Obs.Fold.witness_edge * int) list;
+  a_choices : int;
+  a_forks : int;
+}
+
+(* The reference: the fold arms of the per-message trace vocabulary
+   (sched_step send/recv, msg_matched, coll_done, rank_blocked) applied
+   to the scheduler's own event stream, together with the per-occurrence
+   deadlock, witness and schedule-choice arms. *)
+let reference_aggregates events =
+  let bump tbl key = Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0) in
+  let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
+  let matrix = Hashtbl.create 16 and sends = Hashtbl.create 8 and recvs = Hashtbl.create 8 in
+  let colls = Hashtbl.create 8 and blocked = Hashtbl.create 8 in
+  let sigs = Hashtbl.create 8 and witness = Hashtbl.create 8 in
+  let deadlocks = ref 0 and choices = ref 0 and forks = ref 0 in
+  List.iter
+    (function
+      | Trace.Matched { src; dst; _ } -> bump matrix (src, dst)
+      | Trace.Send { from_rank; _ } -> bump sends from_rank
+      | Trace.Recv_matched { rank; _ } -> bump recvs rank
+      | Trace.Collective { comm; signature; ranks } ->
+        bump sigs (comm, signature);
+        List.iter (bump colls) ranks
+      | Trace.Blocked { rank; _ } -> bump blocked rank
+      | Trace.Deadlock _ -> incr deadlocks
+      | Trace.Witness { rank; comm; kind; peer } ->
+        bump witness { Obs.Fold.we_rank = rank; we_kind = kind; we_peer = peer; we_comm = comm }
+      | Trace.Schedule_choice { alts; _ } ->
+        incr choices;
+        if List.length alts > 1 then incr forks
+      | Trace.Finished _ -> ())
+    events;
+  {
+    a_matrix = sorted matrix;
+    a_sends = sorted sends;
+    a_recvs = sorted recvs;
+    a_colls = sorted colls;
+    a_blocked = sorted blocked;
+    a_collectives = sorted sigs;
+    a_deadlocks = !deadlocks;
+    a_witness = sorted witness;
+    a_choices = !choices;
+    a_forks = !forks;
+  }
+
+let fold_aggregates (f : Obs.Fold.t) =
+  {
+    a_matrix = f.Obs.Fold.matrix;
+    a_sends = f.Obs.Fold.rank_sends;
+    a_recvs = f.Obs.Fold.rank_recvs;
+    a_colls = f.Obs.Fold.rank_colls;
+    a_blocked = f.Obs.Fold.rank_blocked;
+    a_collectives = f.Obs.Fold.collectives;
+    a_deadlocks = f.Obs.Fold.deadlocks;
+    a_witness = f.Obs.Fold.witness;
+    a_choices = f.Obs.Fold.schedule_choices;
+    a_forks = f.Obs.Fold.schedule_forks;
+  }
+
+let render_aggregates a =
+  let cells fmt l = String.concat " " (List.map fmt l) in
+  let rank (r, n) = Printf.sprintf "%d:%d" r n in
+  String.concat "\n"
+    [
+      "matrix " ^ cells (fun ((s, d), n) -> Printf.sprintf "%d>%d:%d" s d n) a.a_matrix;
+      "sends " ^ cells rank a.a_sends;
+      "recvs " ^ cells rank a.a_recvs;
+      "colls " ^ cells rank a.a_colls;
+      "blocked " ^ cells rank a.a_blocked;
+      "collectives " ^ cells (fun ((c, s), n) -> Printf.sprintf "%d/%s:%d" c s n) a.a_collectives;
+      Printf.sprintf "deadlocks %d choices %d forks %d" a.a_deadlocks a.a_choices a.a_forks;
+      "witness "
+      ^ cells
+          (fun ((e : Obs.Fold.witness_edge), n) ->
+            Printf.sprintf "%d-%s->%d@%d:%d" e.Obs.Fold.we_rank e.Obs.Fold.we_kind
+              e.Obs.Fold.we_peer e.Obs.Fold.we_comm n)
+          a.a_witness;
+    ]
+
+(* [run on_event] executes once; the collector's per-message events and
+   the sink's one summary must fold to the same aggregates. *)
+let check_summary_oracle name run =
+  let tracer = Trace.create () in
+  let (), f = traced (fun () -> run (Trace.collector tracer)) in
+  Alcotest.(check (option int)) (name ^ ": one mpi_summary") (Some 1)
+    (List.assoc_opt "mpi_summary" f.Obs.Fold.census);
+  let reference = reference_aggregates (Trace.events tracer) in
+  Alcotest.(check string) (name ^ ": summary = per-message fold")
+    (render_aggregates reference)
+    (render_aggregates (fold_aggregates f));
+  reference
+
+let test_summary_oracle () =
+  let runner name ?(inputs = []) ?schedule ~nprocs () =
+    let t = Targets.Catalog.find_exn name in
+    let info = Targets.Registry.instrument t in
+    check_summary_oracle name (fun on_event ->
+        match
+          Compi.Runner.run
+            {
+              (Compi.Runner.default_config ~info) with
+              Compi.Runner.nprocs;
+              inputs;
+              schedule;
+              step_limit = t.Targets.Registry.tuning.Targets.Registry.step_limit;
+              on_event;
+            }
+        with
+        | Ok _ -> ()
+        | Error (`Platform_limit n) -> Alcotest.failf "%s: platform limit %d" name n)
+  in
+  List.iter
+    (fun name ->
+      let a = runner name ~nprocs:4 () in
+      Alcotest.(check bool) (name ^ ": messages or collectives seen") true
+        (a.a_matrix <> [] || a.a_collectives <> []))
+    [ "susy-hmc"; "hpl"; "imb-mpi1"; "npb-cg" ];
+  (* the wildcard race under a prescription that picks rank 2 first *)
+  let wc = runner "wc-race" ~inputs:[ ("x", 7) ] ~schedule:[ 2 ] ~nprocs:3 () in
+  Alcotest.(check bool) "wc-race: choice served" true (wc.a_choices > 0);
+  Alcotest.(check int) "wc-race: deadlocked" 1 wc.a_deadlocks;
+  List.iter
+    (fun (name, body) ->
+      let a =
+        check_summary_oracle name (fun on_event ->
+            ignore (Scheduler.run ~nprocs:3 ~on_event body))
+      in
+      Alcotest.(check int) (name ^ ": deadlocked") 1 a.a_deadlocks)
+    [ ("cycle deadlock", cycle_deadlock); ("barrier deadlock", barrier_deadlock) ]
 
 (* ------------------------------------------------------------------ *)
 (* report determinism                                                  *)
@@ -343,6 +489,7 @@ let suite =
         Alcotest.test_case "collective witness no cycle" `Quick
           test_collective_witness_no_false_cycle;
         Alcotest.test_case "comm matrix ring" `Quick test_comm_matrix_ring;
+        Alcotest.test_case "mpi_summary = per-message fold" `Quick test_summary_oracle;
         Alcotest.test_case "stable report determinism" `Quick
           test_stable_report_jobs_invariant;
       ] );

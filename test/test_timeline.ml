@@ -1,6 +1,6 @@
 (* The span timeline and the profile fold built on it: live recording
    through drain into a sink, the interval accounting's invariants
-   (utilization bounds, critical path, lock histogram), unknown-kind
+   (utilization bounds, critical path), unknown-kind
    triage, renderer determinism, and the zero-cost-when-off guarantee. *)
 
 (* substring search, to keep the test deps at alcotest alone *)
@@ -89,7 +89,7 @@ let test_utilization_bounds () =
         (* overlapping busy spans + a wait overlapping both *)
         (0, "exec", 0, 100);
         (0, "interp", 50, 150);
-        (0, "barrier", 80, 120);
+        (0, "queue.wait", 80, 120);
         (* a worker that only waited *)
         (1, "idle", 0, 150);
       ]
@@ -137,30 +137,15 @@ let test_round_critical_path () =
   Alcotest.(check (float 0.01)) "full attribution" 100.0
     p.Obs.Fold.pf_attributed_pct
 
-let test_lock_wait_histogram () =
-  let waits = [ 0; 1; 2; 3; 4; 1500 ] in
-  let f =
-    fold_of_spans
-      ((0, "exec", 0, 4000)
-      :: List.mapi (fun i d -> (0, "cache.lock.wait", i * 10, (i * 10) + d)) waits)
-  in
-  let p = Obs.Fold.profile f in
-  (* 0 -> bucket 0; 1,2 -> bucket 1; 3,4 -> bucket 2; 1500 -> bucket 11 *)
-  Alcotest.(check (list (pair int int)))
-    "power-of-two buckets"
-    [ (0, 1); (1, 2); (2, 2); (11, 1) ]
-    p.Obs.Fold.pf_lock_hist;
-  Alcotest.(check int) "acquisitions counted" 6 p.Obs.Fold.pf_lock_acqs
-
 let test_profile_renderers_deterministic () =
   let spans =
     [
       (0, "round", 0, 900);
       (0, "dispatch", 0, 100);
       (0, "merge", 500, 900);
-      (0, "barrier", 100, 480);
+      (0, "queue.wait", 100, 480);
       (1, "task", 120, 470);
-      (1, "cache.lock.wait", 470, 475);
+      (1, "queue.wait", 470, 475);
       (1, "idle", 480, 900);
     ]
   in
@@ -179,7 +164,7 @@ let test_profile_renderers_deterministic () =
     (fun phrase ->
       Alcotest.(check bool) (phrase ^ " present") true
         (contains ~affix:phrase t1))
-    [ "per-worker utilization"; "merge-barrier stall"; "cache-lock wait" ];
+    [ "per-worker utilization"; "pipeline queue wait" ];
   List.iter
     (fun affix ->
       Alcotest.(check bool) (affix ^ " in html") true
@@ -208,7 +193,7 @@ let test_zero_alloc_when_off () =
 
 (* End to end: a real jobs-2 campaign traced through a buffer sink must
    yield a profile that attributes (nearly) all wall time, keeps every
-   utilization in bounds, and reports the contention tables. *)
+   utilization in bounds, and reports the stall table. *)
 let test_live_campaign_profile () =
   let info = Targets.Registry.instrument (Targets.Catalog.find_exn "toy-fig1") in
   let settings =
@@ -243,13 +228,13 @@ let test_live_campaign_profile () =
       Alcotest.(check bool) "live utilization <= 1" true (d.Obs.Fold.dp_util <= 1.0))
     p.Obs.Fold.pf_domains;
   Alcotest.(check bool) "rounds profiled" true (p.Obs.Fold.pf_rounds <> []);
-  Alcotest.(check bool) "cache probed under the lock" true (p.Obs.Fold.pf_probes > 0);
+  Alcotest.(check bool) "cache probed" true (p.Obs.Fold.pf_probes > 0);
   let txt = Obs.Fold.profile_text f in
   List.iter
     (fun phrase ->
       Alcotest.(check bool) (phrase ^ " present") true
         (contains ~affix:phrase txt))
-    [ "per-worker utilization"; "merge-barrier stall"; "cache-lock wait" ]
+    [ "per-worker utilization"; "pipeline queue wait" ]
 
 let suite =
   [
@@ -263,8 +248,6 @@ let suite =
           test_utilization_bounds;
         Alcotest.test_case "round critical path and stall" `Quick
           test_round_critical_path;
-        Alcotest.test_case "lock-wait histogram buckets" `Quick
-          test_lock_wait_histogram;
         Alcotest.test_case "profile renderers deterministic" `Quick
           test_profile_renderers_deterministic;
         Alcotest.test_case "zero allocation when off" `Quick test_zero_alloc_when_off;
