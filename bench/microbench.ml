@@ -74,9 +74,16 @@ let fold_test =
         let ev =
           match k mod 5 with
           | 0 ->
-            Obs.Event.Iter_end
+            Obs.Event.Test
               {
-                iteration = k / 5;
+                test = k / 5;
+                parent = (k / 5) - 1;
+                origin = (if k < 5 then "seed" else "negated");
+                branch = k mod 37;
+                index = k mod 13;
+                cached = k mod 3 = 0;
+                nprocs = 4;
+                focus = 0;
                 covered = min 40 (k / 20);
                 reachable = 42;
                 cs_size = 30;
@@ -85,16 +92,7 @@ let fold_test =
                 exec_s = 0.001;
                 solve_s = 0.0005;
               }
-          | 1 ->
-            Obs.Event.Lineage_test
-              {
-                test = k / 5;
-                parent = (k / 5) - 1;
-                origin = (if k < 5 then "seed" else "negated");
-                branch = k mod 37;
-                index = k mod 13;
-                cached = k mod 3 = 0;
-              }
+          | 1 -> Obs.Event.Cache_lookup { hit = k mod 3 = 0; constraints = k mod 13; entries = k / 5 }
           | 2 ->
             Obs.Event.Lineage_negation
               {

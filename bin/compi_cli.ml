@@ -793,17 +793,17 @@ let explain_summary (f : Obs.Fold.t) label =
   (match covered with
   | [] -> ()
   | s :: _ ->
-    Printf.printf "\ndeepest example — branch %s:\n" (label s.Obs.Fold.br_branch);
-    (* show the longest chain among first-covering tests *)
-    let best =
+    (* show the longest chain among first-covering tests, headed by the
+       branch that test covers *)
+    let best, _ =
       List.fold_left
-        (fun (bt, bd) c ->
+        (fun (b, bd) c ->
           let d = List.length (Obs.Fold.chain f c.Obs.Fold.br_first_test) in
-          if d > bd then (c.Obs.Fold.br_first_test, d) else (bt, bd))
-        (s.Obs.Fold.br_first_test, 0)
-        covered
+          if d > bd then (c, d) else (b, bd))
+        (s, 0) covered
     in
-    print_chain f label (fst best));
+    Printf.printf "\ndeepest example — branch %s:\n" (label best.Obs.Fold.br_branch);
+    print_chain f label best.Obs.Fold.br_first_test);
   if plateau <> [] then begin
     Printf.printf "\nplateau branches (try --branch ID for a diagnosis):\n";
     List.iteri

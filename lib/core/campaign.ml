@@ -111,7 +111,6 @@ type negated_outcome =
 type done_item =
   | D_fresh of Driver.pending * exec_result
   | D_negated of {
-      index : int;  (* negated path position, for the negation event *)
       solved : bool;  (* live solver call (miss), as opposed to a cached replay *)
       key : Smt.Cache.key option;  (* insert verdict at merge when present *)
       solve_s : float;
@@ -132,8 +131,8 @@ let emit_restart ~iteration reason =
   Obs.Metrics.incr m_restarts;
   Obs.Sink.emit (Obs.Event.Restart { iteration; reason })
 
-(* Lineage events: each merged test records where it came from, each
-   negation attempt its verdict against the candidate it negated. *)
+(* Lineage: each merged test's [test] event records where it came from,
+   each negation attempt its verdict against the candidate it negated. *)
 let origin_fields = function
   | Driver.O_seed -> ("seed", -1, -1, -1, false)
   | Driver.O_restart -> ("restart", -1, -1, -1, false)
@@ -143,12 +142,6 @@ let origin_fields = function
     (* reuse the lineage slots: index = flipped choice point, branch =
        alternative source delivered *)
     ("schedule", parent, source, point, false)
-
-let emit_lineage_test ~test origin =
-  if Obs.Sink.active () then begin
-    let origin, parent, branch, index, cached = origin_fields origin in
-    Obs.Sink.emit (Obs.Event.Lineage_test { test; parent; origin; branch; index; cached })
-  end
 
 let emit_lineage_negation ~(cand : Strategy.candidate) ~outcome ~cached =
   if Obs.Sink.active () then
@@ -393,8 +386,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   let merge_exec (p : Driver.pending) ~solve_s (res : exec_result) =
     let nprocs = min p.Driver.p_nprocs s.Driver.max_procs in
     let focus = min p.Driver.p_focus (nprocs - 1) in
-    if Obs.Sink.active () then
-      Obs.Sink.emit (Obs.Event.Iter_start { iteration = !iter; nprocs; focus });
     (match res with
     | Error (`Platform_limit _) ->
       emit_restart ~iteration:!iter "platform-limit";
@@ -407,7 +398,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       (* assign the campaign-wide test id before the strategy observes
          the execution, so every candidate carries a valid parent *)
       r.Runner.execution.Execution.exec_id <- !iter;
-      emit_lineage_test ~test:!iter p.Driver.p_origin;
       (* schedule enumeration: fork this run's recorded wildcard
          decisions into alternative prescriptions (POR-pruned — only
          non-prescribed choice points with >1 eligible source fork).
@@ -502,14 +492,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       | Driver.Two_phase_dfs | Driver.Fixed_strategy _ | Driver.Cfg_strategy -> ());
       let covered_now = Coverage.covered_branches coverage in
       if covered_now > !best_covered then begin
-        if Obs.Sink.active () then
-          Obs.Sink.emit
-            (Obs.Event.Coverage_delta
-               {
-                 iteration = !iter;
-                 covered_before = !best_covered;
-                 covered_after = covered_now;
-               });
         best_covered := covered_now;
         last_improvement := !iter
       end;
@@ -531,11 +513,19 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       Obs.Metrics.incr m_iterations;
       Obs.Metrics.set g_covered (float_of_int covered_now);
       Obs.Metrics.set g_reachable (float_of_int reachable);
-      if Obs.Sink.active () then
+      if Obs.Sink.active () then begin
+        let origin, parent, branch, index, cached = origin_fields p.Driver.p_origin in
         Obs.Sink.emit
-          (Obs.Event.Iter_end
+          (Obs.Event.Test
              {
-               iteration = !iter;
+               test = !iter;
+               parent;
+               origin;
+               branch;
+               index;
+               cached;
+               nprocs;
+               focus;
                covered = covered_now;
                reachable;
                cs_size = r.Runner.constraint_set_size;
@@ -543,7 +533,8 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
                restarted = stagnated;
                exec_s = r.Runner.wall_time;
                solve_s;
-             });
+             })
+      end;
       stats :=
         {
           Driver.iteration = !iter;
@@ -674,7 +665,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     match settings.status_file with
     | None -> ()
     | Some path ->
-      let bug_count = List.length !bugs in
       let curve =
         (* trailing slice of the coverage curve, oldest first, feeding
            the plateau/ETA estimate *)
@@ -713,7 +703,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
           executed = !iter;
           covered = !best_covered;
           reachable = !last_reachable;
-          bugs = bug_count;
+          bugs = List.length !bugs;
           queue_depth = !max_depth;
           utilization;
           cache_hit_rate =
@@ -723,19 +713,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
           plateau;
           eta_iterations = eta;
           finished;
-        };
-      if Obs.Sink.active () then
-        Obs.Sink.emit
-          (Obs.Event.Status_snapshot
-             {
-               rounds = !rounds;
-               executed = !iter;
-               covered = !best_covered;
-               reachable = !last_reachable;
-               bugs = bug_count;
-               queue = !max_depth;
-               path;
-             })
+        }
   in
   while !work <> [] && continue_ok () do
     incr rounds;
@@ -765,23 +743,19 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
           | `Fresh p -> D_fresh (p, exec p)
           | `Hit (cand, p, outcome) -> (
             (* replay the cached verdict; no solver call *)
-            let index = cand.Strategy.index in
             match Execution.apply_prepared cand.Strategy.record p outcome with
             | Error (`Unsat | `Unknown) ->
-              D_negated
-                { index; solved = false; key = None; solve_s = 0.0; outcome = N_unsat }
+              D_negated { solved = false; key = None; solve_s = 0.0; outcome = N_unsat }
             | Ok sr ->
               let next = derive s ~cached:true cand sr in
               D_negated
                 {
-                  index;
                   solved = false;
                   key = None;
                   solve_s = 0.0;
                   outcome = N_sat { fresh = sr.Smt.Solver.fresh; next; run = exec next };
                 })
           | `Miss (cand, p) -> (
-            let index = cand.Strategy.index in
             let key = Some (Execution.prepared_key p) in
             let t0 = Unix.gettimeofday () in
             let outcome =
@@ -794,16 +768,15 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             let solve_s = Unix.gettimeofday () -. t0 in
             match outcome with
             | Error `Unsat ->
-              D_negated { index; solved = true; key; solve_s; outcome = N_unsat }
+              D_negated { solved = true; key; solve_s; outcome = N_unsat }
             | Error `Unknown ->
               (* never cache an unknown: a later, luckier attempt or a
                  raised budget should get its chance *)
-              D_negated { index; solved = true; key = None; solve_s; outcome = N_unknown }
+              D_negated { solved = true; key = None; solve_s; outcome = N_unknown }
             | Ok sr ->
               let next = derive s ~cached:false cand sr in
               D_negated
                 {
-                  index;
                   solved = true;
                   key;
                   solve_s;
@@ -828,7 +801,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     let merge_one w item =
       match item with
       | D_fresh (p, res) -> merge_exec p ~solve_s:0.0 res
-      | D_negated { index; solved; key; solve_s; outcome } -> (
+      | D_negated { solved; key; solve_s; outcome } -> (
         if solved then incr solver_calls;
         (* D_negated always pairs with W_negate: recover the candidate
            for the lineage record *)
@@ -852,20 +825,10 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         match outcome with
         | N_unsat ->
           insert Smt.Cache.Unsat;
-          if Obs.Sink.active () then
-            Obs.Sink.emit
-              (Obs.Event.Negation { iteration = !iter; index; sat = false });
           incr barren
-        | N_unknown ->
-          if Obs.Sink.active () then
-            Obs.Sink.emit
-              (Obs.Event.Negation { iteration = !iter; index; sat = false });
-          incr barren
+        | N_unknown -> incr barren
         | N_sat { fresh; next; run } ->
           insert (Smt.Cache.Sat fresh);
-          if Obs.Sink.active () then
-            Obs.Sink.emit
-              (Obs.Event.Negation { iteration = !iter; index; sat = true });
           barren := 0;
           merge_exec next ~solve_s run)
     in

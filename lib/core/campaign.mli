@@ -103,12 +103,12 @@ type result = {
 val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
 (** [label] names the target in the telemetry stream (the
     [campaign_start] event) and the checkpoint fingerprint. Emits the
-    full campaign event vocabulary (campaign/iteration boundaries,
-    negation attempts, lineage, restarts, faults, coverage deltas) plus
-    the worker, cache and checkpoint events, and feeds the [driver.*]
-    metrics and the [exec]/[solve]/[strategy]/[report] phase timers. Raises
-    {!Checkpoint.Load_error} when [resume] is set and the checkpoint
-    cannot be used (never partially applies one). *)
+    campaign event vocabulary (campaign boundaries, one [test] per
+    merged execution, one [lineage_negation] per negation attempt,
+    restarts, faults) plus the cache and checkpoint events, and feeds
+    the [campaign.*] metrics and the [exec]/[solve]/[strategy]/[report]
+    phase timers. Raises {!Checkpoint.Load_error} when [resume] is set
+    and the checkpoint cannot be used (never partially applies one). *)
 
 val coverage_report : result -> string
 (** Canonical timing-free rendering — iteration count, coverage

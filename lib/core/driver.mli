@@ -130,8 +130,8 @@ type origin =
           choice point [point] delivers from local source [source]
           instead — the (input, schedule) pair's second coordinate *)
 (** Provenance of a pending test — threaded from the negation that
-    produced it to the merge point that runs it, then emitted as a
-    [lineage_test] event. *)
+    produced it to the merge point that runs it, then emitted in its
+    [test] event. *)
 
 type pending = {
   p_inputs : (string * int) list;

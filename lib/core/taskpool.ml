@@ -39,7 +39,6 @@ type t = {
   done_cv : Condition.t;  (* the consumer waits here for the next index *)
   mutable batch : batch option;
   mutable stop : bool;
-  mutable task_seq : int;  (* pool-lifetime task counter, for telemetry *)
   mutable busy_s : float;  (* pool-lifetime sum of task wall times *)
   mutable domains : unit Domain.t list;
 }
@@ -58,9 +57,7 @@ let claim_depth b =
   let d = b.cursor - b.consumed in
   if d > b.max_inflight then b.max_inflight <- d
 
-let run_claimed t ~worker ~tasks_run b i =
-  let seq = t.task_seq in
-  t.task_seq <- seq + 1;
+let run_claimed t b i =
   claim_depth b;
   Mutex.unlock t.mu;
   let t0 = Unix.gettimeofday () in
@@ -73,9 +70,6 @@ let run_claimed t ~worker ~tasks_run b i =
   if Obs.Timeline.on () then
     Obs.Timeline.record ~kind:"task" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
   let dt = Unix.gettimeofday () -. t0 in
-  incr tasks_run;
-  if Obs.Sink.active () then
-    Obs.Sink.emit (Obs.Event.Worker_task { worker; task = seq; time_s = dt });
   Mutex.lock t.mu;
   t.busy_s <- t.busy_s +. dt;
   b.results.(i) <- Some outcome;
@@ -83,12 +77,16 @@ let run_claimed t ~worker ~tasks_run b i =
   (* wake the in-order consumer: it may be parked on exactly this index *)
   Condition.broadcast t.done_cv
 
-let worker_loop t ~worker =
+let worker_loop t ~worker ~spawned =
   (* spans from this domain carry the pool worker index, not the raw
-     (reused) Domain.self id, so profiles line up with worker_* events *)
+     (reused) Domain.self id *)
   Obs.Timeline.set_domain worker;
-  let tasks_run = ref 0 in
   Mutex.lock t.mu;
+  (* the wait from spawn to the first claim opportunity is idle time, so
+     every spawned worker shows in the profile even when it comes up
+     after the last batch was consumed *)
+  if Obs.Timeline.on () then
+    Obs.Timeline.record ~kind:"idle" ~t0:spawned ~t1:(Obs.Timeline.tick ());
   let rec loop () =
     if t.stop then Mutex.unlock t.mu
     else
@@ -96,7 +94,7 @@ let worker_loop t ~worker =
       | Some b when b.cursor < Array.length b.thunks ->
         let i = b.cursor in
         b.cursor <- i + 1;
-        run_claimed t ~worker ~tasks_run b i;
+        run_claimed t b i;
         loop ()
       | Some _ | None ->
         let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
@@ -105,9 +103,7 @@ let worker_loop t ~worker =
           Obs.Timeline.record ~kind:"idle" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
         loop ()
   in
-  loop ();
-  if Obs.Sink.active () then
-    Obs.Sink.emit (Obs.Event.Worker_exit { worker; tasks = !tasks_run })
+  loop ()
 
 let create ~jobs =
   let jobs = max 1 jobs in
@@ -119,14 +115,13 @@ let create ~jobs =
       done_cv = Condition.create ();
       batch = None;
       stop = false;
-      task_seq = 0;
       busy_s = 0.0;
       domains = [];
     }
   in
   for worker = 1 to jobs - 1 do
-    if Obs.Sink.active () then Obs.Sink.emit (Obs.Event.Worker_spawn { worker });
-    t.domains <- Domain.spawn (fun () -> worker_loop t ~worker) :: t.domains
+    let spawned = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
+    t.domains <- Domain.spawn (fun () -> worker_loop t ~worker ~spawned) :: t.domains
   done;
   t
 
@@ -153,7 +148,7 @@ let stream (type a) t (thunks : (unit -> a) list) : a stream =
 (* Consume index [b.consumed] — run it inline if nobody claimed it yet,
    otherwise wait for the claiming worker. Called with the mutex held;
    returns with it held. *)
-let rec await_next t ~tasks_run b i =
+let rec await_next t b i =
   match b.results.(i) with
   | Some r -> r
   | None ->
@@ -163,7 +158,7 @@ let rec await_next t ~tasks_run b i =
          when [jobs = 1] *)
       let j = b.cursor in
       b.cursor <- j + 1;
-      run_claimed t ~worker:0 ~tasks_run b j
+      run_claimed t b j
     end
     else begin
       (* claimed but still running on a worker: the only wait in the
@@ -173,7 +168,7 @@ let rec await_next t ~tasks_run b i =
       if Obs.Timeline.on () then
         Obs.Timeline.record ~kind:"queue.wait" ~t0:tk0 ~t1:(Obs.Timeline.tick ())
     end;
-    await_next t ~tasks_run b i
+    await_next t b i
 
 let next (type a) (st : a stream) : a option =
   match st.st_batch with
@@ -183,9 +178,8 @@ let next (type a) (st : a stream) : a option =
     let n = Array.length b.thunks in
     if b.consumed >= n then None
     else begin
-      let tasks_run = ref 0 in
       Mutex.lock t.mu;
-      let r = await_next t ~tasks_run b b.consumed in
+      let r = await_next t b b.consumed in
       b.consumed <- b.consumed + 1;
       if b.consumed = n then t.batch <- None;
       Mutex.unlock t.mu;
@@ -196,7 +190,7 @@ let next (type a) (st : a stream) : a option =
            reusable, then surface the first (submission-order) failure *)
         Mutex.lock t.mu;
         while b.consumed < n do
-          ignore (await_next t ~tasks_run b b.consumed);
+          ignore (await_next t b b.consumed);
           b.consumed <- b.consumed + 1
         done;
         t.batch <- None;

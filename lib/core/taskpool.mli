@@ -13,9 +13,9 @@
     domain. This is what lets the campaign merge item k while item k+1
     is still solving/executing.
 
-    Telemetry: spawning emits one [worker_spawn] event per domain,
-    every task emits [worker_task] (pool-lifetime sequence number and
-    wall time), and {!shutdown} drives one [worker_exit] per domain. *)
+    Telemetry: every task records a ["task"] span on the domain that ran
+    it, a parked worker an ["idle"] span, and {!shutdown} a ["join"]
+    span. *)
 
 type t
 

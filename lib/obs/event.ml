@@ -18,9 +18,15 @@ type t =
       bugs : int;
       wall_s : float;
     }
-  | Iter_start of { iteration : int; nprocs : int; focus : int }
-  | Iter_end of {
-      iteration : int;
+  | Test of {
+      test : int;
+      parent : int;
+      origin : string;
+      branch : int;
+      index : int;
+      cached : bool;
+      nprocs : int;
+      focus : int;
       covered : int;
       reachable : int;
       cs_size : int;
@@ -37,26 +43,13 @@ type t =
       constraints : int;
       time_s : float;
     }
-  | Negation of { iteration : int; index : int; sat : bool }
   | Restart of { iteration : int; reason : string }
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }
-  | Coverage_delta of { iteration : int; covered_before : int; covered_after : int }
-  | Worker_spawn of { worker : int }
-  | Worker_task of { worker : int; task : int; time_s : float }
-  | Worker_exit of { worker : int; tasks : int }
   | Cache_lookup of { hit : bool; constraints : int; entries : int }
   | Cache_evict of { dropped : int; entries : int }
   | Checkpoint_write of { iteration : int; path : string; bytes : int }
   | Checkpoint_load of { iteration : int; path : string }
-  | Lineage_test of {
-      test : int;
-      parent : int;
-      origin : string;
-      branch : int;
-      index : int;
-      cached : bool;
-    }
   | Lineage_negation of {
       parent : int;
       index : int;
@@ -84,44 +77,27 @@ type t =
     }
   | Schedule_enum of { parent : int; points : int; emitted : int; pruned : int }
   | Span of { domain : int; kind : string; t0 : int; t1 : int }
-  | Status_snapshot of {
-      rounds : int;
-      executed : int;
-      covered : int;
-      reachable : int;
-      bugs : int;
-      queue : int;
-      path : string;
-    }
   | Ledger_append of { path : string; run : string; covered : int; reachable : int; bugs : int }
 
 let kind_name = function
   | Campaign_start _ -> "campaign_start"
   | Compile _ -> "compile"
   | Campaign_end _ -> "campaign_end"
-  | Iter_start _ -> "iter_start"
-  | Iter_end _ -> "iter_end"
+  | Test _ -> "test"
   | Solver_call _ -> "solver_call"
-  | Negation _ -> "negation"
   | Restart _ -> "restart"
   | Sched_deadlock _ -> "sched_deadlock"
   | Fault _ -> "fault"
-  | Coverage_delta _ -> "coverage_delta"
-  | Worker_spawn _ -> "worker_spawn"
-  | Worker_task _ -> "worker_task"
-  | Worker_exit _ -> "worker_exit"
   | Cache_lookup _ -> "cache_lookup"
   | Cache_evict _ -> "cache_evict"
   | Checkpoint_write _ -> "checkpoint_write"
   | Checkpoint_load _ -> "checkpoint_load"
-  | Lineage_test _ -> "lineage_test"
   | Lineage_negation _ -> "lineage_negation"
   | Mpi_summary _ -> "mpi_summary"
   | Deadlock_witness _ -> "deadlock_witness"
   | Schedule_choice _ -> "schedule_choice"
   | Schedule_enum _ -> "schedule_enum"
   | Span _ -> "span"
-  | Status_snapshot _ -> "status_snapshot"
   | Ledger_append _ -> "ledger_append"
 
 let fields = function
@@ -148,16 +124,33 @@ let fields = function
       ("bugs", Json.Int bugs);
       ("wall_s", Json.Float wall_s);
     ]
-  | Iter_start { iteration; nprocs; focus } ->
+  | Test
+      {
+        test;
+        parent;
+        origin;
+        branch;
+        index;
+        cached;
+        nprocs;
+        focus;
+        covered;
+        reachable;
+        cs_size;
+        faults;
+        restarted;
+        exec_s;
+        solve_s;
+      } ->
     [
-      ("iteration", Json.Int iteration);
+      ("test", Json.Int test);
+      ("parent", Json.Int parent);
+      ("origin", Json.Str origin);
+      ("branch", Json.Int branch);
+      ("index", Json.Int index);
+      ("cached", Json.Bool cached);
       ("nprocs", Json.Int nprocs);
       ("focus", Json.Int focus);
-    ]
-  | Iter_end { iteration; covered; reachable; cs_size; faults; restarted; exec_s; solve_s }
-    ->
-    [
-      ("iteration", Json.Int iteration);
       ("covered", Json.Int covered);
       ("reachable", Json.Int reachable);
       ("cs_size", Json.Int cs_size);
@@ -175,8 +168,6 @@ let fields = function
       ("constraints", Json.Int constraints);
       ("time_s", Json.Float time_s);
     ]
-  | Negation { iteration; index; sat } ->
-    [ ("iteration", Json.Int iteration); ("index", Json.Int index); ("sat", Json.Bool sat) ]
   | Restart { iteration; reason } ->
     [ ("iteration", Json.Int iteration); ("reason", Json.Str reason) ]
   | Sched_deadlock { ranks } ->
@@ -188,21 +179,6 @@ let fields = function
       ("kind", Json.Str kind);
       ("detail", Json.Str detail);
     ]
-  | Coverage_delta { iteration; covered_before; covered_after } ->
-    [
-      ("iteration", Json.Int iteration);
-      ("covered_before", Json.Int covered_before);
-      ("covered_after", Json.Int covered_after);
-    ]
-  | Worker_spawn { worker } -> [ ("worker", Json.Int worker) ]
-  | Worker_task { worker; task; time_s } ->
-    [
-      ("worker", Json.Int worker);
-      ("task", Json.Int task);
-      ("time_s", Json.Float time_s);
-    ]
-  | Worker_exit { worker; tasks } ->
-    [ ("worker", Json.Int worker); ("tasks", Json.Int tasks) ]
   | Cache_lookup { hit; constraints; entries } ->
     [
       ("hit", Json.Bool hit);
@@ -219,15 +195,6 @@ let fields = function
     ]
   | Checkpoint_load { iteration; path } ->
     [ ("iteration", Json.Int iteration); ("path", Json.Str path) ]
-  | Lineage_test { test; parent; origin; branch; index; cached } ->
-    [
-      ("test", Json.Int test);
-      ("parent", Json.Int parent);
-      ("origin", Json.Str origin);
-      ("branch", Json.Int branch);
-      ("index", Json.Int index);
-      ("cached", Json.Bool cached);
-    ]
   | Lineage_negation { parent; index; branch; outcome; cached } ->
     [
       ("parent", Json.Int parent);
@@ -278,16 +245,6 @@ let fields = function
       ("kind", Json.Str kind);
       ("t0", Json.Int t0);
       ("t1", Json.Int t1);
-    ]
-  | Status_snapshot { rounds; executed; covered; reachable; bugs; queue; path } ->
-    [
-      ("rounds", Json.Int rounds);
-      ("executed", Json.Int executed);
-      ("covered", Json.Int covered);
-      ("reachable", Json.Int reachable);
-      ("bugs", Json.Int bugs);
-      ("queue", Json.Int queue);
-      ("path", Json.Str path);
     ]
   | Ledger_append { path; run; covered; reachable; bugs } ->
     [
@@ -356,13 +313,15 @@ let of_json j =
     let* bugs = int "bugs" in
     let* wall_s = flt "wall_s" in
     Ok (Campaign_end { iterations_run; covered; reachable; bugs; wall_s })
-  | "iter_start" ->
-    let* iteration = int "iteration" in
+  | "test" ->
+    let* test = int "test" in
+    let* parent = int "parent" in
+    let* origin = str "origin" in
+    let* branch = int "branch" in
+    let* index = int "index" in
+    let* cached = bool "cached" in
     let* nprocs = int "nprocs" in
     let* focus = int "focus" in
-    Ok (Iter_start { iteration; nprocs; focus })
-  | "iter_end" ->
-    let* iteration = int "iteration" in
     let* covered = int "covered" in
     let* reachable = int "reachable" in
     let* cs_size = int "cs_size" in
@@ -370,7 +329,25 @@ let of_json j =
     let* restarted = bool "restarted" in
     let* exec_s = flt "exec_s" in
     let* solve_s = flt "solve_s" in
-    Ok (Iter_end { iteration; covered; reachable; cs_size; faults; restarted; exec_s; solve_s })
+    Ok
+      (Test
+         {
+           test;
+           parent;
+           origin;
+           branch;
+           index;
+           cached;
+           nprocs;
+           focus;
+           covered;
+           reachable;
+           cs_size;
+           faults;
+           restarted;
+           exec_s;
+           solve_s;
+         })
   | "solver_call" ->
     let* incremental = bool "incremental" in
     let* outcome_s = str "outcome" in
@@ -384,11 +361,6 @@ let of_json j =
     let* constraints = int "constraints" in
     let* time_s = flt "time_s" in
     Ok (Solver_call { incremental; outcome; nodes; vars; constraints; time_s })
-  | "negation" ->
-    let* iteration = int "iteration" in
-    let* index = int "index" in
-    let* sat = bool "sat" in
-    Ok (Negation { iteration; index; sat })
   | "restart" ->
     let* iteration = int "iteration" in
     let* reason = str "reason" in
@@ -402,23 +374,6 @@ let of_json j =
     let* kind = str "kind" in
     let* detail = str "detail" in
     Ok (Fault { iteration; rank; kind; detail })
-  | "coverage_delta" ->
-    let* iteration = int "iteration" in
-    let* covered_before = int "covered_before" in
-    let* covered_after = int "covered_after" in
-    Ok (Coverage_delta { iteration; covered_before; covered_after })
-  | "worker_spawn" ->
-    let* worker = int "worker" in
-    Ok (Worker_spawn { worker })
-  | "worker_task" ->
-    let* worker = int "worker" in
-    let* task = int "task" in
-    let* time_s = flt "time_s" in
-    Ok (Worker_task { worker; task; time_s })
-  | "worker_exit" ->
-    let* worker = int "worker" in
-    let* tasks = int "tasks" in
-    Ok (Worker_exit { worker; tasks })
   | "cache_lookup" ->
     let* hit = bool "hit" in
     let* constraints = int "constraints" in
@@ -437,14 +392,6 @@ let of_json j =
     let* iteration = int "iteration" in
     let* path = str "path" in
     Ok (Checkpoint_load { iteration; path })
-  | "lineage_test" ->
-    let* test = int "test" in
-    let* parent = int "parent" in
-    let* origin = str "origin" in
-    let* branch = int "branch" in
-    let* index = int "index" in
-    let* cached = bool "cached" in
-    Ok (Lineage_test { test; parent; origin; branch; index; cached })
   | "lineage_negation" ->
     let* parent = int "parent" in
     let* index = int "index" in
@@ -510,15 +457,6 @@ let of_json j =
     let* t0 = int "t0" in
     let* t1 = int "t1" in
     Ok (Span { domain; kind; t0; t1 })
-  | "status_snapshot" ->
-    let* rounds = int "rounds" in
-    let* executed = int "executed" in
-    let* covered = int "covered" in
-    let* reachable = int "reachable" in
-    let* bugs = int "bugs" in
-    let* queue = int "queue" in
-    let* path = str "path" in
-    Ok (Status_snapshot { rounds; executed; covered; reachable; bugs; queue; path })
   | "ledger_append" ->
     let* path = str "path" in
     let* run = str "run" in

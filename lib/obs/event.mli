@@ -24,9 +24,15 @@ type t =
       bugs : int;
       wall_s : float;
     }
-  | Iter_start of { iteration : int; nprocs : int; focus : int }
-  | Iter_end of {
-      iteration : int;
+  | Test of {
+      test : int;
+      parent : int;
+      origin : string;
+      branch : int;
+      index : int;
+      cached : bool;
+      nprocs : int;
+      focus : int;
       covered : int;
       reachable : int;
       cs_size : int;
@@ -35,6 +41,20 @@ type t =
       exec_s : float;
       solve_s : float;
     }
+      (** one merged test execution, emitted at its merge position.
+          Provenance: [origin] is ["seed"], ["negated"], ["restart"], or
+          ["schedule"]; for negated tests [parent] is the test whose
+          path was negated, [branch] the branch id the negation
+          targeted, [index] the constraint-set position, and [cached]
+          whether the producing verdict was a cache replay. For schedule
+          tests [parent] is the run whose recorded choices were forked,
+          [index] the flipped choice point, and [branch] the alternative
+          source delivered (a rank, not a branch id). Seeds and restarts
+          carry [parent]=[branch]=[index]=-1. The run itself: [nprocs]
+          and [focus] as executed, cumulative [covered] and [reachable]
+          after the merge, the constraint-set size [cs_size], [faults]
+          found, whether the merge triggered a stagnation restart, and
+          the execute and solve wall times. *)
   | Solver_call of {
       incremental : bool;
       outcome : solver_outcome;
@@ -43,22 +63,11 @@ type t =
       constraints : int;
       time_s : float;
     }
-  | Negation of { iteration : int; index : int; sat : bool }
-      (** one attempt to negate the focus path constraint at [index] *)
   | Restart of { iteration : int; reason : string }
       (** [reason] is one of ["stagnation"], ["exhausted"],
           ["platform-limit"] *)
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }
-  | Coverage_delta of { iteration : int; covered_before : int; covered_after : int }
-  | Worker_spawn of { worker : int }
-      (** a campaign worker domain came up ([worker] 0 is the main
-          domain, which also executes tasks) *)
-  | Worker_task of { worker : int; task : int; time_s : float }
-      (** one pool task (speculative solve+execute) finished on
-          [worker]; [task] is the pool-wide dispatch sequence number *)
-  | Worker_exit of { worker : int; tasks : int }
-      (** a worker domain drained and joined after running [tasks] tasks *)
   | Cache_lookup of { hit : bool; constraints : int; entries : int }
       (** one solver-cache probe: [constraints] is the size of the
           canonicalized closure looked up, [entries] the cache
@@ -72,23 +81,6 @@ type t =
   | Checkpoint_load of { iteration : int; path : string }
       (** a campaign resumed from the snapshot at [path], continuing
           after iteration [iteration] — the stitch point in a trace *)
-  | Lineage_test of {
-      test : int;
-      parent : int;
-      origin : string;
-      branch : int;
-      index : int;
-      cached : bool;
-    }
-      (** provenance of test case [test]: [origin] is ["seed"],
-          ["negated"], ["restart"], or ["schedule"]; for negated tests
-          [parent] is the test whose path was negated, [branch] the
-          branch id the negation targeted, [index] the constraint-set
-          position, and [cached] whether the producing verdict was a
-          cache replay. For schedule tests [parent] is the run whose
-          recorded choices were forked, [index] the flipped choice
-          point, and [branch] the alternative source delivered. Seeds
-          and restarts carry [parent]=[branch]=[index]=-1. *)
   | Lineage_negation of {
       parent : int;
       index : int;
@@ -150,20 +142,6 @@ type t =
           [t0] to [t1], in nanoseconds since the timeline was enabled.
           The profile fold ([compi-cli profile]) is built entirely from
           these. *)
-  | Status_snapshot of {
-      rounds : int;
-      executed : int;
-      covered : int;
-      reachable : int;
-      bugs : int;
-      queue : int;
-      path : string;
-    }
-      (** the campaign published a live status snapshot to [path]
-          (see {!Status}): [rounds] merge rounds completed, [executed]
-          tests run, [queue] the work-queue depth at the publish point.
-          Emitted at most once per publish, so the trace records when
-          (and how often) the dashboard data refreshed. *)
   | Ledger_append of { path : string; run : string; covered : int; reachable : int; bugs : int }
       (** the campaign appended run [run]'s summary record to the
           ledger store at [path] (see {!Ledger}) — the longitudinal

@@ -208,10 +208,21 @@ let step st ev =
     st.s_final_reachable <- Some reachable;
     st.s_bugs <- b;
     st.s_wall <- Some w
-  | Event.Iter_end { iteration; covered; exec_s = e; solve_s = s; _ } ->
-    Hashtbl.replace st.s_curve iteration covered;
-    st.s_exec <- st.s_exec +. e;
-    st.s_solve <- st.s_solve +. s
+  | Event.Test { test; parent; origin; branch; index; cached; covered; exec_s; solve_s; _ }
+    ->
+    Hashtbl.replace st.s_curve test covered;
+    st.s_exec <- st.s_exec +. exec_s;
+    st.s_solve <- st.s_solve +. solve_s;
+    st.s_lineage <-
+      {
+        ln_test = test;
+        ln_parent = parent;
+        ln_origin = origin;
+        ln_branch = branch;
+        ln_index = index;
+        ln_cached = cached;
+      }
+      :: st.s_lineage
   | Event.Solver_call { outcome; nodes; time_s; _ } ->
     st.s_calls <- st.s_calls + 1;
     (match outcome with
@@ -223,17 +234,6 @@ let step st ev =
   | Event.Cache_lookup { hit; _ } ->
     if hit then st.s_hits <- st.s_hits + 1 else st.s_misses <- st.s_misses + 1
   | Event.Cache_evict { dropped; _ } -> st.s_evict <- st.s_evict + dropped
-  | Event.Lineage_test { test; parent; origin; branch; index; cached } ->
-    st.s_lineage <-
-      {
-        ln_test = test;
-        ln_parent = parent;
-        ln_origin = origin;
-        ln_branch = branch;
-        ln_index = index;
-        ln_cached = cached;
-      }
-      :: st.s_lineage
   | Event.Lineage_negation { branch; outcome; cached; _ } ->
     let a, sa, us, uk, ca =
       Option.value (Hashtbl.find_opt st.s_negs branch) ~default:(0, 0, 0, 0, 0)
@@ -270,10 +270,8 @@ let step st ev =
   | Event.Span { domain; kind; t0; t1 } ->
     st.s_spans <-
       { sp_domain = domain; sp_kind = kind; sp_t0 = t0; sp_t1 = t1 } :: st.s_spans
-  | Event.Iter_start _ | Event.Negation _ | Event.Coverage_delta _
-  | Event.Worker_spawn _ | Event.Worker_task _ | Event.Worker_exit _
   | Event.Checkpoint_write _ | Event.Checkpoint_load _ | Event.Compile _
-  | Event.Status_snapshot _ | Event.Ledger_append _ -> ());
+  | Event.Ledger_append _ -> ());
   st
 
 let step_line st raw =
@@ -286,24 +284,16 @@ let step_line st raw =
 
 let finish st =
   let lineage = List.sort (fun a b -> compare a.ln_test b.ln_test) st.s_lineage in
+  (* only a negated test covers the branch it targeted: a schedule
+     fork's branch slot holds the source rank it delivers from *)
   let first_for_branch = Hashtbl.create 64 in
   List.iter
     (fun n ->
-      if n.ln_branch >= 0 && not (Hashtbl.mem first_for_branch n.ln_branch) then
+      if n.ln_origin = "negated" && not (Hashtbl.mem first_for_branch n.ln_branch) then
         Hashtbl.add first_for_branch n.ln_branch n.ln_test)
     lineage;
-  (* branches seen only through a producing test (old traces without
-     lineage_negation lines) still get a row; the zero rows are grafted
-     here rather than written back so [finish] stays read-only *)
-  let negs = sorted_assoc st.s_negs in
-  let extra =
-    Hashtbl.fold
-      (fun branch _ acc ->
-        if Hashtbl.mem st.s_negs branch then acc else (branch, (0, 0, 0, 0, 0)) :: acc)
-      first_for_branch []
-  in
   let branches =
-    List.sort compare (extra @ negs)
+    sorted_assoc st.s_negs
     |> List.map (fun (branch, (a, sa, us, uk, ca)) ->
            {
              br_branch = branch;
@@ -392,10 +382,7 @@ let chain t id =
 let first_test_for_branch t branch =
   match List.find_opt (fun b -> b.br_branch = branch) t.branches with
   | Some b when b.br_first_test >= 0 -> Some b.br_first_test
-  | _ -> (
-    match List.find_opt (fun n -> n.ln_branch = branch) t.lineage with
-    | Some n -> Some n.ln_test
-    | None -> None)
+  | Some _ | None -> None
 
 let lineage_errors t =
   let errs = ref [] in
@@ -499,13 +486,12 @@ let ascii_curve ?(width = 60) ?(height = 12) points =
     Buffer.add_string buf (Printf.sprintf "       0 .. iteration %d\n" last_x);
     Buffer.contents buf
 
-(* Census rows whose counts depend on scheduling noise (worker identity,
-   checkpoint cadence/paths, timing spans), not on what the campaign
-   computed. *)
+(* Census rows whose counts depend on scheduling noise (checkpoint
+   cadence/paths, ledger appends, timing spans), not on what the
+   campaign computed. *)
 let unstable_kind k =
   match k with
-  | "worker_spawn" | "worker_task" | "worker_exit" | "checkpoint_write"
-  | "checkpoint_load" | "span" | "status_snapshot" | "ledger_append" -> true
+  | "checkpoint_write" | "checkpoint_load" | "span" | "ledger_append" -> true
   | _ -> false
 
 let stable_census t = List.filter (fun (k, _) -> not (unstable_kind k)) t.census

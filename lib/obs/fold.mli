@@ -35,7 +35,8 @@ type lineage_node = {
 
 type branch_stat = {
   br_branch : int;
-  br_first_test : int;  (** first test targeting it that ran, -1 if none *)
+  br_first_test : int;
+      (** first ["negated"] test targeting it that ran, -1 if none *)
   br_attempts : int;  (** negation attempts targeting this branch *)
   br_sat : int;
   br_unsat : int;
@@ -139,7 +140,9 @@ val chain : t -> int -> lineage_node list
     to the root. Cycle-safe (stops on a repeated id). *)
 
 val first_test_for_branch : t -> int -> int option
-(** First test whose producing negation targeted the branch. *)
+(** First ["negated"] test whose producing negation targeted the branch
+    ([br_first_test] of its row). Schedule forks never count: their
+    branch slot holds a source rank. *)
 
 val lineage_errors : t -> string list
 (** Structural invariant violations: duplicate ids, missing or
@@ -158,7 +161,7 @@ val ascii_curve : ?width:int -> ?height:int -> (int * int) list -> string
 
 val to_text : ?stable:bool -> ?branch_label:(int -> string) -> t -> string
 (** The full ASCII report. [stable] drops wall-clock-derived lines and
-    worker/checkpoint census rows so output is byte-identical across
+    span/checkpoint/ledger census rows so output is byte-identical across
     [--jobs] values; [branch_label] renders branch ids (default
     [string_of_int]). *)
 

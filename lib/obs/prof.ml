@@ -8,7 +8,7 @@
    (runner, scheduler); there [time] degrades to a plain call so the
    shared stack is never touched concurrently. Phase totals thus account
    main-domain work only; cross-domain work is visible through the
-   worker_task events and the campaign's own wall-clock accounting.
+   per-domain "task" spans and the campaign's own wall-clock accounting.
 
    Every timed phase also records a {!Timeline} span under the phase
    name — on any domain, since span buffers are per-domain — so when

@@ -19,17 +19,33 @@ let summary ?(sends = [ 0; 0; 0; 0 ]) ?(recvs = [ 0; 0; 0; 0 ]) ?(colls = [ 0; 0
     =
   Obs.Event.Mpi_summary { nprocs = 4; sends; recvs; colls; blocked; matrix; collectives }
 
+let test ?(parent = -1) ?(origin = "seed") ?(branch = -1) ?(index = -1) ?(cached = false)
+    ?(restarted = false) ~covered id =
+  Obs.Event.Test
+    {
+      test = id;
+      parent;
+      origin;
+      branch;
+      index;
+      cached;
+      nprocs = 4;
+      focus = 0;
+      covered;
+      reachable = 12;
+      cs_size = 5 + id;
+      faults = (if id = 1 then 1 else 0);
+      restarted;
+      exec_s = 0.01 *. float_of_int (id + 1);
+      solve_s = (if origin = "negated" then 0.01 else 0.0);
+    }
+
 let pool : Obs.Event.t array =
   [|
     Campaign_start { target = "toy"; iterations = 40; seed = 7; nprocs = 4 };
     Campaign_end { iterations_run = 40; covered = 9; reachable = 12; bugs = 1; wall_s = 0.8 };
-    Iter_start { iteration = 0; nprocs = 4; focus = 0 };
-    Iter_end
-      { iteration = 0; covered = 3; reachable = 12; cs_size = 5; faults = 0;
-        restarted = false; exec_s = 0.01; solve_s = 0.0 };
-    Iter_end
-      { iteration = 1; covered = 5; reachable = 12; cs_size = 6; faults = 1;
-        restarted = true; exec_s = 0.02; solve_s = 0.01 };
+    test ~covered:3 0;
+    test ~parent:0 ~origin:"negated" ~branch:7 ~index:2 ~restarted:true ~covered:5 1;
     Solver_call
       { incremental = true; outcome = Obs.Event.Sat; nodes = 10; vars = 3;
         constraints = 4; time_s = 0.001 };
@@ -39,24 +55,18 @@ let pool : Obs.Event.t array =
     Solver_call
       { incremental = false; outcome = Obs.Event.Unknown; nodes = 99; vars = 9;
         constraints = 9; time_s = 0.1 };
-    Negation { iteration = 2; index = 1; sat = true };
     Restart { iteration = 3; reason = "stagnation" };
     summary ~sends:[ 1; 0; 0; 0 ] ();
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 4; rank = 1; kind = "assert"; detail = "boom" };
-    Coverage_delta { iteration = 4; covered_before = 5; covered_after = 7 };
-    Worker_spawn { worker = 1 };
-    Worker_task { worker = 1; task = 2; time_s = 0.1 };
-    Worker_exit { worker = 1; tasks = 2 };
+    test ~parent:1 ~origin:"schedule" ~branch:2 ~index:0 ~covered:6 2;
+    test ~origin:"restart" ~covered:7 3;
     Cache_lookup { hit = true; constraints = 4; entries = 9 };
     Cache_lookup { hit = false; constraints = 5; entries = 9 };
     Cache_evict { dropped = 1; entries = 8 };
     Checkpoint_write { iteration = 5; path = "/tmp/c"; bytes = 100 };
     Checkpoint_load { iteration = 5; path = "/tmp/c" };
-    Lineage_test
-      { test = 0; parent = -1; origin = "seed"; branch = -1; index = -1; cached = false };
-    Lineage_test
-      { test = 1; parent = 0; origin = "negated"; branch = 7; index = 2; cached = false };
+    test ~parent:3 ~origin:"negated" ~branch:9 ~index:3 ~cached:true ~covered:7 4;
     Lineage_negation
       { parent = 1; index = 3; branch = 9; outcome = Obs.Event.Unsat; cached = true };
     Lineage_negation
@@ -70,9 +80,6 @@ let pool : Obs.Event.t array =
     Span { domain = 0; kind = "merge"; t0 = 500; t1 = 900 };
     Span { domain = 1; kind = "exec"; t0 = 1_000; t1 = 2_000 };
     Span { domain = 1; kind = "idle"; t0 = 2_000; t1 = 2_400 };
-    Status_snapshot
-      { rounds = 3; executed = 10; covered = 5; reachable = 12; bugs = 1;
-        queue = 2; path = "/tmp/s.json" };
     Ledger_append
       { path = "/tmp/l.jsonl"; run = "toy#0"; covered = 9; reachable = 12; bugs = 1 };
   |]
@@ -401,11 +408,10 @@ let test_live_campaign_status_matches_replay () =
     summary.Compi.Driver.covered_branches st.Obs.Status.covered;
   Alcotest.(check int) "executed agrees with result"
     result.Compi.Campaign.executed st.Obs.Status.executed;
-  (* the trace carries the status/ledger breadcrumbs *)
+  (* the trace carries the ledger breadcrumb *)
   let census kind =
     match List.assoc_opt kind f.Obs.Fold.census with Some n -> n | None -> 0
   in
-  Alcotest.(check bool) "status snapshots traced" true (census "status_snapshot" > 0);
   Alcotest.(check int) "one ledger append traced" 1 (census "ledger_append");
   (* the ledger record mirrors the same final numbers *)
   (match Obs.Ledger.load ledger_path with

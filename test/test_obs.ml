@@ -76,10 +76,17 @@ let sample_events : Obs.Event.t list =
     Campaign_start { target = "toy \"quoted\""; iterations = 200; seed = 42; nprocs = 4 };
     Campaign_end
       { iterations_run = 200; covered = 17; reachable = 20; bugs = 1; wall_s = 0.125 };
-    Iter_start { iteration = 3; nprocs = 8; focus = 2 };
-    Iter_end
+    Compile { target = "toy"; funcs = 3; conds = 7; slots = 12; time_s = 0.0005 };
+    Test
       {
-        iteration = 3;
+        test = 12;
+        parent = 7;
+        origin = "negated";
+        branch = 35;
+        index = 4;
+        cached = true;
+        nprocs = 8;
+        focus = 2;
         covered = 12;
         reachable = 20;
         cs_size = 9;
@@ -87,6 +94,24 @@ let sample_events : Obs.Event.t list =
         restarted = true;
         exec_s = 0.01;
         solve_s = 0.002;
+      };
+    Test
+      {
+        test = 0;
+        parent = -1;
+        origin = "seed";
+        branch = -1;
+        index = -1;
+        cached = false;
+        nprocs = 1;
+        focus = 0;
+        covered = 2;
+        reachable = 4;
+        cs_size = 2;
+        faults = 1;
+        restarted = false;
+        exec_s = 6.8e-05;
+        solve_s = 0.0;
       };
     Solver_call
       {
@@ -115,22 +140,13 @@ let sample_events : Obs.Event.t list =
         constraints = 1;
         time_s = 1.0;
       };
-    Negation { iteration = 7; index = 4; sat = false };
     Restart { iteration = 50; reason = "stagnation" };
     Sched_deadlock { ranks = [ 0; 1; 3 ] };
     Fault { iteration = 9; rank = 2; kind = "assert"; detail = "x > 0\nline 3" };
-    Coverage_delta { iteration = 9; covered_before = 10; covered_after = 12 };
-    Worker_spawn { worker = 2 };
-    Worker_task { worker = 2; task = 17; time_s = 0.004 };
-    Worker_exit { worker = 2; tasks = 9 };
     Cache_lookup { hit = true; constraints = 5; entries = 40 };
     Cache_evict { dropped = 3; entries = 4096 };
     Checkpoint_write { iteration = 60; path = "/tmp/ckpt/campaign.ckpt"; bytes = 8192 };
     Checkpoint_load { iteration = 60; path = "/tmp/ckpt/campaign.ckpt" };
-    Lineage_test
-      { test = 12; parent = 7; origin = "negated"; branch = 35; index = 4; cached = true };
-    Lineage_test
-      { test = 0; parent = -1; origin = "seed"; branch = -1; index = -1; cached = false };
     Lineage_negation
       { parent = 12; index = 9; branch = 18; outcome = Obs.Event.Unsat; cached = false };
     Mpi_summary
@@ -149,9 +165,6 @@ let sample_events : Obs.Event.t list =
     Schedule_choice { rank = 0; comm = 0; tag = 3; chosen = 2; alts = [ 1; 2 ]; point = 0 };
     Schedule_enum { parent = 12; points = 2; emitted = 1; pruned = 1 };
     Span { domain = 1; kind = "cache.lock.wait"; t0 = 1_000; t1 = 2_500 };
-    Status_snapshot
-      { rounds = 40; executed = 120; covered = 30; reachable = 38; bugs = 1;
-        queue = 6; path = "/tmp/status.json" };
     Ledger_append
       { path = "/tmp/ledger.jsonl"; run = "toy#3"; covered = 30; reachable = 38; bugs = 1 };
   ]
@@ -161,7 +174,7 @@ let test_event_roundtrip () =
   let kinds =
     List.sort_uniq String.compare (List.map Obs.Event.kind_name sample_events)
   in
-  Alcotest.(check int) "all 26 event kinds sampled" 26 (List.length kinds);
+  Alcotest.(check int) "all 19 event kinds sampled" 19 (List.length kinds);
   List.iter
     (fun ev ->
       let wire = Obs.Json.to_string (Obs.Event.to_json ~t:1.25 ev) in
@@ -187,7 +200,7 @@ let test_event_of_json_rejects () =
   in
   reject "{\"no_ev\": 1}";
   reject "{\"ev\": \"not_a_kind\"}";
-  reject "{\"ev\": \"negation\", \"iteration\": 1}";
+  reject "{\"ev\": \"test\", \"test\": 1}";
   reject "[1,2,3]"
 
 (* Random summaries of any shape round-trip exactly through the wire

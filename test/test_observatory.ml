@@ -69,10 +69,17 @@ let all_kind_samples : Obs.Event.t list =
   [
     Campaign_start { target = "toy"; iterations = 10; seed = 1; nprocs = 4 };
     Campaign_end { iterations_run = 10; covered = 5; reachable = 8; bugs = 1; wall_s = 0.5 };
-    Iter_start { iteration = 0; nprocs = 4; focus = 0 };
-    Iter_end
+    Compile { target = "toy"; funcs = 2; conds = 4; slots = 6; time_s = 0.001 };
+    Test
       {
-        iteration = 0;
+        test = 1;
+        parent = 0;
+        origin = "negated";
+        branch = 7;
+        index = 2;
+        cached = false;
+        nprocs = 4;
+        focus = 0;
         covered = 5;
         reachable = 8;
         cs_size = 3;
@@ -90,19 +97,13 @@ let all_kind_samples : Obs.Event.t list =
         constraints = 4;
         time_s = 0.001;
       };
-    Negation { iteration = 0; index = 2; sat = true };
     Restart { iteration = 3; reason = "stagnation" };
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 0; rank = 1; kind = "assert"; detail = "boom" };
-    Coverage_delta { iteration = 0; covered_before = 0; covered_after = 5 };
-    Worker_spawn { worker = 1 };
-    Worker_task { worker = 1; task = 2; time_s = 0.1 };
-    Worker_exit { worker = 1; tasks = 2 };
     Cache_lookup { hit = true; constraints = 4; entries = 9 };
     Cache_evict { dropped = 1; entries = 8 };
     Checkpoint_write { iteration = 5; path = "/tmp/c"; bytes = 100 };
     Checkpoint_load { iteration = 5; path = "/tmp/c" };
-    Lineage_test { test = 1; parent = 0; origin = "negated"; branch = 7; index = 2; cached = false };
     Lineage_negation { parent = 1; index = 3; branch = 9; outcome = Obs.Event.Unsat; cached = true };
     Mpi_summary
       {
@@ -115,10 +116,9 @@ let all_kind_samples : Obs.Event.t list =
         collectives = [ (0, "barrier", 1) ];
       };
     Deadlock_witness { rank = 1; comm = 0; kind = "recv"; peer = 2 };
+    Schedule_choice { rank = 0; comm = 0; tag = 1; chosen = 2; alts = [ 1; 2 ]; point = 0 };
+    Schedule_enum { parent = 1; points = 1; emitted = 1; pruned = 0 };
     Span { domain = 1; kind = "exec"; t0 = 1_000; t1 = 2_000 };
-    Status_snapshot
-      { rounds = 3; executed = 10; covered = 5; reachable = 8; bugs = 1;
-        queue = 2; path = "/tmp/status.json" };
     Ledger_append
       { path = "/tmp/ledger.jsonl"; run = "toy#0"; covered = 5; reachable = 8; bugs = 1 };
   ]
@@ -131,8 +131,8 @@ let test_roundtrip_fold_every_kind () =
   Alcotest.(check int) "no skips" 0 (List.length f.Obs.Fold.unknown_kinds);
   Alcotest.(check int) "no malformed" 0 f.Obs.Fold.malformed;
   Alcotest.(check int) "all lines folded" (List.length lines) f.Obs.Fold.events;
-  (* every one of the 24 kinds appears in the census *)
-  Alcotest.(check int) "24 kinds in census" 24 (List.length f.Obs.Fold.census);
+  (* every one of the 19 kinds appears in the census *)
+  Alcotest.(check int) "19 kinds in census" 19 (List.length f.Obs.Fold.census);
   (* spot-check the aggregation paths fed by the new kinds *)
   Alcotest.(check int) "matrix has the matched pair" 1
     (List.length f.Obs.Fold.matrix);
@@ -153,8 +153,14 @@ let heat2d () =
   | Some t -> Targets.Registry.instrument t
   | None -> Alcotest.fail "heat2d target missing"
 
-let campaign_fold ~jobs ~iterations =
+(* Run under a buffer sink and fold what the sink wrote: the path of
+   `compi-cli exec --trace-jsonl` and `run --trace-events`. *)
+let traced f =
   let buf = Buffer.create 65536 in
+  let r = Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) f in
+  (r, Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf)))
+
+let heat2d_campaign ~jobs ~iterations =
   let info = heat2d () in
   let settings =
     {
@@ -170,10 +176,33 @@ let campaign_fold ~jobs ~iterations =
       jobs;
     }
   in
-  ignore
-    (Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
-         Compi.Campaign.run ~settings ~label:"heat2d" info));
-  Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf))
+  traced (fun () -> Compi.Campaign.run ~settings ~label:"heat2d" info)
+
+let campaign_fold ~jobs ~iterations = snd (heat2d_campaign ~jobs ~iterations)
+
+(* wc-race in schedule mode under the target's own tuning, as
+   `compi-cli run --target wc-race --schedules on --seed 1` runs it *)
+let wc_race_campaign ~jobs ~iterations =
+  let t = Targets.Catalog.find_exn "wc-race" in
+  let tn = t.Targets.Registry.tuning in
+  let settings =
+    {
+      Compi.Campaign.default_settings with
+      Compi.Campaign.base =
+        {
+          Compi.Driver.default_settings with
+          Compi.Driver.iterations;
+          dfs_phase_iters = tn.Targets.Registry.dfs_phase;
+          initial_nprocs = tn.Targets.Registry.initial_nprocs;
+          step_limit = tn.Targets.Registry.step_limit;
+          seed = 1;
+          schedules = true;
+        };
+      jobs;
+    }
+  in
+  traced (fun () ->
+      Compi.Campaign.run ~settings ~label:"wc-race" (Targets.Registry.instrument t))
 
 let test_lineage_invariants () =
   let f = campaign_fold ~jobs:2 ~iterations:25 in
@@ -205,16 +234,67 @@ let test_lineage_invariants () =
             s.Obs.Fold.br_branch s.Obs.Fold.br_first_test)
     f.Obs.Fold.branches
 
+(* A schedule fork's branch slot holds the source rank it delivers
+   from, so only negated tests may cover a branch: each row's first
+   test is the smallest negated node that targeted its branch. *)
+let test_first_test_negated_only () =
+  let _, f = wc_race_campaign ~jobs:1 ~iterations:60 in
+  Alcotest.(check bool) "trace has schedule forks" true
+    (List.exists (fun n -> n.Obs.Fold.ln_origin = "schedule") f.Obs.Fold.lineage);
+  Alcotest.(check bool) "trace has branch rows" true (f.Obs.Fold.branches <> []);
+  List.iter
+    (fun (s : Obs.Fold.branch_stat) ->
+      let br = s.Obs.Fold.br_branch in
+      let expected =
+        List.find_opt
+          (fun n -> n.Obs.Fold.ln_origin = "negated" && n.Obs.Fold.ln_branch = br)
+          f.Obs.Fold.lineage
+        |> Option.map (fun n -> n.Obs.Fold.ln_test)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "branch %d first test" br)
+        (Option.value expected ~default:(-1))
+        s.Obs.Fold.br_first_test;
+      Alcotest.(check (option int))
+        (Printf.sprintf "branch %d first_test_for_branch" br)
+        expected
+        (Obs.Fold.first_test_for_branch f br))
+    f.Obs.Fold.branches
+
+(* One [test] event per merged execution, checked against the
+   in-process result: the census, the coverage curve and the lineage
+   ids all come from that one event. *)
+let test_per_test_census () =
+  let check name (r, f) =
+    let census k = Option.value (List.assoc_opt k f.Obs.Fold.census) ~default:0 in
+    Alcotest.(check int) (name ^ ": one test event per execution")
+      r.Compi.Campaign.executed (census "test");
+    List.iter
+      (fun k -> Alcotest.(check int) (name ^ ": no " ^ k) 0 (census k))
+      [ "iter_start"; "iter_end"; "lineage_test"; "coverage_delta"; "negation";
+        "worker_spawn"; "worker_task"; "worker_exit"; "status_snapshot" ];
+    Alcotest.(check (list (pair string int))) (name ^ ": no unknown kinds") []
+      f.Obs.Fold.unknown_kinds;
+    let stats =
+      List.sort
+        (fun a b -> compare a.Compi.Driver.iteration b.Compi.Driver.iteration)
+        r.Compi.Campaign.summary.Compi.Driver.stats
+    in
+    Alcotest.(check (list (pair int int))) (name ^ ": curve = stats")
+      (List.map (fun st -> (st.Compi.Driver.iteration, st.Compi.Driver.covered_after)) stats)
+      f.Obs.Fold.curve;
+    Alcotest.(check (list int)) (name ^ ": lineage ids = stats iterations")
+      (List.map (fun st -> st.Compi.Driver.iteration) stats)
+      (List.map (fun n -> n.Obs.Fold.ln_test) f.Obs.Fold.lineage);
+    Alcotest.(check (list string)) (name ^ ": lineage sound") [] (Obs.Fold.lineage_errors f)
+  in
+  check "heat2d jobs 1" (heat2d_campaign ~jobs:1 ~iterations:40);
+  check "heat2d jobs 2" (heat2d_campaign ~jobs:2 ~iterations:40);
+  check "wc-race schedules" (wc_race_campaign ~jobs:1 ~iterations:60)
+
 (* ------------------------------------------------------------------ *)
 (* deadlock witness: the edges name the wait-for cycle                 *)
 (* ------------------------------------------------------------------ *)
-
-(* Run under a buffer sink and fold what the sink wrote: the path of
-   `compi-cli exec --trace-jsonl` and `run --trace-events`. *)
-let traced f =
-  let buf = Buffer.create 4096 in
-  let r = Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) f in
-  (r, Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf)))
 
 (* rank 0 finishes; 1 and 2 wait on each other — the classic cycle *)
 let cycle_deadlock ~rank ~mpi =
@@ -485,6 +565,9 @@ let suite =
         Alcotest.test_case "unknown kinds skipped+counted" `Quick test_unknown_kinds_counted;
         Alcotest.test_case "roundtrip fold all kinds" `Quick test_roundtrip_fold_every_kind;
         Alcotest.test_case "lineage invariants" `Quick test_lineage_invariants;
+        Alcotest.test_case "schedule forks are not branch covers" `Quick
+          test_first_test_negated_only;
+        Alcotest.test_case "one test event per execution" `Quick test_per_test_census;
         Alcotest.test_case "deadlock witness cycle" `Quick test_deadlock_witness;
         Alcotest.test_case "collective witness no cycle" `Quick
           test_collective_witness_no_false_cycle;
