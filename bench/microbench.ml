@@ -92,7 +92,7 @@ let fold_test =
                 exec_s = 0.001;
                 solve_s = 0.0005;
               }
-          | 1 -> Obs.Event.Cache_lookup { hit = k mod 3 = 0; constraints = k mod 13; entries = k / 5 }
+          | 1 -> Obs.Event.Span { domain = k mod 2; kind = "exec"; t0 = k * 1_000; t1 = (k * 1_000) + 700 }
           | 2 ->
             Obs.Event.Lineage_negation
               {
@@ -115,14 +115,13 @@ let fold_test =
                 collectives = [ (0, "barrier", 1) ];
               }
           | _ ->
-            Obs.Event.Solver_call
+            Obs.Event.Lineage_negation
               {
-                incremental = true;
+                parent = k / 5;
+                index = k mod 7;
+                branch = k mod 41;
                 outcome = Obs.Event.Sat;
-                nodes = 20;
-                vars = 5;
-                constraints = 9;
-                time_s = 1e-4;
+                cached = false;
               }
         in
         Obs.Json.to_string (Obs.Event.to_json ~t:(float_of_int k *. 0.001) ev))

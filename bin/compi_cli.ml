@@ -335,7 +335,12 @@ let annotate_arg =
 (* The optional per-campaign outputs, printed after the summary. *)
 let print_outputs (t : Targets.Registry.t) info (result : Compi.Driver.result) ~curve
     ~uncovered_n ~annotate ~csv ~save_bugs =
-  if curve then print_string (Compi.Report.ascii_curve result);
+  if curve then
+    print_string
+      (Obs.Fold.ascii_curve
+         (List.map
+            (fun st -> (st.Compi.Driver.iteration, st.Compi.Driver.covered_after))
+            result.Compi.Driver.stats));
   (match uncovered_n with
   | Some n ->
     let misses = Compi.Report.uncovered info result.Compi.Driver.coverage in

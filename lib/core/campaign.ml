@@ -310,6 +310,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
          iterations = s.Driver.iterations;
          seed = s.Driver.seed;
          nprocs = s.Driver.initial_nprocs;
+         solver_cache = settings.solver_cache;
        });
   let t_start = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t_start in
@@ -335,6 +336,16 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   let executed = ref (snap_field (fun sn -> sn.Checkpoint.ck_executed) 0) in
   let speculated = ref (snap_field (fun sn -> sn.Checkpoint.ck_speculated) 0) in
   let solver_calls = ref (snap_field (fun sn -> sn.Checkpoint.ck_solver_calls) 0) in
+  let cache_hits = ref (snap_field (fun sn -> sn.Checkpoint.ck_cache_hits) 0) in
+  (* hits and misses over merged attempts, like [solver_calls]: every
+     merged miss is a live solve. [Smt.Cache]'s own probe counters also
+     count candidates dropped at the budget edge. *)
+  let cache_stats () =
+    Option.map
+      (fun c ->
+        { (Smt.Cache.stats c) with Smt.Cache.hits = !cache_hits; misses = !solver_calls })
+      cache
+  in
   (* restart tests queued during the merge; consumed (and cleared) by
      the scheduling step, so mid-round snapshots carry exactly the
      items accumulated since the last schedule *)
@@ -621,6 +632,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         ck_executed = !executed;
         ck_speculated = !speculated;
         ck_solver_calls = !solver_calls;
+        ck_cache_hits = !cache_hits;
         ck_max_cs = !max_cs;
         ck_best_covered = !best_covered;
         ck_last_improvement = !last_improvement;
@@ -679,14 +691,11 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       let plateau, eta =
         Obs.Status.estimate ~reachable:!last_reachable curve
       in
-      let hits, misses =
-        match cache with
+      let hits, probes =
+        match cache_stats () with
         | None -> (0, 0)
-        | Some c ->
-          let cs = Smt.Cache.stats c in
-          (cs.Smt.Cache.hits, cs.Smt.Cache.misses)
+        | Some cs -> (cs.Smt.Cache.hits, cs.Smt.Cache.hits + cs.Smt.Cache.misses)
       in
-      let probes = hits + misses in
       let wall = elapsed () in
       let utilization =
         if wall <= 0.0 then 0.0
@@ -787,22 +796,22 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     (* pipeline: publish the batch and merge results in work-list order
        as they stream in — the merge of item k overlaps the
        solve/execute of items k+1, k+2, … still running on the pool.
-       [solver_calls] is counted at merge, not dispatch, so the stat
-       covers exactly the solves whose verdicts entered the merged
-       trajectory — results discarded at the budget edge only show up
-       in [speculated]. A budget (or stop-request) cut records the
-       un-merged tail in [work_remaining] so the final checkpoint can
-       resume mid-round; the tail's tasks are still drained to
-       completion (executions there count as speculated) so the pool is
-       quiescent and the tally matches the old round-barrier engine's
-       at every cut point. *)
+       [solver_calls] and [cache_hits] are counted at merge, not
+       dispatch, so the stats cover exactly the attempts whose verdicts
+       entered the merged trajectory — results discarded at the budget
+       edge only show up in [speculated]. A budget (or stop-request)
+       cut records the un-merged tail in [work_remaining] so the final
+       checkpoint can resume mid-round; the tail's tasks are still
+       drained to completion (executions there count as speculated) so
+       the pool is quiescent and the tally matches the old round-barrier
+       engine's at every cut point. *)
     let inflight_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
     let st = Taskpool.stream pool thunks in
     let merge_one w item =
       match item with
       | D_fresh (p, res) -> merge_exec p ~solve_s:0.0 res
       | D_negated { solved; key; solve_s; outcome } -> (
-        if solved then incr solver_calls;
+        if solved then incr solver_calls else incr cache_hits;
         (* D_negated always pairs with W_negate: recover the candidate
            for the lineage record *)
         (match w with
@@ -906,11 +915,9 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   | None -> ()
   | Some path ->
     let hits, misses =
-      match cache with
+      match cache_stats () with
       | None -> (0, 0)
-      | Some c ->
-        let cs = Smt.Cache.stats c in
-        (cs.Smt.Cache.hits, cs.Smt.Cache.misses)
+      | Some cs -> (cs.Smt.Cache.hits, cs.Smt.Cache.misses)
     in
     let record =
       {
@@ -977,7 +984,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     executed = !executed;
     speculated = !speculated;
     solver_calls = !solver_calls;
-    cache = Option.map Smt.Cache.stats cache;
+    cache = cache_stats ();
     interrupted = !stop;
     checkpoints_written = !checkpoints_written;
     queue_depth = !max_depth;

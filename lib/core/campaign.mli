@@ -86,7 +86,10 @@ type result = {
           trajectory — counted at merge, so the stat is invariant
           across [jobs] for a given merged result; solves discarded at
           the budget edge are only visible in [speculated] *)
-  cache : Smt.Cache.stats option;  (** [None] when the cache is off *)
+  cache : Smt.Cache.stats option;
+      (** [None] when the cache is off. [hits] and [misses] count merged
+          negation attempts, like [solver_calls] (so [misses] equals
+          it); [entries] and [evictions] are the cache's own. *)
   interrupted : bool;
       (** a SIGINT/SIGTERM stopped the campaign before its budget; the
           final checkpoint (when enabled) holds the cut point *)

@@ -31,6 +31,7 @@ type snapshot = {
   ck_executed : int;
   ck_speculated : int;
   ck_solver_calls : int;
+  ck_cache_hits : int;
   ck_max_cs : int;
   ck_best_covered : int;
   ck_last_improvement : int;
@@ -61,8 +62,10 @@ type snapshot = {
    constraint index negations are prepared from.
    version 6: [Concolic.Coverage.t] became a byte map indexed by branch
    id plus a count, so [ck_coverage] marshals a different layout than
-   v5's balanced set *)
-let version = 6
+   v5's balanced set.
+   version 7: the snapshot gained [ck_cache_hits], the merged cache
+   hits behind the campaign's cache accounting *)
+let version = 7
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"

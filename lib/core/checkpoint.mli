@@ -44,7 +44,8 @@ type snapshot = {
   ck_rounds : int;
   ck_executed : int;
   ck_speculated : int;
-  ck_solver_calls : int;
+  ck_solver_calls : int;  (** merged live solves, the merged cache misses *)
+  ck_cache_hits : int;  (** merged negation attempts answered by the cache *)
   ck_max_cs : int;
   ck_best_covered : int;
   ck_last_improvement : int;

@@ -1,22 +1,3 @@
-let summary ppf (r : Driver.result) =
-  Format.fprintf ppf "iterations   %d@." r.Driver.iterations_run;
-  Format.fprintf ppf "coverage     %d / %d reachable (%.1f%%), %d branches total@."
-    r.Driver.covered_branches r.Driver.reachable_branches
-    (100.0 *. r.Driver.coverage_rate) r.Driver.total_branches;
-  Format.fprintf ppf "constraints  max set %d%s@." r.Driver.max_constraint_set
-    (match r.Driver.derived_bound with
-    | Some b -> Printf.sprintf ", derived BoundedDFS bound %d" b
-    | None -> "");
-  Format.fprintf ppf "wall time    %.2fs@." r.Driver.wall_time;
-  let bugs = Driver.distinct_bugs r in
-  Format.fprintf ppf "bugs         %d distinct (%d occurrences)@." (List.length bugs)
-    (List.length r.Driver.bugs);
-  List.iter
-    (fun (b : Driver.bug) ->
-      Format.fprintf ppf "  - [iter %d, np %d, rank %d] %a@." b.Driver.bug_iteration
-        b.Driver.bug_nprocs b.Driver.bug_rank Minic.Fault.pp b.Driver.bug_fault)
-    bugs
-
 let coverage_curve ?(points = 20) (r : Driver.result) =
   let stats = Array.of_list r.Driver.stats in
   let n = Array.length stats in
@@ -30,43 +11,6 @@ let coverage_curve ?(points = 20) (r : Driver.result) =
     let body = List.init points sample in
     let last = stats.(n - 1) in
     List.sort_uniq compare (body @ [ (last.Driver.iteration, last.Driver.covered_after) ])
-  end
-
-let ascii_curve ?(width = 60) ?(height = 12) (r : Driver.result) =
-  let stats = Array.of_list r.Driver.stats in
-  let n = Array.length stats in
-  if n = 0 then "(no iterations)\n"
-  else begin
-    let max_cov =
-      Array.fold_left (fun acc s -> max acc s.Driver.covered_after) 1 stats
-    in
-    let grid = Array.make_matrix height width ' ' in
-    for col = 0 to width - 1 do
-      let idx = min (n - 1) (col * n / width) in
-      let cov = stats.(idx).Driver.covered_after in
-      let row = (cov * (height - 1)) / max_cov in
-      for fill = 0 to row do
-        grid.(height - 1 - fill).(col) <- (if fill = row then '*' else '.')
-      done
-    done;
-    let buf = Buffer.create ((width + 8) * height) in
-    Array.iteri
-      (fun k row ->
-        let label =
-          if k = 0 then Printf.sprintf "%5d |" max_cov
-          else if k = height - 1 then Printf.sprintf "%5d |" 0
-          else "      |"
-        in
-        Buffer.add_string buf label;
-        Array.iter (Buffer.add_char buf) row;
-        Buffer.add_char buf '\n')
-      grid;
-    Buffer.add_string buf
-      (Printf.sprintf "      +%s\n       iterations 0..%d\n" (String.make width '-')
-         (match r.Driver.stats with
-         | [] -> 0
-         | stats -> (List.nth stats (List.length stats - 1)).Driver.iteration));
-    Buffer.contents buf
   end
 
 let stats_csv (r : Driver.result) =

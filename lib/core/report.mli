@@ -1,16 +1,10 @@
-(** Campaign reports: human-readable summaries, coverage curves, and CSV
+(** Campaign reports: coverage curves, uncovered-branch listings, and CSV
     export of the per-iteration statistics (the raw material of the
     paper's figures). *)
-
-val summary : Format.formatter -> Driver.result -> unit
-(** Multi-line textual summary: coverage, bound, timing, distinct bugs. *)
 
 val coverage_curve : ?points:int -> Driver.result -> (int * int) list
 (** [(iteration, covered_branches)] sampled at [points] positions
     (default 20), always including the final iteration. *)
-
-val ascii_curve : ?width:int -> ?height:int -> Driver.result -> string
-(** A small terminal plot of covered branches over iterations. *)
 
 val stats_csv : Driver.result -> string
 (** One line per iteration:

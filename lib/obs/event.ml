@@ -9,7 +9,13 @@ let outcome_of_name = function
   | _ -> None
 
 type t =
-  | Campaign_start of { target : string; iterations : int; seed : int; nprocs : int }
+  | Campaign_start of {
+      target : string;
+      iterations : int;
+      seed : int;
+      nprocs : int;
+      solver_cache : bool;
+    }
   | Compile of { target : string; funcs : int; conds : int; slots : int; time_s : float }
   | Campaign_end of {
       iterations_run : int;
@@ -35,18 +41,9 @@ type t =
       exec_s : float;
       solve_s : float;
     }
-  | Solver_call of {
-      incremental : bool;
-      outcome : solver_outcome;
-      nodes : int;
-      vars : int;
-      constraints : int;
-      time_s : float;
-    }
   | Restart of { iteration : int; reason : string }
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }
-  | Cache_lookup of { hit : bool; constraints : int; entries : int }
   | Cache_evict of { dropped : int; entries : int }
   | Checkpoint_write of { iteration : int; path : string; bytes : int }
   | Checkpoint_load of { iteration : int; path : string }
@@ -84,11 +81,9 @@ let kind_name = function
   | Compile _ -> "compile"
   | Campaign_end _ -> "campaign_end"
   | Test _ -> "test"
-  | Solver_call _ -> "solver_call"
   | Restart _ -> "restart"
   | Sched_deadlock _ -> "sched_deadlock"
   | Fault _ -> "fault"
-  | Cache_lookup _ -> "cache_lookup"
   | Cache_evict _ -> "cache_evict"
   | Checkpoint_write _ -> "checkpoint_write"
   | Checkpoint_load _ -> "checkpoint_load"
@@ -101,12 +96,13 @@ let kind_name = function
   | Ledger_append _ -> "ledger_append"
 
 let fields = function
-  | Campaign_start { target; iterations; seed; nprocs } ->
+  | Campaign_start { target; iterations; seed; nprocs; solver_cache } ->
     [
       ("target", Json.Str target);
       ("iterations", Json.Int iterations);
       ("seed", Json.Int seed);
       ("nprocs", Json.Int nprocs);
+      ("solver_cache", Json.Bool solver_cache);
     ]
   | Compile { target; funcs; conds; slots; time_s } ->
     [
@@ -159,15 +155,6 @@ let fields = function
       ("exec_s", Json.Float exec_s);
       ("solve_s", Json.Float solve_s);
     ]
-  | Solver_call { incremental; outcome; nodes; vars; constraints; time_s } ->
-    [
-      ("incremental", Json.Bool incremental);
-      ("outcome", Json.Str (outcome_name outcome));
-      ("nodes", Json.Int nodes);
-      ("vars", Json.Int vars);
-      ("constraints", Json.Int constraints);
-      ("time_s", Json.Float time_s);
-    ]
   | Restart { iteration; reason } ->
     [ ("iteration", Json.Int iteration); ("reason", Json.Str reason) ]
   | Sched_deadlock { ranks } ->
@@ -178,12 +165,6 @@ let fields = function
       ("rank", Json.Int rank);
       ("kind", Json.Str kind);
       ("detail", Json.Str detail);
-    ]
-  | Cache_lookup { hit; constraints; entries } ->
-    [
-      ("hit", Json.Bool hit);
-      ("constraints", Json.Int constraints);
-      ("entries", Json.Int entries);
     ]
   | Cache_evict { dropped; entries } ->
     [ ("dropped", Json.Int dropped); ("entries", Json.Int entries) ]
@@ -298,7 +279,8 @@ let of_json j =
     let* iterations = int "iterations" in
     let* seed = int "seed" in
     let* nprocs = int "nprocs" in
-    Ok (Campaign_start { target; iterations; seed; nprocs })
+    let* solver_cache = bool "solver_cache" in
+    Ok (Campaign_start { target; iterations; seed; nprocs; solver_cache })
   | "compile" ->
     let* target = str "target" in
     let* funcs = int "funcs" in
@@ -348,19 +330,6 @@ let of_json j =
            exec_s;
            solve_s;
          })
-  | "solver_call" ->
-    let* incremental = bool "incremental" in
-    let* outcome_s = str "outcome" in
-    let* outcome =
-      match outcome_of_name outcome_s with
-      | Some o -> Ok o
-      | None -> Error (Printf.sprintf "bad solver outcome %s" outcome_s)
-    in
-    let* nodes = int "nodes" in
-    let* vars = int "vars" in
-    let* constraints = int "constraints" in
-    let* time_s = flt "time_s" in
-    Ok (Solver_call { incremental; outcome; nodes; vars; constraints; time_s })
   | "restart" ->
     let* iteration = int "iteration" in
     let* reason = str "reason" in
@@ -374,11 +343,6 @@ let of_json j =
     let* kind = str "kind" in
     let* detail = str "detail" in
     Ok (Fault { iteration; rank; kind; detail })
-  | "cache_lookup" ->
-    let* hit = bool "hit" in
-    let* constraints = int "constraints" in
-    let* entries = int "entries" in
-    Ok (Cache_lookup { hit; constraints; entries })
   | "cache_evict" ->
     let* dropped = int "dropped" in
     let* entries = int "entries" in

@@ -11,7 +11,16 @@ type solver_outcome = Sat | Unsat | Unknown
 val outcome_name : solver_outcome -> string
 
 type t =
-  | Campaign_start of { target : string; iterations : int; seed : int; nprocs : int }
+  | Campaign_start of {
+      target : string;
+      iterations : int;
+      seed : int;
+      nprocs : int;
+      solver_cache : bool;
+    }
+      (** [solver_cache] is whether the campaign ran with the solver
+          cache on: with it off no negation attempt probes the cache,
+          so the fold counts no hits or misses *)
   | Compile of { target : string; funcs : int; conds : int; slots : int; time_s : float }
       (** the target was compiled to closures (once per campaign):
           [funcs]/[conds]/[slots] are compiled-program sizes, [time_s]
@@ -55,23 +64,11 @@ type t =
           after the merge, the constraint-set size [cs_size], [faults]
           found, whether the merge triggered a stagnation restart, and
           the execute and solve wall times. *)
-  | Solver_call of {
-      incremental : bool;
-      outcome : solver_outcome;
-      nodes : int;  (** search nodes expended (bounded by the budget) *)
-      vars : int;  (** variables in the (closure of the) solved set *)
-      constraints : int;
-      time_s : float;
-    }
   | Restart of { iteration : int; reason : string }
       (** [reason] is one of ["stagnation"], ["exhausted"],
           ["platform-limit"] *)
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }
-  | Cache_lookup of { hit : bool; constraints : int; entries : int }
-      (** one solver-cache probe: [constraints] is the size of the
-          canonicalized closure looked up, [entries] the cache
-          population at probe time *)
   | Cache_evict of { dropped : int; entries : int }
       (** the solver cache dropped [dropped] oldest entries to respect
           its capacity *)
@@ -91,7 +88,9 @@ type t =
       (** one negation attempt against test [parent]'s path at [index],
           targeting [branch]; recorded for every attempt (including
           Unsat/Unknown ones that produce no test) so plateaus are
-          diagnosable from the trace alone *)
+          diagnosable from the trace alone. Emitted at the merge, so
+          it is the one record of each attempt: an uncached attempt is
+          a live solver call, a [cached] one a cache replay. *)
   | Mpi_summary of {
       nprocs : int;
       sends : int list;

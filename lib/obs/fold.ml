@@ -68,8 +68,6 @@ type t = {
   solver_sat : int;
   solver_unsat : int;
   solver_unknown : int;
-  solver_time_s : float;
-  solver_nodes : int;
   cache_hits : int;
   cache_misses : int;
   cache_evictions : int;
@@ -122,8 +120,7 @@ type state = {
   mutable s_sat : int;
   mutable s_unsat : int;
   mutable s_unknown_o : int;
-  mutable s_time : float;
-  mutable s_nodes : int;
+  mutable s_cache_on : bool; (* the latest campaign_start's solver_cache *)
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_evict : int;
@@ -168,8 +165,7 @@ let init () =
     s_sat = 0;
     s_unsat = 0;
     s_unknown_o = 0;
-    s_time = 0.0;
-    s_nodes = 0;
+    s_cache_on = false;
     s_hits = 0;
     s_misses = 0;
     s_evict = 0;
@@ -196,7 +192,8 @@ let step st ev =
   st.s_events <- st.s_events + 1;
   bump st.s_census (Event.kind_name ev) 1;
   (match ev with
-  | Event.Campaign_start { target = tg; iterations; seed = sd; nprocs } ->
+  | Event.Campaign_start { target = tg; iterations; seed = sd; nprocs; solver_cache } ->
+    st.s_cache_on <- solver_cache;
     if st.s_target = None then begin
       st.s_target <- Some tg;
       st.s_budget <- Some iterations;
@@ -223,18 +220,19 @@ let step st ev =
         ln_cached = cached;
       }
       :: st.s_lineage
-  | Event.Solver_call { outcome; nodes; time_s; _ } ->
-    st.s_calls <- st.s_calls + 1;
-    (match outcome with
-    | Event.Sat -> st.s_sat <- st.s_sat + 1
-    | Event.Unsat -> st.s_unsat <- st.s_unsat + 1
-    | Event.Unknown -> st.s_unknown_o <- st.s_unknown_o + 1);
-    st.s_time <- st.s_time +. time_s;
-    st.s_nodes <- st.s_nodes + nodes
-  | Event.Cache_lookup { hit; _ } ->
-    if hit then st.s_hits <- st.s_hits + 1 else st.s_misses <- st.s_misses + 1
   | Event.Cache_evict { dropped; _ } -> st.s_evict <- st.s_evict + dropped
   | Event.Lineage_negation { branch; outcome; cached; _ } ->
+    (* the one record of an attempt: uncached is a live solve, and with
+       the cache on every attempt was a probe — a hit when cached *)
+    if not cached then begin
+      st.s_calls <- st.s_calls + 1;
+      match outcome with
+      | Event.Sat -> st.s_sat <- st.s_sat + 1
+      | Event.Unsat -> st.s_unsat <- st.s_unsat + 1
+      | Event.Unknown -> st.s_unknown_o <- st.s_unknown_o + 1
+    end;
+    if st.s_cache_on then
+      if cached then st.s_hits <- st.s_hits + 1 else st.s_misses <- st.s_misses + 1;
     let a, sa, us, uk, ca =
       Option.value (Hashtbl.find_opt st.s_negs branch) ~default:(0, 0, 0, 0, 0)
     in
@@ -328,8 +326,6 @@ let finish st =
     solver_sat = st.s_sat;
     solver_unsat = st.s_unsat;
     solver_unknown = st.s_unknown_o;
-    solver_time_s = st.s_time;
-    solver_nodes = st.s_nodes;
     cache_hits = st.s_hits;
     cache_misses = st.s_misses;
     cache_evictions = st.s_evict;
@@ -573,13 +569,8 @@ let to_text ?(stable = false) ?(branch_label = string_of_int) t =
     | None -> ()
   end;
   if t.solver_calls > 0 then
-    if stable then
-      pf "\nsolver: %d calls (%d sat, %d unsat, %d unknown)\n" t.solver_calls
-        t.solver_sat t.solver_unsat t.solver_unknown
-    else
-      pf "\nsolver: %d calls (%d sat, %d unsat, %d unknown), %.3fs total, %.1f nodes/call mean\n"
-        t.solver_calls t.solver_sat t.solver_unsat t.solver_unknown t.solver_time_s
-        (float_of_int t.solver_nodes /. float_of_int t.solver_calls);
+    pf "\nsolver: %d calls (%d sat, %d unsat, %d unknown)\n" t.solver_calls t.solver_sat
+      t.solver_unsat t.solver_unknown;
   let probes = t.cache_hits + t.cache_misses in
   if probes > 0 then
     pf "cache: %d probes, %d hits (%.0f%%), %d evictions\n" probes t.cache_hits
@@ -795,12 +786,6 @@ let to_html ?(stable = false) ?(branch_label = string_of_int) t =
   pf "<tr><td class=\"l\">solver calls</td><td>%d</td></tr>\n" t.solver_calls;
   pf "<tr><td class=\"l\">sat / unsat / unknown</td><td>%d / %d / %d</td></tr>\n"
     t.solver_sat t.solver_unsat t.solver_unknown;
-  if not stable then begin
-    pf "<tr><td class=\"l\">solver time</td><td>%.3fs</td></tr>\n" t.solver_time_s;
-    if t.solver_calls > 0 then
-      pf "<tr><td class=\"l\">nodes / call</td><td>%.1f</td></tr>\n"
-        (float_of_int t.solver_nodes /. float_of_int t.solver_calls)
-  end;
   let probes = t.cache_hits + t.cache_misses in
   pf "<tr><td class=\"l\">cache probes</td><td>%d</td></tr>\n" probes;
   pf "<tr><td class=\"l\">cache hits</td><td>%d (%.0f%%)</td></tr>\n" t.cache_hits
@@ -962,7 +947,7 @@ let span_wait_kind = function
   | _ -> false
 
 let span_busy_kind = function
-  | "campaign" | "task" | "exec" | "solve" | "solver.call" | "interp" | "compiled"
+  | "campaign" | "task" | "exec" | "solve" | "interp" | "compiled"
   | "compile" | "schedule" | "strategy" | "checkpoint" | "report" | "round"
   | "inflight" | "dispatch" | "merge" | "cache.probe" -> true
   | _ -> false

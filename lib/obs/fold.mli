@@ -70,14 +70,12 @@ type t = {
   wall_s : float option;
   exec_s : float;
   solve_s : float;
-  solver_calls : int;
-  solver_sat : int;
+  solver_calls : int;  (** uncached [lineage_negation] attempts: live solves *)
+  solver_sat : int;  (** outcomes of those solves *)
   solver_unsat : int;
   solver_unknown : int;
-  solver_time_s : float;
-  solver_nodes : int;
-  cache_hits : int;
-  cache_misses : int;
+  cache_hits : int;  (** cached attempts, 0 when the cache was off *)
+  cache_misses : int;  (** uncached attempts, 0 when the cache was off *)
   cache_evictions : int;
   lineage : lineage_node list;  (** ascending test id *)
   branches : branch_stat list;  (** ascending branch id *)

@@ -3,7 +3,7 @@
    construction with [active ()]) unconditionally on hot paths.
 
    Emission is domain-safe: campaign worker domains emit concurrently
-   (solver calls, worker/cache events), so the actual write is serialized
+   (each simulated run's scheduler events), so the actual write is serialized
    under a mutex — one event is always one whole line, never interleaved
    bytes. The unlocked [is_active] fast path stays a single ref read. *)
 

@@ -77,7 +77,6 @@ let key ~domains cs =
   key_sorted ~domains ~vars:(Varid.Set.elements vars)
     ~hashes:(List.map Constr.hash kconstrs) kconstrs
 
-let key_size k = List.length k.kconstrs
 let key_constrs k = k.kconstrs
 
 module Tbl = Hashtbl.Make (struct
@@ -142,8 +141,6 @@ let create ?(capacity = default_capacity) () =
     evictions = 0;
   }
 
-let nshards t = Array.length t.shards
-
 let shard_of t k = t.shards.(k.khash land t.mask)
 
 let entries t =
@@ -162,10 +159,6 @@ let find t k =
   | None ->
     t.misses <- t.misses + 1;
     Obs.Metrics.incr m_misses);
-  if Obs.Sink.active () then
-    Obs.Sink.emit
-      (Obs.Event.Cache_lookup
-         { hit = r <> None; constraints = key_size k; entries = entries t });
   r
 
 let add t k outcome =

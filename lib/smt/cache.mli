@@ -10,9 +10,11 @@
     re-explored after a restart hit.
 
     Probes and insertions feed the [cache.hits]/[cache.misses]/
-    [cache.evictions] counters, the [cache.entries]/[cache.shards]/
-    [cache.shard_entries.max] gauges, and — when a sink is active — the
-    [cache_lookup]/[cache_evict] events.
+    [cache.evictions] counters and the [cache.entries]/[cache.shards]/
+    [cache.shard_entries.max] gauges; an eviction emits a [cache_evict]
+    event when a sink is active. The trace records each probe's outcome
+    in the campaign's [lineage_negation] event (its [cached] flag), not
+    here.
 
     The table is split into hash-indexed shards and is lock-free:
     [find]/[add] take no mutex at all. The pipelined campaign engine is
@@ -44,9 +46,6 @@ val key_sorted :
     each element of [cs] in the same order, and [vars] the variables
     [cs] mentions in ascending order. Nothing is sorted or re-hashed. *)
 
-val key_size : key -> int
-(** Number of distinct constraints under the key. *)
-
 val key_constrs : key -> Constr.t list
 (** The canonical (sorted, deduplicated) constraint set under the key —
     exactly the closure a canonical solve of this key's problem runs
@@ -60,12 +59,8 @@ val default_capacity : int
 
 val create : ?capacity:int -> unit -> t
 
-val nshards : t -> int
-(** Number of shards the capacity was split into. *)
-
 val find : t -> key -> outcome option
-(** Counts a hit or a miss, and emits a [cache_lookup] event when a sink
-    is active. *)
+(** Counts a hit or a miss in {!stats} and the [cache.*] metrics. *)
 
 val add : t -> key -> outcome -> unit
 (** First verdict wins: re-adding an existing key is a no-op. At shard

@@ -214,54 +214,25 @@ let m_unknown = Obs.Metrics.counter "solver.unknown"
 let m_latency = Obs.Metrics.histogram "solver.latency_s"
 let m_nodes = Obs.Metrics.histogram "solver.nodes"
 
-let count_vars cs =
-  Varid.Set.cardinal
-    (List.fold_left (fun acc c -> Varid.Set.union acc (Constr.vars c)) Varid.Set.empty cs)
-
-(* Wrap one solver entry with latency/outcome accounting and, when a
-   trace sink is live, a [Solver_call] event. The timeline span kind is
-   "solver.call", distinct from the campaign's enclosing "solve" phase:
-   the difference between the two is key-construction and bookkeeping
-   overhead around the actual search. *)
-let instrumented ~incremental cs f =
-  let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
+(* Wrap one solver entry with latency/outcome/node accounting in the
+   [solver.*] metrics. The trace records each negation attempt once, in
+   the campaign's [lineage_negation] event, and times the solve in the
+   enclosing "solve" span. *)
+let instrumented f =
   let t0 = Unix.gettimeofday () in
   let nodes = ref 0 in
   let outcome = f nodes in
-  let dt = Unix.gettimeofday () -. t0 in
-  if Obs.Timeline.on () then
-    Obs.Timeline.record ~kind:"solver.call" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
   Obs.Metrics.incr m_calls;
-  Obs.Metrics.observe m_latency dt;
+  Obs.Metrics.observe m_latency (Unix.gettimeofday () -. t0);
   Obs.Metrics.observe_int m_nodes !nodes;
-  let obs_outcome =
-    match outcome with
-    | Sat _ ->
-      Obs.Metrics.incr m_sat;
-      Obs.Event.Sat
-    | Unsat ->
-      Obs.Metrics.incr m_unsat;
-      Obs.Event.Unsat
-    | Unknown ->
-      Obs.Metrics.incr m_unknown;
-      Obs.Event.Unknown
-  in
-  if Obs.Sink.active () then
-    Obs.Sink.emit
-      (Obs.Event.Solver_call
-         {
-           incremental;
-           outcome = obs_outcome;
-           nodes = !nodes;
-           vars = count_vars cs;
-           constraints = List.length cs;
-           time_s = dt;
-         });
+  (match outcome with
+  | Sat _ -> Obs.Metrics.incr m_sat
+  | Unsat -> Obs.Metrics.incr m_unsat
+  | Unknown -> Obs.Metrics.incr m_unknown);
   outcome
 
 let solve ?(budget = default_budget) ?(domains = Varid.Map.empty) ?(prefer = Model.empty) cs =
-  instrumented ~incremental:false cs (fun nodes ->
-      solve_raw ~budget ~domains ~prefer ~nodes cs)
+  instrumented (fun nodes -> solve_raw ~budget ~domains ~prefer ~nodes cs)
 
 type incremental_result = {
   model : Model.t;
@@ -302,8 +273,7 @@ let solve_incremental ?(budget = default_budget) ?(domains = Varid.Map.empty)
      value search (it still anchors the merge and the [changed] diff). *)
   let closure = if canonical then List.sort_uniq Constr.compare closure else closure in
   let prefer = if canonical then Model.empty else prev in
-  instrumented ~incremental:true closure (fun nodes ->
-      solve_raw ~budget ~domains ~prefer ~nodes closure)
+  instrumented (fun nodes -> solve_raw ~budget ~domains ~prefer ~nodes closure)
   |> finish_incremental ~prev ~vars
 
 let solve_prepared ?(budget = default_budget) ?(domains = Varid.Map.empty) ~prev
@@ -312,6 +282,6 @@ let solve_prepared ?(budget = default_budget) ?(domains = Varid.Map.empty) ~prev
      already holds the sorted, deduplicated dependency closure and its
      variable set (e.g. from building a cache key): same verdict, no
      second closure computation or sort. *)
-  instrumented ~incremental:true closure (fun nodes ->
+  instrumented (fun nodes ->
       solve_raw ~budget ~domains ~prefer:Model.empty ~nodes closure)
   |> finish_incremental ~prev ~vars

@@ -52,7 +52,18 @@ let test_resume_equals_uninterrupted () =
   Alcotest.(check string)
     "resumed report equals uninterrupted"
     (Compi.Campaign.coverage_report full)
-    (Compi.Campaign.coverage_report resumed)
+    (Compi.Campaign.coverage_report resumed);
+  (* solver and cache counts are over merged attempts, so the tail the
+     snapshot re-dispatches is counted once *)
+  Alcotest.(check int)
+    "resumed solver calls equal uninterrupted" full.Compi.Campaign.solver_calls
+    resumed.Compi.Campaign.solver_calls;
+  let hits_misses (r : Compi.Campaign.result) =
+    Option.map (fun cs -> (cs.Smt.Cache.hits, cs.Smt.Cache.misses)) r.Compi.Campaign.cache
+  in
+  Alcotest.(check (option (pair int int)))
+    "resumed cache hits and misses equal uninterrupted" (hits_misses full)
+    (hits_misses resumed)
 
 let test_resume_across_job_counts () =
   (* interrupt at jobs=2, resume at jobs=1; compare against an

@@ -624,7 +624,12 @@ let test_report_outputs () =
   Alcotest.(check bool) "curve monotone" true
     (let covs = List.map snd curve in
      List.sort compare covs = covs);
-  let ascii = Compi.Report.ascii_curve r in
+  let ascii =
+    Obs.Fold.ascii_curve
+      (List.map
+         (fun st -> (st.Compi.Driver.iteration, st.Compi.Driver.covered_after))
+         r.Compi.Driver.stats)
+  in
   Alcotest.(check bool) "ascii plot drawn" true (String.length ascii > 100);
   let bugs_csv = Compi.Report.bugs_csv r in
   Alcotest.(check bool) "bug csv mentions abort" true

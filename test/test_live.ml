@@ -42,27 +42,26 @@ let test ?(parent = -1) ?(origin = "seed") ?(branch = -1) ?(index = -1) ?(cached
 
 let pool : Obs.Event.t array =
   [|
-    Campaign_start { target = "toy"; iterations = 40; seed = 7; nprocs = 4 };
+    Campaign_start { target = "toy"; iterations = 40; seed = 7; nprocs = 4; solver_cache = true };
     Campaign_end { iterations_run = 40; covered = 9; reachable = 12; bugs = 1; wall_s = 0.8 };
     test ~covered:3 0;
     test ~parent:0 ~origin:"negated" ~branch:7 ~index:2 ~restarted:true ~covered:5 1;
-    Solver_call
-      { incremental = true; outcome = Obs.Event.Sat; nodes = 10; vars = 3;
-        constraints = 4; time_s = 0.001 };
-    Solver_call
-      { incremental = false; outcome = Obs.Event.Unsat; nodes = 4; vars = 2;
-        constraints = 2; time_s = 0.002 };
-    Solver_call
-      { incremental = false; outcome = Obs.Event.Unknown; nodes = 99; vars = 9;
-        constraints = 9; time_s = 0.1 };
+    Lineage_negation
+      { parent = 1; index = 2; branch = 7; outcome = Obs.Event.Sat; cached = false };
+    Lineage_negation
+      { parent = 0; index = 4; branch = 5; outcome = Obs.Event.Unsat; cached = false };
+    Lineage_negation
+      { parent = 2; index = 0; branch = 11; outcome = Obs.Event.Unknown; cached = false };
     Restart { iteration = 3; reason = "stagnation" };
     summary ~sends:[ 1; 0; 0; 0 ] ();
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 4; rank = 1; kind = "assert"; detail = "boom" };
     test ~parent:1 ~origin:"schedule" ~branch:2 ~index:0 ~covered:6 2;
     test ~origin:"restart" ~covered:7 3;
-    Cache_lookup { hit = true; constraints = 4; entries = 9 };
-    Cache_lookup { hit = false; constraints = 5; entries = 9 };
+    Lineage_negation
+      { parent = 3; index = 1; branch = 5; outcome = Obs.Event.Sat; cached = true };
+    Lineage_negation
+      { parent = 4; index = 2; branch = 13; outcome = Obs.Event.Unsat; cached = false };
     Cache_evict { dropped = 1; entries = 8 };
     Checkpoint_write { iteration = 5; path = "/tmp/c"; bytes = 100 };
     Checkpoint_load { iteration = 5; path = "/tmp/c" };

@@ -73,7 +73,8 @@ let test_json_structures () =
 
 let sample_events : Obs.Event.t list =
   [
-    Campaign_start { target = "toy \"quoted\""; iterations = 200; seed = 42; nprocs = 4 };
+    Campaign_start
+      { target = "toy \"quoted\""; iterations = 200; seed = 42; nprocs = 4; solver_cache = false };
     Campaign_end
       { iterations_run = 200; covered = 17; reachable = 20; bugs = 1; wall_s = 0.125 };
     Compile { target = "toy"; funcs = 3; conds = 7; slots = 12; time_s = 0.0005 };
@@ -113,37 +114,17 @@ let sample_events : Obs.Event.t list =
         exec_s = 6.8e-05;
         solve_s = 0.0;
       };
-    Solver_call
-      {
-        incremental = true;
-        outcome = Obs.Event.Sat;
-        nodes = 128;
-        vars = 6;
-        constraints = 11;
-        time_s = 3.5e-05;
-      };
-    Solver_call
-      {
-        incremental = false;
-        outcome = Obs.Event.Unsat;
-        nodes = 0;
-        vars = 0;
-        constraints = 0;
-        time_s = 0.0;
-      };
-    Solver_call
-      {
-        incremental = false;
-        outcome = Obs.Event.Unknown;
-        nodes = max_int;
-        vars = 1;
-        constraints = 1;
-        time_s = 1.0;
-      };
+    Lineage_negation
+      { parent = 12; index = 4; branch = 35; outcome = Obs.Event.Sat; cached = true };
+    Lineage_negation
+      { parent = 0; index = 0; branch = 0; outcome = Obs.Event.Unsat; cached = true };
+    Lineage_negation
+      { parent = max_int; index = 1; branch = 1; outcome = Obs.Event.Unknown; cached = false };
     Restart { iteration = 50; reason = "stagnation" };
     Sched_deadlock { ranks = [ 0; 1; 3 ] };
     Fault { iteration = 9; rank = 2; kind = "assert"; detail = "x > 0\nline 3" };
-    Cache_lookup { hit = true; constraints = 5; entries = 40 };
+    Lineage_negation
+      { parent = 7; index = 5; branch = 40; outcome = Obs.Event.Sat; cached = false };
     Cache_evict { dropped = 3; entries = 4096 };
     Checkpoint_write { iteration = 60; path = "/tmp/ckpt/campaign.ckpt"; bytes = 8192 };
     Checkpoint_load { iteration = 60; path = "/tmp/ckpt/campaign.ckpt" };
@@ -174,7 +155,7 @@ let test_event_roundtrip () =
   let kinds =
     List.sort_uniq String.compare (List.map Obs.Event.kind_name sample_events)
   in
-  Alcotest.(check int) "all 19 event kinds sampled" 19 (List.length kinds);
+  Alcotest.(check int) "all 17 event kinds sampled" 17 (List.length kinds);
   List.iter
     (fun ev ->
       let wire = Obs.Json.to_string (Obs.Event.to_json ~t:1.25 ev) in

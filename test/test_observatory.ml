@@ -33,6 +33,17 @@ let test_classify_lines () =
   (match Obs.Fold.classify_line "{\"ev\":\"restart\"}" with
   | `Malformed _ -> ()
   | _ -> Alcotest.fail "truncated event not flagged malformed");
+  (* lines of deleted kinds skip like a newer producer's; an old
+     campaign_start without solver_cache is malformed *)
+  (match Obs.Fold.classify_line "{\"ev\":\"cache_lookup\",\"hit\":true}" with
+  | `Unknown "cache_lookup" -> ()
+  | _ -> Alcotest.fail "deleted kind not skipped");
+  (match
+     Obs.Fold.classify_line
+       "{\"ev\":\"campaign_start\",\"target\":\"t\",\"iterations\":1,\"seed\":1,\"nprocs\":1}"
+   with
+  | `Malformed _ -> ()
+  | _ -> Alcotest.fail "campaign_start without solver_cache not flagged malformed");
   match Obs.Fold.classify_line "{not json" with
   | `Malformed _ -> ()
   | _ -> Alcotest.fail "bad JSON not flagged malformed"
@@ -67,7 +78,7 @@ let test_unknown_kinds_counted () =
 
 let all_kind_samples : Obs.Event.t list =
   [
-    Campaign_start { target = "toy"; iterations = 10; seed = 1; nprocs = 4 };
+    Campaign_start { target = "toy"; iterations = 10; seed = 1; nprocs = 4; solver_cache = true };
     Campaign_end { iterations_run = 10; covered = 5; reachable = 8; bugs = 1; wall_s = 0.5 };
     Compile { target = "toy"; funcs = 2; conds = 4; slots = 6; time_s = 0.001 };
     Test
@@ -88,19 +99,11 @@ let all_kind_samples : Obs.Event.t list =
         exec_s = 0.01;
         solve_s = 0.02;
       };
-    Solver_call
-      {
-        incremental = true;
-        outcome = Obs.Event.Sat;
-        nodes = 12;
-        vars = 3;
-        constraints = 4;
-        time_s = 0.001;
-      };
+    Lineage_negation { parent = 1; index = 2; branch = 7; outcome = Obs.Event.Sat; cached = false };
     Restart { iteration = 3; reason = "stagnation" };
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 0; rank = 1; kind = "assert"; detail = "boom" };
-    Cache_lookup { hit = true; constraints = 4; entries = 9 };
+    Lineage_negation { parent = 0; index = 1; branch = 9; outcome = Obs.Event.Unsat; cached = false };
     Cache_evict { dropped = 1; entries = 8 };
     Checkpoint_write { iteration = 5; path = "/tmp/c"; bytes = 100 };
     Checkpoint_load { iteration = 5; path = "/tmp/c" };
@@ -131,8 +134,8 @@ let test_roundtrip_fold_every_kind () =
   Alcotest.(check int) "no skips" 0 (List.length f.Obs.Fold.unknown_kinds);
   Alcotest.(check int) "no malformed" 0 f.Obs.Fold.malformed;
   Alcotest.(check int) "all lines folded" (List.length lines) f.Obs.Fold.events;
-  (* every one of the 19 kinds appears in the census *)
-  Alcotest.(check int) "19 kinds in census" 19 (List.length f.Obs.Fold.census);
+  (* every one of the 17 kinds appears in the census *)
+  Alcotest.(check int) "17 kinds in census" 17 (List.length f.Obs.Fold.census);
   (* spot-check the aggregation paths fed by the new kinds *)
   Alcotest.(check int) "matrix has the matched pair" 1
     (List.length f.Obs.Fold.matrix);
@@ -180,10 +183,11 @@ let heat2d_campaign ~jobs ~iterations =
 
 let campaign_fold ~jobs ~iterations = snd (heat2d_campaign ~jobs ~iterations)
 
-(* wc-race in schedule mode under the target's own tuning, as
-   `compi-cli run --target wc-race --schedules on --seed 1` runs it *)
-let wc_race_campaign ~jobs ~iterations =
-  let t = Targets.Catalog.find_exn "wc-race" in
+(* A target under its own tuning, as `compi-cli run --target NAME --seed
+   SEED` runs it *)
+let tuned_campaign ?(schedules = false) ?(solver_cache = true) ?ledger ~name ~seed ~jobs
+    ~iterations () =
+  let t = Targets.Catalog.find_exn name in
   let tn = t.Targets.Registry.tuning in
   let settings =
     {
@@ -195,14 +199,18 @@ let wc_race_campaign ~jobs ~iterations =
           dfs_phase_iters = tn.Targets.Registry.dfs_phase;
           initial_nprocs = tn.Targets.Registry.initial_nprocs;
           step_limit = tn.Targets.Registry.step_limit;
-          seed = 1;
-          schedules = true;
+          seed;
+          schedules;
         };
       jobs;
+      solver_cache;
+      ledger;
     }
   in
-  traced (fun () ->
-      Compi.Campaign.run ~settings ~label:"wc-race" (Targets.Registry.instrument t))
+  traced (fun () -> Compi.Campaign.run ~settings ~label:name (Targets.Registry.instrument t))
+
+let wc_race_campaign ~jobs ~iterations =
+  tuned_campaign ~schedules:true ~name:"wc-race" ~seed:1 ~jobs ~iterations ()
 
 let test_lineage_invariants () =
   let f = campaign_fold ~jobs:2 ~iterations:25 in
@@ -291,6 +299,60 @@ let test_per_test_census () =
   check "heat2d jobs 1" (heat2d_campaign ~jobs:1 ~iterations:40);
   check "heat2d jobs 2" (heat2d_campaign ~jobs:2 ~iterations:40);
   check "wc-race schedules" (wc_race_campaign ~jobs:1 ~iterations:60)
+
+(* Every solver and cache count is over merged negation attempts, so the
+   run result, the ledger record and the trace fold agree; a candidate
+   dropped at the budget edge shows in none of them. *)
+let test_accounting_views_agree () =
+  let check ~jobs ~solver_cache =
+    let name = Printf.sprintf "jobs %d, cache %b" jobs solver_cache in
+    let ledger = Filename.temp_file "compi-accounting" ".jsonl" in
+    Sys.remove ledger;
+    let r, f =
+      Obs.Timeline.enable ();
+      Fun.protect ~finally:Obs.Timeline.disable (fun () ->
+          tuned_campaign ~solver_cache ~ledger ~name:"susy-hmc" ~seed:2 ~jobs ~iterations:60 ())
+    in
+    let record =
+      match Obs.Ledger.load ledger with
+      | Ok { Obs.Ledger.records = [ rc ]; _ } -> rc
+      | Ok _ -> Alcotest.failf "%s: expected one ledger record" name
+      | Error e -> Alcotest.failf "%s: ledger: %s" name e
+    in
+    Sys.remove ledger;
+    let calls = r.Compi.Campaign.solver_calls in
+    Alcotest.(check int) (name ^ ": fold calls = result") calls f.Obs.Fold.solver_calls;
+    Alcotest.(check int) (name ^ ": ledger calls = result") calls record.Obs.Ledger.solver_calls;
+    Alcotest.(check int) (name ^ ": sat + unsat + unknown = calls") calls
+      (f.Obs.Fold.solver_sat + f.Obs.Fold.solver_unsat + f.Obs.Fold.solver_unknown);
+    let attempts =
+      List.fold_left (fun acc br -> acc + br.Obs.Fold.br_attempts) 0 f.Obs.Fold.branches
+    in
+    (match r.Compi.Campaign.cache with
+    | Some cs ->
+      let hits = cs.Smt.Cache.hits and misses = cs.Smt.Cache.misses in
+      Alcotest.(check int) (name ^ ": fold hits = result") hits f.Obs.Fold.cache_hits;
+      Alcotest.(check int) (name ^ ": fold misses = result") misses f.Obs.Fold.cache_misses;
+      Alcotest.(check int) (name ^ ": ledger hits = result") hits record.Obs.Ledger.cache_hits;
+      Alcotest.(check int) (name ^ ": ledger misses = result") misses
+        record.Obs.Ledger.cache_misses;
+      Alcotest.(check int) (name ^ ": misses = calls") calls misses;
+      Alcotest.(check int) (name ^ ": probes = attempts") attempts (hits + misses)
+    | None ->
+      Alcotest.(check int) (name ^ ": no fold hits") 0 f.Obs.Fold.cache_hits;
+      Alcotest.(check int) (name ^ ": no fold misses") 0 f.Obs.Fold.cache_misses;
+      Alcotest.(check bool) (name ^ ": no cache line") false
+        (contains ~needle:"cache:" (Obs.Fold.to_text f)));
+    let census k = Option.value (List.assoc_opt k f.Obs.Fold.census) ~default:0 in
+    Alcotest.(check int) (name ^ ": no cache_lookup") 0 (census "cache_lookup");
+    Alcotest.(check int) (name ^ ": no solver_call") 0 (census "solver_call");
+    Alcotest.(check bool) (name ^ ": spans recorded") true (f.Obs.Fold.spans <> []);
+    Alcotest.(check bool) (name ^ ": no solver.call span") false
+      (List.exists (fun sp -> sp.Obs.Fold.sp_kind = "solver.call") f.Obs.Fold.spans)
+  in
+  List.iter
+    (fun (jobs, solver_cache) -> check ~jobs ~solver_cache)
+    [ (1, true); (2, true); (1, false); (2, false) ]
 
 (* ------------------------------------------------------------------ *)
 (* deadlock witness: the edges name the wait-for cycle                 *)
@@ -568,6 +630,7 @@ let suite =
         Alcotest.test_case "schedule forks are not branch covers" `Quick
           test_first_test_negated_only;
         Alcotest.test_case "one test event per execution" `Quick test_per_test_census;
+        Alcotest.test_case "solver and cache views agree" `Quick test_accounting_views_agree;
         Alcotest.test_case "deadlock witness cycle" `Quick test_deadlock_witness;
         Alcotest.test_case "collective witness no cycle" `Quick
           test_collective_witness_no_false_cycle;
