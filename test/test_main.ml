@@ -10,6 +10,7 @@ let () =
          Test_minic.suite;
          Test_compile.suite;
          Test_mpisim.suite;
+         Test_matching.suite;
          Test_schedule.suite;
          Test_concolic.suite;
          Test_compi.suite;
