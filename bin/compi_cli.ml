@@ -1299,7 +1299,7 @@ let exec_cmd =
         Compi.Runner.nprocs = Option.value nprocs ~default:4;
         inputs;
         step_limit = t.Targets.Registry.tuning.Targets.Registry.step_limit;
-        on_event = (if trace then Mpisim.Trace.collector tracer else fun _ -> ());
+        on_event = (if trace then Mpisim.Trace.collector tracer else Mpisim.Trace.discard);
       }
     in
     let result =

@@ -57,7 +57,7 @@ let default_config ~info =
     symbolic = true;
     compiled = None;
     schedule = None;
-    on_event = (fun _ -> ());
+    on_event = Mpisim.Trace.discard;
   }
 
 (* Compile the target once, under the "compile" profile phase, so

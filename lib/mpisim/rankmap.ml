@@ -14,7 +14,7 @@ let world_size t = t.nprocs
 let members t ~comm = Hashtbl.find_opt t.comms comm
 let size t ~comm = Option.map Array.length (members t ~comm)
 
-let index_of arr x =
+let index_of (arr : int array) (x : int) =
   let n = Array.length arr in
   let rec go k = if k >= n then None else if arr.(k) = x then Some k else go (k + 1) in
   go 0

@@ -46,6 +46,8 @@ type run_result = {
          the run executed in schedule mode *)
 }
 
+type continuation = (Mpi_iface.reply, step) Effect.Deep.continuation
+
 (* A message sitting in a mailbox. [src_global] is remembered so the
    delivery event can name the sender globally however late the match
    happens. *)
@@ -56,7 +58,7 @@ type pending_recv = {
   recv_rank : int;  (* global *)
   src_filter : int option;
   tag_filter : int option;
-  recv_k : (Mpi_iface.reply, step) Effect.Deep.continuation;
+  recv_k : continuation;
 }
 
 (* Non-blocking request state, per owning rank. Isends complete eagerly
@@ -66,48 +68,95 @@ type nb_status =
   | Nb_recv_posted of { comm : int; local : int; src_filter : int option; tag_filter : int option }
   | Nb_recv_done of Value.t
 
-type nb_table = { mutable next_handle : int; statuses : (int, nb_status) Hashtbl.t }
+module Itbl = Hashtbl.Make (Int)
+
+type nb_table = {
+  mutable next_handle : int;
+  statuses : nb_status Itbl.t;
+  mutable posted : int;  (* [Nb_recv_posted] entries in [statuses] *)
+}
 
 (* A fiber blocked in MPI_Wait. *)
-type pending_wait = {
-  wait_rank : int;
-  wait_handle : int;
-  wait_k : (Mpi_iface.reply, step) Effect.Deep.continuation;
-}
+type pending_wait = { wait_handle : int; wait_k : continuation }
 
 (* One collective in progress on a communicator. *)
 type arrival = {
   arr_local : int;
   arr_rank : int;  (* global *)
   arr_req : Mpi_iface.request;
-  arr_k : (Mpi_iface.reply, step) Effect.Deep.continuation;
+  arr_k : continuation;
 }
 
-type site = { signature : string; mutable arrivals : arrival list }
-
 (* Collectives are compatible only if their signature (operation plus
-   root/op parameters) agrees across participants. *)
+   root/op parameters) agrees across participants. The key is compared
+   structurally; {!signature} renders it for reports and messages. *)
+type coll_key =
+  | K_barrier
+  | K_split
+  | K_bcast of int
+  | K_reduce of Mpi_iface.reduce_op * int
+  | K_allreduce of Mpi_iface.reduce_op
+  | K_gather of int
+  | K_scatter of int
+  | K_allgather
+  | K_alltoall
+
+let coll_key (req : Mpi_iface.request) =
+  match req with
+  | Mpi_iface.Barrier _ -> K_barrier
+  | Mpi_iface.Split _ -> K_split
+  | Mpi_iface.Bcast { root; _ } -> K_bcast root
+  | Mpi_iface.Reduce { op; root; _ } -> K_reduce (op, root)
+  | Mpi_iface.Allreduce { op; _ } -> K_allreduce op
+  | Mpi_iface.Gather { root; _ } -> K_gather root
+  | Mpi_iface.Scatter { root; _ } -> K_scatter root
+  | Mpi_iface.Allgather _ -> K_allgather
+  | Mpi_iface.Alltoall _ -> K_alltoall
+  | Mpi_iface.Rank _ | Mpi_iface.Size _ | Mpi_iface.Send _ | Mpi_iface.Recv _
+  | Mpi_iface.Isend _ | Mpi_iface.Irecv _ | Mpi_iface.Wait _ ->
+    invalid_arg "Scheduler.coll_key: not a collective"
+
+let same_key a b =
+  match (a, b) with
+  | K_barrier, K_barrier | K_split, K_split | K_allgather, K_allgather | K_alltoall, K_alltoall ->
+    true
+  | K_bcast r, K_bcast r' | K_gather r, K_gather r' | K_scatter r, K_scatter r' -> r = r'
+  | K_reduce (op, r), K_reduce (op', r') -> op = op' && r = r'
+  | K_allreduce op, K_allreduce op' -> op = op'
+  | ( ( K_barrier | K_split | K_bcast _ | K_reduce _ | K_allreduce _ | K_gather _ | K_scatter _
+      | K_allgather | K_alltoall ),
+      _ ) ->
+    false
+
 let op_name = function
   | Mpi_iface.Rsum -> "sum"
   | Mpi_iface.Rprod -> "prod"
   | Mpi_iface.Rmax -> "max"
   | Mpi_iface.Rmin -> "min"
 
-let coll_signature (req : Mpi_iface.request) =
-  match req with
-  | Mpi_iface.Barrier _ -> Some "barrier"
-  | Mpi_iface.Split _ -> Some "split"
-  | Mpi_iface.Bcast { root; _ } -> Some (Printf.sprintf "bcast:%d" root)
-  | Mpi_iface.Reduce { op; root; _ } ->
-    Some (Printf.sprintf "reduce:%s:%d" (op_name op) root)
-  | Mpi_iface.Allreduce { op; _ } -> Some (Printf.sprintf "allreduce:%s" (op_name op))
-  | Mpi_iface.Gather { root; _ } -> Some (Printf.sprintf "gather:%d" root)
-  | Mpi_iface.Scatter { root; _ } -> Some (Printf.sprintf "scatter:%d" root)
-  | Mpi_iface.Allgather _ -> Some "allgather"
-  | Mpi_iface.Alltoall _ -> Some "alltoall"
-  | Mpi_iface.Rank _ | Mpi_iface.Size _ | Mpi_iface.Send _ | Mpi_iface.Recv _
-  | Mpi_iface.Isend _ | Mpi_iface.Irecv _ | Mpi_iface.Wait _ ->
-    None
+let signature = function
+  | K_barrier -> "barrier"
+  | K_split -> "split"
+  | K_bcast root -> Printf.sprintf "bcast:%d" root
+  | K_reduce (op, root) -> Printf.sprintf "reduce:%s:%d" (op_name op) root
+  | K_allreduce op -> Printf.sprintf "allreduce:%s" (op_name op)
+  | K_gather root -> Printf.sprintf "gather:%d" root
+  | K_scatter root -> Printf.sprintf "scatter:%d" root
+  | K_allgather -> "allgather"
+  | K_alltoall -> "alltoall"
+
+type site = { key : coll_key; mutable arrived : int; mutable arrivals : arrival list }
+
+(* Matching state of one communicator, built from the registry on its
+   first request and indexed by local rank. *)
+type comm_state = {
+  handle : int;
+  members : int array;  (* global ranks in local order *)
+  local_of : int array;  (* global rank -> local rank, -1 for non-members *)
+  mailboxes : message Queue.t array;  (* per destination *)
+  pending : pending_recv option array;  (* the blocked Recv of each member *)
+  mutable site : site option;  (* the collective in progress *)
+}
 
 let mpi_fault message = Fault.Fault (Fault.Mpi_error { message; func = "<mpi>" })
 
@@ -130,20 +179,30 @@ type tally = {
   t_coll_sigs : (int * string, int) Hashtbl.t;
 }
 
+(* What the run queue resumes next. *)
+type task =
+  | Start of int
+  | Continue of int * continuation * Mpi_iface.reply
+  | Crash of int * continuation * string
+
 type sched = {
   nprocs : int;
   registry : Rankmap.t;
   results : (unit, Fault.t) result option array;
-  runq : (int * (unit -> step)) Queue.t;
-  mailboxes : (int * int, message Queue.t) Hashtbl.t;  (* (comm, dest local) *)
-  pending_recvs : (int * int, pending_recv) Hashtbl.t;  (* (comm, local) *)
-  sites : (int, site) Hashtbl.t;  (* per communicator *)
+  runq : task Queue.t;
+  mutable comms : comm_state option array;  (* by handle *)
   nb_tables : nb_table array;  (* per global rank *)
-  pending_waits : (int, pending_wait) Hashtbl.t;  (* per waiting rank *)
+  waits : pending_wait option array;  (* per global rank *)
   on_event : Trace.event -> unit;
+  observe : bool;
+      (* [on_event] is not {!Trace.discard}. Every observable occurrence
+         goes to [on_event], built only when [observe] holds; the
+         telemetry sink sees only the per-run summary and the deadlock
+         and schedule-choice events, which stay per occurrence. *)
   tally : tally option;
   mutable deadlocked : int list;
   mutable msg_count : int;
+  mutable coll_count : int;
   lazy_wildcards : bool;
       (* schedule mode: wildcard-source receives never match eagerly;
          they are served one per quiescent round by [serve_choice] *)
@@ -151,11 +210,6 @@ type sched = {
   mutable choices_rev : Schedule.choice list;
   mutable choice_points : int;
 }
-
-(* Every observable scheduler occurrence goes to the caller's collector;
-   the telemetry sink sees only the per-run summary and the deadlock and
-   schedule-choice events, which stay per occurrence. *)
-let notify s ev = s.on_event ev
 
 (* [count s field i] adds one to cell [i] of a tally array; a no-op,
    allocating nothing, when no sink was writing at run start. *)
@@ -174,17 +228,17 @@ let matrix t = t.t_matrix
 (* A point-to-point message was delivered: global sender to receiver. *)
 let delivered s ~src ~dst ~comm ~tag =
   count s matrix ((src * s.nprocs) + dst);
-  notify s (Trace.Matched { src; dst; comm; tag })
+  if s.observe then s.on_event (Trace.Matched { src; dst; comm; tag })
 
 (* A blocking receive completed on global [rank], fed by [src_local]. *)
 let recv_completed s ~rank ~src_local ~src ~comm ~tag =
   count s recvs rank;
-  notify s (Trace.Recv_matched { rank; src_local; tag; comm });
+  if s.observe then s.on_event (Trace.Recv_matched { rank; src_local; tag; comm });
   delivered s ~src ~dst:rank ~comm ~tag
 
 let blocked s ~rank ~comm ~kind ~peer =
   count s blocks rank;
-  notify s (Trace.Blocked { rank; comm; kind; peer })
+  if s.observe then s.on_event (Trace.Blocked { rank; comm; kind; peer })
 
 let summary_event s t =
   Obs.Event.Mpi_summary
@@ -201,42 +255,68 @@ let summary_event s t =
         |> List.sort compare;
     }
 
-let resume s rank k reply = Queue.push (rank, fun () -> Effect.Deep.continue k reply) s.runq
+let resume s rank k reply = Queue.push (Continue (rank, k, reply)) s.runq
+let crash s rank k message = Queue.push (Crash (rank, k, message)) s.runq
 
-let crash s rank k message =
-  Queue.push (rank, fun () -> Effect.Deep.discontinue k (mpi_fault message)) s.runq
-
-let mailbox s key =
-  match Hashtbl.find_opt s.mailboxes key with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.replace s.mailboxes key q;
-    q
+(* The matching state of [comm], built on first use; [None] when the
+   registry does not know the handle. *)
+let comm_state s comm =
+  let known = if comm >= 0 && comm < Array.length s.comms then s.comms.(comm) else None in
+  match known with
+  | Some _ -> known
+  | None -> (
+    match Rankmap.members s.registry ~comm with
+    | None -> None
+    | Some members ->
+      let size = Array.length members in
+      let local_of = Array.make s.nprocs (-1) in
+      Array.iteri (fun local g -> local_of.(g) <- local) members;
+      let c =
+        Some
+          {
+            handle = comm;
+            members;
+            local_of;
+            mailboxes = Array.init size (fun _ -> Queue.create ());
+            pending = Array.make size None;
+            site = None;
+          }
+      in
+      if comm >= Array.length s.comms then begin
+        let grown = Array.make (max (comm + 1) (2 * Array.length s.comms)) None in
+        Array.blit s.comms 0 grown 0 (Array.length s.comms);
+        s.comms <- grown
+      end;
+      s.comms.(comm) <- c;
+      c)
 
 let matches ~src_filter ~tag_filter (m : message) =
   (match src_filter with Some src -> src = m.src_local | None -> true)
   && match tag_filter with Some tag -> tag = m.tag | None -> true
 
-(* Pull the first matching message out of a mailbox, preserving order. *)
+(* Pull the first matching message out of a mailbox, preserving order.
+   A match at the head pops it; any other match rebuilds the queue. *)
 let take_matching q ~src_filter ~tag_filter =
-  let rec go acc =
-    if Queue.is_empty q then begin
-      List.iter (fun m -> Queue.push m q) (List.rev acc);
-      None
-    end
-    else
-      let m = Queue.pop q in
-      if matches ~src_filter ~tag_filter m then begin
-        (* put the skipped prefix back in front *)
-        let rest = List.of_seq (Queue.to_seq q) in
-        Queue.clear q;
-        List.iter (fun x -> Queue.push x q) (List.rev_append acc rest);
-        Some m
+  if Queue.is_empty q then None
+  else if matches ~src_filter ~tag_filter (Queue.peek q) then Some (Queue.pop q)
+  else
+    let rec go acc =
+      if Queue.is_empty q then begin
+        List.iter (fun m -> Queue.push m q) (List.rev acc);
+        None
       end
-      else go (m :: acc)
-  in
-  go []
+      else
+        let m = Queue.pop q in
+        if matches ~src_filter ~tag_filter m then begin
+          (* put the skipped prefix back in front *)
+          let rest = List.of_seq (Queue.to_seq q) in
+          Queue.clear q;
+          List.iter (fun x -> Queue.push x q) (List.rev_append acc rest);
+          Some m
+        end
+        else go (m :: acc)
+    in
+    go []
 
 (* ------------------------------------------------------------------ *)
 (* Collective completion                                               *)
@@ -260,23 +340,25 @@ let payload_of_arrival (a : arrival) =
 let crash_all s arrivals message =
   List.iter (fun a -> crash s a.arr_rank a.arr_k message) arrivals
 
-let complete_collective s comm (site : site) =
-  Obs.Metrics.incr m_collectives;
+let complete_collective s (c : comm_state) (site : site) =
+  s.coll_count <- s.coll_count + 1;
+  let comm = c.handle in
   let arrivals = List.sort (fun a b -> Int.compare a.arr_local b.arr_local) site.arrivals in
   (match s.tally with
   | Some t ->
     List.iter (fun a -> t.t_colls.(a.arr_rank) <- t.t_colls.(a.arr_rank) + 1) arrivals;
-    let key = (comm, site.signature) in
+    let key = (comm, signature site.key) in
     Hashtbl.replace t.t_coll_sigs key
       (1 + Option.value (Hashtbl.find_opt t.t_coll_sigs key) ~default:0)
   | None -> ());
-  notify s
-    (Trace.Collective
-       {
-         comm;
-         signature = site.signature;
-         ranks = List.map (fun a -> a.arr_rank) arrivals;
-       });
+  if s.observe then
+    s.on_event
+      (Trace.Collective
+         {
+           comm;
+           signature = signature site.key;
+           ranks = List.map (fun a -> a.arr_rank) arrivals;
+         });
   let payloads () = List.map (fun a -> Option.get (payload_of_arrival a)) arrivals in
   let reply_each f = List.iter (fun a -> resume s a.arr_rank a.arr_k (f a)) arrivals in
   let reply_root root make_root_reply =
@@ -364,31 +446,34 @@ let complete_collective s comm (site : site) =
 let fresh_handle table status =
   let h = table.next_handle in
   table.next_handle <- h + 1;
-  Hashtbl.replace table.statuses h status;
+  Itbl.replace table.statuses h status;
+  (match status with
+  | Nb_recv_posted _ -> table.posted <- table.posted + 1
+  | Nb_send_done | Nb_recv_done _ -> ());
   h
 
 (* Complete a posted receive on [rank]; wake its waiter if any. *)
 let complete_posted s ~rank ~handle ~data =
-  Hashtbl.replace s.nb_tables.(rank).statuses handle (Nb_recv_done data);
-  match Hashtbl.find_opt s.pending_waits rank with
+  let table = s.nb_tables.(rank) in
+  Itbl.replace table.statuses handle (Nb_recv_done data);
+  table.posted <- table.posted - 1;
+  match s.waits.(rank) with
   | Some w when w.wait_handle = handle ->
-    Hashtbl.remove s.pending_waits rank;
-    Hashtbl.remove s.nb_tables.(rank).statuses handle;
+    s.waits.(rank) <- None;
+    Itbl.remove table.statuses handle;
     resume s rank w.wait_k (Mpi_iface.Rvalue data)
   | Some _ | None -> ()
 
 (* Earliest matching posted receive of the destination, if any. *)
 let find_posted s ~dest_rank ~comm ~dest_local (m : message) =
-  let best = ref None in
-  Hashtbl.iter
+  let best = ref (-1) in
+  Itbl.iter
     (fun handle status ->
       match status with
       | Nb_recv_posted p
         when p.comm = comm && p.local = dest_local
-             && matches ~src_filter:p.src_filter ~tag_filter:p.tag_filter m -> (
-        match !best with
-        | Some h when h <= handle -> ()
-        | Some _ | None -> best := Some handle)
+             && matches ~src_filter:p.src_filter ~tag_filter:p.tag_filter m ->
+        if !best < 0 || handle < !best then best := handle
       | Nb_recv_posted _ | Nb_send_done | Nb_recv_done _ -> ())
     s.nb_tables.(dest_rank).statuses;
   !best
@@ -417,164 +502,179 @@ let comm_of_request (req : Mpi_iface.request) =
     comm
   | Mpi_iface.Wait _ -> Mpi_iface.world
 
-let handle_request s rank req k =
-  let comm = comm_of_request req in
-  match Rankmap.local_rank s.registry ~comm ~global:rank with
-  | None ->
-    crash s rank k
-      (Printf.sprintf "%s on communicator %d which rank %d does not belong to"
-         (Mpi_iface.request_name req) comm rank)
-  | Some my_local -> (
-    match req with
-    | Mpi_iface.Rank _ -> resume s rank k (Mpi_iface.Rint my_local)
-    | Mpi_iface.Size _ ->
-      resume s rank k
-        (Mpi_iface.Rint (Option.get (Rankmap.size s.registry ~comm)))
-    | Mpi_iface.Send { dest; tag; data; _ } | Mpi_iface.Isend { dest; tag; data; _ } -> (
-      let size = Option.get (Rankmap.size s.registry ~comm) in
-      if dest < 0 || dest >= size then
-        crash s rank k (Printf.sprintf "send to invalid rank %d (size %d)" dest size)
-      else begin
-        let msg = { src_local = my_local; src_global = rank; tag; data } in
-        s.msg_count <- s.msg_count + 1;
-        Obs.Metrics.incr m_messages;
-        count s sends rank;
-        notify s (Trace.Send { from_rank = rank; to_local = dest; comm; tag });
-        (* matching priority: a blocked Recv first, then posted Irecvs in
-           post order, then the mailbox. (Strict MPI interleaves blocked
-           and posted receives by posting time; a blocked receive and an
-           overlapping outstanding Irecv on one process is already
-           ambiguous code, so the simpler rule is acceptable here.) *)
-        (match Hashtbl.find_opt s.pending_recvs (comm, dest) with
-        | Some pr
-          when matches ~src_filter:pr.src_filter ~tag_filter:pr.tag_filter msg
-               && not (s.lazy_wildcards && pr.src_filter = None) ->
-          Hashtbl.remove s.pending_recvs (comm, dest);
-          recv_completed s ~rank:pr.recv_rank ~src_local:my_local ~src:rank ~comm ~tag;
-          resume s pr.recv_rank pr.recv_k (Mpi_iface.Rvalue data)
-        | Some _ | None -> (
-          let dest_rank = Option.get (Rankmap.global_of_local s.registry ~comm ~local:dest) in
-          match find_posted s ~dest_rank ~comm ~dest_local:dest msg with
-          | Some handle ->
-            delivered s ~src:rank ~dst:dest_rank ~comm ~tag;
-            complete_posted s ~rank:dest_rank ~handle ~data
-          | None -> Queue.push msg (mailbox s (comm, dest))));
-        match req with
-        | Mpi_iface.Isend _ ->
-          let handle = fresh_handle s.nb_tables.(rank) Nb_send_done in
-          resume s rank k (Mpi_iface.Rint handle)
-        | _ -> resume s rank k Mpi_iface.Runit
-      end)
-    | Mpi_iface.Irecv { src; tag; _ } -> (
-      let table = s.nb_tables.(rank) in
-      match take_matching (mailbox s (comm, my_local)) ~src_filter:src ~tag_filter:tag with
-      | Some m ->
-        delivered s ~src:m.src_global ~dst:rank ~comm ~tag:m.tag;
-        let handle = fresh_handle table (Nb_recv_done m.data) in
-        resume s rank k (Mpi_iface.Rint handle)
-      | None ->
-        let handle =
-          fresh_handle table
-            (Nb_recv_posted { comm; local = my_local; src_filter = src; tag_filter = tag })
-        in
-        resume s rank k (Mpi_iface.Rint handle))
-    | Mpi_iface.Wait handle -> (
-      let table = s.nb_tables.(rank) in
-      match Hashtbl.find_opt table.statuses handle with
-      | None -> crash s rank k (Printf.sprintf "wait on unknown request %d" handle)
-      | Some Nb_send_done ->
-        Hashtbl.remove table.statuses handle;
-        resume s rank k Mpi_iface.Runit
-      | Some (Nb_recv_done data) ->
-        Hashtbl.remove table.statuses handle;
-        resume s rank k (Mpi_iface.Rvalue data)
-      | Some (Nb_recv_posted p) ->
-        if Hashtbl.mem s.pending_waits rank then
-          crash s rank k "second simultaneous wait on one process"
-        else begin
-          let peer =
-            match p.src_filter with
-            | Some sl ->
-              Option.value
-                (Rankmap.global_of_local s.registry ~comm:p.comm ~local:sl)
-                ~default:(-1)
-            | None -> -1
-          in
-          blocked s ~rank ~comm:p.comm ~kind:"wait" ~peer;
-          Hashtbl.replace s.pending_waits rank
-            { wait_rank = rank; wait_handle = handle; wait_k = k }
-        end)
-    | Mpi_iface.Recv { src; tag; _ } -> (
-      (match src with
-      | Some sl ->
-        let size = Option.get (Rankmap.size s.registry ~comm) in
-        if sl < 0 || sl >= size then
-          crash s rank k (Printf.sprintf "recv from invalid rank %d (size %d)" sl size)
-      | None -> ());
-      let eager =
-        (* schedule mode defers every wildcard-source match to the
-           quiescence server, even when the mailbox could satisfy it now *)
-        if s.lazy_wildcards && src = None then None
-        else take_matching (mailbox s (comm, my_local)) ~src_filter:src ~tag_filter:tag
+let is_wildcard pr = match pr.src_filter with None -> true | Some _ -> false
+
+(* The global rank behind local source [src] of [c], -1 when unknown. *)
+let peer_of (c : comm_state) = function
+  | Some sl when sl >= 0 && sl < Array.length c.members -> c.members.(sl)
+  | Some _ | None -> -1
+
+let send s (c : comm_state) rank my_local ~dest ~tag ~data =
+  let msg = { src_local = my_local; src_global = rank; tag; data } in
+  let comm = c.handle in
+  s.msg_count <- s.msg_count + 1;
+  count s sends rank;
+  if s.observe then s.on_event (Trace.Send { from_rank = rank; to_local = dest; comm; tag });
+  (* matching priority: a blocked Recv first, then posted Irecvs in
+     post order, then the mailbox. (Strict MPI interleaves blocked
+     and posted receives by posting time; a blocked receive and an
+     overlapping outstanding Irecv on one process is already
+     ambiguous code, so the simpler rule is acceptable here.) *)
+  match c.pending.(dest) with
+  | Some pr
+    when matches ~src_filter:pr.src_filter ~tag_filter:pr.tag_filter msg
+         && not (s.lazy_wildcards && is_wildcard pr) ->
+    c.pending.(dest) <- None;
+    recv_completed s ~rank:pr.recv_rank ~src_local:my_local ~src:rank ~comm ~tag;
+    resume s pr.recv_rank pr.recv_k (Mpi_iface.Rvalue data)
+  | Some _ | None ->
+    let dest_rank = c.members.(dest) in
+    let handle =
+      if s.nb_tables.(dest_rank).posted = 0 then -1
+      else find_posted s ~dest_rank ~comm ~dest_local:dest msg
+    in
+    if handle >= 0 then begin
+      delivered s ~src:rank ~dst:dest_rank ~comm ~tag;
+      complete_posted s ~rank:dest_rank ~handle ~data
+    end
+    else Queue.push msg c.mailboxes.(dest)
+
+let recv s (c : comm_state) rank my_local ~src ~tag k =
+  let comm = c.handle in
+  let eager =
+    (* schedule mode defers every wildcard-source match to the
+       quiescence server, even when the mailbox could satisfy it now *)
+    if s.lazy_wildcards && Option.is_none src then None
+    else take_matching c.mailboxes.(my_local) ~src_filter:src ~tag_filter:tag
+  in
+  match eager with
+  | Some m ->
+    recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
+    resume s rank k (Mpi_iface.Rvalue m.data)
+  | None -> (
+    match c.pending.(my_local) with
+    | Some _ -> crash s rank k "second simultaneous recv on one process"
+    | None ->
+      blocked s ~rank ~comm ~kind:"recv" ~peer:(peer_of c src);
+      c.pending.(my_local) <-
+        Some { recv_rank = rank; src_filter = src; tag_filter = tag; recv_k = k })
+
+let wait s rank handle k =
+  let table = s.nb_tables.(rank) in
+  match Itbl.find_opt table.statuses handle with
+  | None -> crash s rank k (Printf.sprintf "wait on unknown request %d" handle)
+  | Some Nb_send_done ->
+    Itbl.remove table.statuses handle;
+    resume s rank k Mpi_iface.Runit
+  | Some (Nb_recv_done data) ->
+    Itbl.remove table.statuses handle;
+    resume s rank k (Mpi_iface.Rvalue data)
+  | Some (Nb_recv_posted p) ->
+    if Option.is_some s.waits.(rank) then crash s rank k "second simultaneous wait on one process"
+    else begin
+      let peer =
+        match comm_state s p.comm with Some c -> peer_of c p.src_filter | None -> -1
       in
-      match eager with
-      | Some m ->
-        recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
-        resume s rank k (Mpi_iface.Rvalue m.data)
-      | None ->
-        if Hashtbl.mem s.pending_recvs (comm, my_local) then
-          crash s rank k "second simultaneous recv on one process"
-        else begin
-          let peer =
-            match src with
-            | Some sl ->
-              Option.value (Rankmap.global_of_local s.registry ~comm ~local:sl)
-                ~default:(-1)
-            | None -> -1
-          in
-          blocked s ~rank ~comm ~kind:"recv" ~peer;
-          Hashtbl.replace s.pending_recvs (comm, my_local)
-            { recv_rank = rank; src_filter = src; tag_filter = tag; recv_k = k }
-        end)
-    | Mpi_iface.Barrier _ | Mpi_iface.Split _ | Mpi_iface.Bcast _ | Mpi_iface.Reduce _
-    | Mpi_iface.Allreduce _ | Mpi_iface.Gather _ | Mpi_iface.Scatter _
-    | Mpi_iface.Allgather _ | Mpi_iface.Alltoall _ -> (
-      let signature = Option.get (coll_signature req) in
-      let arrival = { arr_local = my_local; arr_rank = rank; arr_req = req; arr_k = k } in
-      let size = Option.get (Rankmap.size s.registry ~comm) in
-      match Hashtbl.find_opt s.sites comm with
-      | Some site when site.signature <> signature ->
-        crash s rank k
-          (Printf.sprintf "collective mismatch on communicator %d: %s vs %s" comm
-             site.signature signature)
-      | Some site ->
-        site.arrivals <- arrival :: site.arrivals;
-        if List.length site.arrivals = size then begin
-          Hashtbl.remove s.sites comm;
-          complete_collective s comm site
-        end
-        else blocked s ~rank ~comm ~kind:"collective" ~peer:(-1)
-      | None ->
-        if size = 1 then
-          complete_collective s comm { signature; arrivals = [ arrival ] }
-        else begin
-          blocked s ~rank ~comm ~kind:"collective" ~peer:(-1);
-          Hashtbl.replace s.sites comm { signature; arrivals = [ arrival ] }
-        end))
+      blocked s ~rank ~comm:p.comm ~kind:"wait" ~peer;
+      s.waits.(rank) <- Some { wait_handle = handle; wait_k = k }
+    end
+
+let arrive s (c : comm_state) rank my_local req k =
+  let key = coll_key req in
+  let arrival = { arr_local = my_local; arr_rank = rank; arr_req = req; arr_k = k } in
+  let size = Array.length c.members in
+  match c.site with
+  | Some site when not (same_key site.key key) ->
+    crash s rank k
+      (Printf.sprintf "collective mismatch on communicator %d: %s vs %s" c.handle
+         (signature site.key) (signature key))
+  | Some site ->
+    site.arrivals <- arrival :: site.arrivals;
+    site.arrived <- site.arrived + 1;
+    if site.arrived = size then begin
+      c.site <- None;
+      complete_collective s c site
+    end
+    else blocked s ~rank ~comm:c.handle ~kind:"collective" ~peer:(-1)
+  | None ->
+    let site = { key; arrived = 1; arrivals = [ arrival ] } in
+    if size = 1 then complete_collective s c site
+    else begin
+      blocked s ~rank ~comm:c.handle ~kind:"collective" ~peer:(-1);
+      c.site <- Some site
+    end
+
+(* A request on [c] from its member [rank], local rank [my_local]. *)
+let member_request s (c : comm_state) rank my_local req k =
+  let comm = c.handle in
+  match req with
+  | Mpi_iface.Rank _ -> resume s rank k (Mpi_iface.Rint my_local)
+  | Mpi_iface.Size _ -> resume s rank k (Mpi_iface.Rint (Array.length c.members))
+  | Mpi_iface.Send { dest; tag; data; _ } | Mpi_iface.Isend { dest; tag; data; _ } -> (
+    let size = Array.length c.members in
+    if dest < 0 || dest >= size then
+      crash s rank k (Printf.sprintf "send to invalid rank %d (size %d)" dest size)
+    else begin
+      send s c rank my_local ~dest ~tag ~data;
+      match req with
+      | Mpi_iface.Isend _ ->
+        resume s rank k (Mpi_iface.Rint (fresh_handle s.nb_tables.(rank) Nb_send_done))
+      | _ -> resume s rank k Mpi_iface.Runit
+    end)
+  | Mpi_iface.Irecv { src; tag; _ } -> (
+    let table = s.nb_tables.(rank) in
+    match take_matching c.mailboxes.(my_local) ~src_filter:src ~tag_filter:tag with
+    | Some m ->
+      delivered s ~src:m.src_global ~dst:rank ~comm ~tag:m.tag;
+      resume s rank k (Mpi_iface.Rint (fresh_handle table (Nb_recv_done m.data)))
+    | None ->
+      let handle =
+        fresh_handle table
+          (Nb_recv_posted { comm; local = my_local; src_filter = src; tag_filter = tag })
+      in
+      resume s rank k (Mpi_iface.Rint handle))
+  | Mpi_iface.Recv { src = Some sl; _ } when sl < 0 || sl >= Array.length c.members ->
+    crash s rank k
+      (Printf.sprintf "recv from invalid rank %d (size %d)" sl (Array.length c.members))
+  | Mpi_iface.Recv { src; tag; _ } -> recv s c rank my_local ~src ~tag k
+  | Mpi_iface.Barrier _ | Mpi_iface.Split _ | Mpi_iface.Bcast _ | Mpi_iface.Reduce _
+  | Mpi_iface.Allreduce _ | Mpi_iface.Gather _ | Mpi_iface.Scatter _
+  | Mpi_iface.Allgather _ | Mpi_iface.Alltoall _ ->
+    arrive s c rank my_local req k
+  | Mpi_iface.Wait _ -> assert false
+
+let handle_request s rank req k =
+  match req with
+  | Mpi_iface.Wait handle -> wait s rank handle k
+  | _ -> (
+    let comm = comm_of_request req in
+    match comm_state s comm with
+    | Some c when c.local_of.(rank) >= 0 -> member_request s c rank c.local_of.(rank) req k
+    | Some _ | None ->
+      crash s rank k
+        (Printf.sprintf "%s on communicator %d which rank %d does not belong to"
+           (Mpi_iface.request_name req) comm rank))
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let drain s =
+let advance s rank = function
+  | Done r ->
+    if s.observe then s.on_event (Trace.Finished { rank; ok = Result.is_ok r });
+    s.results.(rank) <- Some r
+  | Paused (req, k) -> handle_request s rank req k
+
+let drain s body =
   while not (Queue.is_empty s.runq) do
-    let rank, thunk = Queue.pop s.runq in
-    match thunk () with
-    | Done r ->
-      notify s (Trace.Finished { rank; ok = Result.is_ok r });
-      s.results.(rank) <- Some r
-    | Paused (req, k) -> handle_request s rank req k
+    match Queue.pop s.runq with
+    | Start rank -> advance s rank (start_fiber (fun () -> body ~rank ~mpi:mpi_handler))
+    | Continue (rank, k, reply) -> advance s rank (Effect.Deep.continue k reply)
+    | Crash (rank, k, message) -> advance s rank (Effect.Deep.discontinue k (mpi_fault message))
   done
+
+(* Every communicator built so far, in handle order. *)
+let iter_comms s f = Array.iter (function Some c -> f c | None -> ()) s.comms
 
 (* Schedule mode: serve one wildcard match decision at quiescence.
 
@@ -592,31 +692,31 @@ let serve_choice s =
   s.lazy_wildcards
   &&
   let best = ref None in
-  Hashtbl.iter
-    (fun (comm, local) pr ->
-      if pr.src_filter = None then begin
-        let sources =
-          Queue.fold
-            (fun acc (m : message) ->
-              if
-                matches ~src_filter:None ~tag_filter:pr.tag_filter m
-                && not (List.mem m.src_local acc)
-              then m.src_local :: acc
-              else acc)
-            []
-            (mailbox s (comm, local))
-        in
-        if sources <> [] then
-          match !best with
-          | Some (r, _, _, _, _) when r <= pr.recv_rank -> ()
-          | Some _ | None ->
-            best := Some (pr.recv_rank, comm, local, pr, List.sort Int.compare sources)
-      end)
-    s.pending_recvs;
+  iter_comms s (fun c ->
+      Array.iteri
+        (fun local -> function
+          | Some pr when is_wildcard pr ->
+            let sources =
+              Queue.fold
+                (fun acc (m : message) ->
+                  if
+                    matches ~src_filter:None ~tag_filter:pr.tag_filter m
+                    && not (List.mem m.src_local acc)
+                  then m.src_local :: acc
+                  else acc)
+                [] c.mailboxes.(local)
+            in
+            if sources <> [] then (
+              match !best with
+              | Some (_, _, best_pr, _) when best_pr.recv_rank <= pr.recv_rank -> ()
+              | Some _ | None -> best := Some (c, local, pr, List.sort Int.compare sources))
+          | Some _ | None -> ())
+        c.pending);
   match !best with
   | None -> false
-  | Some (rank, comm, local, pr, alts) ->
-    let q = mailbox s (comm, local) in
+  | Some (c, local, pr, alts) ->
+    let rank = pr.recv_rank and comm = c.handle in
+    let q = c.mailboxes.(local) in
     let default () =
       let found = ref None in
       Queue.iter
@@ -636,7 +736,7 @@ let serve_choice s =
     let m =
       Option.get (take_matching q ~src_filter:(Some chosen) ~tag_filter:pr.tag_filter)
     in
-    Hashtbl.remove s.pending_recvs (comm, local);
+    c.pending.(local) <- None;
     let point = s.choice_points in
     s.choice_points <- point + 1;
     s.choices_rev <-
@@ -648,7 +748,8 @@ let serve_choice s =
         ch_alts = alts;
       }
       :: s.choices_rev;
-    notify s (Trace.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
+    if s.observe then
+      s.on_event (Trace.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
     if Obs.Sink.active () then
       Obs.Sink.emit (Obs.Event.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
     recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
@@ -657,77 +758,79 @@ let serve_choice s =
 
 (* Terminate every blocked fiber with a deadlock fault and record it,
    first emitting one wait-for witness edge per blocked dependency so
-   the trace names the cycle, not just the stuck ranks. *)
+   the trace names the cycle, not just the stuck ranks. Blocked ranks
+   are listed and crashed in ascending global rank order. *)
 let break_deadlock s =
   let blocked = ref [] in
   let edges = ref [] in
   let edge ~rank ~comm ~kind ~peer = edges := (rank, kind, peer, comm) :: !edges in
-  let global_peer ~comm = function
-    | Some sl ->
-      Option.value (Rankmap.global_of_local s.registry ~comm ~local:sl) ~default:(-1)
-    | None -> -1
-  in
-  Hashtbl.iter
-    (fun (comm, _) pr ->
-      edge ~rank:pr.recv_rank ~comm ~kind:"recv" ~peer:(global_peer ~comm pr.src_filter);
-      blocked := (pr.recv_rank, pr.recv_k) :: !blocked)
-    s.pending_recvs;
-  Hashtbl.reset s.pending_recvs;
-  Hashtbl.iter
-    (fun _ w ->
-      (match Hashtbl.find_opt s.nb_tables.(w.wait_rank).statuses w.wait_handle with
-      | Some (Nb_recv_posted p) ->
-        edge ~rank:w.wait_rank ~comm:p.comm ~kind:"wait"
-          ~peer:(global_peer ~comm:p.comm p.src_filter)
-      | Some Nb_send_done | Some (Nb_recv_done _) | None ->
-        edge ~rank:w.wait_rank ~comm:Mpi_iface.world ~kind:"wait" ~peer:(-1));
-      blocked := (w.wait_rank, w.wait_k) :: !blocked)
-    s.pending_waits;
-  Hashtbl.reset s.pending_waits;
-  Hashtbl.iter
-    (fun comm site ->
-      let arrived = List.map (fun a -> a.arr_rank) site.arrivals in
-      let missing =
-        match Rankmap.members s.registry ~comm with
-        | Some members ->
-          Array.to_list members |> List.filter (fun r -> not (List.mem r arrived))
-        | None -> []
-      in
-      let kind = "collective:" ^ site.signature in
-      List.iter
-        (fun a ->
-          (* each arrived rank waits on every member still missing *)
-          (match missing with
-          | [] -> edge ~rank:a.arr_rank ~comm ~kind ~peer:(-1)
-          | missing -> List.iter (fun peer -> edge ~rank:a.arr_rank ~comm ~kind ~peer) missing);
-          blocked := (a.arr_rank, a.arr_k) :: !blocked)
-        site.arrivals)
-    s.sites;
-  Hashtbl.reset s.sites;
-  if !blocked <> [] then begin
+  iter_comms s (fun c ->
+      let comm = c.handle in
+      Array.iteri
+        (fun local -> function
+          | Some pr ->
+            edge ~rank:pr.recv_rank ~comm ~kind:"recv" ~peer:(peer_of c pr.src_filter);
+            blocked := (pr.recv_rank, pr.recv_k) :: !blocked;
+            c.pending.(local) <- None
+          | None -> ())
+        c.pending;
+      match c.site with
+      | None -> ()
+      | Some site ->
+        c.site <- None;
+        let missing =
+          Array.to_list c.members
+          |> List.filter (fun r -> not (List.exists (fun a -> a.arr_rank = r) site.arrivals))
+        in
+        let kind = "collective:" ^ signature site.key in
+        List.iter
+          (fun a ->
+            (* each arrived rank waits on every member still missing *)
+            (match missing with
+            | [] -> edge ~rank:a.arr_rank ~comm ~kind ~peer:(-1)
+            | missing -> List.iter (fun peer -> edge ~rank:a.arr_rank ~comm ~kind ~peer) missing);
+            blocked := (a.arr_rank, a.arr_k) :: !blocked)
+          site.arrivals);
+  Array.iteri
+    (fun rank -> function
+      | Some w ->
+        (match Itbl.find_opt s.nb_tables.(rank).statuses w.wait_handle with
+        | Some (Nb_recv_posted p) ->
+          let peer =
+            match comm_state s p.comm with Some c -> peer_of c p.src_filter | None -> -1
+          in
+          edge ~rank ~comm:p.comm ~kind:"wait" ~peer
+        | Some Nb_send_done | Some (Nb_recv_done _) | None ->
+          edge ~rank ~comm:Mpi_iface.world ~kind:"wait" ~peer:(-1));
+        blocked := (rank, w.wait_k) :: !blocked;
+        s.waits.(rank) <- None
+      | None -> ())
+    s.waits;
+  let blocked = List.sort (fun (a, _) (b, _) -> Int.compare a b) !blocked in
+  if blocked <> [] then begin
     Obs.Metrics.incr m_deadlocks;
     let sink = Obs.Sink.active () in
     List.iter
       (fun (rank, kind, peer, comm) ->
-        notify s (Trace.Witness { rank; comm; kind; peer });
+        if s.observe then s.on_event (Trace.Witness { rank; comm; kind; peer });
         if sink then Obs.Sink.emit (Obs.Event.Deadlock_witness { rank; comm; kind; peer }))
       (List.sort compare !edges);
-    let ranks = List.map fst !blocked in
-    notify s (Trace.Deadlock { ranks });
+    let ranks = List.map fst blocked in
+    if s.observe then s.on_event (Trace.Deadlock { ranks });
     if sink then Obs.Sink.emit (Obs.Event.Sched_deadlock { ranks })
   end;
   List.iter
     (fun (rank, k) ->
       s.deadlocked <- rank :: s.deadlocked;
       crash s rank k "deadlock: all unfinished processes are blocked")
-    !blocked
+    blocked
 
-let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> ())
-    ?schedule ~nprocs body =
+let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~nprocs body =
   if nprocs < 1 || nprocs > max_procs then raise (Platform_limit nprocs);
   let s =
     {
       on_event;
+      observe = on_event != Trace.discard;
       tally =
         (if Obs.Sink.active () then
            Some
@@ -744,14 +847,13 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
       registry = Rankmap.create ~nprocs;
       results = Array.make nprocs None;
       runq = Queue.create ();
-      mailboxes = Hashtbl.create 16;
-      pending_recvs = Hashtbl.create 16;
-      sites = Hashtbl.create 8;
+      comms = Array.make 4 None;
       nb_tables =
-        Array.init nprocs (fun _ -> { next_handle = 1; statuses = Hashtbl.create 8 });
-      pending_waits = Hashtbl.create 8;
+        Array.init nprocs (fun _ -> { next_handle = 1; statuses = Itbl.create 8; posted = 0 });
+      waits = Array.make nprocs None;
       deadlocked = [];
       msg_count = 0;
+      coll_count = 0;
       lazy_wildcards = schedule <> None;
       presc = Option.value schedule ~default:[];
       choices_rev = [];
@@ -760,10 +862,10 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
   in
   Obs.Metrics.incr m_runs;
   for rank = 0 to nprocs - 1 do
-    Queue.push (rank, fun () -> start_fiber (fun () -> body ~rank ~mpi:mpi_handler)) s.runq
+    Queue.push (Start rank) s.runq
   done;
   let rec settle () =
-    drain s;
+    drain s body;
     if Array.exists Option.is_none s.results then
       if serve_choice s then settle ()
       else begin
@@ -776,21 +878,23 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
       end
   in
   Obs.Prof.time "schedule" settle;
+  Obs.Metrics.incr ~by:s.msg_count m_messages;
+  Obs.Metrics.incr ~by:s.coll_count m_collectives;
   Obs.Metrics.observe_int m_msgs_per_run s.msg_count;
   Option.iter (fun t -> Obs.Sink.emit (summary_event s t)) s.tally;
-  let leaked =
-    Hashtbl.fold
-      (fun (comm, dest) q acc ->
-        Queue.fold
-          (fun acc (m : message) ->
-            { leak_comm = comm; leak_dest = dest; leak_tag = m.tag } :: acc)
-          acc q)
-      s.mailboxes []
-  in
+  let leaked = ref [] in
+  iter_comms s (fun c ->
+      Array.iteri
+        (fun dest q ->
+          Queue.iter
+            (fun (m : message) ->
+              leaked := { leak_comm = c.handle; leak_dest = dest; leak_tag = m.tag } :: !leaked)
+            q)
+        c.mailboxes);
   {
     outcomes = Array.map Option.get s.results;
     deadlocked = List.sort Int.compare s.deadlocked;
     registry = s.registry;
-    leaked;
+    leaked = List.rev !leaked;
     choices = List.rev s.choices_rev;
   }

@@ -8,7 +8,10 @@
 
     A run that reaches a state where unfinished processes are all blocked
     is declared deadlocked: the blocked processes are terminated with an
-    [Fault.Mpi_error] mentioning "deadlock" and the result is flagged. *)
+    [Fault.Mpi_error] mentioning "deadlock" and the result is flagged.
+    They are terminated in ascending global rank order, and the
+    [Trace.Deadlock] and [Obs.Event.Sched_deadlock] events list them in
+    that order. *)
 
 exception Platform_limit of int
 (** Raised when a test demands more processes than the platform cap —
@@ -25,7 +28,8 @@ type run_result = {
   registry : Rankmap.t;  (** communicator registry after the run *)
   leaked : leaked_message list;
       (** sends that no receive consumed — the message-leak diagnostic of
-          the UMPIRE/MARMOT family of MPI checkers *)
+          the UMPIRE/MARMOT family of MPI checkers — by communicator
+          handle, then destination, then arrival *)
   choices : Schedule.choice list;
       (** wildcard match decisions taken in service order — empty unless
           the run executed in schedule mode ([?schedule]) *)
@@ -57,7 +61,8 @@ val run :
     [?schedule] the legacy eager matching is byte-identical to previous
     releases.
 
-    [on_event] sees every occurrence, message by message. The {!Obs.Sink}
+    [on_event] sees every occurrence, message by message; with the
+    default, {!Trace.discard}, no event is built. The {!Obs.Sink}
     sees, when one is writing at run start, one [Obs.Event.Mpi_summary]
     at the end of the run plus each [Schedule_choice],
     [Deadlock_witness] and [Sched_deadlock] as it happens. *)

@@ -16,6 +16,8 @@ type event =
       point : int;
     }
 
+let discard (_ : event) = ()
+
 let pp_event ppf = function
   | Send { from_rank; to_local; comm; tag } ->
     Format.fprintf ppf "send   rank %d -> local %d (comm %d, tag %d)" from_rank to_local

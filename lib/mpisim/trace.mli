@@ -40,6 +40,11 @@ type event =
           [tag]) to global [rank]; [alts] is the sorted set of eligible
           sources the scheduler could have picked instead *)
 
+val discard : event -> unit
+(** The no-op observer, and {!Scheduler.run}'s default: a run given it
+    builds no trace event at all. Pass it rather than an equivalent
+    [fun _ -> ()] to keep that saving. *)
+
 val pp_event : Format.formatter -> event -> unit
 
 type t

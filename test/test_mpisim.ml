@@ -752,6 +752,58 @@ let test_trace_deadlock_event () =
        (function Trace.Deadlock { ranks } -> ranks = [ 0; 1 ] || ranks = [ 1; 0 ] | _ -> false)
        (Trace.events tracer))
 
+let test_recv_invalid_source_resumes_once () =
+  (* rank 0's receive names a source outside the communicator: it must
+     fault once and leave the scheduler, rather than also blocking and
+     being crashed a second time at deadlock detection *)
+  let r =
+    Scheduler.run ~nprocs:2 (fun ~rank ~mpi ->
+        let src = if rank = 0 then 5 else 0 in
+        match mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some src; tag = None }) with
+        | _ -> Ok ())
+  in
+  (match r.Scheduler.outcomes.(0) with
+  | Error (Fault.Mpi_error { message; _ }) ->
+    Alcotest.(check string) "rank 0 fault" "recv from invalid rank 5 (size 2)" message
+  | Error f -> Alcotest.failf "wrong fault %s" (Fault.to_string f)
+  | Ok () -> Alcotest.fail "expected invalid-source fault");
+  Alcotest.(check (list int)) "rank 1 deadlocked" [ 1 ] r.Scheduler.deadlocked
+
+let test_deadlock_ascending_order () =
+  (* four blocked ranks across a collective (1, 3), a wait (2) and a
+     receive (4): they are listed and crashed in ascending rank order *)
+  let tracer = Trace.create () in
+  let sink = Buffer.create 1024 in
+  let r =
+    Obs.Sink.with_sink (Obs.Sink.Buffer_sink sink) (fun () ->
+        Scheduler.run ~on_event:(Trace.collector tracer) ~nprocs:5 (fun ~rank ~mpi ->
+            (match rank with
+            | 0 -> ()
+            | 1 | 3 -> ignore (mpi (Mpi_iface.Barrier Mpi_iface.world))
+            | 2 -> (
+              match mpi (Mpi_iface.Irecv { comm = Mpi_iface.world; src = Some 0; tag = None }) with
+              | Mpi_iface.Rint h -> ignore (mpi (Mpi_iface.Wait h))
+              | _ -> failwith "bad irecv")
+            | _ ->
+              ignore (mpi (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some 1; tag = None })));
+            Ok ()))
+  in
+  Alcotest.(check (list int)) "deadlocked" [ 1; 2; 3; 4 ] r.Scheduler.deadlocked;
+  let events = Trace.events tracer in
+  Alcotest.(check (list (list int))) "deadlock event lists ranks ascending" [ [ 1; 2; 3; 4 ] ]
+    (List.filter_map (function Trace.Deadlock { ranks } -> Some ranks | _ -> None) events);
+  Alcotest.(check (list int)) "crashed in ascending order" [ 0; 1; 2; 3; 4 ]
+    (List.filter_map (function Trace.Finished { rank; _ } -> Some rank | _ -> None) events);
+  let contains needle line =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length line && (String.sub line i n = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check (list bool)) "telemetry lists ranks ascending" [ true ]
+    (String.split_on_char '\n' (Buffer.contents sink)
+    |> List.filter (contains {|"ev":"sched_deadlock"|})
+    |> List.map (contains {|"ranks":[1,2,3,4]|}))
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -838,6 +890,8 @@ let unit_tests =
     ("spmd allreduce", `Quick, test_spmd_pi_style_reduction);
     ("spmd master/worker", `Quick, test_spmd_master_worker);
     ("spmd isolated fault", `Quick, test_spmd_fault_isolated_to_one_rank);
+    ("recv invalid source resumes once", `Quick, test_recv_invalid_source_resumes_once);
+    ("deadlock ascending order", `Quick, test_deadlock_ascending_order);
   ]
 
 let property_tests =
