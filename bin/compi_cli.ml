@@ -503,6 +503,18 @@ let run_cmd =
         ledger;
       }
     in
+    (* refuse an unwritable status or ledger path before the campaign
+       runs, not after its work is done *)
+    let is_dir p = try Sys.is_directory p with Sys_error _ -> false in
+    let check flag =
+      Option.iter (fun path ->
+          let parent = Filename.dirname path in
+          let fail why = Printf.eprintf "%s %s: %s\n" flag path why; exit 1 in
+          if is_dir path then fail "is a directory"
+          else if not (is_dir parent) then fail ("no such directory " ^ parent))
+    in
+    check "--status-file" status_file;
+    check "--ledger" ledger;
     let result =
       try
         with_telemetry ~trace_events ~metrics (fun () ->
@@ -596,75 +608,18 @@ let run_cmd =
       $ trace_events_arg ~docs:s_telemetry () $ metrics_arg ~docs:s_telemetry ())
 
 (* ------------------------------------------------------------------ *)
-(* replay: saved test cases, or a JSONL telemetry trace                *)
+(* replay: saved test cases                                            *)
 (* ------------------------------------------------------------------ *)
-
-(* Load a JSONL trace into the observatory fold. All replay/explain/
-   report analytics live in {!Obs.Fold}; the CLI only renders. *)
-let load_fold path =
-  let lines =
-    try In_channel.with_open_text path In_channel.input_lines
-    with Sys_error e ->
-      Printf.eprintf "cannot read %s: %s\n" path e;
-      exit 1
-  in
-  let f = Obs.Fold.of_lines lines in
-  if f.Obs.Fold.events = 0 then begin
-    Printf.eprintf "%s: no parseable telemetry events\n" path;
-    exit 1
-  end;
-  f
-
-(* Annotate branch ids with the owning conditional and function when a
-   target is named — "27 = cond 13 T in diffuse" beats a bare number. *)
-let branch_labeler = function
-  | None -> string_of_int
-  | Some (t : Targets.Registry.t) ->
-    let info = Targets.Registry.instrument t in
-    let funcs = info.Minic.Branchinfo.func_of_cond in
-    fun br ->
-      let cond, dir = Minic.Branchinfo.cond_of_branch br in
-      if cond >= 0 && cond < Array.length funcs then
-        Printf.sprintf "%d (cond %d %s in %s)" br cond
-          (if dir then "T" else "F")
-          funcs.(cond)
-      else string_of_int br
-
-let replay_trace path =
-  let f = load_fold path in
-  (* surface forward-compatibility skips loudly: a trace from a newer
-     build replays, but silently dropping its events would make the
-     report lie by omission *)
-  (match f.Obs.Fold.unknown_kinds with
-  | [] -> ()
-  | skipped ->
-    let total = List.fold_left (fun acc (_, n) -> acc + n) 0 skipped in
-    Printf.eprintf
-      "warning: %s: skipped %d event(s) of %d unknown kind(s) (%s) — likely a \
-       trace from a newer build; counts below exclude them\n"
-      path total (List.length skipped)
-      (String.concat ", " (List.map fst skipped)));
-  Printf.printf "trace %s:\n" path;
-  print_string (Obs.Fold.to_text f)
-
-(* A telemetry trace is a JSONL stream of {"ev":…} objects; saved test
-   cases use a different format. Sniff the first non-blank line. *)
-let is_trace_file path =
-  match In_channel.with_open_text path In_channel.input_line with
-  | Some line -> (
-    match Obs.Json.parse (String.trim line) with
-    | Ok j -> Obs.Json.member "ev" j <> None
-    | Error _ -> false)
-  | None | (exception Sys_error _) -> false
 
 let replay_cmd =
   let path_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH") in
   let run path =
-    if is_trace_file path then replay_trace path
-    else
     match Compi.Testcase.load ~path with
     | Error e ->
-      Printf.eprintf "cannot load %s: %s\n" path e;
+      Printf.eprintf
+        "cannot load %s: %s (replay reads saved test cases; a --trace-events file \
+         goes to report)\n"
+        path e;
       exit 1
     | Ok cases ->
       List.iteri
@@ -686,15 +641,55 @@ let replay_cmd =
         cases
   in
   Cmd.v
-    (Cmd.info "replay"
-       ~doc:
-         "Replay saved test cases (bug reproduction), or reconstruct the coverage \
-          curve and phase breakdown from a $(b,--trace-events) JSONL file")
+    (Cmd.info "replay" ~doc:"Replay saved test cases (bug reproduction)")
     Term.(const run $ path_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain / report: the campaign observatory                          *)
 (* ------------------------------------------------------------------ *)
+
+(* Load a JSONL trace into the observatory fold. All explain/report/
+   profile analytics live in {!Obs.Fold}; the CLI only renders. *)
+let load_fold path =
+  let lines =
+    try In_channel.with_open_text path In_channel.input_lines
+    with Sys_error e ->
+      Printf.eprintf "cannot read %s: %s\n" path e;
+      exit 1
+  in
+  let f = Obs.Fold.of_lines lines in
+  (* surface forward-compatibility skips loudly: a trace from a newer
+     build folds, but silently dropping its events would make the
+     views lie by omission *)
+  (match f.Obs.Fold.unknown_kinds with
+  | [] -> ()
+  | skipped ->
+    let total = List.fold_left (fun acc (_, n) -> acc + n) 0 skipped in
+    Printf.eprintf
+      "warning: %s: skipped %d event(s) of %d unknown kind(s) (%s) — likely a \
+       trace from a newer build; counts below exclude them\n"
+      path total (List.length skipped)
+      (String.concat ", " (List.map fst skipped)));
+  if f.Obs.Fold.events = 0 then begin
+    Printf.eprintf "%s: no parseable telemetry events\n" path;
+    exit 1
+  end;
+  f
+
+(* Annotate branch ids with the owning conditional and function when a
+   target is named — "27 = cond 13 T in diffuse" beats a bare number. *)
+let branch_labeler = function
+  | None -> string_of_int
+  | Some (t : Targets.Registry.t) ->
+    let info = Targets.Registry.instrument t in
+    let funcs = info.Minic.Branchinfo.func_of_cond in
+    fun br ->
+      let cond, dir = Minic.Branchinfo.cond_of_branch br in
+      if cond >= 0 && cond < Array.length funcs then
+        Printf.sprintf "%d (cond %d %s in %s)" br cond
+          (if dir then "T" else "F")
+          funcs.(cond)
+      else string_of_int br
 
 let trace_pos_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE.jsonl")

@@ -127,10 +127,6 @@ let m_cs_size = Obs.Metrics.histogram "campaign.constraint_set"
 let g_covered = Obs.Metrics.gauge "campaign.covered"
 let g_reachable = Obs.Metrics.gauge "campaign.reachable"
 
-let emit_restart ~iteration reason =
-  Obs.Metrics.incr m_restarts;
-  Obs.Sink.emit (Obs.Event.Restart { iteration; reason })
-
 (* Lineage: each merged test's [test] event records where it came from,
    each negation attempt its verdict against the candidate it negated. *)
 let origin_fields = function
@@ -143,18 +139,16 @@ let origin_fields = function
        alternative source delivered *)
     ("schedule", parent, source, point, false)
 
-let emit_lineage_negation ~(cand : Strategy.candidate) ~outcome ~cached =
-  if Obs.Sink.active () then
-    Obs.Sink.emit
-      (Obs.Event.Lineage_negation
-         {
-           parent = cand.Strategy.record.Execution.exec_id;
-           index = cand.Strategy.index;
-           (* the *negated* branch: the flipped side of the conditional *)
-           branch = Execution.branch_at cand.Strategy.record cand.Strategy.index lxor 1;
-           outcome;
-           cached;
-         })
+let lineage_negation (cand : Strategy.candidate) ~outcome ~cached =
+  Obs.Event.Lineage_negation
+    {
+      parent = cand.Strategy.record.Execution.exec_id;
+      index = cand.Strategy.index;
+      (* the *negated* branch: the flipped side of the conditional *)
+      branch = Execution.branch_at cand.Strategy.record cand.Strategy.index lxor 1;
+      outcome;
+      cached;
+    }
 
 (* Derive the next test from a SAT negation — the input- and
    process-derivation step (conflict resolution included). Pure with
@@ -219,6 +213,15 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
           | ms -> raise (Checkpoint.Load_error (Checkpoint.Settings_mismatch ms))))
   in
   let snap_field f default = match resumed with Some (_, sn) -> f sn | None -> default in
+  (* The campaign folds every event it emits. Its result, status
+     snapshots and ledger record read this one fold, so they agree with
+     a fold of the trace by construction, and a resume restores the
+     fold with the rest of the merged state. *)
+  let fold = snap_field (fun sn -> sn.Checkpoint.ck_fold) (Obs.Fold.init ()) in
+  let emit ev =
+    ignore (Obs.Fold.step fold ev);
+    Obs.Sink.emit ev
+  in
   let rng = snap_field (fun sn -> sn.Checkpoint.ck_rng) (Random.State.make [| s.Driver.seed |]) in
   let program = info.Branchinfo.program in
   let coverage = snap_field (fun sn -> sn.Checkpoint.ck_coverage) (Coverage.create ()) in
@@ -253,10 +256,8 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   in
   (* The campaign owns the span timeline unless the caller (CLI, test
      harness) already enabled it. Enabling must precede pool creation so
-     the worker domains' spans share the epoch, and only makes sense
-     against an installed sink — spans are drained into it. *)
-  let tl_owner = Obs.Sink.active () && not (Obs.Timeline.on ()) in
-  if tl_owner then Obs.Timeline.enable ();
+     the worker domains' spans share the epoch. *)
+  let tl_owner = Obs.Timeline.claim () in
   let campaign_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
   let pool = Taskpool.create ~jobs:settings.jobs in
   (* A stop request from SIGINT/SIGTERM parks the campaign at the next
@@ -299,11 +300,11 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   @@ fun () ->
   (match resumed with
   | Some (dir, sn) ->
-    Obs.Sink.emit
+    emit
       (Obs.Event.Checkpoint_load
          { iteration = sn.Checkpoint.ck_iter; path = Checkpoint.file ~dir })
   | None -> ());
-  Obs.Sink.emit
+  emit
     (Obs.Event.Campaign_start
        {
          target = label;
@@ -335,16 +336,9 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   let rounds = ref (snap_field (fun sn -> sn.Checkpoint.ck_rounds) 0) in
   let executed = ref (snap_field (fun sn -> sn.Checkpoint.ck_executed) 0) in
   let speculated = ref (snap_field (fun sn -> sn.Checkpoint.ck_speculated) 0) in
-  let solver_calls = ref (snap_field (fun sn -> sn.Checkpoint.ck_solver_calls) 0) in
-  let cache_hits = ref (snap_field (fun sn -> sn.Checkpoint.ck_cache_hits) 0) in
-  (* hits and misses over merged attempts, like [solver_calls]: every
-     merged miss is a live solve. [Smt.Cache]'s own probe counters also
-     count candidates dropped at the budget edge. *)
-  let cache_stats () =
-    Option.map
-      (fun c ->
-        { (Smt.Cache.stats c) with Smt.Cache.hits = !cache_hits; misses = !solver_calls })
-      cache
+  let emit_restart reason =
+    Obs.Metrics.incr m_restarts;
+    emit (Obs.Event.Restart { iteration = !iter; reason })
   in
   (* restart tests queued during the merge; consumed (and cleared) by
      the scheduling step, so mid-round snapshots carry exactly the
@@ -357,13 +351,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   let checkpoints_written = ref 0 in
   (* peak pipeline depth across rounds, for the result record *)
   let max_depth = ref 0 in
-  (* live-status accumulators: last reachable count seen at a merge (a
-     resumed run re-seeds it from the newest checkpointed stat), and
-     total alternative schedules enumerated *)
-  let last_reachable =
-    ref (match !stats with s :: _ -> s.Driver.reachable_after | [] -> 0)
-  in
-  let sched_total = ref 0 in
   let fresh_strategy () =
     match (s.Driver.strategy, !derived_bound) with
     | Driver.Two_phase_dfs, Some bound ->
@@ -399,7 +386,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     let focus = min p.Driver.p_focus (nprocs - 1) in
     (match res with
     | Error (`Platform_limit _) ->
-      emit_restart ~iteration:!iter "platform-limit";
+      emit_restart "platform-limit";
       forced :=
         fresh_pending ~origin:Driver.O_restart ~nprocs:s.Driver.initial_nprocs
           ~focus:s.Driver.initial_focus ()
@@ -444,9 +431,8 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         let st =
           Mpisim.Schedule.stats ~depth:s.Driver.schedule_depth ~prefix_len choices
         in
-        sched_total := !sched_total + st.Mpisim.Schedule.st_emitted;
-        if st.Mpisim.Schedule.st_points > 0 && Obs.Sink.active () then
-          Obs.Sink.emit
+        if st.Mpisim.Schedule.st_points > 0 then
+          emit
             (Obs.Event.Schedule_enum
                {
                  parent = !iter;
@@ -463,15 +449,14 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       List.iter
         (fun (rank, fault) ->
           Obs.Metrics.incr m_faults;
-          if Obs.Sink.active () then
-            Obs.Sink.emit
-              (Obs.Event.Fault
-                 {
-                   iteration = !iter;
-                   rank;
-                   kind = Fault.kind_name fault;
-                   detail = Fault.to_string fault;
-                 });
+          emit
+            (Obs.Event.Fault
+               {
+                 iteration = !iter;
+                 rank;
+                 kind = Fault.kind_name fault;
+                 detail = Fault.to_string fault;
+               });
           bugs :=
             {
               Driver.bug_iteration = !iter;
@@ -512,7 +497,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         | None -> false
       in
       if stagnated then begin
-        emit_restart ~iteration:!iter "stagnation";
+        emit_restart "stagnation";
         last_improvement := !iter;
         strategy := fresh_strategy ();
         stagnated_round := true
@@ -520,32 +505,29 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       let reachable =
         Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage)
       in
-      last_reachable := reachable;
       Obs.Metrics.incr m_iterations;
       Obs.Metrics.set g_covered (float_of_int covered_now);
       Obs.Metrics.set g_reachable (float_of_int reachable);
-      if Obs.Sink.active () then begin
-        let origin, parent, branch, index, cached = origin_fields p.Driver.p_origin in
-        Obs.Sink.emit
-          (Obs.Event.Test
-             {
-               test = !iter;
-               parent;
-               origin;
-               branch;
-               index;
-               cached;
-               nprocs;
-               focus;
-               covered = covered_now;
-               reachable;
-               cs_size = r.Runner.constraint_set_size;
-               faults = List.length faults;
-               restarted = stagnated;
-               exec_s = r.Runner.wall_time;
-               solve_s;
-             })
-      end;
+      let origin, parent, branch, index, cached = origin_fields p.Driver.p_origin in
+      emit
+        (Obs.Event.Test
+           {
+             test = !iter;
+             parent;
+             origin;
+             branch;
+             index;
+             cached;
+             nprocs;
+             focus;
+             covered = covered_now;
+             reachable;
+             cs_size = r.Runner.constraint_set_size;
+             faults = List.length faults;
+             restarted = stagnated;
+             exec_s = r.Runner.wall_time;
+             solve_s;
+           });
       stats :=
         {
           Driver.iteration = !iter;
@@ -599,7 +581,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             tests and need no search tree) *)
          forced_items @ sched_items @ [ restart_test () ]
        else if !barren >= s.Driver.max_solve_attempts then begin
-         emit_restart ~iteration:!iter "exhausted";
+         emit_restart "exhausted";
          barren := 0;
          forced_items @ sched_items @ [ restart_test () ]
        end
@@ -608,7 +590,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
            (sched_items, Strategy.next_batch !strategy ~coverage ~max:settings.batch)
          with
          | [], [] ->
-           emit_restart ~iteration:!iter "exhausted";
+           emit_restart "exhausted";
            barren := 0;
            forced_items @ [ restart_test () ]
          | sched, cands ->
@@ -631,8 +613,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         ck_rounds = !rounds;
         ck_executed = !executed;
         ck_speculated = !speculated;
-        ck_solver_calls = !solver_calls;
-        ck_cache_hits = !cache_hits;
+        ck_fold = fold;
         ck_max_cs = !max_cs;
         ck_best_covered = !best_covered;
         ck_last_improvement = !last_improvement;
@@ -654,7 +635,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     let bytes = Obs.Prof.time "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap) in
     incr checkpoints_written;
     Obs.Metrics.incr m_checkpoints;
-    Obs.Sink.emit
+    emit
       (Obs.Event.Checkpoint_write
          { iteration = !iter; path = Checkpoint.file ~dir; bytes })
   in
@@ -671,31 +652,12 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   in
   (* Live status: an atomic snapshot published at every merge position
      (and once more, finished, at campaign end). Everything quoted is
-     main-domain merge state, so the snapshot sequence — like the
-     trajectory itself — is invariant across [jobs]. *)
+     main-domain merge state or its fold, so the snapshot sequence —
+     like the trajectory itself — is invariant across [jobs]. *)
   let publish_status ~finished () =
     match settings.status_file with
     | None -> ()
     | Some path ->
-      let curve =
-        (* trailing slice of the coverage curve, oldest first, feeding
-           the plateau/ETA estimate *)
-        let rec take n = function
-          | [] -> []
-          | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
-        in
-        List.rev_map
-          (fun st -> (st.Driver.iteration, st.Driver.covered_after))
-          (take 64 !stats)
-      in
-      let plateau, eta =
-        Obs.Status.estimate ~reachable:!last_reachable curve
-      in
-      let hits, probes =
-        match cache_stats () with
-        | None -> (0, 0)
-        | Some cs -> (cs.Smt.Cache.hits, cs.Smt.Cache.hits + cs.Smt.Cache.misses)
-      in
       let wall = elapsed () in
       let utilization =
         if wall <= 0.0 then 0.0
@@ -705,24 +667,9 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             /. (wall *. float_of_int (max 1 settings.jobs)))
       in
       Obs.Status.publish path
-        {
-          Obs.Status.target = label;
-          budget = s.Driver.iterations;
-          rounds = !rounds;
-          executed = !iter;
-          covered = !best_covered;
-          reachable = !last_reachable;
-          bugs = List.length !bugs;
-          queue_depth = !max_depth;
-          utilization;
-          cache_hit_rate =
-            (if probes = 0 then 0.0
-             else float_of_int hits /. float_of_int probes);
-          schedule_forks = !sched_total;
-          plateau;
-          eta_iterations = eta;
-          finished;
-        }
+        (Obs.Status.of_fold ~target:label ~budget:s.Driver.iterations ~rounds:!rounds
+           ~executed:!iter ~covered:!best_covered ~queue_depth:!max_depth ~utilization
+           ~finished fold)
   in
   while !work <> [] && continue_ok () do
     incr rounds;
@@ -796,22 +743,22 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     (* pipeline: publish the batch and merge results in work-list order
        as they stream in — the merge of item k overlaps the
        solve/execute of items k+1, k+2, … still running on the pool.
-       [solver_calls] and [cache_hits] are counted at merge, not
-       dispatch, so the stats cover exactly the attempts whose verdicts
-       entered the merged trajectory — results discarded at the budget
-       edge only show up in [speculated]. A budget (or stop-request)
-       cut records the un-merged tail in [work_remaining] so the final
-       checkpoint can resume mid-round; the tail's tasks are still
-       drained to completion (executions there count as speculated) so
-       the pool is quiescent and the tally matches the old round-barrier
-       engine's at every cut point. *)
+       Each attempt's [lineage_negation] is emitted at merge, not
+       dispatch, so the folded solver and cache counts cover exactly
+       the attempts whose verdicts entered the merged trajectory —
+       results discarded at the budget edge only show up in
+       [speculated]. A budget (or stop-request) cut records the
+       un-merged tail in [work_remaining] so the final checkpoint can
+       resume mid-round; the tail's tasks are still drained to
+       completion (executions there count as speculated) so the pool is
+       quiescent and the tally matches the old round-barrier engine's
+       at every cut point. *)
     let inflight_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
     let st = Taskpool.stream pool thunks in
     let merge_one w item =
       match item with
       | D_fresh (p, res) -> merge_exec p ~solve_s:0.0 res
       | D_negated { solved; key; solve_s; outcome } -> (
-        if solved then incr solver_calls else incr cache_hits;
         (* D_negated always pairs with W_negate: recover the candidate
            for the lineage record *)
         (match w with
@@ -822,7 +769,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             | N_unknown -> Obs.Event.Unknown
             | N_sat _ -> Obs.Event.Sat
           in
-          emit_lineage_negation ~cand ~outcome:o ~cached:(not solved)
+          emit (lineage_negation cand ~outcome:o ~cached:(not solved))
         | W_fresh _ -> ());
         (* verdicts publish here, on the main domain at the ordered
            merge position — the cache's single-writer protocol *)
@@ -868,15 +815,13 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             Obs.Timeline.span "merge" (fun () -> merge_one w item);
             work_remaining := rest;
             maybe_checkpoint ();
-            if Taskpool.max_inflight st > !max_depth then
-              max_depth := Taskpool.max_inflight st;
+            max_depth := max !max_depth (Taskpool.max_inflight st);
             publish_status ~finished:false ();
             merge_stream rest
           end)
     in
     merge_stream !work;
-    if Taskpool.max_inflight st > !max_depth then
-      max_depth := Taskpool.max_inflight st;
+    max_depth := max !max_depth (Taskpool.max_inflight st);
     (* one umbrella per round over the streaming window: publication of
        the batch through consumption of its last result *)
     if Obs.Timeline.on () then
@@ -900,7 +845,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage))
   in
   let covered = Coverage.covered_branches coverage in
-  Obs.Sink.emit
+  emit
     (Obs.Event.Campaign_end
        {
          iterations_run = !iter;
@@ -909,61 +854,21 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
          bugs = List.length !bugs;
          wall_s = elapsed ();
        });
-  last_reachable := reachable;
   publish_status ~finished:true ();
   (match settings.ledger with
   | None -> ()
   | Some path ->
-    let hits, misses =
-      match cache_stats () with
-      | None -> (0, 0)
-      | Some cs -> (cs.Smt.Cache.hits, cs.Smt.Cache.misses)
+    let written =
+      Obs.Ledger.append path
+        (Obs.Ledger.of_fold ~target:label ~fingerprint:(Obs.Ledger.digest fp)
+           ~exec_mode:(Runner.exec_mode_name s.Driver.exec_mode) ~jobs:settings.jobs
+           ~seed:s.Driver.seed ~budget:s.Driver.iterations ~executed:!iter ~rounds:!rounds
+           ~wall_s:(elapsed ()) (Obs.Fold.finish fold))
     in
-    let record =
-      {
-        Obs.Ledger.run = "";
-        (* assigned by append *)
-        target = label;
-        fingerprint = Obs.Ledger.digest fp;
-        exec_mode = Runner.exec_mode_name s.Driver.exec_mode;
-        jobs = settings.jobs;
-        seed = s.Driver.seed;
-        budget = s.Driver.iterations;
-        executed = !iter;
-        rounds = !rounds;
-        covered;
-        reachable;
-        bugs =
-          List.rev_map
-            (fun b ->
-              {
-                Obs.Ledger.bug_test = b.Driver.bug_iteration;
-                bug_rank = b.Driver.bug_rank;
-                bug_kind = Fault.kind_name b.Driver.bug_fault;
-              })
-            !bugs;
-        curve =
-          List.rev_map
-            (fun st -> (st.Driver.iteration, st.Driver.covered_after))
-            !stats;
-        wall_s = elapsed ();
-        solver_calls = !solver_calls;
-        cache_hits = hits;
-        cache_misses = misses;
-        schedule_forks = !sched_total;
-      }
-    in
-    let written = Obs.Ledger.append path record in
-    if Obs.Sink.active () then
-      Obs.Sink.emit
-        (Obs.Event.Ledger_append
-           {
-             path;
-             run = written.Obs.Ledger.run;
-             covered;
-             reachable;
-             bugs = List.length !bugs;
-           }));
+    emit
+      (Obs.Event.Ledger_append
+         { path; run = written.Obs.Ledger.run; covered; reachable; bugs = List.length !bugs }));
+  let lv = Obs.Fold.live fold in
   {
     summary =
       {
@@ -983,8 +888,19 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     rounds = !rounds;
     executed = !executed;
     speculated = !speculated;
-    solver_calls = !solver_calls;
-    cache = cache_stats ();
+    solver_calls = lv.Obs.Fold.lv_solver_calls;
+    (* hits and misses over merged attempts, as folded from
+       [lineage_negation]; the cache's own probe counters would also
+       count candidates dropped at the budget edge *)
+    cache =
+      Option.map
+        (fun c ->
+          {
+            (Smt.Cache.stats c) with
+            Smt.Cache.hits = lv.Obs.Fold.lv_cache_hits;
+            misses = lv.Obs.Fold.lv_cache_misses;
+          })
+        cache;
     interrupted = !stop;
     checkpoints_written = !checkpoints_written;
     queue_depth = !max_depth;

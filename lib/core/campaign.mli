@@ -110,8 +110,12 @@ val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
     merged execution, one [lineage_negation] per negation attempt,
     restarts, faults) plus the cache and checkpoint events, and feeds
     the [campaign.*] metrics and the [exec]/[solve]/[strategy]/[report]
-    phase timers. Raises {!Checkpoint.Load_error} when [resume] is set
-    and the checkpoint cannot be used (never partially applies one). *)
+    phase timers. Every event it emits is also stepped into the
+    campaign's own {!Obs.Fold}, sink or no sink: [solver_calls], the
+    cache hits and misses, the status snapshots and the ledger record
+    are read from that fold, and the checkpoint carries it. Raises
+    {!Checkpoint.Load_error} when [resume] is set and the checkpoint
+    cannot be used (never partially applies one). *)
 
 val coverage_report : result -> string
 (** Canonical timing-free rendering — iteration count, coverage

@@ -30,8 +30,7 @@ type snapshot = {
   ck_rounds : int;
   ck_executed : int;
   ck_speculated : int;
-  ck_solver_calls : int;
-  ck_cache_hits : int;
+  ck_fold : Obs.Fold.state;
   ck_max_cs : int;
   ck_best_covered : int;
   ck_last_improvement : int;
@@ -64,8 +63,11 @@ type snapshot = {
    id plus a count, so [ck_coverage] marshals a different layout than
    v5's balanced set.
    version 7: the snapshot gained [ck_cache_hits], the merged cache
-   hits behind the campaign's cache accounting *)
-let version = 7
+   hits behind the campaign's cache accounting.
+   version 8: [ck_fold], the fold of the campaign's own events that its
+   result, status file and ledger read, replaced [ck_solver_calls] and
+   [ck_cache_hits] *)
+let version = 8
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"

@@ -44,8 +44,9 @@ type snapshot = {
   ck_rounds : int;
   ck_executed : int;
   ck_speculated : int;
-  ck_solver_calls : int;  (** merged live solves, the merged cache misses *)
-  ck_cache_hits : int;  (** merged negation attempts answered by the cache *)
+  ck_fold : Obs.Fold.state;
+      (** the campaign's fold of the events it emitted so far: solver,
+          cache, schedule and bug counts and the coverage curve *)
   ck_max_cs : int;
   ck_best_covered : int;
   ck_last_improvement : int;

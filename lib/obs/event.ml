@@ -240,37 +240,12 @@ let to_json ?t ev =
   let time_field = match t with Some x -> [ ("t", Json.Float x) ] | None -> [] in
   Json.Obj ((("ev", Json.Str (kind_name ev)) :: time_field) @ fields ev)
 
-(* Field accessors that fail with a descriptive message: of_json is used
-   by `compi-cli replay` on user-supplied files. *)
+(* Field accessors that fail with a descriptive message: of_json reads
+   user-supplied trace files. *)
 let of_json j =
-  let str name =
-    match Option.bind (Json.member name j) Json.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %s" name)
-  in
-  let int name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "missing int field %s" name)
-  in
-  let flt name =
-    match Option.bind (Json.member name j) Json.to_float with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "missing float field %s" name)
-  in
-  let bool name =
-    match Option.bind (Json.member name j) Json.to_bool with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "missing bool field %s" name)
-  in
-  let list name elt =
-    match Option.bind (Json.member name j) Json.to_list with
-    | None -> Error (Printf.sprintf "missing list field %s" name)
-    | Some xs ->
-      let ys = List.filter_map elt xs in
-      if List.length ys = List.length xs then Ok ys
-      else Error (Printf.sprintf "ill-typed element in %s" name)
-  in
+  let str n = Json.str_field n j and int n = Json.int_field n j in
+  let flt n = Json.float_field n j and bool n = Json.bool_field n j in
+  let list n elt = Json.list_field n elt j in
   let ( let* ) = Result.bind in
   let* ev = str "ev" in
   match ev with

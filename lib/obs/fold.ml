@@ -110,6 +110,7 @@ type state = {
   mutable s_seed : int option;
   mutable s_nprocs0 : int option;
   s_curve : (int, int) Hashtbl.t;
+  mutable s_reachable : int; (* the latest test's reachable count *)
   mutable s_final_covered : int option;
   mutable s_final_reachable : int option;
   mutable s_bugs : int;
@@ -155,6 +156,7 @@ let init () =
     s_seed = None;
     s_nprocs0 = None;
     s_curve = Hashtbl.create 64;
+    s_reachable = 0;
     s_final_covered = None;
     s_final_reachable = None;
     s_bugs = 0;
@@ -205,9 +207,11 @@ let step st ev =
     st.s_final_reachable <- Some reachable;
     st.s_bugs <- b;
     st.s_wall <- Some w
-  | Event.Test { test; parent; origin; branch; index; cached; covered; exec_s; solve_s; _ }
+  | Event.Test
+      { test; parent; origin; branch; index; cached; covered; reachable; exec_s; solve_s; _ }
     ->
     Hashtbl.replace st.s_curve test covered;
+    st.s_reachable <- reachable;
     st.s_exec <- st.s_exec +. exec_s;
     st.s_solve <- st.s_solve +. solve_s;
     st.s_lineage <-
@@ -351,6 +355,34 @@ let finish st =
           compare (a.sp_t0, a.sp_domain, a.sp_t1, a.sp_kind)
             (b.sp_t0, b.sp_domain, b.sp_t1, b.sp_kind))
         st.s_spans;
+  }
+
+type live = {
+  lv_reachable : int;
+  lv_bugs : int;
+  lv_solver_calls : int;
+  lv_cache_hits : int;
+  lv_cache_misses : int;
+  lv_schedule_emitted : int;
+  lv_curve_tail : (int * int) list;
+}
+
+(* Reads the counters and walks at most 64 lineage nodes, so a caller
+   can poll it after every event without finishing the fold. *)
+let live st =
+  let rec tail n acc = function
+    | nd :: rest when n > 0 ->
+      tail (n - 1) ((nd.ln_test, Hashtbl.find st.s_curve nd.ln_test) :: acc) rest
+    | _ -> acc
+  in
+  {
+    lv_reachable = Option.value st.s_final_reachable ~default:st.s_reachable;
+    lv_bugs = List.length st.s_faults;
+    lv_solver_calls = st.s_calls;
+    lv_cache_hits = st.s_hits;
+    lv_cache_misses = st.s_misses;
+    lv_schedule_emitted = st.s_sched_emitted;
+    lv_curve_tail = tail 64 [] st.s_lineage;
   }
 
 let fold events = finish (List.fold_left step (init ()) events)

@@ -121,6 +121,25 @@ val finish : state -> t
 (** Snapshot the aggregate for the events absorbed so far. Read-only:
     the state remains valid for further [step]s. *)
 
+type live = {
+  lv_reachable : int;
+      (** the [campaign_end] reachable count once folded, else the latest
+          test's *)
+  lv_bugs : int;  (** [fault] events *)
+  lv_solver_calls : int;  (** as [t.solver_calls] *)
+  lv_cache_hits : int;
+  lv_cache_misses : int;
+  lv_schedule_emitted : int;  (** as [t.schedule_emitted] *)
+  lv_curve_tail : (int * int) list;
+      (** the newest 64 points of the coverage curve, in [test] event
+          order *)
+}
+
+val live : state -> live
+(** The scalars a live status snapshot quotes, plus the trailing curve
+    points, read without a [finish] (which sorts every lineage node and
+    curve point), so a campaign can call it at every merge. *)
+
 val fold : Event.t list -> t
 (** [finish (List.fold_left step (init ()) events)] — aggregate an
     already-parsed stream ([unknown_kinds] and [malformed] are

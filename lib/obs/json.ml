@@ -249,3 +249,21 @@ let to_float = function Float x -> Some x | Int n -> Some (float_of_int n) | _ -
 let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
+
+let field conv kind name j =
+  match Option.bind (member name j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing %s field %s" kind name)
+
+let int_field = field to_int "int"
+let float_field = field to_float "float"
+let str_field = field to_str "string"
+let bool_field = field to_bool "bool"
+
+let list_field name elt j =
+  match Option.bind (member name j) to_list with
+  | None -> Error (Printf.sprintf "missing list field %s" name)
+  | Some xs ->
+    let ys = List.filter_map elt xs in
+    if List.length ys = List.length xs then Ok ys
+    else Error (Printf.sprintf "ill-typed element in %s" name)

@@ -34,3 +34,16 @@ val to_float : t -> float option
 val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
+
+(** {2 Decoder field readers}
+
+    Field [name] of an object, or [Error "missing <type> field <name>"]. *)
+
+val int_field : string -> t -> (int, string) result
+val float_field : string -> t -> (float, string) result
+val str_field : string -> t -> (string, string) result
+val bool_field : string -> t -> (bool, string) result
+
+val list_field : string -> (t -> 'a option) -> t -> ('a list, string) result
+(** Each element converted; [Error "ill-typed element in <name>"] when
+    any conversion gives [None]. *)

@@ -49,6 +49,34 @@ let digest kvs =
     kvs;
   Printf.sprintf "%016Lx" !h
 
+(* Coverage, bugs, the curve and the solver, cache and schedule counts
+   come from the finished fold of the campaign's own events; the rest is
+   settings and engine state only the campaign holds. *)
+let of_fold ~target ~fingerprint ~exec_mode ~jobs ~seed ~budget ~executed ~rounds ~wall_s
+    (f : Fold.t) =
+  {
+    run = "";
+    target;
+    fingerprint;
+    exec_mode;
+    jobs;
+    seed;
+    budget;
+    executed;
+    rounds;
+    covered = Option.value f.Fold.final_covered ~default:0;
+    reachable = Option.value f.Fold.final_reachable ~default:0;
+    bugs =
+      List.map (fun (bug_test, bug_rank, bug_kind, _) -> { bug_test; bug_rank; bug_kind })
+        f.Fold.faults;
+    curve = f.Fold.curve;
+    wall_s;
+    solver_calls = f.Fold.solver_calls;
+    cache_hits = f.Fold.cache_hits;
+    cache_misses = f.Fold.cache_misses;
+    schedule_forks = f.Fold.schedule_emitted;
+  }
+
 let to_json r =
   Json.Obj
     [
@@ -86,21 +114,8 @@ let to_json r =
     ]
 
 let of_json j =
-  let str name =
-    match Option.bind (Json.member name j) Json.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %s" name)
-  in
-  let int name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "missing int field %s" name)
-  in
-  let flt name =
-    match Option.bind (Json.member name j) Json.to_float with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "missing float field %s" name)
-  in
+  let str n = Json.str_field n j and int n = Json.int_field n j in
+  let flt n = Json.float_field n j in
   let ( let* ) = Result.bind in
   let* v = int "v" in
   if v > version then Error (Printf.sprintf "unknown ledger version %d" v)
@@ -122,41 +137,20 @@ let of_json j =
     let* cache_misses = int "cache_misses" in
     let* schedule_forks = int "schedule_forks" in
     let* bugs =
-      match Option.bind (Json.member "bugs" j) Json.to_list with
-      | None -> Error "missing list field bugs"
-      | Some xs ->
-        let parsed =
-          List.filter_map
-            (fun bj ->
-              match
-                ( Option.bind (Json.member "test" bj) Json.to_int,
-                  Option.bind (Json.member "rank" bj) Json.to_int,
-                  Option.bind (Json.member "kind" bj) Json.to_str )
-              with
-              | Some t, Some r, Some k -> Some { bug_test = t; bug_rank = r; bug_kind = k }
-              | _ -> None)
-            xs
-        in
-        if List.length parsed = List.length xs then Ok parsed
-        else Error "malformed bug entry in bugs"
+      Json.list_field "bugs"
+        (fun b ->
+          match (Json.int_field "test" b, Json.int_field "rank" b, Json.str_field "kind" b) with
+          | Ok bug_test, Ok bug_rank, Ok bug_kind -> Some { bug_test; bug_rank; bug_kind }
+          | _ -> None)
+        j
     in
     let* curve =
-      match Option.bind (Json.member "curve" j) Json.to_list with
-      | None -> Error "missing list field curve"
-      | Some xs ->
-        let parsed =
-          List.filter_map
-            (fun pj ->
-              match Json.to_list pj with
-              | Some [ i; c ] -> (
-                match (Json.to_int i, Json.to_int c) with
-                | Some i, Some c -> Some (i, c)
-                | _ -> None)
-              | _ -> None)
-            xs
-        in
-        if List.length parsed = List.length xs then Ok parsed
-        else Error "malformed point in curve"
+      Json.list_field "curve"
+        (fun p ->
+          match Option.map (List.map Json.to_int) (Json.to_list p) with
+          | Some [ Some i; Some c ] -> Some (i, c)
+          | _ -> None)
+        j
     in
     Ok
       {
@@ -183,30 +177,26 @@ let of_json j =
 type store = { records : record list; skipped : int; malformed : int }
 
 let load path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_lines with
   | exception Sys_error e -> Error e
-  | ic ->
+  | lines ->
     let records = ref [] and skipped = ref 0 and malformed = ref 0 in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" then
-           match Json.parse line with
-           | Error _ -> incr malformed
-           | Ok j -> (
-             match of_json j with
-             | Ok r -> records := r :: !records
-             | Error e ->
-               (* version triage mirrors the trace: records from a
-                  newer producer are skips, bad fields are corruption *)
-               if
-                 String.length e >= 22
-                 && String.sub e 0 22 = "unknown ledger version"
-               then incr skipped
-               else incr malformed)
-       done
-     with End_of_file -> ());
-    close_in ic;
+    List.iter
+      (fun line ->
+        let line = String.trim line in
+        if line <> "" then
+          match Json.parse line with
+          | Error _ -> incr malformed
+          | Ok j -> (
+            match of_json j with
+            | Ok r -> records := r :: !records
+            | Error e ->
+              (* version triage mirrors the trace: records from a
+                 newer producer are skips, bad fields are corruption *)
+              if String.length e >= 22 && String.sub e 0 22 = "unknown ledger version"
+              then incr skipped
+              else incr malformed))
+      lines;
     Ok { records = List.rev !records; skipped = !skipped; malformed = !malformed }
 
 (* Appends assign the run id "<target>#<seq>" where seq counts every
@@ -215,17 +205,9 @@ let load path =
    campaigns interleave whole lines, never bytes, on POSIX O_APPEND. *)
 let append path r =
   let seq =
-    match open_in path with
+    match In_channel.with_open_bin path In_channel.input_lines with
     | exception Sys_error _ -> 0
-    | ic ->
-      let n = ref 0 in
-      (try
-         while true do
-           if String.trim (input_line ic) <> "" then incr n
-         done
-       with End_of_file -> ());
-      close_in ic;
-      !n
+    | lines -> List.length (List.filter (fun l -> String.trim l <> "") lines)
   in
   let r = { r with run = Printf.sprintf "%s#%d" r.target seq } in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
@@ -261,10 +243,10 @@ let hit_rate r =
   let probes = r.cache_hits + r.cache_misses in
   if probes = 0 then 0.0 else float_of_int r.cache_hits /. float_of_int probes
 
-(* B relative to A. Only coverage and bug count gate ([regression]):
-   wall time, solver calls and hit rate vary run to run on the same
-   settings and stay informational, so two identical-settings runs
-   always compare as zero-delta/no-regression. *)
+(* B relative to A. Only coverage gates ([regression]): bugs, wall
+   time, solver calls and hit rate stay informational (the last three
+   vary run to run on the same settings), so two identical-settings
+   runs always compare as zero-delta/no-regression. *)
 let diff ?(tolerance = 0) a b =
   {
     d_covered = b.covered - a.covered;

@@ -42,6 +42,14 @@ val digest : (string * string) list -> string
     preserved): identical settings give identical digests across runs
     and builds, without storing every key in every record. *)
 
+val of_fold :
+  target:string -> fingerprint:string -> exec_mode:string -> jobs:int -> seed:int ->
+  budget:int -> executed:int -> rounds:int -> wall_s:float -> Fold.t -> record
+(** The record of a finished campaign: coverage, reachable, bugs, curve
+    and the solver, cache and schedule counts are read from the fold of
+    the campaign's own events; the labelled arguments are its settings
+    and engine state. [run] is left empty for {!append} to assign. *)
+
 val to_json : record -> Json.t
 
 val of_json : Json.t -> (record, string) result
@@ -56,7 +64,7 @@ type store = {
 
 val load : string -> (store, string) result
 (** Read a ledger file; [Error] only when the file itself is
-    unreadable. *)
+    unreadable (missing, a directory, …) — never raises. *)
 
 val append : string -> record -> record
 (** Append to the JSONL store (creating it if absent), assigning

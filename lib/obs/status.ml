@@ -44,6 +44,33 @@ let estimate ?(window = 20) ~reachable curve =
         let remaining = max 0 (reachable - c1) in
         (false, int_of_float (ceil (float_of_int remaining /. slope))))
 
+(* The counters, the reachable count and the curve window come from the
+   campaign's own fold; the rest is trajectory or engine state only the
+   campaign holds. *)
+let of_fold ~target ~budget ~rounds ~executed ~covered ~queue_depth ~utilization ~finished
+    fold =
+  let lv = Fold.live fold in
+  let reachable = lv.Fold.lv_reachable in
+  let plateau, eta_iterations = estimate ~reachable lv.Fold.lv_curve_tail in
+  let probes = lv.Fold.lv_cache_hits + lv.Fold.lv_cache_misses in
+  {
+    target;
+    budget;
+    rounds;
+    executed;
+    covered;
+    reachable;
+    bugs = lv.Fold.lv_bugs;
+    queue_depth;
+    utilization;
+    cache_hit_rate =
+      (if probes = 0 then 0.0 else float_of_int lv.Fold.lv_cache_hits /. float_of_int probes);
+    schedule_forks = lv.Fold.lv_schedule_emitted;
+    plateau;
+    eta_iterations;
+    finished;
+  }
+
 let to_json t =
   Json.Obj
     [
@@ -65,26 +92,8 @@ let to_json t =
     ]
 
 let of_json j =
-  let str name =
-    match Option.bind (Json.member name j) Json.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %s" name)
-  in
-  let int name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "missing int field %s" name)
-  in
-  let flt name =
-    match Option.bind (Json.member name j) Json.to_float with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "missing float field %s" name)
-  in
-  let bool name =
-    match Option.bind (Json.member name j) Json.to_bool with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "missing bool field %s" name)
-  in
+  let str n = Json.str_field n j and int n = Json.int_field n j in
+  let flt n = Json.float_field n j and bool n = Json.bool_field n j in
   let ( let* ) = Result.bind in
   let* v = int "v" in
   (* forward-compat: a newer producer may add fields, never remove —
@@ -134,11 +143,9 @@ let publish path t =
   Sys.rename tmp path
 
 let read path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-    let raw = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Json.parse (String.trim raw) with
+  | raw -> (
+    match Json.parse (String.trim raw) with
     | Error e -> Error (Printf.sprintf "%s: %s" path e)
     | Ok j -> of_json j)

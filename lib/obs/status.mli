@@ -36,6 +36,14 @@ val estimate : ?window:int -> reachable:int -> (int * int) list -> bool * int
     (default 20) iterations extrapolated to [reachable]. A window with
     zero gain is a plateau; too little history gives [(false, -1)]. *)
 
+val of_fold :
+  target:string -> budget:int -> rounds:int -> executed:int -> covered:int ->
+  queue_depth:int -> utilization:float -> finished:bool -> Fold.state -> t
+(** A snapshot whose reachable count, bugs, cache hit rate, schedule
+    forks and plateau/ETA estimate are read from the campaign's own
+    event fold ({!Fold.live}); the labelled arguments are the campaign's
+    trajectory and engine state. *)
+
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
@@ -48,3 +56,5 @@ val publish : string -> t -> unit
     document. *)
 
 val read : string -> (t, string) result
+(** [Error] for any read failure (a missing file, a directory, …) as
+    well as for a malformed document; never raises. *)

@@ -120,6 +120,13 @@ let enable () =
 
 let disable () = on_flag := false
 
+(* Spans are drained into the sink, so recording them only makes sense
+   while one is writing. *)
+let claim () =
+  let mine = Sink.active () && not !on_flag in
+  if mine then enable ();
+  mine
+
 (* Entry [j] of a buffer lives in chunk [j / chunk_size] (chunks only
    ever fill forward) at offset [j mod chunk_size]. *)
 let drain_buf b =

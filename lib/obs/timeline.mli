@@ -18,6 +18,11 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 
+val claim : unit -> bool
+(** {!enable} the timeline when a {!Sink} is writing and nobody has
+    enabled it yet; [true] iff this call enabled it, in which case the
+    caller {!disable}s it when done. *)
+
 val on : unit -> bool
 (** One ref read; guard hand-rolled instrumentation with this. *)
 

@@ -96,6 +96,69 @@ let test_resume_same_budget_is_noop () =
     "no extra executions" first.Compi.Campaign.executed
     again.Compi.Campaign.executed
 
+(* The status file and ledger record of a resumed run equal the
+   uninterrupted run's: both read the campaign's own event fold, which
+   the snapshot carries. Schedule mode, so the schedule-fork count is
+   part of what must survive the cut. *)
+let test_resume_equals_uninterrupted_status_ledger () =
+  let t = Targets.Catalog.find_exn "wc-race" in
+  let info = Targets.Registry.instrument t in
+  let tn = t.Targets.Registry.tuning in
+  let run ~iterations ?checkpoint ?(resume = false) ~status ~ledger () =
+    let settings =
+      {
+        Compi.Campaign.default_settings with
+        Compi.Campaign.base =
+          {
+            Compi.Driver.default_settings with
+            Compi.Driver.iterations;
+            dfs_phase_iters = tn.Targets.Registry.dfs_phase;
+            initial_nprocs = tn.Targets.Registry.initial_nprocs;
+            step_limit = tn.Targets.Registry.step_limit;
+            schedules = true;
+            seed = 3;
+          };
+        checkpoint;
+        checkpoint_every = 10;
+        resume;
+        status_file = status;
+        ledger;
+      }
+    in
+    ignore (Compi.Campaign.run ~settings ~label:"wc-race" info)
+  in
+  let files () =
+    let dir = fresh_dir () in
+    Unix.mkdir dir 0o755;
+    (Filename.concat dir "status.json", Filename.concat dir "ledger.jsonl")
+  in
+  let full_status, full_ledger = files () in
+  run ~iterations:60 ~status:(Some full_status) ~ledger:(Some full_ledger) ();
+  let cut_status, cut_ledger = files () in
+  let dir = fresh_dir () in
+  run ~iterations:30 ~checkpoint:dir ~status:None ~ledger:None ();
+  run ~iterations:60 ~checkpoint:dir ~resume:true ~status:(Some cut_status)
+    ~ledger:(Some cut_ledger) ();
+  let status path =
+    match Obs.Status.read path with
+    | Ok st ->
+      (* engine-only measures: the pool's timing and depth of this process *)
+      Obs.Json.to_string
+        (Obs.Status.to_json { st with Obs.Status.utilization = 0.0; queue_depth = 0 })
+    | Error e -> Alcotest.failf "status %s: %s" path e
+  in
+  let ledger path =
+    match Obs.Ledger.load path with
+    | Ok { Obs.Ledger.records = [ r ]; _ } ->
+      Obs.Json.to_string (Obs.Ledger.to_json { r with Obs.Ledger.run = ""; wall_s = 0.0 })
+    | Ok _ -> Alcotest.failf "ledger %s: expected one record" path
+    | Error e -> Alcotest.failf "ledger %s: %s" path e
+  in
+  Alcotest.(check string)
+    "resumed final status equals uninterrupted" (status full_status) (status cut_status);
+  Alcotest.(check string)
+    "resumed ledger record equals uninterrupted" (ledger full_ledger) (ledger cut_ledger)
+
 (* --- snapshot round-trip ------------------------------------------- *)
 
 let test_snapshot_roundtrip () =
@@ -235,6 +298,8 @@ let suite =
           test_resume_across_job_counts;
         Alcotest.test_case "same-budget resume is a no-op" `Quick
           test_resume_same_budget_is_noop;
+        Alcotest.test_case "resume equals uninterrupted on status and ledger" `Quick
+          test_resume_equals_uninterrupted_status_ledger;
       ] );
     ( "checkpoint:format",
       [

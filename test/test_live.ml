@@ -345,6 +345,18 @@ let test_ledger_digest_stable () =
   Alcotest.(check bool) "digest depends on values" true
     (Obs.Ledger.digest fp <> Obs.Ledger.digest [ ("target", "toy"); ("seed", "8") ])
 
+(* A directory where a file is expected is a read failure, not an
+   exception: on Linux opening one succeeds and the read itself fails. *)
+let test_status_read_directory () =
+  match Obs.Status.read (Filename.get_temp_dir_name ()) with
+  | Error e -> Alcotest.(check bool) "diagnostic nonempty" true (e <> "")
+  | Ok _ -> Alcotest.fail "a directory read as a status snapshot"
+
+let test_ledger_load_directory () =
+  match Obs.Ledger.load (Filename.get_temp_dir_name ()) with
+  | Error e -> Alcotest.(check bool) "diagnostic nonempty" true (e <> "")
+  | Ok _ -> Alcotest.fail "a directory read as a ledger"
+
 (* ------------------------------------------------------------------ *)
 (* live jobs-2 campaign: status snapshot vs post-hoc replay census     *)
 (* ------------------------------------------------------------------ *)
@@ -436,12 +448,16 @@ let suite =
         Alcotest.test_case "status: publish/read" `Quick test_status_publish_read;
         Alcotest.test_case "status: forward compat" `Quick test_status_forward_compat;
         Alcotest.test_case "status: plateau/eta estimate" `Quick test_status_estimate;
+        Alcotest.test_case "status: a directory is an error" `Quick
+          test_status_read_directory;
         Alcotest.test_case "ledger: json round trip" `Quick test_ledger_roundtrip;
         Alcotest.test_case "ledger: append assigns ids" `Quick
           test_ledger_append_assigns_ids;
         Alcotest.test_case "ledger: version triage" `Quick test_ledger_triage;
         Alcotest.test_case "ledger: diff and regression gate" `Quick test_ledger_diff;
         Alcotest.test_case "ledger: digest stability" `Quick test_ledger_digest_stable;
+        Alcotest.test_case "ledger: a directory is an error" `Quick
+          test_ledger_load_directory;
         Alcotest.test_case "campaign: live status agrees with replay" `Quick
           test_live_campaign_status_matches_replay;
       ]
