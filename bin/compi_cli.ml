@@ -503,15 +503,15 @@ let run_cmd =
         ledger;
       }
     in
-    (* refuse an unwritable status or ledger path before the campaign
-       runs, not after its work is done *)
-    let is_dir p = try Sys.is_directory p with Sys_error _ -> false in
+    (* refuse an unwritable status or ledger path before any telemetry
+       file is opened, with the flag in the message *)
     let check flag =
       Option.iter (fun path ->
-          let parent = Filename.dirname path in
-          let fail why = Printf.eprintf "%s %s: %s\n" flag path why; exit 1 in
-          if is_dir path then fail "is a directory"
-          else if not (is_dir parent) then fail ("no such directory " ^ parent))
+          Option.iter
+            (fun why ->
+              Printf.eprintf "%s %s: %s\n" flag path why;
+              exit 1)
+            (Compi.Campaign.output_path_problem path))
     in
     check "--status-file" status_file;
     check "--ledger" ledger;

@@ -16,10 +16,24 @@ type t = {
   mutable constraint_bytes : int;
 }
 
+(* Event buffers released by finished logs, per domain: a campaign's
+   logs reach the same length run after run, so reusing a buffer spares
+   regrowing it from 64 slots on every test. A domain keeps at most
+   [max_spares] buffers, enough for a one-way run's several live logs. *)
+let max_spares = 16
+let spares : int array list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+
 let create ~reduce =
+  let events =
+    match Domain.DLS.get spares with
+    | buf :: rest ->
+      Domain.DLS.set spares rest;
+      buf
+    | [] -> Array.make 64 0
+  in
   {
     reduce;
-    events = Array.make 64 0;
+    events;
     nevents = 0;
     kept_rev = [];
     nconstraints = 0;
@@ -62,6 +76,12 @@ let record t ~cond_id ~taken ~constr =
     t.nconstraints <- t.nconstraints + 1;
     t.constraint_bytes <- t.constraint_bytes + constr_bytes c
   | None -> push_event t (branch lsl 1)
+
+let release t =
+  let kept = Domain.DLS.get spares in
+  if Array.length t.events > 0 && List.compare_length_with kept max_spares < 0 then
+    Domain.DLS.set spares (t.events :: kept);
+  t.events <- [||]
 
 let constraints t =
   let arr = Array.make t.nconstraints (0, Smt.Constr.make (Smt.Linexp.const 0) Smt.Constr.Eq) in

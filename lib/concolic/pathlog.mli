@@ -16,6 +16,19 @@
 type t
 
 val create : reduce:bool -> t
+(** A fresh log. Its event buffer is one that {!release} returned on
+    the same domain when there is one, else a new 64-slot array. *)
+
+val release : t -> unit
+(** Hand the log's event buffer back to the calling domain for the next
+    {!create}. The log owns its buffer from [create] until [release],
+    so call it only once everything the events give has been read:
+    afterwards {!constraints} and the counts ({!constraint_count},
+    {!branch_events}, {!heavy_bytes}) still answer, while {!record},
+    {!tail}, {!serialize} and {!light_bytes} raise [Invalid_argument].
+    Releasing twice is harmless. Several logs may be live on a domain at
+    once (a one-way run keeps one per heavy process); each keeps its own
+    buffer until it is released. *)
 
 val record : t -> cond_id:int -> taken:bool -> constr:Smt.Constr.t option -> unit
 (** Log one branch event; [constr] is [None] for a concrete branch.

@@ -80,6 +80,16 @@ let default_settings =
     ledger = None;
   }
 
+(* The status file is written at the first merge and the ledger after
+   all the work, so a path that can take neither is refused up front:
+   one that names a directory, or whose directory is missing. *)
+let output_path_problem path =
+  let is_dir p = try Sys.is_directory p with Sys_error _ -> false in
+  let parent = Filename.dirname path in
+  if is_dir path then Some "is a directory"
+  else if not (is_dir parent) then Some ("no such directory " ^ parent)
+  else None
+
 type result = {
   summary : Driver.result;
   rounds : int;
@@ -189,6 +199,14 @@ let derive (s : Driver.settings) ~cached (cand : Strategy.candidate)
   }
 
 let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
+  let refuse what =
+    Option.iter (fun path ->
+        Option.iter
+          (fun why -> invalid_arg (Printf.sprintf "Campaign.run: %s %s: %s" what path why))
+          (output_path_problem path))
+  in
+  refuse "status file" settings.status_file;
+  refuse "ledger" settings.ledger;
   let s = settings.base in
   let fp =
     Checkpoint.fingerprint ~label ~batch:settings.batch
@@ -428,9 +446,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
               }
               :: !schedules_q)
           alts;
-        let st =
-          Mpisim.Schedule.stats ~depth:s.Driver.schedule_depth ~prefix_len choices
-        in
+        let st = Mpisim.Schedule.stats choices alts in
         if st.Mpisim.Schedule.st_points > 0 then
           emit
             (Obs.Event.Schedule_enum

@@ -74,6 +74,12 @@ val default_settings : settings
     ([checkpoint_every = 50] once a directory is supplied), no status
     file, no ledger. *)
 
+val output_path_problem : string -> string option
+(** Why a [status_file] or [ledger] path cannot be written, or [None]
+    when it can: it ["is a directory"], or its directory is missing
+    (["no such directory D"]). {!run} checks both settings with it
+    before anything runs. *)
+
 type result = {
   summary : Driver.result;  (** the campaign summary every caller reads *)
   rounds : int;
@@ -114,8 +120,10 @@ val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
     campaign's own {!Obs.Fold}, sink or no sink: [solver_calls], the
     cache hits and misses, the status snapshots and the ledger record
     are read from that fold, and the checkpoint carries it. Raises
-    {!Checkpoint.Load_error} when [resume] is set and the checkpoint
-    cannot be used (never partially applies one). *)
+    [Invalid_argument], naming the path, when {!output_path_problem}
+    refuses [status_file] or [ledger], before the first test or event.
+    Raises {!Checkpoint.Load_error} when [resume] is set and the
+    checkpoint cannot be used (never partially applies one). *)
 
 val coverage_report : result -> string
 (** Canonical timing-free rendering — iteration count, coverage

@@ -279,6 +279,11 @@ let run_raw config =
     in
     Obs.Metrics.observe_int m_cs_size (Pathlog.constraint_count focus_log);
     Obs.Metrics.observe_int m_log_bytes (String.length focus_serialized);
+    let focus_tail = Pathlog.tail focus_log in
+    (* every result the events give is read: the buffers go back to
+       this domain for the next run's logs *)
+    Pathlog.release focus_log;
+    Array.iter (Option.iter Pathlog.release) heavy_logs;
     Ok
       {
         execution;
@@ -286,7 +291,7 @@ let run_raw config =
         outcomes = sched.Mpisim.Scheduler.outcomes;
         deadlocked = sched.Mpisim.Scheduler.deadlocked;
         leaked_messages = List.length sched.Mpisim.Scheduler.leaked;
-        focus_tail = Pathlog.tail focus_log;
+        focus_tail;
         focus_log_bytes = String.length focus_serialized;
         nonfocus_log_bytes;
         mapping;

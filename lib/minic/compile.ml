@@ -21,7 +21,12 @@
 
    Heavy expression closures return the concrete [Value.t] and leave the
    shadow in [ctx.sh] as their final action — a shadow register instead
-   of a tuple allocation per node. Concrete int arithmetic in the heavy
+   of a tuple allocation per node. Both trees fuse variable and constant
+   operands into the operator node ([operand]): the light tree for every
+   binop and relational condition, the heavy tree for its linear binops
+   and relational conditions ([fuse_heavy]), where a variable's shadow
+   is read from the frame and a constant's is [Unshadowed], so a leaf
+   operand costs no closure call. Concrete int arithmetic in the heavy
    tree builds no linear expression: a constant shadow always equals the
    concrete value, so it is a constant constructor ([Konst], see
    [shadow]) rather than a [Linexp.const].
@@ -293,51 +298,6 @@ let collect_slots (fn : Ast.func) =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-operator concrete arithmetic, resolved at compile time. Mirrors
-   Interp.eval_int_binop / eval_float_binop case for case. *)
-let int_op : Ast.binop -> ctx -> int -> int -> Value.t = function
-  | Ast.Add -> fun _ x y -> Value.Vint (x + y)
-  | Ast.Sub -> fun _ x y -> Value.Vint (x - y)
-  | Ast.Mul -> fun _ x y -> Value.Vint (x * y)
-  | Ast.Div ->
-    fun c x y ->
-      if y = 0 then fault (Fault.Fpe { func = c.func });
-      Value.Vint (x / y)
-  | Ast.Mod ->
-    fun c x y ->
-      if y = 0 then fault (Fault.Fpe { func = c.func });
-      Value.Vint (x mod y)
-  | Ast.Eq -> fun _ x y -> bool_to_value (x = y)
-  | Ast.Ne -> fun _ x y -> bool_to_value (x <> y)
-  | Ast.Lt -> fun _ x y -> bool_to_value (x < y)
-  | Ast.Le -> fun _ x y -> bool_to_value (x <= y)
-  | Ast.Gt -> fun _ x y -> bool_to_value (x > y)
-  | Ast.Ge -> fun _ x y -> bool_to_value (x >= y)
-  | Ast.Logand -> fun _ x y -> bool_to_value (x <> 0 && y <> 0)
-  | Ast.Logor -> fun _ x y -> bool_to_value (x <> 0 || y <> 0)
-  | Ast.Bitand -> fun _ x y -> Value.Vint (x land y)
-  | Ast.Bitor -> fun _ x y -> Value.Vint (x lor y)
-  | Ast.Bitxor -> fun _ x y -> Value.Vint (x lxor y)
-  | Ast.Shl -> fun _ x y -> Value.Vint (x lsl (y land 62))
-  | Ast.Shr -> fun _ x y -> Value.Vint (x asr (y land 62))
-
-let float_op : Ast.binop -> ctx -> float -> float -> Value.t = function
-  | Ast.Add -> fun _ x y -> Value.Vfloat (x +. y)
-  | Ast.Sub -> fun _ x y -> Value.Vfloat (x -. y)
-  | Ast.Mul -> fun _ x y -> Value.Vfloat (x *. y)
-  | Ast.Div -> fun _ x y -> Value.Vfloat (x /. y)  (* IEEE: no FPE on floats *)
-  | Ast.Mod -> fun _ x y -> Value.Vfloat (Float.rem x y)
-  | Ast.Eq -> fun _ x y -> bool_to_value (Float.equal x y)
-  | Ast.Ne -> fun _ x y -> bool_to_value (not (Float.equal x y))
-  | Ast.Lt -> fun _ x y -> bool_to_value (x < y)
-  | Ast.Le -> fun _ x y -> bool_to_value (x <= y)
-  | Ast.Gt -> fun _ x y -> bool_to_value (x > y)
-  | Ast.Ge -> fun _ x y -> bool_to_value (x >= y)
-  | Ast.Logand -> fun _ x y -> bool_to_value (x <> 0.0 && y <> 0.0)
-  | Ast.Logor -> fun _ x y -> bool_to_value (x <> 0.0 || y <> 0.0)
-  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr ->
-    fun c _ _ -> type_error c "bitwise operation on floats"
-
 (* Shadow builder for the linear ops (the only ones whose result shadow
    depends on operand shadows). Under the [shadow] correspondence each
    case is the interpreter's
@@ -368,16 +328,6 @@ let shadow_mul x sa y sb =
   | Konst, (Sym _ | Unshadowed | Konst) | Unshadowed, (Unshadowed | Konst) -> Konst
   | Unshadowed, Sym eb -> Sym (Smt.Linexp.scale x eb)
 
-let lin_shadow : Ast.binop -> (int -> shadow -> int -> shadow -> shadow) option
-    = function
-  | Ast.Add -> Some shadow_add
-  | Ast.Sub -> Some shadow_sub
-  | Ast.Mul -> Some shadow_mul
-  | Ast.Div | Ast.Mod | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge
-  | Ast.Logand | Ast.Logor | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl
-  | Ast.Shr ->
-    None
-
 (* Wrap a shadow-free closure for use in the heavy tree: the result
    shadow of these nodes is always [Unshadowed]. *)
 let nosh env (lc : ecode) : ecode =
@@ -387,17 +337,71 @@ let nosh env (lc : ecode) : ecode =
     v
   else lc
 
-(* Operand shapes for the light tree.  Constants and variables fuse
-   straight into the consuming operator closure — no per-leaf closure,
-   no indirect call; anything else falls back to a compiled [ecode]. *)
+(* Operand shapes.  Constants and variables fuse straight into the
+   consuming operator closure — no per-leaf closure, no indirect call;
+   anything else falls back to a compiled [ecode]. *)
 type operand =
   | Oconst of Value.t
   | Oslot of int * string  (* slot, "undefined variable" message *)
   | Ocode of ecode
 
+let[@inline] slot_value c f i msg = if f.bnd.(i) then f.vals.(i) else type_error c msg
+
+(* The nine (left, right) operand shapes of a heavy node, one closure
+   each, like the light tree's: [k] gets both values and both shadows.
+   A variable's shadow is read from its slot (expressions write no
+   variable, so after the right operand is as good as before) and a
+   constant's is [Unshadowed]; code leaves its own in [c.sh], so the
+   left one is read before the right operand runs. Values are fetched
+   left first (an unbound variable faults at its fetch), the
+   interpreter's order. *)
+let fuse_heavy (oa : operand) (ob : operand)
+    (k : ctx -> Value.t -> shadow -> Value.t -> shadow -> 'a) : ctx -> frame -> 'a =
+  match (oa, ob) with
+  | Oconst va, Oconst vb -> fun c _f -> k c va Unshadowed vb Unshadowed
+  | Oconst va, Oslot (ib, mb) ->
+    fun c f ->
+      let vb = slot_value c f ib mb in
+      k c va Unshadowed vb f.shs.(ib)
+  | Oconst va, Ocode cb ->
+    fun c f ->
+      let vb = cb c f in
+      k c va Unshadowed vb c.sh
+  | Oslot (ia, ma), Oconst vb ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      k c va f.shs.(ia) vb Unshadowed
+  | Oslot (ia, ma), Oslot (ib, mb) ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = slot_value c f ib mb in
+      k c va f.shs.(ia) vb f.shs.(ib)
+  | Oslot (ia, ma), Ocode cb ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = cb c f in
+      k c va f.shs.(ia) vb c.sh
+  | Ocode ca, Oconst vb ->
+    fun c f ->
+      let va = ca c f in
+      k c va c.sh vb Unshadowed
+  | Ocode ca, Oslot (ib, mb) ->
+    fun c f ->
+      let va = ca c f in
+      let sa = c.sh in
+      let vb = slot_value c f ib mb in
+      k c va sa vb f.shs.(ib)
+  | Ocode ca, Ocode cb ->
+    fun c f ->
+      let va = ca c f in
+      let sa = c.sh in
+      let vb = cb c f in
+      k c va sa vb c.sh
+
 (* Fused-node arithmetic: [op] is a compile-time constant in every
    caller, so both inner matches compile to jump tables — no closure
-   call per node.  Case-for-case identical to [int_op]/[float_op]. *)
+   call per node.  Case-for-case Interp.eval_int_binop /
+   eval_float_binop. *)
 let apply2 (op : Ast.binop) c va vb =
   match (va, vb) with
   | Value.Vint x, Value.Vint y -> (
@@ -445,6 +449,28 @@ let apply2 (op : Ast.binop) c va vb =
   | (Value.Varr_int _ | Value.Varr_float _), _
   | _, (Value.Varr_int _ | Value.Varr_float _) ->
     type_error c "arithmetic on array value"
+
+(* [apply2] for the heavy tree's linear ops ([Add], [Sub], [Mul]), with
+   the result shadow left in [c.sh]: the [shadow_*] builders on ints,
+   [Unshadowed] on floats. *)
+let apply2_heavy (op : Ast.binop) c va sa vb sb =
+  match (va, vb) with
+  | Value.Vint x, Value.Vint y -> (
+    match op with
+    | Ast.Add ->
+      c.sh <- shadow_add x sa y sb;
+      Value.Vint (x + y)
+    | Ast.Sub ->
+      c.sh <- shadow_sub x sa y sb;
+      Value.Vint (x - y)
+    | Ast.Mul ->
+      c.sh <- shadow_mul x sa y sb;
+      Value.Vint (x * y)
+    | _ -> invalid_arg "Compile.apply2_heavy")
+  | _ ->
+    let r = apply2 op c va vb in
+    c.sh <- Unshadowed;
+    r
 
 let rec compile_expr env (e : Ast.expr) : ecode =
   match e with
@@ -534,72 +560,55 @@ let rec compile_expr env (e : Ast.expr) : ecode =
         | Value.Vint n -> bool_to_value (n = 0)
         | Value.Vfloat x -> bool_to_value (x = 0.0)
         | Value.Varr_int _ | Value.Varr_float _ -> type_error c "lognot of array")
-  | Ast.Binop (op, ea, eb) -> (
-    let iop = int_op op and fop = float_op op in
-    match (lin_shadow op, env.heavy) with
-    | Some mk, true ->
-      let ca = compile_expr env ea and cb = compile_expr env eb in
-      fun c f ->
-        let va = ca c f in
-        let sa = c.sh in
-        let vb = cb c f in
-        let sb = c.sh in
-        (match (va, vb) with
-        | Value.Vint x, Value.Vint y ->
-          let r = iop c x y in
-          c.sh <- mk x sa y sb;
-          r
-        | (Value.Vfloat _ | Value.Vint _), (Value.Vfloat _ | Value.Vint _) ->
-          let r = fop c (as_float c va) (as_float c vb) in
-          c.sh <- Unshadowed;
-          r
-        | (Value.Varr_int _ | Value.Varr_float _), _
-        | _, (Value.Varr_int _ | Value.Varr_float _) ->
-          type_error c "arithmetic on array value")
-    | (Some _ | None), _ ->
-      (* non-linear result shadow is always None: operands compile
-         light, and simple operand shapes fuse into the operator
-         closure (left operand still evaluated first, so fault order
-         matches the interpreter's) *)
-      let le = light env in
-      let fused =
-        match (operand le ea, operand le eb) with
-        | Ocode ca, Ocode cb ->
-          fun c f ->
-            let va = ca c f in
-            let vb = cb c f in
-            apply2 op c va vb
-        | Ocode ca, Oconst vb -> fun c f -> apply2 op c (ca c f) vb
-        | Ocode ca, Oslot (ib, mb) ->
-          fun c f ->
-            let va = ca c f in
-            let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
-            apply2 op c va vb
-        | Oconst va, Ocode cb ->
-          fun c f ->
-            let vb = cb c f in
-            apply2 op c va vb
-        | Oconst va, Oconst vb -> fun c _f -> apply2 op c va vb
-        | Oconst va, Oslot (ib, mb) ->
-          fun c f ->
-            let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
-            apply2 op c va vb
-        | Oslot (ia, ma), Ocode cb ->
-          fun c f ->
-            let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
-            let vb = cb c f in
-            apply2 op c va vb
-        | Oslot (ia, ma), Oconst vb ->
-          fun c f ->
-            let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
-            apply2 op c va vb
-        | Oslot (ia, ma), Oslot (ib, mb) ->
-          fun c f ->
-            let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
-            let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
-            apply2 op c va vb
-      in
-      nosh env fused)
+  | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul) as op), ea, eb) when env.heavy ->
+    (* linear: the only binops whose result shadow depends on their
+       operands'; left operand first, as in the interpreter *)
+    fuse_heavy (operand env ea) (operand env eb) (fun c va sa vb sb ->
+        apply2_heavy op c va sa vb sb)
+  | Ast.Binop (op, ea, eb) ->
+    (* non-linear result shadow is always None: operands compile
+       light, and simple operand shapes fuse into the operator
+       closure (left operand still evaluated first, so fault order
+       matches the interpreter's) *)
+    let le = light env in
+    let fused =
+      match (operand le ea, operand le eb) with
+      | Ocode ca, Ocode cb ->
+        fun c f ->
+          let va = ca c f in
+          let vb = cb c f in
+          apply2 op c va vb
+      | Ocode ca, Oconst vb -> fun c f -> apply2 op c (ca c f) vb
+      | Ocode ca, Oslot (ib, mb) ->
+        fun c f ->
+          let va = ca c f in
+          let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
+          apply2 op c va vb
+      | Oconst va, Ocode cb ->
+        fun c f ->
+          let vb = cb c f in
+          apply2 op c va vb
+      | Oconst va, Oconst vb -> fun c _f -> apply2 op c va vb
+      | Oconst va, Oslot (ib, mb) ->
+        fun c f ->
+          let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
+          apply2 op c va vb
+      | Oslot (ia, ma), Ocode cb ->
+        fun c f ->
+          let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
+          let vb = cb c f in
+          apply2 op c va vb
+      | Oslot (ia, ma), Oconst vb ->
+        fun c f ->
+          let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
+          apply2 op c va vb
+      | Oslot (ia, ma), Oslot (ib, mb) ->
+        fun c f ->
+          let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
+          let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
+          apply2 op c va vb
+    in
+    nosh env fused
 
 and operand env (e : Ast.expr) : operand =
   match e with
@@ -623,31 +632,10 @@ let rel_of_binop = function
   | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr ->
     None
 
-(* Direct comparisons for condition position: same truth value as
-   routing through [int_op]/[float_op], without boxing the result.
-   Only defined for the ops [rel_of_binop] accepts. *)
-let int_rel : Ast.binop -> int -> int -> bool = function
-  | Ast.Eq -> ( = )
-  | Ast.Ne -> ( <> )
-  | Ast.Lt -> ( < )
-  | Ast.Le -> ( <= )
-  | Ast.Gt -> ( > )
-  | Ast.Ge -> ( >= )
-  | _ -> invalid_arg "Compile.int_rel"
-
-let float_rel : Ast.binop -> float -> float -> bool = function
-  | Ast.Eq -> Float.equal
-  | Ast.Ne -> fun x y -> not (Float.equal x y)
-  | Ast.Lt -> ( < )
-  | Ast.Le -> ( <= )
-  | Ast.Gt -> ( > )
-  | Ast.Ge -> ( >= )
-  | _ -> invalid_arg "Compile.float_rel"
-
 (* Fused-condition comparison: like [apply2], [op] is a compile-time
    constant at every caller (always relational, guarded by
    [rel_of_binop]), so the matches compile to jump tables.  Truth
-   values are identical to routing through [int_rel]/[float_rel]. *)
+   values are [apply2]'s. *)
 let rel_apply (op : Ast.binop) c va vb =
   match (va, vb) with
   | Value.Vint x, Value.Vint y -> (
@@ -673,41 +661,36 @@ let rel_apply (op : Ast.binop) c va vb =
   | _, (Value.Varr_int _ | Value.Varr_float _) ->
     type_error c "arithmetic on array value"
 
+(* [rel_apply] for the heavy tree, with the branch constraint left in
+   [c.cs]. [Constr.cmp a rel b] is [make (Linexp.sub a b) rel]; no
+   variable on either side makes a concrete branch, and with no symbolic
+   side no expression is built at all. Float comparisons are concrete
+   only (Interp re-evaluates the whole pure expression there; the values
+   are identical). *)
+let rel_apply_heavy (op : Ast.binop) rel c va sa vb sb =
+  match (va, vb) with
+  | Value.Vint x, Value.Vint y ->
+    let taken = rel_apply op c va vb in
+    c.cs <-
+      (match shadow_sub x sa y sb with
+      | Sym exp when Smt.Linexp.is_const exp = None ->
+        let cns = Smt.Constr.make exp rel in
+        Some (if taken then cns else Smt.Constr.negate cns)
+      | Sym _ | Unshadowed | Konst -> None);
+    taken
+  | _ ->
+    c.cs <- None;
+    rel_apply op c va vb
+
 (* Heavy condition closures leave their branch constraint in [c.cs];
    light ones never touch it (the statement layer passes [None]). *)
 let rec compile_cond env (e : Ast.expr) : ccode =
   match e with
   | Ast.Binop (op, ea, eb) when rel_of_binop op <> None ->
     let rel = Option.get (rel_of_binop op) in
-    let irel = int_rel op and frel = float_rel op in
     if env.heavy then begin
-      let ca = compile_expr env ea and cb = compile_expr env eb in
-      fun c f ->
-        let va = ca c f in
-        let sa = c.sh in
-        let vb = cb c f in
-        let sb = c.sh in
-        match (va, vb) with
-        | Value.Vint x, Value.Vint y ->
-          let taken = irel x y in
-          (* [Constr.cmp a rel b] is [make (Linexp.sub a b) rel]; no
-             variable on either side makes a concrete branch, and with
-             no symbolic side no expression is built at all *)
-          c.cs <-
-            (match shadow_sub x sa y sb with
-            | Sym exp when Smt.Linexp.is_const exp = None ->
-              let cns = Smt.Constr.make exp rel in
-              Some (if taken then cns else Smt.Constr.negate cns)
-            | Sym _ | Unshadowed | Konst -> None);
-          taken
-        | (Value.Vfloat _ | Value.Vint _), (Value.Vfloat _ | Value.Vint _) ->
-          (* float comparisons: concrete only (Interp re-evaluates the
-             whole pure expression here; values are identical) *)
-          c.cs <- None;
-          frel (as_float c va) (as_float c vb)
-        | (Value.Varr_int _ | Value.Varr_float _), _
-        | _, (Value.Varr_int _ | Value.Varr_float _) ->
-          type_error c "arithmetic on array value"
+      fuse_heavy (operand env ea) (operand env eb) (fun c va sa vb sb ->
+          rel_apply_heavy op rel c va sa vb sb)
     end
     else begin
       (* light conditions fuse simple operands exactly like light

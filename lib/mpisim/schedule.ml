@@ -73,15 +73,13 @@ let alternatives ~depth ~prefix_len (choices : choice list) : alt list =
 
 (* Enumeration accounting for one run, for the schedule_enum event:
    how many choice points were examined, how many forks emitted, and
-   how many alternatives the depth budget or prefix pruned. *)
+   how many alternatives the depth budget or prefix pruned. Takes the
+   run's [alternatives] rather than building them again. *)
 type stats = { st_points : int; st_emitted : int; st_pruned : int }
 
-let stats ~depth ~prefix_len (choices : choice list) =
-  let n = List.length choices in
+let stats (choices : choice list) (alts : alt list) =
   let total_alts =
     List.fold_left (fun acc c -> acc + List.length c.ch_alts - 1) 0 choices
   in
-  let emitted =
-    List.length (alternatives ~depth ~prefix_len choices)
-  in
-  { st_points = n; st_emitted = emitted; st_pruned = total_alts - emitted }
+  let emitted = List.length alts in
+  { st_points = List.length choices; st_emitted = emitted; st_pruned = total_alts - emitted }

@@ -52,7 +52,8 @@ val alternatives : depth:int -> prefix_len:int -> choice list -> alt list
 
 type stats = { st_points : int; st_emitted : int; st_pruned : int }
 
-val stats : depth:int -> prefix_len:int -> choice list -> stats
-(** Accounting for the same enumeration: choice points recorded, forks
-    {!alternatives} would emit, and alternatives pruned (by the prefix
-    rule, the depth budget, or single-candidate points). *)
+val stats : choice list -> alt list -> stats
+(** [stats choices alts] is the accounting for the enumeration [alts]
+    that {!alternatives} built from [choices]: choice points recorded,
+    forks emitted, and alternatives pruned (by the prefix rule, the
+    depth budget, or single-candidate points). *)

@@ -55,8 +55,8 @@ let compiled_exec cp hooks _program = Compile.run cp hooks
 
 let mode_name = function Interp.Heavy -> "heavy" | Interp.Light -> "light"
 
-let differential ?step_limit ?(inputs = []) name p =
-  let info = instrument p in
+let differential ?step_limit ?(inputs = []) ?(check = true) name p =
+  let info = if check then instrument p else Branchinfo.instrument p in
   let cp = Compile.compile info.Branchinfo.program in
   List.iter
     (fun mode ->
@@ -272,6 +272,167 @@ let test_compile_metadata () =
     (Compile.program cp == info.Branchinfo.program)
 
 (* ------------------------------------------------------------------ *)
+(* Fused heavy operands: every operand shape on either side            *)
+(* ------------------------------------------------------------------ *)
+
+(* Two representatives per operand shape, one with a symbolic shadow and
+   one without: the input [n] and the concrete local [c], a literal of
+   each sign, and code over each ([c - 1] carries a constant shadow). *)
+let operand_shapes =
+  [
+    ("var", [ v "n"; v "c" ]);
+    ("const", [ i 3; i (-2) ]);
+    ("code", [ v "n" +: i 1; v "c" -: i 1 ]);
+  ]
+
+let linear_ops = [ ( +: ); ( -: ); ( *: ) ]
+let relations = [ ( =: ); ( <>: ); ( <: ); ( <=: ); ( >: ); ( >=: ) ]
+
+(* For each of the nine (left, right) shape pairs: every linear op, its
+   result seen through a stored variable and straight in a condition,
+   and every relation. *)
+let test_fused_operand_pairs () =
+  List.iter
+    (fun (left_shape, lefts) ->
+      List.iter
+        (fun (right_shape, rights) ->
+          let pair a b =
+            List.concat_map
+              (fun op ->
+                [ assign "r" (op a b); if_ (v "r" >: i 0) [] []; if_ (op a b <=: i 4) [] [] ])
+              linear_ops
+            @ List.map (fun rel -> if_ (rel a b) [] []) relations
+          in
+          let body =
+            List.concat_map (fun a -> List.concat_map (fun b -> pair a b) rights) lefts
+          in
+          let p =
+            program
+              [
+                func "main" []
+                  ([ input "n" ~default:3; decl "c" (i 2); decl "r" (i 0) ] @ body);
+              ]
+          in
+          List.iter
+            (fun n ->
+              differential ~inputs:[ ("n", n) ]
+                (Printf.sprintf "%s op %s, n=%d" left_shape right_shape n)
+                p)
+            [ 3; 0; -2 ])
+        operand_shapes)
+    operand_shapes
+
+(* [differential] on an unchecked program that must end in [fault]. *)
+let faulting_differential ~fault name p =
+  differential ~check:false ~inputs:[ ("n", 3) ] name p;
+  Alcotest.(check string) (name ^ ": fault") fault
+    (List.hd (observe interp_exec Interp.Heavy (Branchinfo.instrument p) ~inputs:[ ("n", 3) ]))
+
+(* An unbound variable on either side of a fused heavy node faults with
+   its own name, and a left operand that faults first wins. *)
+let test_fused_undefined_operand () =
+  let undefined = "type error in main: undefined variable u" in
+  List.iter
+    (fun (name, stmt, fault) ->
+      faulting_differential ~fault ("undefined: " ^ name)
+        (program
+           [
+             func "main" []
+               [ input "n" ~default:3; decl "z" (i 0); decl "r" (i 0); stmt ];
+           ]))
+    [
+      ("left +", assign "r" (v "u" +: v "n"), undefined);
+      ("right +", assign "r" (v "n" +: v "u"), undefined);
+      ("left * code", assign "r" (v "u" *: (v "n" +: i 1)), undefined);
+      ("code - right", assign "r" ((v "n" +: i 1) -: v "u"), undefined);
+      ("both sides", assign "r" (v "u" -: v "w"), undefined);
+      ( "faulting left first",
+        assign "r" ((i 1 /: v "z") +: v "u"),
+        "floating point exception (division by zero) in main" );
+      ("left <", if_ (v "u" <: v "n") [] [], undefined);
+      ("right >=", if_ (i 1 >=: v "u") [] [], undefined);
+      ("both sides ==", if_ (v "u" =: v "w") [] [], undefined);
+    ]
+
+(* Int/float mixes go concrete; an array on either side is a type
+   error. *)
+let test_fused_mixed_and_array_operands () =
+  differential ~inputs:[ ("n", 3) ] "int/float mixes"
+    (program
+       [
+         func "main" []
+           [
+             input "n" ~default:3;
+             declf "y" (v "n" +: f 1.5);
+             if_ (v "y" >: f 4.0) [] [];
+             declf "p" (f 2.0 *: v "n");
+             declf "q" ((v "n" -: i 1) -: v "y");
+             if_ (v "n" <: f 3.5) [] [];
+             if_ (f 0.5 <=: (v "n" -: i 1)) [] [];
+             if_ (v "p" =: v "n" *: i 2) [] [];
+             if_ (v "q" <>: f 0.0) [] [];
+           ];
+       ]);
+  List.iter
+    (fun (name, stmt) ->
+      faulting_differential ~fault:"type error in main: arithmetic on array value"
+        ("array operand: " ^ name)
+        (program
+           [
+             func "main" []
+               [
+                 input "n" ~default:3;
+                 decl_arr "a" (i 3);
+                 decl_arrf "af" (i 2);
+                 decl "r" (i 0);
+                 stmt;
+               ];
+           ]))
+    [
+      ("left +", assign "r" (v "a" +: i 1));
+      ("right -", assign "r" (v "n" -: v "a"));
+      ("both *", assign "r" (v "a" *: v "a"));
+      ("code + array", assign "r" ((v "n" +: i 1) +: v "af"));
+      ("left <", if_ (v "a" <: i 1) [] []);
+      ("right ==", if_ (v "n" =: v "af") [] []);
+      ("float array >", if_ (v "af" >: f 1.0) [] []);
+    ]
+
+(* [Konst * symbolic] in every fused shape: a left operand with a
+   constant shadow, variable or code, makes the product concrete; a
+   literal or unshadowed variable on the left keeps it symbolic. *)
+let test_fused_constant_shadow_product () =
+  let p =
+    program
+      [
+        func "main" []
+          [
+            input "n" ~default:3;
+            decl "a" (i 1);
+            decl "c" (v "a" +: i 1);
+            decl "d" (i 2);
+            if_ ((v "c" *: v "n") =: i 6) [] [];
+            if_ ((v "d" *: v "n") =: i 6) [] [];
+            if_ (((v "a" +: i 1) *: v "n") =: i 6) [] [];
+            if_ ((v "c" *: (v "n" +: i 1)) =: i 8) [] [];
+            if_ ((i 2 *: (v "n" +: i 1)) =: i 8) [] [];
+            if_ (((v "n" +: i 1) *: v "c") =: i 8) [] [];
+          ];
+      ]
+  in
+  differential ~inputs:[ ("n", 3) ] "fused constant shadow product" p;
+  let info = instrument p in
+  let branches =
+    List.filter
+      (fun s -> String.length s > 7 && String.sub s 0 7 = "branch ")
+      (observe interp_exec Interp.Heavy info ~inputs:[ ("n", 3) ])
+  in
+  Alcotest.(check (list bool))
+    "symbolic branches (interpreter)"
+    [ false; true; false; false; true; true ]
+    (List.map (fun s -> not (String.ends_with ~suffix:"concrete" s)) branches)
+
+(* ------------------------------------------------------------------ *)
 (* Full Runner stack: targets and the .mc corpus under N processes     *)
 (* ------------------------------------------------------------------ *)
 
@@ -390,18 +551,20 @@ let test_corpus_differential () =
 (* A live parallel campaign must be byte-identical across exec modes
    (and the report is already jobs-invariant, so jobs=2 covers the
    shared-compiled-program-across-domains path). *)
-let campaign exec_mode ~jobs info =
+let campaign ?(two_way = true) ?(iterations = 40) ?(initial_nprocs = 2) exec_mode ~jobs info
+    =
   let settings =
     {
       Compi.Campaign.default_settings with
       Compi.Campaign.base =
         {
           Compi.Driver.default_settings with
-          Compi.Driver.iterations = 40;
+          Compi.Driver.iterations;
           dfs_phase_iters = 12;
-          initial_nprocs = 2;
+          initial_nprocs;
           seed = 11;
           exec_mode;
+          two_way;
         };
       jobs;
     }
@@ -422,6 +585,16 @@ let test_campaign_modes_identical () =
         (Printf.sprintf "jobs=%d same execution count" jobs)
         ri.Compi.Campaign.executed rc.Compi.Campaign.executed)
     [ 1; 2 ]
+
+(* One-way instrumentation runs every rank heavy, so several path logs
+   are live in one run and their buffers are released together. *)
+let test_one_way_campaign_modes_identical () =
+  let info = Targets.Registry.instrument (Targets.Catalog.find_exn "npb-cg") in
+  let run mode = campaign ~two_way:false ~iterations:30 ~initial_nprocs:4 mode ~jobs:1 info in
+  Alcotest.(check string)
+    "one-way report identical across exec modes"
+    (Compi.Campaign.coverage_report (run Compi.Runner.Exec_interp))
+    (Compi.Campaign.coverage_report (run Compi.Runner.Exec_compiled))
 
 (* ------------------------------------------------------------------ *)
 (* Property: random programs agree under both executors                *)
@@ -492,6 +665,12 @@ let unit_tests =
     ("all targets under runner", `Quick, test_targets_differential);
     ("mc corpus under runner", `Quick, test_corpus_differential);
     ("campaign identical across modes", `Quick, test_campaign_modes_identical);
+    ("fused operand pairs", `Quick, test_fused_operand_pairs);
+    ("fused undefined operand", `Quick, test_fused_undefined_operand);
+    ("fused mixed and array operands", `Quick, test_fused_mixed_and_array_operands);
+    ("fused constant shadow product", `Quick, test_fused_constant_shadow_product);
+    ("one-way campaign identical across modes", `Quick,
+      test_one_way_campaign_modes_identical);
   ]
 
 let property_tests =

@@ -196,6 +196,56 @@ let test_pathlog_bytes () =
   Alcotest.(check bool) "heavy >> light" true
     (Pathlog.heavy_bytes log > 2 * Pathlog.light_bytes log)
 
+(* A log whose event buffer was released by an earlier, longer log reads
+   exactly like a log on a fresh buffer: the stale events beyond the new
+   log's end never show. Two logs live at once each keep their own
+   buffer, as in a one-way run. *)
+let test_pathlog_reused_buffer () =
+  let events log seed n =
+    for k = 0 to n - 1 do
+      let cond_id = (k * seed) mod 37 in
+      Pathlog.record log ~cond_id ~taken:((k + seed) mod 3 = 0)
+        ~constr:(if k mod 4 = 0 then None else Some (mk_constr (k mod 5) (k - seed)))
+    done
+  in
+  let observe log =
+    ( Pathlog.serialize log,
+      Pathlog.tail ~n:12 log,
+      (Pathlog.light_bytes log, Pathlog.heavy_bytes log, Pathlog.constraint_count log),
+      Array.map fst (Pathlog.constraints log) )
+  in
+  (* take every buffer this domain holds from earlier runs (it keeps far
+     fewer than 64), so only the two released below are spare *)
+  ignore (List.init 64 (fun _ -> Pathlog.create ~reduce:false));
+  let long_a = Pathlog.create ~reduce:true and long_b = Pathlog.create ~reduce:false in
+  events long_a 3 500;
+  events long_b 5 300;
+  Pathlog.release long_a;
+  Pathlog.release long_b;
+  Pathlog.release long_b;
+  (* both take a released buffer, full of the long logs' events *)
+  let reused_a = Pathlog.create ~reduce:true and reused_b = Pathlog.create ~reduce:false in
+  events reused_a 7 40;
+  events reused_b 11 90;
+  let fresh_a = Pathlog.create ~reduce:true and fresh_b = Pathlog.create ~reduce:false in
+  events fresh_a 7 40;
+  events fresh_b 11 90;
+  let check name fresh reused =
+    let text_f, tail_f, sizes_f, branches_f = observe fresh in
+    let text_r, tail_r, sizes_r, branches_r = observe reused in
+    Alcotest.(check string) (name ^ ": serialized bytes") text_f text_r;
+    Alcotest.(check (list (pair int bool))) (name ^ ": tail") tail_f tail_r;
+    Alcotest.(check (triple int int int)) (name ^ ": sizes") sizes_f sizes_r;
+    Alcotest.(check (array int)) (name ^ ": constraint branches") branches_f branches_r
+  in
+  check "reduced log" fresh_a reused_a;
+  check "unreduced log" fresh_b reused_b;
+  Pathlog.release reused_a;
+  Alcotest.(check int) "released log keeps its counts" 40 (Pathlog.branch_events reused_a);
+  Alcotest.check_raises "a released log records no more"
+    (Invalid_argument "index out of bounds") (fun () ->
+      Pathlog.record reused_a ~cond_id:0 ~taken:true ~constr:None)
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -687,6 +737,7 @@ let unit_tests =
     ("pathlog serialize reduction", `Quick, test_pathlog_serialize_reduction_smaller);
     ("pathlog decimal writer", `Quick, test_pathlog_decimal_writer);
     ("pathlog bytes", `Quick, test_pathlog_bytes);
+    ("pathlog reused buffer", `Quick, test_pathlog_reused_buffer);
     ("execution prefix", `Quick, test_execution_prefix);
     ("execution negation", `Quick, test_execution_solve_negation);
     ("execution prefix respected", `Quick, test_execution_negation_respects_prefix);

@@ -357,6 +357,30 @@ let test_ledger_load_directory () =
   | Error e -> Alcotest.(check bool) "diagnostic nonempty" true (e <> "")
   | Ok _ -> Alcotest.fail "a directory read as a ledger"
 
+(* A ledger that names a directory is refused by [Campaign.run] itself,
+   before the first test: no event reaches the sink. *)
+let test_campaign_refuses_directory_ledger () =
+  let dir = Filename.get_temp_dir_name () in
+  let info = Targets.Registry.instrument (Targets.Catalog.find_exn "toy-fig1") in
+  let settings = { Compi.Campaign.default_settings with Compi.Campaign.ledger = Some dir } in
+  let trace = Buffer.create 256 in
+  let refusal =
+    Obs.Sink.with_sink (Obs.Sink.Buffer_sink trace) (fun () ->
+        match Compi.Campaign.run ~settings ~label:"toy-fig1" info with
+        | _ -> None
+        | exception Invalid_argument msg -> Some msg)
+  in
+  match refusal with
+  | None -> Alcotest.fail "a directory was accepted as the ledger"
+  | Some msg ->
+    let names_path =
+      let n = String.length dir in
+      let rec at i = i + n <= String.length msg && (String.sub msg i n = dir || at (i + 1)) in
+      at 0
+    in
+    Alcotest.(check bool) (Printf.sprintf "%S names %s" msg dir) true names_path;
+    Alcotest.(check string) "no event before the refusal" "" (Buffer.contents trace)
+
 (* ------------------------------------------------------------------ *)
 (* live jobs-2 campaign: status snapshot vs post-hoc replay census     *)
 (* ------------------------------------------------------------------ *)
@@ -458,6 +482,8 @@ let suite =
         Alcotest.test_case "ledger: digest stability" `Quick test_ledger_digest_stable;
         Alcotest.test_case "ledger: a directory is an error" `Quick
           test_ledger_load_directory;
+        Alcotest.test_case "campaign: a directory ledger is refused up front" `Quick
+          test_campaign_refuses_directory_ledger;
         Alcotest.test_case "campaign: live status agrees with replay" `Quick
           test_live_campaign_status_matches_replay;
       ]

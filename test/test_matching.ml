@@ -235,7 +235,10 @@ let render_run buf label (r : Scheduler.run_result) log =
     r.Scheduler.choices
 
 let scripts = 160
-let golden_file = "golden/mpisim_matching.txt"
+(* Beside the test executable, where dune copies the test's deps, so the
+   suite finds it from any working directory. *)
+let golden_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "golden/mpisim_matching.txt"
 
 (* The rendered golden text, plus counts showing the generator reached
    deadlocks, leaks and multi-way choice points. *)

@@ -48,7 +48,9 @@ let test_jobs_invariance_susy () =
 (* Campaigns over the Mini-C corpus in examples/programs: parse, check,
    instrument, then require jobs-count invariance on each. *)
 let example_programs () =
-  let dir = "../examples/programs" in
+  let dir =
+    Filename.concat (Filename.dirname Sys.executable_name) "../examples/programs"
+  in
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | names ->

@@ -226,7 +226,7 @@ let test_alternatives_depth_budget () =
     "points past the depth budget never fork"
     [ (0, 2, [ 2 ]) ]
     (List.map alt_triple alts);
-  let st = Schedule.stats ~depth:1 ~prefix_len:0 choices in
+  let st = Schedule.stats choices alts in
   Alcotest.(check int) "both points recorded" 2 st.Schedule.st_points;
   Alcotest.(check int) "one alternative emitted" 1 st.Schedule.st_emitted;
   Alcotest.(check int) "one alternative pruned" 1 st.Schedule.st_pruned
@@ -314,6 +314,46 @@ let por_property =
       let recvs = m1 + m2 + extra in
       let por, _ = por_states ~m1 ~m2 ~recvs in
       por = exhaustive_states ~m1 ~m2 ~recvs)
+
+(* [Schedule.stats] as it was defined before it took the built
+   alternatives: it enumerated them again only to count them. *)
+let stats_by_reenumeration ~depth ~prefix_len (choices : Schedule.choice list) =
+  let total_alts =
+    List.fold_left (fun acc c -> acc + List.length c.Schedule.ch_alts - 1) 0 choices
+  in
+  let emitted = List.length (Schedule.alternatives ~depth ~prefix_len choices) in
+  {
+    Schedule.st_points = List.length choices;
+    st_emitted = emitted;
+    st_pruned = total_alts - emitted;
+  }
+
+(* A choice point: a nonempty sorted set of eligible sources in 0..4
+   and a delivered member of it. *)
+let gen_choice =
+  QCheck.Gen.(
+    let* alts = list_size (int_range 1 5) (int_bound 4) in
+    let alts = List.sort_uniq compare alts in
+    let* k = int_bound (List.length alts - 1) in
+    return (mk_choice ~chosen:(List.nth alts k) ~alts ()))
+
+let stats_property =
+  QCheck.Test.make ~count:300
+    ~name:"stats of the built alternatives equals stats by re-enumeration"
+    QCheck.(
+      make
+        ~print:(fun (choices, depth, prefix_len) ->
+          Printf.sprintf "depth %d prefix %d choices [%s]" depth prefix_len
+            (String.concat "; "
+               (List.map
+                  (fun (c : Schedule.choice) ->
+                    Printf.sprintf "%d of {%s}" c.Schedule.ch_chosen
+                      (String.concat "," (List.map string_of_int c.Schedule.ch_alts)))
+                  choices)))
+        Gen.(triple (list_size (int_bound 8) gen_choice) (int_bound 10) (int_bound 10)))
+    (fun (choices, depth, prefix_len) ->
+      Schedule.stats choices (Schedule.alternatives ~depth ~prefix_len choices)
+      = stats_by_reenumeration ~depth ~prefix_len choices)
 
 (* ------------------------------------------------------------------ *)
 (* campaign integration: the wc-race (input, schedule) deadlock        *)
@@ -421,6 +461,7 @@ let unit_tests =
       test_fingerprint_carries_schedule_settings;
   ]
 
-let property_tests = [ QCheck_alcotest.to_alcotest por_property ]
+let property_tests =
+  [ QCheck_alcotest.to_alcotest por_property; QCheck_alcotest.to_alcotest stats_property ]
 
 let suite = [ ("schedule:unit", unit_tests); ("schedule:property", property_tests) ]
