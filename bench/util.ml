@@ -95,8 +95,9 @@ let compare_line ~label ~paper ~measured =
 
 (* Persist the whole metrics registry (bench gauges plus whatever the
    engine accumulated while benchmarks ran: solver latency histograms,
-   interpreter step counts, phase totals) — the BENCH_*.json perf
-   trajectory the roadmap tracks across PRs. *)
+   interpreter step counts; the phases are the span totals of a drained
+   timeline, empty when none was) — the BENCH_*.json perf trajectory the
+   roadmap tracks across PRs. *)
 let write_metrics_json path =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Obs.Json.to_string (Obs.Metrics.snapshot_json ()));

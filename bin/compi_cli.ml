@@ -232,8 +232,8 @@ let metrics_arg ?docs () =
     value
     & opt (some string) None
     & info [ "metrics" ] ?docs ~docv:"FILE.json"
-        ~doc:"Write the metrics registry snapshot (counters, histograms, phase totals) \
-              to $(docv) when the campaign ends")
+        ~doc:"Write the metrics registry snapshot (counters, histograms, per-kind span \
+              totals) to $(docv) when the campaign ends")
 
 (* Install a JSONL sink for the duration of [f]; afterwards dump the
    metrics snapshot. Both files are optional and independent.
@@ -253,11 +253,13 @@ let with_telemetry ~trace_events ~metrics f =
        second (or 512 events) so [compi-cli watch --trace] sees events
        while the campaign runs, not just at exit. Autoflush is off by
        default (tests install bare sinks); only the CLI arms it. *)
-    Obs.Sink.set_autoflush ~events:512 ~seconds:0.5 ();
-    (* tracing implies spans: arm the per-domain timeline so the trace
-       carries the material [compi-cli profile] folds *)
-    Obs.Timeline.enable ()
+    Obs.Sink.set_autoflush ~events:512 ~seconds:0.5 ()
   | None -> ());
+  (* the timeline is the one timer: the trace's spans are what
+     [compi-cli profile] folds, and its drained totals are the metrics
+     snapshot's phases; with neither file asked for, nothing is timed *)
+  let timed = Option.is_some oc || Option.is_some metrics in
+  if timed then Obs.Timeline.enable ();
   let old_handlers =
     if Option.is_none oc then []
     else
@@ -282,10 +284,12 @@ let with_telemetry ~trace_events ~metrics f =
         (fun (sg, old) ->
           try Sys.set_signal sg old with Invalid_argument _ | Sys_error _ -> ())
         old_handlers;
+      if timed then begin
+        Obs.Timeline.drain ();
+        Obs.Timeline.disable ()
+      end;
       (match oc with
       | Some chan ->
-        Obs.Timeline.drain ();
-        Obs.Timeline.disable ();
         Obs.Sink.uninstall ();
         close_out chan;
         Printf.printf "events written to %s\n"
@@ -902,7 +906,7 @@ let profile_cmd =
     | Some file ->
       Out_channel.with_open_bin file (fun oc ->
           Out_channel.output_string oc (Obs.Fold.profile_html ~stable f));
-      Printf.printf "profile written to %s (%d spans)\n" file
+      Printf.printf "profile written to %s (%d span intervals)\n" file
         (List.length f.Obs.Fold.spans)
     | None -> print_string (Obs.Fold.profile_text ~stable f)
   in

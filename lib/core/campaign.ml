@@ -485,7 +485,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             }
             :: !bugs)
         faults;
-      Obs.Prof.time "strategy" (fun () ->
+      Obs.Timeline.span "strategy" (fun () ->
           Strategy.observe !strategy ~depth:p.Driver.p_depth r.Runner.execution);
       (* two-phase bound derivation *)
       (match s.Driver.strategy with
@@ -648,7 +648,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         ck_work = !work_remaining;
       }
     in
-    let bytes = Obs.Prof.time "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap) in
+    let bytes = Obs.Timeline.span "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap) in
     incr checkpoints_written;
     Obs.Metrics.incr m_checkpoints;
     emit
@@ -731,7 +731,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             let key = Some (Execution.prepared_key p) in
             let t0 = Unix.gettimeofday () in
             let outcome =
-              Obs.Prof.time "solve" (fun () ->
+              Obs.Timeline.span "solve" (fun () ->
                   (* the dispatch-time key already holds the canonical
                      closure — solve it directly *)
                   Execution.solve_prepared ~budget:s.Driver.solver_budget
@@ -857,7 +857,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
      drained work list — leave a snapshot the next run can pick up *)
   (match settings.checkpoint with Some dir -> write_checkpoint dir | None -> ());
   let reachable =
-    Obs.Prof.time "report" (fun () ->
+    Obs.Timeline.span "report" (fun () ->
         Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage))
   in
   let covered = Coverage.covered_branches coverage in

@@ -66,8 +66,10 @@ type snapshot = {
    hits behind the campaign's cache accounting.
    version 8: [ck_fold], the fold of the campaign's own events that its
    result, status file and ledger read, replaced [ck_solver_calls] and
-   [ck_cache_hits] *)
-let version = 8
+   [ck_cache_hits].
+   version 9: [Obs.Fold.state] gained the [span_summary] rows, so
+   [ck_fold] marshals a different layout than v8's *)
+let version = 9
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"

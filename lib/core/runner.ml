@@ -60,7 +60,7 @@ let default_config ~info =
     on_event = Mpisim.Trace.discard;
   }
 
-(* Compile the target once, under the "compile" profile phase, so
+(* Compile the target once, under a "compile" span, so
    `compi-cli profile` attributes compile cost separately from run
    cost. Returns the value to put in [config.compiled]. *)
 let prepare ?(target = "") mode (info : Branchinfo.t) =
@@ -69,7 +69,7 @@ let prepare ?(target = "") mode (info : Branchinfo.t) =
   | Exec_compiled ->
     let t0 = Unix.gettimeofday () in
     let cp =
-      Obs.Prof.time "compile" (fun () -> Compile.compile info.Branchinfo.program)
+      Obs.Timeline.span "compile" (fun () -> Compile.compile info.Branchinfo.program)
     in
     let time_s = Unix.gettimeofday () -. t0 in
     if Obs.Sink.active () then
@@ -302,7 +302,4 @@ let run_raw config =
 
 let run config =
   Obs.Metrics.incr m_runs;
-  (* Prof.time also records an "exec" timeline span — on campaign worker
-     domains too — so every concolic execution shows on the profile
-     Gantt without further instrumentation here. *)
-  Obs.Prof.time "exec" (fun () -> run_raw config)
+  Obs.Timeline.span "exec" (fun () -> run_raw config)

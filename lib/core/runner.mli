@@ -56,8 +56,8 @@ val default_config : info:Minic.Branchinfo.t -> config
 
 val prepare : ?target:string -> exec_mode -> Minic.Branchinfo.t -> Minic.Compile.t option
 (** Compile the target once for a campaign (the [Exec_compiled] mode);
-    [Exec_interp] returns [None]. Compilation is timed under the
-    ["compile"] {!Obs.Prof} phase and emits an {!Obs.Event.Compile}
+    [Exec_interp] returns [None]. Compilation is timed as a
+    ["compile"] {!Obs.Timeline} span and emits an {!Obs.Event.Compile}
     event, so compile cost is attributed separately from run cost. *)
 
 type result = {

@@ -877,7 +877,7 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
         else settle ()
       end
   in
-  Obs.Prof.time "schedule" settle;
+  Obs.Timeline.span "schedule" settle;
   Obs.Metrics.incr ~by:s.msg_count m_messages;
   Obs.Metrics.incr ~by:s.coll_count m_collectives;
   Obs.Metrics.observe_int m_msgs_per_run s.msg_count;

@@ -74,6 +74,7 @@ type t =
     }
   | Schedule_enum of { parent : int; points : int; emitted : int; pruned : int }
   | Span of { domain : int; kind : string; t0 : int; t1 : int }
+  | Span_summary of { rows : (int * string * int * int) list }
   | Ledger_append of { path : string; run : string; covered : int; reachable : int; bugs : int }
 
 let kind_name = function
@@ -93,6 +94,7 @@ let kind_name = function
   | Schedule_choice _ -> "schedule_choice"
   | Schedule_enum _ -> "schedule_enum"
   | Span _ -> "span"
+  | Span_summary _ -> "span_summary"
   | Ledger_append _ -> "ledger_append"
 
 let fields = function
@@ -227,6 +229,9 @@ let fields = function
       ("t0", Json.Int t0);
       ("t1", Json.Int t1);
     ]
+  | Span_summary { rows } ->
+    let row (d, k, c, ns) = Json.List [ Json.Int d; Json.Str k; Json.Int c; Json.Int ns ] in
+    [ ("rows", Json.List (List.map row rows)) ]
   | Ledger_append { path; run; covered; reachable; bugs } ->
     [
       ("path", Json.Str path);
@@ -396,6 +401,14 @@ let of_json j =
     let* t0 = int "t0" in
     let* t1 = int "t1" in
     Ok (Span { domain; kind; t0; t1 })
+  | "span_summary" ->
+    let row = function
+      | Json.List [ Json.Int d; Json.Str k; Json.Int c; Json.Int ns ] when c >= 0 && ns >= 0 ->
+        Some (d, k, c, ns)
+      | _ -> None
+    in
+    let* rows = list "rows" row in
+    Ok (Span_summary { rows })
   | "ledger_append" ->
     let* path = str "path" in
     let* run = str "run" in

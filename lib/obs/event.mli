@@ -140,7 +140,12 @@ type t =
           [domain] (pool worker index; 0 = main) from monotonic tick
           [t0] to [t1], in nanoseconds since the timeline was enabled.
           The profile fold ([compi-cli profile]) is built entirely from
-          these. *)
+          these and the [span_summary] rows. *)
+  | Span_summary of { rows : (int * string * int * int) list }
+      (** the spans one {!Timeline.drain} folded instead of emitting:
+          row [(domain, kind, count, ns)] is [count] spans of [kind] on
+          [domain], [ns] nanoseconds in all, each inside another busy
+          span of its domain; on the wire one array per row *)
   | Ledger_append of { path : string; run : string; covered : int; reachable : int; bugs : int }
       (** the campaign appended run [run]'s summary record to the
           ledger store at [path] (see {!Ledger}) — the longitudinal

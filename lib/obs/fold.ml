@@ -88,10 +88,15 @@ type t = {
   faults : (int * int * string * string) list;
   restarts : (string * int) list;
   spans : span list;
+  span_rows : ((int * string) * (int * int)) list;
 }
 
 let bump tbl key n =
   Hashtbl.replace tbl key (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
+
+let bump2 tbl key (c, ns) =
+  let c0, ns0 = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0) in
+  Hashtbl.replace tbl key (c0 + c, ns0 + ns)
 
 let sorted_assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
@@ -143,6 +148,7 @@ type state = {
   mutable s_faults : (int * int * string * string) list; (* newest first *)
   s_restarts : (string, int) Hashtbl.t;
   mutable s_spans : span list; (* newest first *)
+  s_span_rows : (int * string, int * int) Hashtbl.t; (* (domain, kind) -> count, ns *)
 }
 
 let init () =
@@ -188,6 +194,7 @@ let init () =
     s_faults = [];
     s_restarts = Hashtbl.create 8;
     s_spans = [];
+    s_span_rows = Hashtbl.create 16;
   }
 
 let step st ev =
@@ -272,6 +279,8 @@ let step st ev =
   | Event.Span { domain; kind; t0; t1 } ->
     st.s_spans <-
       { sp_domain = domain; sp_kind = kind; sp_t0 = t0; sp_t1 = t1 } :: st.s_spans
+  | Event.Span_summary { rows } ->
+    List.iter (fun (d, k, c, ns) -> bump2 st.s_span_rows (d, k) (c, ns)) rows
   | Event.Checkpoint_write _ | Event.Checkpoint_load _ | Event.Compile _
   | Event.Ledger_append _ -> ());
   st
@@ -355,6 +364,7 @@ let finish st =
           compare (a.sp_t0, a.sp_domain, a.sp_t1, a.sp_kind)
             (b.sp_t0, b.sp_domain, b.sp_t1, b.sp_kind))
         st.s_spans;
+    span_rows = sorted_assoc st.s_span_rows;
   }
 
 type live = {
@@ -519,7 +529,7 @@ let ascii_curve ?(width = 60) ?(height = 12) points =
    campaign computed. *)
 let unstable_kind k =
   match k with
-  | "checkpoint_write" | "checkpoint_load" | "span" | "ledger_append" -> true
+  | "checkpoint_write" | "checkpoint_load" | "span" | "span_summary" | "ledger_append" -> true
   | _ -> false
 
 let stable_census t = List.filter (fun (k, _) -> not (unstable_kind k)) t.census
@@ -995,6 +1005,8 @@ let span_struct_kind = function
   | "round" | "campaign" | "inflight" -> true
   | _ -> false
 
+let span_known_kind k = span_busy_kind k || span_wait_kind k
+
 (* Integer interval lists [(lo, hi)], hi exclusive. [ivs_norm] sorts,
    drops empties, and merges overlaps into a disjoint ascending list —
    the form the other operations expect. *)
@@ -1061,8 +1073,6 @@ type profile = {
   pf_queue_waits : int;
   pf_idle_ns : int;
   pf_join_ns : int;
-  pf_probe_ns : int;
-  pf_probes : int;
   pf_rounds : round_prof list;
   pf_attributed_pct : float;
 }
@@ -1087,18 +1097,19 @@ let empty_profile =
     pf_queue_waits = 0;
     pf_idle_ns = 0;
     pf_join_ns = 0;
-    pf_probe_ns = 0;
-    pf_probes = 0;
     pf_rounds = [];
     pf_attributed_pct = 0.0;
   }
 
+(* [span_summary] rows add to the per-kind table and the span counts;
+   the spans they stand for lay inside a [span] interval, so every
+   union below reads the intervals alone. *)
 let profile t =
-  let known, unknown_spans =
-    List.partition (fun s -> span_busy_kind s.sp_kind || span_wait_kind s.sp_kind) t.spans
-  in
+  let known, unknown_spans = List.partition (fun s -> span_known_kind s.sp_kind) t.spans in
+  let rows, unknown_rows = List.partition (fun ((_, k), _) -> span_known_kind k) t.span_rows in
   let unknown = Hashtbl.create 4 in
   List.iter (fun s -> bump unknown s.sp_kind 1) unknown_spans;
+  List.iter (fun ((_, k), (c, _)) -> bump unknown k c) unknown_rows;
   let pf_unknown = sorted_assoc unknown in
   match known with
   | [] -> { empty_profile with pf_unknown }
@@ -1107,16 +1118,16 @@ let profile t =
     let t_max = List.fold_left (fun acc s -> max acc s.sp_t1) t_min known in
     let wall = max 1 (t_max - t_min) in
     let kinds = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        let c, ns = Option.value (Hashtbl.find_opt kinds s.sp_kind) ~default:(0, 0) in
-        Hashtbl.replace kinds s.sp_kind (c + 1, ns + max 0 (s.sp_t1 - s.sp_t0)))
-      known;
+    List.iter (fun s -> bump2 kinds s.sp_kind (1, max 0 (s.sp_t1 - s.sp_t0))) known;
+    List.iter (fun ((_, k), row) -> bump2 kinds k row) rows;
     let kind_total k =
       match Hashtbl.find_opt kinds k with Some (_, ns) -> ns | None -> 0
     in
     let kind_count k =
       match Hashtbl.find_opt kinds k with Some (c, _) -> c | None -> 0
+    in
+    let row_count d =
+      List.fold_left (fun acc ((rd, _), (c, _)) -> if rd = d then acc + c else acc) 0 rows
     in
     let domains =
       List.sort_uniq compare (List.map (fun s -> s.sp_domain) known)
@@ -1130,7 +1141,7 @@ let profile t =
       let mine = List.filter (fun s -> s.sp_domain = d) known in
       let iv p = ivs_norm (List.filter_map (fun s -> if p s.sp_kind then Some (s.sp_t0, s.sp_t1) else None) mine) in
       let busy = iv (fun k -> span_busy_kind k && not (span_struct_kind k)) in
-      (ivs_sub busy (iv span_wait_kind), iv span_wait_kind, List.length mine)
+      (ivs_sub busy (iv span_wait_kind), iv span_wait_kind, List.length mine + row_count d)
     in
     let per_domain = List.map (fun d -> (d, excl_busy_of d)) domains in
     let pf_domains =
@@ -1185,7 +1196,7 @@ let profile t =
               known))
     in
     {
-      pf_spans = List.length known;
+      pf_spans = List.length known + List.fold_left (fun acc (_, (c, _)) -> acc + c) 0 rows;
       pf_unknown;
       pf_wall_ns = wall;
       pf_kinds =
@@ -1196,8 +1207,6 @@ let profile t =
       pf_queue_waits = kind_count "queue.wait";
       pf_idle_ns = kind_total "idle";
       pf_join_ns = kind_total "join";
-      pf_probe_ns = kind_total "cache.probe";
-      pf_probes = kind_count "cache.probe";
       pf_rounds;
       pf_attributed_pct = 100.0 *. float_of_int main_cover /. float_of_int wall;
     }
@@ -1365,11 +1374,7 @@ let profile_html ?(stable = false) t =
     let w = 1000 and row_h = 22 and label_w = 60 in
     let nd = List.length p.pf_domains in
     let h = (nd * row_h) + 30 in
-    let spans =
-      List.filter
-        (fun s -> span_busy_kind s.sp_kind || span_wait_kind s.sp_kind)
-        t.spans
-    in
+    let spans = List.filter (fun s -> span_known_kind s.sp_kind) t.spans in
     let t_min =
       List.fold_left (fun acc s -> min acc s.sp_t0) max_int spans
     in

@@ -94,6 +94,9 @@ type t = {
   faults : (int * int * string * string) list;  (** iter, rank, kind, detail *)
   restarts : (string * int) list;  (** reason → count *)
   spans : span list;  (** timeline spans, sorted by (t0, domain, t1, kind) *)
+  span_rows : ((int * string) * (int * int)) list;
+      (** [(domain, kind) → (count, ns)] summed over the [span_summary]
+          events: spans folded at drain instead of kept as intervals *)
 }
 
 (** {2 Incremental fold}
@@ -189,8 +192,9 @@ val to_html : ?stable:bool -> ?branch_label:(int -> string) -> t -> string
 
 (** {2 Profile fold}
 
-    Everything below is a pure function of {!t}[.spans]: where the
-    campaign's nanoseconds went, per domain and per round. *)
+    Everything below is a pure function of {!t}[.spans] and
+    {!t}[.span_rows]: where the campaign's nanoseconds went, per domain
+    and per round. *)
 
 val span_wait_kind : string -> bool
 (** Time a domain provably spent not working: ["idle"], ["queue.wait"]
@@ -202,9 +206,12 @@ val span_busy_kind : string -> bool
     ["round"], …). A span kind that is neither busy nor wait comes from
     a newer producer and is skipped-and-counted. *)
 
+val span_struct_kind : string -> bool
+(** Umbrella busy kinds (["round"], …), never exclusive-busy time. *)
+
 type domain_prof = {
   dp_domain : int;
-  dp_spans : int;  (** spans recorded on this domain *)
+  dp_spans : int;  (** spans recorded on this domain, intervals plus summary rows *)
   dp_busy_ns : int;
       (** exclusive busy: union(busy) minus union(wait); structural
           umbrella spans ([round], [campaign], [inflight]) are
@@ -222,7 +229,7 @@ type round_prof = {
 }
 
 type profile = {
-  pf_spans : int;  (** known-kind spans folded *)
+  pf_spans : int;  (** known-kind spans, intervals plus summary rows *)
   pf_unknown : (string * int) list;  (** skipped kinds, sorted *)
   pf_wall_ns : int;  (** global extent: max t1 − min t0 (≥ 1) *)
   pf_kinds : (string * (int * int)) list;
@@ -233,8 +240,6 @@ type profile = {
   pf_queue_waits : int;  (** number of such waits *)
   pf_idle_ns : int;  (** workers parked with nothing claimable *)
   pf_join_ns : int;
-  pf_probe_ns : int;  (** solver-cache probes *)
-  pf_probes : int;
   pf_rounds : round_prof list;
   pf_attributed_pct : float;
       (** % of wall covered by named spans on the main domain — the

@@ -163,4 +163,7 @@ let snapshot_json () =
       registry []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Json.Obj [ ("metrics", Json.Obj metrics); ("phases", Prof.snapshot_json ()) ]
+  let phase (kind, count, ns) =
+    (kind, Json.Obj [ ("total_s", Json.Float (float_of_int ns /. 1e9)); ("count", Json.Int count) ])
+  in
+  Json.Obj [ ("metrics", Json.Obj metrics); ("phases", Json.Obj (List.map phase (Timeline.totals ()))) ]

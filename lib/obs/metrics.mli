@@ -1,6 +1,6 @@
 (** Process-wide metrics registry: named counters, gauges, and log-scale
-    histograms, exported as one JSON snapshot (with the {!Prof} phase
-    totals attached).
+    histograms, exported as one JSON snapshot (with the {!Timeline}
+    per-kind totals attached as phases).
 
     Instrument creation is idempotent and cheap; observation is a few
     mutable-field updates under a process-wide mutex, safe on hot paths
@@ -43,9 +43,10 @@ val bucket_bounds : int -> float * float
 
 val reset : unit -> unit
 (** Zero every registered metric (and nothing else: registration and
-    cached handles survive). Does not touch {!Prof}. *)
+    cached handles survive). Does not touch the {!Timeline} totals. *)
 
 val snapshot_json : unit -> Json.t
-(** [{"metrics": {name: value|histogram, …}, "phases": {…}}] with names
-    sorted; histograms export count/sum/mean/min/max plus the non-empty
-    buckets. *)
+(** [{"metrics": {name: value|histogram, …}, "phases": {kind:
+    {"total_s":…,"count":…}, …}}] with names sorted; histograms export
+    count/sum/mean/min/max plus the non-empty buckets. The phases are
+    {!Timeline.totals}. *)

@@ -1,4 +1,4 @@
-(* Per-domain span buffers for the performance observatory.
+(* Per-domain span buffers: the one timer of the engine.
 
    A span is (kind, begin tick, end tick) recorded by whichever domain
    ran the work. The hot path takes no lock and — when the timeline is
@@ -12,10 +12,10 @@
    that observes the new count.
 
    Ticks are integer nanoseconds since [enable]. Workers inherit the
-   epoch set by the main domain before the pool spawns; a drain turns
-   undrained entries into {!Event.Span} lines through the global
-   {!Sink}, so spans land in the same JSONL stream as everything else
-   and the profile fold is just another pure trace consumer. *)
+   epoch set by the main domain before the pool spawns. A drain writes
+   each buffer's [compact]ed batch through the global {!Sink}, so the
+   profile fold is just another pure trace consumer, and keeps the
+   per-kind [totals] the [--metrics] phases read. *)
 
 let chunk_size = 1024
 
@@ -48,6 +48,7 @@ type buf = {
    the recording path. *)
 let registry : buf list ref = ref []
 let registry_mu = Mutex.create ()
+let buffers () = Mutex.protect registry_mu (fun () -> !registry)
 
 let on_flag = ref false
 let epoch = ref 0.0
@@ -65,9 +66,7 @@ let key =
           drained = 0;
         }
       in
-      Mutex.lock registry_mu;
-      registry := b :: !registry;
-      Mutex.unlock registry_mu;
+      Mutex.protect registry_mu (fun () -> registry := b :: !registry);
       b)
 
 let on () = !on_flag
@@ -108,13 +107,21 @@ let span kind f =
       raise e
   end
 
+(* kind -> (count, ns) of everything drained since [enable] *)
+let totals_tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16
+
+let bump tbl key c ns =
+  let c0, ns0 = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0) in
+  Hashtbl.replace tbl key (c0 + c, ns0 + ns)
+
+let rows_of tbl = Hashtbl.fold (fun k (c, ns) acc -> (k, c, ns) :: acc) tbl [] |> List.sort compare
+
 let enable () =
   (* restart the clock and discard anything not yet drained; called on
      the main domain before worker domains exist, so no buffer is being
      appended to concurrently *)
-  Mutex.lock registry_mu;
-  List.iter (fun b -> b.drained <- Atomic.get b.published) !registry;
-  Mutex.unlock registry_mu;
+  List.iter (fun b -> b.drained <- Atomic.get b.published) (buffers ());
+  Hashtbl.reset totals_tbl;
   epoch := Unix.gettimeofday ();
   on_flag := true
 
@@ -127,10 +134,41 @@ let claim () =
   if mine then enable ();
   mine
 
+type span = { kind : string; t0 : int; t1 : int }
+
+(* Dropping a busy, non-structural span that lies inside another such
+   span changes no union the profile computes (waits and umbrellas are
+   unions of their own). Sorted by (t0 up, t1 down, recorded last
+   first), a candidate is enclosed iff an earlier one ends no sooner;
+   each folded span lies inside a kept one, transitively. Of equal
+   intervals the outer span, recorded last, stays. *)
+let compact batch =
+  let spans = Array.of_list batch in
+  let n = Array.length spans in
+  let foldable i =
+    let s = spans.(i) in
+    s.t0 <= s.t1 && Fold.span_busy_kind s.kind && not (Fold.span_struct_kind s.kind)
+  in
+  let by_extent i j = compare (spans.(i).t0, spans.(j).t1, j) (spans.(j).t0, spans.(i).t1, i) in
+  let enclosed = Array.make n false and max_end = ref min_int in
+  List.init n Fun.id |> List.filter foldable |> List.sort by_extent
+  |> List.iter (fun i ->
+         if spans.(i).t1 <= !max_end then enclosed.(i) <- true else max_end := spans.(i).t1);
+  let rows = Hashtbl.create 8 in
+  let kept =
+    List.filteri
+      (fun i s ->
+        if enclosed.(i) then bump rows s.kind 1 (s.t1 - s.t0);
+        not enclosed.(i))
+      batch
+  in
+  (kept, rows_of rows)
+
 (* Entry [j] of a buffer lives in chunk [j / chunk_size] (chunks only
    ever fill forward) at offset [j mod chunk_size]. *)
 let drain_buf b =
   let n = Atomic.get b.published in
+  let batch = ref [] in
   if n > b.drained then begin
     let c = ref b.head in
     for _ = 1 to b.drained / chunk_size do
@@ -140,21 +178,26 @@ let drain_buf b =
       let off = j mod chunk_size in
       if off = 0 && j > b.drained then
         (match !c.next with Some nx -> c := nx | None -> assert false);
-      Sink.emit
-        (Event.Span
-           { domain = b.dom; kind = !c.kinds.(off); t0 = !c.t0s.(off); t1 = !c.t1s.(off) })
+      batch := { kind = !c.kinds.(off); t0 = !c.t0s.(off); t1 = !c.t1s.(off) } :: !batch
     done;
     b.drained <- n
-  end
+  end;
+  let kept, rows = compact (List.rev !batch) in
+  List.iter
+    (fun s ->
+      bump totals_tbl s.kind 1 (max 0 (s.t1 - s.t0));
+      Sink.emit (Event.Span { domain = b.dom; kind = s.kind; t0 = s.t0; t1 = s.t1 }))
+    kept;
+  List.map (fun (k, c, ns) -> (b.dom, k, c, ns)) rows
 
 let drain () =
-  Mutex.lock registry_mu;
-  let bufs = !registry in
-  Mutex.unlock registry_mu;
-  List.iter drain_buf bufs
+  let rows = List.concat_map drain_buf (buffers ()) |> List.sort compare in
+  if rows <> [] then begin
+    List.iter (fun (_, k, c, ns) -> bump totals_tbl k c ns) rows;
+    Sink.emit (Event.Span_summary { rows })
+  end
+
+let totals () = rows_of totals_tbl
 
 let pending () =
-  Mutex.lock registry_mu;
-  let bufs = !registry in
-  Mutex.unlock registry_mu;
-  List.fold_left (fun acc b -> acc + (Atomic.get b.published - b.drained)) 0 bufs
+  List.fold_left (fun acc b -> acc + (Atomic.get b.published - b.drained)) 0 (buffers ())

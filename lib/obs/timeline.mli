@@ -1,10 +1,10 @@
-(** Per-domain span buffers: the low-overhead timing layer of the
-    performance observatory.
+(** Per-domain span buffers: the one timer, behind both [profile] and
+    the [--metrics] phases.
 
     Every domain appends (kind, begin, end) spans to its own fixed-size
     chunk list — no lock, no reallocation on the hot path — and the main
-    domain periodically {!drain}s all buffers into the global {!Sink}
-    as [span] events. Ticks are integer nanoseconds since {!enable}.
+    domain periodically {!drain}s all buffers into the global {!Sink}.
+    Ticks are integer nanoseconds since {!enable}.
 
     When the timeline is off (the default), {!span} is a single ref
     read before a tail call of its argument — zero allocation — and
@@ -12,9 +12,9 @@
     unconditionally on hot paths. *)
 
 val enable : unit -> unit
-(** Start the clock (tick 0 = now) and discard undrained spans. Call on
-    the main domain before worker domains spawn, so every domain shares
-    the epoch. *)
+(** Start the clock (tick 0 = now), discard undrained spans and zero
+    the {!totals}. Call on the main domain before worker domains spawn,
+    so every domain shares the epoch. *)
 
 val disable : unit -> unit
 
@@ -44,11 +44,24 @@ val set_domain : int -> unit
 (** Set the calling domain's reporting id (the pool worker index; the
     main domain defaults to 0). *)
 
+type span = { kind : string; t0 : int; t1 : int }
+
+val compact : span list -> span list * (string * int * int) list
+(** Split one domain's batch into the spans kept as intervals (in batch
+    order) and [(kind, count, ns)] rows, by kind, of the spans folded:
+    those of a busy, non-structural kind lying inside another such span
+    of the batch (of equal intervals the one recorded last stays). {!Fold.profile}
+    reads the same from the kept spans plus the rows as from the batch. *)
+
 val drain : unit -> unit
-(** Emit every undrained span of every domain to the {!Sink} as
-    {!Event.Span} lines. Main-domain only; safe while workers are
-    parked at a pool barrier (recording and draining never touch the
-    same entry). *)
+(** {!compact} every buffer's undrained spans; emit the kept ones as
+    {!Event.Span} lines and the rows as one {!Event.Span_summary}, and
+    add both to the {!totals}. Main-domain only; safe while workers are parked at a pool barrier
+    (recording and draining never touch the same entry). *)
+
+val totals : unit -> (string * int * int) list
+(** [(kind, count, ns)] of what drains emitted since {!enable}: the
+    per-kind table [profile] folds from the same trace. *)
 
 val pending : unit -> int
 (** Spans recorded but not yet drained, across all domains. *)

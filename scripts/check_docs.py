@@ -14,8 +14,10 @@ reference things that don't exist:
      subcommand it does not define;
   4. telemetry vocabulary drift: every event kind `lib/obs/event.ml`
      can emit must have a `### `kind`` section in docs/TELEMETRY.md,
-     and every `Obs.Prof.time "phase"` string used by lib/ or bin/
-     must appear in TELEMETRY.md's phase list.
+     and every span kind lib/ or bin/ records (`Timeline.span "kind"`,
+     `Timeline.record ~kind:"kind"`) must be listed in TELEMETRY.md's
+     span kind vocabulary and accepted by `Fold.span_busy_kind` or
+     `Fold.span_wait_kind` in lib/obs/fold.ml.
 
 With `--exe PATH` (a built compi_cli executable) it additionally runs
 `PATH <cmd> --help` for each audited subcommand (run, explain, report,
@@ -84,18 +86,34 @@ def event_kinds():
     return set(re.findall(r'->\s*"([a-z_]+)"', m.group(1)))
 
 
-def prof_phases():
-    """Phase strings passed to Obs.Prof.time anywhere in lib/ or bin/."""
-    phases = set()
+SPAN_RE = re.compile(
+    r'Timeline\.(?:span\s+|record\s+~kind:\s*)"([a-z._]+)"')
+
+
+def recorded_span_kinds():
+    """Span kinds lib/ or bin/ passes to Timeline.span / Timeline.record."""
+    kinds = set()
     for pat in ("lib/**/*.ml", "bin/**/*.ml"):
         for path in glob.glob(os.path.join(ROOT, pat), recursive=True):
-            src = open(path).read()
-            phases.update(re.findall(r'Prof\.time\s+"([a-z._]+)"', src))
-    return phases
+            kinds.update(SPAN_RE.findall(open(path).read()))
+    return kinds
+
+
+def fold_span_kinds():
+    """Kinds `span_busy_kind` or `span_wait_kind` in lib/obs/fold.ml
+    accept, or None if either function cannot be parsed."""
+    src = open(os.path.join(ROOT, "lib", "obs", "fold.ml")).read()
+    kinds = set()
+    for fn in ("span_busy_kind", "span_wait_kind"):
+        m = re.search(r"let %s = function\n(.*?)-> true" % fn, src, re.S)
+        if not m:
+            return None
+        kinds.update(re.findall(r'"([a-z._]+)"', m.group(1)))
+    return kinds
 
 
 def check_telemetry_vocab(errors):
-    """TELEMETRY.md must document every event kind and profile phase."""
+    """TELEMETRY.md must document every event kind and span kind."""
     path = os.path.join(ROOT, "docs", "TELEMETRY.md")
     if not os.path.exists(path):
         errors.append("missing documentation file: docs/TELEMETRY.md")
@@ -120,15 +138,29 @@ def check_telemetry_vocab(errors):
             errors.append(
                 f"docs/TELEMETRY.md: says 'one of the {count.group(1)} names' "
                 f"but lib/obs/event.ml defines {len(kinds)} kinds")
-    phase_doc = re.search(r"^Phases: (.*?)(?:^\n|\Z)", text, re.M | re.S)
-    doc_phases = set(re.findall(r"`([a-z._]+)`", phase_doc.group(1))) \
-        if phase_doc else set()
-    if not phase_doc:
-        errors.append("docs/TELEMETRY.md: no 'Phases:' list to audit")
-    for phase in sorted(prof_phases() - doc_phases):
+    vocab = re.search(r"^Kind vocabulary this build understands:\n(.*?)^\n(?!-)",
+                      text, re.M | re.S)
+    doc_kinds = set(re.findall(r"`([a-z._]+)`", vocab.group(1))) \
+        if vocab else set()
+    if not vocab:
+        errors.append("docs/TELEMETRY.md: no span kind vocabulary to audit")
+    fold_kinds = fold_span_kinds()
+    if fold_kinds is None:
+        errors.append("cannot parse span_busy_kind/span_wait_kind from "
+                      "lib/obs/fold.ml (audit regex rotted)")
+        fold_kinds = set()
+    recorded = recorded_span_kinds()
+    if not recorded:
+        errors.append("no Timeline.span/record call in lib/ or bin/ "
+                      "(audit regex rotted)")
+    for kind in sorted(recorded - doc_kinds):
         errors.append(
-            f"docs/TELEMETRY.md: profile phase {phase!r} (Obs.Prof.time "
-            f"call site) missing from the Phases list")
+            f"docs/TELEMETRY.md: span kind {kind!r} (Timeline call site) "
+            f"missing from the span kind vocabulary")
+    for kind in sorted(recorded - fold_kinds):
+        errors.append(
+            f"lib/obs/fold.ml: span kind {kind!r} (Timeline call site) is "
+            f"neither a busy nor a wait kind, so profile would skip it")
 
 
 def cli_flags():

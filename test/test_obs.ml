@@ -146,6 +146,8 @@ let sample_events : Obs.Event.t list =
     Schedule_choice { rank = 0; comm = 0; tag = 3; chosen = 2; alts = [ 1; 2 ]; point = 0 };
     Schedule_enum { parent = 12; points = 2; emitted = 1; pruned = 1 };
     Span { domain = 1; kind = "cache.lock.wait"; t0 = 1_000; t1 = 2_500 };
+    Span_summary { rows = [ (0, "exec", 3, 4_200); (1, "compiled", 12, 0) ] };
+    Span_summary { rows = [] };
     Ledger_append
       { path = "/tmp/ledger.jsonl"; run = "toy#3"; covered = 30; reachable = 38; bugs = 1 };
   ]
@@ -155,7 +157,7 @@ let test_event_roundtrip () =
   let kinds =
     List.sort_uniq String.compare (List.map Obs.Event.kind_name sample_events)
   in
-  Alcotest.(check int) "all 17 event kinds sampled" 17 (List.length kinds);
+  Alcotest.(check int) "all 18 event kinds sampled" 18 (List.length kinds);
   List.iter
     (fun ev ->
       let wire = Obs.Json.to_string (Obs.Event.to_json ~t:1.25 ev) in
@@ -182,6 +184,8 @@ let test_event_of_json_rejects () =
   reject "{\"no_ev\": 1}";
   reject "{\"ev\": \"not_a_kind\"}";
   reject "{\"ev\": \"test\", \"test\": 1}";
+  reject "{\"ev\": \"span_summary\", \"rows\": [[0, \"exec\", 1]]}";
+  reject "{\"ev\": \"span_summary\", \"rows\": [[0, \"exec\", -1, 5]]}";
   reject "[1,2,3]"
 
 (* Random summaries of any shape round-trip exactly through the wire

@@ -38,15 +38,20 @@ let test_live_roundtrip () =
     Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf))
   in
   let spans = f.Obs.Fold.spans in
-  Alcotest.(check int) "three spans folded" 3 (List.length spans);
-  let find kind = List.find (fun s -> s.Obs.Fold.sp_kind = kind) spans in
-  let outer = find "exec" and inner = find "solve" in
-  Alcotest.(check bool) "inner nests inside outer" true
-    (outer.Obs.Fold.sp_t0 <= inner.Obs.Fold.sp_t0
-    && inner.Obs.Fold.sp_t1 <= outer.Obs.Fold.sp_t1);
+  (* [solve] lies inside [exec], so the drain folds it into the summary;
+     the nesting rule itself is [compact]'s property below *)
+  Alcotest.(check (list string)) "two intervals kept" [ "exec"; "idle" ]
+    (List.sort compare (List.map (fun s -> s.Obs.Fold.sp_kind) spans));
+  (match f.Obs.Fold.span_rows with
+  | [ ((0, "solve"), (1, ns)) ] ->
+    Alcotest.(check bool) "summary row duration" true (ns >= 0)
+  | rows -> Alcotest.failf "expected one solve row, got %d" (List.length rows));
+  let outer = List.find (fun s -> s.Obs.Fold.sp_kind = "exec") spans in
   Alcotest.(check int) "main domain" 0 outer.Obs.Fold.sp_domain;
   Alcotest.(check bool) "monotone span" true
-    (inner.Obs.Fold.sp_t0 <= inner.Obs.Fold.sp_t1)
+    (outer.Obs.Fold.sp_t0 <= outer.Obs.Fold.sp_t1);
+  Alcotest.(check int) "profile counts the folded span" 3
+    (Obs.Fold.profile f).Obs.Fold.pf_spans
 
 (* A span raised through must still be recorded and re-raised. *)
 let test_span_exception_safe () =
@@ -228,13 +233,192 @@ let test_live_campaign_profile () =
       Alcotest.(check bool) "live utilization <= 1" true (d.Obs.Fold.dp_util <= 1.0))
     p.Obs.Fold.pf_domains;
   Alcotest.(check bool) "rounds profiled" true (p.Obs.Fold.pf_rounds <> []);
-  Alcotest.(check bool) "cache probed" true (p.Obs.Fold.pf_probes > 0);
+  Alcotest.(check bool) "cache probed" true
+    (match List.assoc_opt "cache.probe" p.Obs.Fold.pf_kinds with
+    | Some (probes, _) -> probes > 0
+    | None -> false);
   let txt = Obs.Fold.profile_text f in
   List.iter
     (fun phrase ->
       Alcotest.(check bool) (phrase ^ " present") true
         (contains ~affix:phrase txt))
     [ "per-worker utilization"; "pipeline queue wait" ]
+
+(* ------------------------------------------------------------------ *)
+(* compaction at drain                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let busy_kinds = [ "exec"; "solve"; "compiled"; "schedule"; "task"; "merge"; "cache.probe" ]
+let other_kinds = [ "idle"; "queue.wait"; "join"; "round"; "inflight"; "mystery.v9" ]
+
+(* A well-nested forest inside [lo, hi]: siblings take disjoint
+   sub-ranges (touching and empty allowed), children lie inside their
+   parent, and a node may have a twin on the same interval. Post-order,
+   so a parent follows its children as the recorder pushes them. *)
+let rec gen_forest st ~depth lo hi =
+  let n = if depth = 0 then 0 else Random.State.int st 4 in
+  let cuts = List.sort compare (List.init (2 * n) (fun _ -> lo + Random.State.int st (hi - lo + 1))) in
+  let rec pairs = function a :: b :: rest -> (a, b) :: pairs rest | _ -> [] in
+  let kind () =
+    let kinds = if Random.State.int st 4 = 0 then other_kinds else busy_kinds in
+    List.nth kinds (Random.State.int st (List.length kinds))
+  in
+  List.concat_map
+    (fun (a, b) ->
+      let node = gen_forest st ~depth:(depth - 1) a b @ [ (kind (), a, b) ] in
+      if Random.State.int st 5 = 0 then node @ [ (kind (), a, b) ] else node)
+    (pairs cuts)
+
+(* Up to 4 domains, each recording a forest, cut at random points into
+   drain batches. *)
+let gen_batches st =
+  List.init
+    (1 + Random.State.int st 4)
+    (fun d ->
+      let spans = gen_forest st ~depth:4 0 (1 + Random.State.int st 1000) in
+      let rec cut acc cur = function
+        | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+        | s :: rest ->
+          if Random.State.int st 6 = 0 then cut (List.rev (s :: cur) :: acc) [] rest
+          else cut acc (s :: cur) rest
+      in
+      (d, cut [] [] spans))
+
+let print_batches batches =
+  String.concat "\n"
+    (List.map
+       (fun (d, bs) ->
+         Printf.sprintf "domain %d: %s" d
+           (String.concat " | "
+              (List.map
+                 (fun b ->
+                   String.concat " "
+                     (List.map (fun (k, t0, t1) -> Printf.sprintf "%s[%d,%d]" k t0 t1) b))
+                 bs)))
+       batches)
+
+let span_event d (kind, t0, t1) = Obs.Event.Span { domain = d; kind; t0; t1 }
+
+let prop_compact_keeps_profile =
+  QCheck.Test.make ~name:"timeline: compacting drain batches keeps the profile" ~count:500
+    (QCheck.make ~print:print_batches gen_batches)
+    (fun batches ->
+      let full =
+        List.concat_map (fun (d, bs) -> List.concat_map (List.map (span_event d)) bs) batches
+      in
+      let compacted =
+        List.concat_map
+          (fun (d, bs) ->
+            List.concat_map
+              (fun b ->
+                let kept, rows =
+                  Obs.Timeline.compact
+                    (List.map (fun (kind, t0, t1) -> { Obs.Timeline.kind; t0; t1 }) b)
+                in
+                List.map (fun s -> span_event d Obs.Timeline.(s.kind, s.t0, s.t1)) kept
+                @
+                if rows = [] then []
+                else
+                  [
+                    Obs.Event.Span_summary
+                      { rows = List.map (fun (k, c, ns) -> (d, k, c, ns)) rows };
+                  ])
+              bs)
+          batches
+      in
+      Obs.Fold.profile (Obs.Fold.fold full) = Obs.Fold.profile (Obs.Fold.fold compacted))
+
+(* The rule on a fixed batch: nested busy spans fold, the last recorded
+   of two equal intervals stays, waits, umbrellas and unknown kinds
+   stay. *)
+let test_compact_rule () =
+  let sp (kind, t0, t1) = { Obs.Timeline.kind; t0; t1 } in
+  let kept, rows =
+    Obs.Timeline.compact
+      (List.map sp
+         [
+           ("solve", 10, 20);
+           ("idle", 12, 14);
+           ("mystery.v9", 30, 40);
+           ("exec", 0, 50);
+           ("task", 0, 50);
+           ("round", 0, 60);
+           ("merge", 55, 58);
+         ])
+  in
+  Alcotest.(check (list string)) "kept"
+    [ "idle"; "mystery.v9"; "task"; "round"; "merge" ]
+    (List.map (fun s -> s.Obs.Timeline.kind) kept);
+  Alcotest.(check (list (triple string int int))) "folded rows"
+    [ ("exec", 1, 50); ("solve", 1, 10) ]
+    rows
+
+(* The --metrics phases are the timeline's drained totals, so on a
+   jobs-2 hpl campaign each phase equals the profile's per-kind row of
+   the trace the same drains wrote. *)
+let test_phases_equal_profile () =
+  let t = Targets.Catalog.find_exn "hpl" in
+  let tn = t.Targets.Registry.tuning in
+  let settings =
+    {
+      Compi.Campaign.default_settings with
+      Compi.Campaign.base =
+        {
+          Compi.Driver.default_settings with
+          Compi.Driver.iterations = 40;
+          dfs_phase_iters = tn.Targets.Registry.dfs_phase;
+          initial_nprocs = tn.Targets.Registry.initial_nprocs;
+          step_limit = tn.Targets.Registry.step_limit;
+          seed = 1;
+        };
+      jobs = 2;
+    }
+  in
+  let buf = Buffer.create 65536 in
+  let snapshot =
+    Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
+        Obs.Timeline.enable ();
+        Fun.protect ~finally:Obs.Timeline.disable (fun () ->
+            ignore (Compi.Campaign.run ~settings ~label:"hpl" (Targets.Registry.instrument t));
+            Obs.Timeline.drain ();
+            Obs.Json.to_string (Obs.Metrics.snapshot_json ())))
+  in
+  let f = Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf)) in
+  Alcotest.(check bool) "trace carries a span_summary" true
+    (List.mem_assoc "span_summary" f.Obs.Fold.census);
+  Alcotest.(check bool) "stable report drops the span_summary census row" false
+    (contains ~affix:"span_summary" (Obs.Fold.to_text ~stable:true f));
+  let phases =
+    match Result.map (Obs.Json.member "phases") (Obs.Json.parse snapshot) with
+    | Ok (Some (Obs.Json.Obj kvs)) -> kvs
+    | _ -> Alcotest.fail "no phases object in the snapshot"
+  in
+  let field name j =
+    match Obs.Json.member name j with Some v -> v | None -> Alcotest.failf "no %s" name
+  in
+  let table =
+    List.map
+      (fun (kind, j) ->
+        let total_s =
+          match field "total_s" j with
+          | Obs.Json.Float x -> x
+          | Obs.Json.Int n -> float_of_int n
+          | _ -> Alcotest.failf "%s: total_s not a number" kind
+        in
+        let count =
+          match field "count" j with
+          | Obs.Json.Int n -> n
+          | _ -> Alcotest.failf "%s: count not an int" kind
+        in
+        (kind, (count, total_s)))
+      phases
+  in
+  let p = Obs.Fold.profile f in
+  Alcotest.(check (list (pair string (pair int (float 0.0)))))
+    "phases = profile per-kind rows"
+    (List.sort compare
+       (List.map (fun (k, (c, ns)) -> (k, (c, float_of_int ns /. 1e9))) p.Obs.Fold.pf_kinds))
+    (List.sort compare table)
 
 let suite =
   [
@@ -253,5 +437,9 @@ let suite =
         Alcotest.test_case "zero allocation when off" `Quick test_zero_alloc_when_off;
         Alcotest.test_case "live jobs-2 campaign profile" `Quick
           test_live_campaign_profile;
+        Alcotest.test_case "compact folds nested busy spans only" `Quick test_compact_rule;
+        QCheck_alcotest.to_alcotest prop_compact_keeps_profile;
+        Alcotest.test_case "metrics phases equal the profile per-kind table" `Quick
+          test_phases_equal_profile;
       ] );
   ]
