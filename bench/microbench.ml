@@ -124,7 +124,7 @@ let fold_test =
                 cached = false;
               }
         in
-        Obs.Json.to_string (Obs.Event.to_json ~t:(float_of_int k *. 0.001) ev))
+        Obs.Event.to_line ~t:(float_of_int k *. 0.001) ev)
   in
   Test.make ~name:"fold: 1000-line trace -> report"
     (Staged.stage (fun () ->

@@ -95,16 +95,8 @@ let tail ?(n = 8) t =
   let k = min n t.nevents in
   List.init k (fun j -> Minic.Branchinfo.cond_of_branch (t.events.(t.nevents - k + j) lsr 1))
 
-(* Heavy log: every branch event (8 bytes) + all constraints + a header.
-   Light log: the set of distinct covered branch ids only. *)
+(* Heavy log: every branch event (8 bytes) + all constraints + a header. *)
 let heavy_bytes t = 64 + (8 * t.nevents) + t.constraint_bytes
-
-let light_bytes t =
-  let distinct = Hashtbl.create 64 in
-  for i = 0 to t.nevents - 1 do
-    Hashtbl.replace distinct (t.events.(i) lsr 1) ()
-  done;
-  64 + (8 * Hashtbl.length distinct)
 
 (* Decimal width of [n], sign included. Both helpers work on [-|n|],
    which never overflows, so [min_int] needs no special case. *)

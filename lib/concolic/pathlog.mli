@@ -10,8 +10,7 @@
 
     The log also models the focus process's log file for the two-way
     instrumentation cost accounting (Table IV): {!heavy_bytes} is the
-    size of a full symbolic log, {!light_bytes} the size of a
-    branches-only log. *)
+    size of a full symbolic log. *)
 
 type t
 
@@ -25,7 +24,7 @@ val release : t -> unit
     so call it only once everything the events give has been read:
     afterwards {!constraints} and the counts ({!constraint_count},
     {!branch_events}, {!heavy_bytes}) still answer, while {!record},
-    {!tail}, {!serialize} and {!light_bytes} raise [Invalid_argument].
+    {!tail} and {!serialize} raise [Invalid_argument].
     Releasing twice is harmless. Several logs may be live on a domain at
     once (a one-way run keeps one per heavy process); each keeps its own
     buffer until it is released. *)
@@ -49,7 +48,6 @@ val tail : ?n:int -> t -> (int * bool) list
     failure context attached to bug reports. *)
 
 val heavy_bytes : t -> int
-val light_bytes : t -> int
 
 val serialize : t -> string
 (** The focus process's log file, really rendered: every branch event

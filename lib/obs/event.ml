@@ -97,153 +97,168 @@ let kind_name = function
   | Span_summary _ -> "span_summary"
   | Ledger_append _ -> "ledger_append"
 
-let fields = function
-  | Campaign_start { target; iterations; seed; nprocs; solver_cache } ->
-    [
-      ("target", Json.Str target);
-      ("iterations", Json.Int iterations);
-      ("seed", Json.Int seed);
-      ("nprocs", Json.Int nprocs);
-      ("solver_cache", Json.Bool solver_cache);
-    ]
-  | Compile { target; funcs; conds; slots; time_s } ->
-    [
-      ("target", Json.Str target);
-      ("funcs", Json.Int funcs);
-      ("conds", Json.Int conds);
-      ("slots", Json.Int slots);
-      ("time_s", Json.Float time_s);
-    ]
-  | Campaign_end { iterations_run; covered; reachable; bugs; wall_s } ->
-    [
-      ("iterations_run", Json.Int iterations_run);
-      ("covered", Json.Int covered);
-      ("reachable", Json.Int reachable);
-      ("bugs", Json.Int bugs);
-      ("wall_s", Json.Float wall_s);
-    ]
-  | Test
-      {
-        test;
-        parent;
-        origin;
-        branch;
-        index;
-        cached;
-        nprocs;
-        focus;
-        covered;
-        reachable;
-        cs_size;
-        faults;
-        restarted;
-        exec_s;
-        solve_s;
-      } ->
-    [
-      ("test", Json.Int test);
-      ("parent", Json.Int parent);
-      ("origin", Json.Str origin);
-      ("branch", Json.Int branch);
-      ("index", Json.Int index);
-      ("cached", Json.Bool cached);
-      ("nprocs", Json.Int nprocs);
-      ("focus", Json.Int focus);
-      ("covered", Json.Int covered);
-      ("reachable", Json.Int reachable);
-      ("cs_size", Json.Int cs_size);
-      ("faults", Json.Int faults);
-      ("restarted", Json.Bool restarted);
-      ("exec_s", Json.Float exec_s);
-      ("solve_s", Json.Float solve_s);
-    ]
-  | Restart { iteration; reason } ->
-    [ ("iteration", Json.Int iteration); ("reason", Json.Str reason) ]
-  | Sched_deadlock { ranks } ->
-    [ ("ranks", Json.List (List.map (fun r -> Json.Int r) ranks)) ]
-  | Fault { iteration; rank; kind; detail } ->
-    [
-      ("iteration", Json.Int iteration);
-      ("rank", Json.Int rank);
-      ("kind", Json.Str kind);
-      ("detail", Json.Str detail);
-    ]
-  | Cache_evict { dropped; entries } ->
-    [ ("dropped", Json.Int dropped); ("entries", Json.Int entries) ]
-  | Checkpoint_write { iteration; path; bytes } ->
-    [
-      ("iteration", Json.Int iteration);
-      ("path", Json.Str path);
-      ("bytes", Json.Int bytes);
-    ]
-  | Checkpoint_load { iteration; path } ->
-    [ ("iteration", Json.Int iteration); ("path", Json.Str path) ]
-  | Lineage_negation { parent; index; branch; outcome; cached } ->
-    [
-      ("parent", Json.Int parent);
-      ("index", Json.Int index);
-      ("branch", Json.Int branch);
-      ("outcome", Json.Str (outcome_name outcome));
-      ("cached", Json.Bool cached);
-    ]
-  | Mpi_summary { nprocs; sends; recvs; colls; blocked; matrix; collectives } ->
-    let ints xs = Json.List (List.map (fun n -> Json.Int n) xs) in
-    [
-      ("nprocs", Json.Int nprocs);
-      ("sends", ints sends);
-      ("recvs", ints recvs);
-      ("colls", ints colls);
-      ("blocked", ints blocked);
-      ("matrix", ints matrix);
-      ("coll_comms", ints (List.map (fun (c, _, _) -> c) collectives));
-      ("coll_sigs", Json.List (List.map (fun (_, s, _) -> Json.Str s) collectives));
-      ("coll_counts", ints (List.map (fun (_, _, n) -> n) collectives));
-    ]
-  | Deadlock_witness { rank; comm; kind; peer } ->
-    [
-      ("rank", Json.Int rank);
-      ("comm", Json.Int comm);
-      ("kind", Json.Str kind);
-      ("peer", Json.Int peer);
-    ]
-  | Schedule_choice { rank; comm; tag; chosen; alts; point } ->
-    [
-      ("rank", Json.Int rank);
-      ("comm", Json.Int comm);
-      ("tag", Json.Int tag);
-      ("chosen", Json.Int chosen);
-      ("alts", Json.List (List.map (fun r -> Json.Int r) alts));
-      ("point", Json.Int point);
-    ]
-  | Schedule_enum { parent; points; emitted; pruned } ->
-    [
-      ("parent", Json.Int parent);
-      ("points", Json.Int points);
-      ("emitted", Json.Int emitted);
-      ("pruned", Json.Int pruned);
-    ]
-  | Span { domain; kind; t0; t1 } ->
-    [
-      ("domain", Json.Int domain);
-      ("kind", Json.Str kind);
-      ("t0", Json.Int t0);
-      ("t1", Json.Int t1);
-    ]
-  | Span_summary { rows } ->
-    let row (d, k, c, ns) = Json.List [ Json.Int d; Json.Str k; Json.Int c; Json.Int ns ] in
-    [ ("rows", Json.List (List.map row rows)) ]
-  | Ledger_append { path; run; covered; reachable; bugs } ->
-    [
-      ("path", Json.Str path);
-      ("run", Json.Str run);
-      ("covered", Json.Int covered);
-      ("reachable", Json.Int reachable);
-      ("bugs", Json.Int bugs);
-    ]
+(* [t] in fixed point with exactly six decimals, rounded to the nearest
+   microsecond (the resolution of [Unix.gettimeofday]), in integer
+   arithmetic; beyond 10^12 s the microsecond count leaves the exact
+   range, and [%.6f] writes the same form. *)
+let add_seconds b t =
+  if not (Float.is_finite t) then Buffer.add_string b "null"
+  else if Float.abs t >= 1e12 then Printf.bprintf b "%.6f" t
+  else begin
+    let us = Float.to_int (Float.round (t *. 1e6)) in
+    if us < 0 then Buffer.add_char b '-';
+    let us = abs us in
+    Json.add_int b (us / 1_000_000);
+    Buffer.add_char b '.';
+    let frac = us mod 1_000_000 in
+    let p = ref 100_000 in
+    while !p > 0 do
+      Buffer.add_char b (Char.unsafe_chr (48 + (frac / !p mod 10)));
+      p := !p / 10
+    done
+  end
 
-let to_json ?t ev =
-  let time_field = match t with Some x -> [ ("t", Json.Float x) ] | None -> [] in
-  Json.Obj ((("ev", Json.Str (kind_name ev)) :: time_field) @ fields ev)
+(* One writer per field type; [name] is a constant needing no escape. *)
+let key b name =
+  Buffer.add_string b ",\"";
+  Buffer.add_string b name;
+  Buffer.add_string b "\":"
+
+let int b name v = key b name; Json.add_int b v
+let str b name v = key b name; Json.add_string b v
+let flt b name v = key b name; Json.add_float b v
+let ints b name vs = key b name; Json.add_list b Json.add_int vs
+
+let bool b name v =
+  key b name;
+  Buffer.add_string b (if v then "true" else "false")
+
+let write ?t b ev =
+  Buffer.add_string b "{\"ev\":\"";
+  Buffer.add_string b (kind_name ev);
+  Buffer.add_char b '"';
+  Option.iter (fun t -> key b "t"; add_seconds b t) t;
+  (match ev with
+  | Campaign_start { target; iterations; seed; nprocs; solver_cache } ->
+    str b "target" target;
+    int b "iterations" iterations;
+    int b "seed" seed;
+    int b "nprocs" nprocs;
+    bool b "solver_cache" solver_cache
+  | Compile { target; funcs; conds; slots; time_s } ->
+    str b "target" target;
+    int b "funcs" funcs;
+    int b "conds" conds;
+    int b "slots" slots;
+    flt b "time_s" time_s
+  | Campaign_end { iterations_run; covered; reachable; bugs; wall_s } ->
+    int b "iterations_run" iterations_run;
+    int b "covered" covered;
+    int b "reachable" reachable;
+    int b "bugs" bugs;
+    flt b "wall_s" wall_s
+  | Test r ->
+    int b "test" r.test;
+    int b "parent" r.parent;
+    str b "origin" r.origin;
+    int b "branch" r.branch;
+    int b "index" r.index;
+    bool b "cached" r.cached;
+    int b "nprocs" r.nprocs;
+    int b "focus" r.focus;
+    int b "covered" r.covered;
+    int b "reachable" r.reachable;
+    int b "cs_size" r.cs_size;
+    int b "faults" r.faults;
+    bool b "restarted" r.restarted;
+    flt b "exec_s" r.exec_s;
+    flt b "solve_s" r.solve_s
+  | Restart { iteration; reason } ->
+    int b "iteration" iteration;
+    str b "reason" reason
+  | Sched_deadlock { ranks } -> ints b "ranks" ranks
+  | Fault { iteration; rank; kind; detail } ->
+    int b "iteration" iteration;
+    int b "rank" rank;
+    str b "kind" kind;
+    str b "detail" detail
+  | Cache_evict { dropped; entries } ->
+    int b "dropped" dropped;
+    int b "entries" entries
+  | Checkpoint_write { iteration; path; bytes } ->
+    int b "iteration" iteration;
+    str b "path" path;
+    int b "bytes" bytes
+  | Checkpoint_load { iteration; path } ->
+    int b "iteration" iteration;
+    str b "path" path
+  | Lineage_negation { parent; index; branch; outcome; cached } ->
+    int b "parent" parent;
+    int b "index" index;
+    int b "branch" branch;
+    str b "outcome" (outcome_name outcome);
+    bool b "cached" cached
+  | Mpi_summary { nprocs; sends; recvs; colls; blocked; matrix; collectives } ->
+    int b "nprocs" nprocs;
+    ints b "sends" sends;
+    ints b "recvs" recvs;
+    ints b "colls" colls;
+    ints b "blocked" blocked;
+    ints b "matrix" matrix;
+    key b "coll_comms";
+    Json.add_list b (fun b (c, _, _) -> Json.add_int b c) collectives;
+    key b "coll_sigs";
+    Json.add_list b (fun b (_, s, _) -> Json.add_string b s) collectives;
+    key b "coll_counts";
+    Json.add_list b (fun b (_, _, n) -> Json.add_int b n) collectives
+  | Deadlock_witness { rank; comm; kind; peer } ->
+    int b "rank" rank;
+    int b "comm" comm;
+    str b "kind" kind;
+    int b "peer" peer
+  | Schedule_choice { rank; comm; tag; chosen; alts; point } ->
+    int b "rank" rank;
+    int b "comm" comm;
+    int b "tag" tag;
+    int b "chosen" chosen;
+    ints b "alts" alts;
+    int b "point" point
+  | Schedule_enum { parent; points; emitted; pruned } ->
+    int b "parent" parent;
+    int b "points" points;
+    int b "emitted" emitted;
+    int b "pruned" pruned
+  | Span { domain; kind; t0; t1 } ->
+    int b "domain" domain;
+    str b "kind" kind;
+    int b "t0" t0;
+    int b "t1" t1
+  | Span_summary { rows } ->
+    let row b (d, k, c, ns) =
+      Buffer.add_char b '[';
+      Json.add_int b d;
+      Buffer.add_char b ',';
+      Json.add_string b k;
+      Buffer.add_char b ',';
+      Json.add_int b c;
+      Buffer.add_char b ',';
+      Json.add_int b ns;
+      Buffer.add_char b ']'
+    in
+    key b "rows";
+    Json.add_list b row rows
+  | Ledger_append { path; run; covered; reachable; bugs } ->
+    str b "path" path;
+    str b "run" run;
+    int b "covered" covered;
+    int b "reachable" reachable;
+    int b "bugs" bugs);
+  Buffer.add_char b '}'
+
+let to_line ?t ev =
+  let b = Buffer.create 128 in
+  write ?t b ev;
+  Buffer.contents b
 
 (* Field accessors that fail with a descriptive message: of_json reads
    user-supplied trace files. *)

@@ -4,7 +4,7 @@
     One constructor per occurrence kind, carrying only scalars — every
     layer of the engine (solver, scheduler, interpreter, driver) can
     build these without new dependencies, and a JSONL consumer gets flat
-    objects. [to_json]/[of_json] round-trip exactly (see test_obs). *)
+    objects. [write]/[of_json] round-trip exactly (see test_obs). *)
 
 type solver_outcome = Sat | Unsat | Unknown
 
@@ -154,9 +154,16 @@ type t =
 val kind_name : t -> string
 (** The wire name, i.e. the ["ev"] field of the JSON encoding. *)
 
-val to_json : ?t:float -> t -> Json.t
-(** Flat object [{"ev": kind, ("t": seconds)?, field…}]. [t] is the
-    emission timestamp relative to sink installation. *)
+val write : ?t:float -> Buffer.t -> t -> unit
+(** Append the event's trace line, without its newline: the flat object
+    [{"ev": kind, ("t": seconds)?, field…}], written straight into the
+    buffer with the {!Json} writers. [t], the emission time relative to
+    sink installation, is fixed point with six decimals, rounded to the
+    microsecond; the rest of the line is byte for byte what
+    {!Json.to_string} prints for the same fields. *)
+
+val to_line : ?t:float -> t -> string
+(** {!write} into a fresh buffer. *)
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of [to_json] (the ["t"] field is ignored). *)
+(** Inverse of {!write} (the ["t"] field is ignored). *)

@@ -11,9 +11,19 @@ type t =
 (* Emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape_to buf s =
-  String.iter
-    (fun c ->
+(* Bytes a JSON string cannot hold verbatim. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Clean runs are copied whole; only an escaped byte is written alone. *)
+let add_string buf s =
+  Buffer.add_char buf '"';
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -22,47 +32,74 @@ let escape_to buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run);
+  Buffer.add_char buf '"'
+
+(* Digits most significant first, from [-|n|], which never overflows, so
+   [min_int] needs no special case. [p] grows to the largest power of
+   ten not above [|n|] <= 2^62; a multiple of ten is never 2^62, so it
+   stays within [max_int]. *)
+let add_int buf n =
+  if n >= 0 && n < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + n))
+  else begin
+    let m = if n < 0 then n else -n in
+    if n < 0 then Buffer.add_char buf '-';
+    let p = ref 1 in
+    while m / !p <= -10 do
+      p := !p * 10
+    done;
+    while !p > 0 do
+      Buffer.add_char buf (Char.unsafe_chr (48 - (m / !p mod 10)));
+      p := !p / 10
+    done
+  end
+
+(* The C primitive behind Printf's [%g], without the format
+   interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 (* Shortest decimal form that parses back to the same binary64. *)
 let float_to_string x =
   if not (Float.is_finite x) then "null"
   else
-    let s = Printf.sprintf "%.12g" x in
-    let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in
+    let s = format_float "%.12g" x in
+    let s = if float_of_string s = x then s else format_float "%.17g" x in
     (* "%g" may print an integer-valued float without '.' or 'e'; a JSON
        reader would re-type it as an int *)
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s
     else s ^ ".0"
 
+let add_float buf x = Buffer.add_string buf (float_to_string x)
+
+let add_list buf add xs =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf x)
+    xs;
+  Buffer.add_char buf ']'
+
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float x -> Buffer.add_string buf (float_to_string x)
-  | Str s ->
-    Buffer.add_char buf '"';
-    escape_to buf s;
-    Buffer.add_char buf '"'
-  | List xs ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf x)
-      xs;
-    Buffer.add_char buf ']'
+  | Int n -> add_int buf n
+  | Float x -> add_float buf x
+  | Str s -> add_string buf s
+  | List xs -> add_list buf emit xs
   | Obj fields ->
     Buffer.add_char buf '{';
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape_to buf k;
-        Buffer.add_string buf "\":";
+        add_string buf k;
+        Buffer.add_char buf ':';
         emit buf v)
       fields;
     Buffer.add_char buf '}'

@@ -17,9 +17,28 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact single-line rendering. Floats round-trip exactly
-    (shortest-form [%g] checked against re-parsing); non-finite floats
-    render as [null]. *)
+(** Compact single-line rendering, built from the writers below. Floats
+    round-trip exactly (shortest-form [%g] checked against re-parsing);
+    non-finite floats render as [null]. *)
+
+(** {2 Writers}
+
+    Append one JSON value to a buffer, exactly as {!to_string} renders
+    it; {!Event} writes its trace lines with these, without a tree. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Decimal, [min_int] and [max_int] included. *)
+
+val add_string : Buffer.t -> string -> unit
+(** Quoted and escaped: the double quote, the backslash, the short
+    control escapes, and [\u00XX] for the other bytes below 0x20; every
+    other byte is copied verbatim, a clean run at a time. *)
+
+val add_float : Buffer.t -> float -> unit
+(** Shortest form that parses back to the same float, always with a
+    ['.'] or an exponent; [null] when not finite. *)
+
+val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 
 val parse : string -> (t, string) result
 (** Parse one complete JSON document. Rejects trailing garbage. *)

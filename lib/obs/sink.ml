@@ -3,9 +3,11 @@
    construction with [active ()]) unconditionally on hot paths.
 
    Emission is domain-safe: campaign worker domains emit concurrently
-   (each simulated run's scheduler events), so the actual write is serialized
-   under a mutex — one event is always one whole line, never interleaved
-   bytes. The unlocked [is_active] fast path stays a single ref read. *)
+   (each simulated run's scheduler events). Each domain renders its
+   lines into its own reusable buffer, and only the hand-over to the
+   target is serialized under a mutex — one event is always one whole
+   line, never interleaved bytes. The unlocked [is_active] fast path
+   stays a single ref read. *)
 
 type target = Null_sink | Buffer_sink of Buffer.t | Channel_sink of out_channel
 
@@ -75,40 +77,44 @@ let active () = !is_active
 
 let installed () = Option.is_some !current
 
-let emit ev =
+(* The calling domain's line buffer, reused from emit to emit. *)
+let lines = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+(* Under [mu]. [now] is the clock read that stamped the lines, so the
+   autoflush timer costs no second read. *)
+let deliver target now count b =
+  match target with
+  | Null_sink -> ()
+  | Buffer_sink buf -> Buffer.add_buffer buf b
+  | Channel_sink oc ->
+    Buffer.output_buffer oc b;
+    if !af_events <> None || !af_seconds <> None then begin
+      af_pending := !af_pending + count;
+      let due_count = match !af_events with Some n -> !af_pending >= n | None -> false in
+      let due_time = match !af_seconds with Some s -> now -. !af_last >= s | None -> false in
+      if due_count || due_time then begin
+        (try flush oc with Sys_error _ -> ());
+        af_pending := 0;
+        af_last := now
+      end
+    end
+
+let emit_all evs =
   if !is_active then
-    match !current with
-    | None -> ()
-    | Some { target; t0 } -> (
-      let line = Json.to_string (Event.to_json ~t:(Unix.gettimeofday () -. t0) ev) in
-      Mutex.lock mu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock mu)
-        (fun () ->
-          match target with
-          | Null_sink -> ()
-          | Buffer_sink buf ->
-            Buffer.add_string buf line;
-            Buffer.add_char buf '\n'
-          | Channel_sink oc ->
-            output_string oc line;
-            output_char oc '\n';
-            if !af_events <> None || !af_seconds <> None then begin
-              af_pending := !af_pending + 1;
-              let due_count =
-                match !af_events with Some n -> !af_pending >= n | None -> false
-              in
-              let due_time =
-                match !af_seconds with
-                | Some s -> Unix.gettimeofday () -. !af_last >= s
-                | None -> false
-              in
-              if due_count || due_time then begin
-                (try flush oc with Sys_error _ -> ());
-                af_pending := 0;
-                af_last := Unix.gettimeofday ()
-              end
-            end))
+    match (!current, evs) with
+    | None, _ | _, [] -> ()
+    | Some { target; t0 }, evs ->
+      let now = Unix.gettimeofday () in
+      let t = Some (now -. t0) and b = Domain.DLS.get lines in
+      Buffer.clear b;
+      List.iter
+        (fun ev ->
+          Event.write ?t b ev;
+          Buffer.add_char b '\n')
+        evs;
+      Mutex.protect mu (fun () -> deliver target now (List.length evs) b)
+
+let emit ev = if !is_active then emit_all [ ev ]
 
 let with_sink target f =
   let saved = !current in

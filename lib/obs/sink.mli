@@ -48,7 +48,13 @@ val installed : unit -> bool
 
 val emit : Event.t -> unit
 (** Append one JSONL line [{"ev":…,"t":…,…}] to the active sink;
-    no-op otherwise. [t] is seconds since the sink was installed. *)
+    no-op otherwise. [t] is seconds since the sink was installed. The
+    line is rendered ({!Event.write}) into the calling domain's reusable
+    buffer and handed to the target under the lock. *)
+
+val emit_all : Event.t list -> unit
+(** {!emit} each event in order, all stamped by one clock read and
+    handed to the target under one lock. *)
 
 val with_sink : target -> (unit -> 'a) -> 'a
 (** Scoped install; restores the previously-installed sink (if any)

@@ -149,11 +149,18 @@ let compact batch =
     let s = spans.(i) in
     s.t0 <= s.t1 && Fold.span_busy_kind s.kind && not (Fold.span_struct_kind s.kind)
   in
-  let by_extent i j = compare (spans.(i).t0, spans.(j).t1, j) (spans.(j).t0, spans.(i).t1, i) in
+  let by_extent i j =
+    let si = spans.(i) and sj = spans.(j) in
+    if si.t0 <> sj.t0 then Int.compare si.t0 sj.t0
+    else if si.t1 <> sj.t1 then Int.compare sj.t1 si.t1
+    else Int.compare j i
+  in
+  let order = Array.of_seq (Seq.filter foldable (Seq.init n Fun.id)) in
+  Array.stable_sort by_extent order;
   let enclosed = Array.make n false and max_end = ref min_int in
-  List.init n Fun.id |> List.filter foldable |> List.sort by_extent
-  |> List.iter (fun i ->
-         if spans.(i).t1 <= !max_end then enclosed.(i) <- true else max_end := spans.(i).t1);
+  Array.iter
+    (fun i -> if spans.(i).t1 <= !max_end then enclosed.(i) <- true else max_end := spans.(i).t1)
+    order;
   let rows = Hashtbl.create 8 in
   let kept =
     List.filteri
@@ -183,19 +190,23 @@ let drain_buf b =
     b.drained <- n
   end;
   let kept, rows = compact (List.rev !batch) in
-  List.iter
-    (fun s ->
-      bump totals_tbl s.kind 1 (max 0 (s.t1 - s.t0));
-      Sink.emit (Event.Span { domain = b.dom; kind = s.kind; t0 = s.t0; t1 = s.t1 }))
-    kept;
-  List.map (fun (k, c, ns) -> (b.dom, k, c, ns)) rows
+  let spans =
+    List.map
+      (fun s ->
+        bump totals_tbl s.kind 1 (max 0 (s.t1 - s.t0));
+        Event.Span { domain = b.dom; kind = s.kind; t0 = s.t0; t1 = s.t1 })
+      kept
+  in
+  (spans, List.map (fun (k, c, ns) -> (b.dom, k, c, ns)) rows)
 
+(* The whole drain is one batch for the sink: every buffer's kept spans,
+   then the summary. *)
 let drain () =
-  let rows = List.concat_map drain_buf (buffers ()) |> List.sort compare in
-  if rows <> [] then begin
-    List.iter (fun (_, k, c, ns) -> bump totals_tbl k c ns) rows;
-    Sink.emit (Event.Span_summary { rows })
-  end
+  let spans, rows = List.split (List.map drain_buf (buffers ())) in
+  let rows = List.sort compare (List.concat rows) in
+  List.iter (fun (_, k, c, ns) -> bump totals_tbl k c ns) rows;
+  let summary = if rows = [] then [] else [ Event.Span_summary { rows } ] in
+  Sink.emit_all (List.concat spans @ summary)
 
 let totals () = rows_of totals_tbl
 

@@ -55,8 +55,9 @@ val compact : span list -> span list * (string * int * int) list
 
 val drain : unit -> unit
 (** {!compact} every buffer's undrained spans; emit the kept ones as
-    {!Event.Span} lines and the rows as one {!Event.Span_summary}, and
-    add both to the {!totals}. Main-domain only; safe while workers are parked at a pool barrier
+    {!Event.Span} lines and the rows as one {!Event.Span_summary}, all
+    in one {!Sink.emit_all} batch, and add both to the {!totals}.
+    Main-domain only; safe while workers are parked at a pool barrier
     (recording and draining never touch the same entry). *)
 
 val totals : unit -> (string * int * int) list

@@ -151,8 +151,7 @@ let prop_step_line_equals_of_lines =
             | 1 -> "not json at all"
             | 2 -> ""
             | _ ->
-              Obs.Json.to_string
-                (Obs.Event.to_json ~t:0.25 pool.(i mod Array.length pool)))
+              Obs.Event.to_line ~t:0.25 pool.(i mod Array.length pool))
           ixs
       in
       let n = List.length lines in

@@ -160,7 +160,7 @@ let test_event_roundtrip () =
   Alcotest.(check int) "all 18 event kinds sampled" 18 (List.length kinds);
   List.iter
     (fun ev ->
-      let wire = Obs.Json.to_string (Obs.Event.to_json ~t:1.25 ev) in
+      let wire = Obs.Event.to_line ~t:1.25 ev in
       match Obs.Json.parse wire with
       | Error e -> Alcotest.failf "%s: unparseable wire %s (%s)" (Obs.Event.kind_name ev) wire e
       | Ok j -> (
@@ -210,9 +210,98 @@ let prop_summary_roundtrip =
   QCheck.Test.make ~name:"mpi_summary: wire round trip" ~count:300
     (QCheck.make gen_summary)
     (fun ev ->
-      match Obs.Fold.classify_line (Obs.Json.to_string (Obs.Event.to_json ~t:0.5 ev)) with
+      match Obs.Fold.classify_line (Obs.Event.to_line ~t:0.5 ev) with
       | `Event ev' -> ev = ev'
       | `Blank | `Unknown _ | `Malformed _ -> false)
+
+(* Events of every kind with extreme ints, finite floats and strings of
+   arbitrary bytes. Counts the decoder requires non-negative stay so. *)
+let gen_event =
+  QCheck.Gen.(
+    let num = oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1 ] ] in
+    let count = map (fun n -> n land max_int) num in
+    let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
+    let flt = oneof [ finite; oneofl [ 0.0; -0.0; 1e-7; 0.1 +. 0.2; 2.0; 5e-324; 1e300 ] ] in
+    let text = string_size ~gen:char (int_bound 10) in
+    let* ints = array_repeat 12 num in
+    let* strs = array_repeat 2 text in
+    let* floats = array_repeat 2 flt in
+    let* bools = array_repeat 2 bool in
+    let* ranks = list_size (int_bound 5) num in
+    let* summary = gen_summary in
+    let* rows = list_size (int_bound 4) (quad num text count count) in
+    let* outcome = oneofl Obs.Event.[ Sat; Unsat; Unknown ] in
+    let+ kind = int_bound 17 in
+    let i k = ints.(k) and s k = strs.(k) and f k = floats.(k) and b k = bools.(k) in
+    match kind with
+    | 0 ->
+      Obs.Event.Campaign_start
+        { target = s 0; iterations = i 0; seed = i 1; nprocs = i 2; solver_cache = b 0 }
+    | 1 -> Compile { target = s 0; funcs = i 0; conds = i 1; slots = i 2; time_s = f 0 }
+    | 2 ->
+      Campaign_end
+        { iterations_run = i 0; covered = i 1; reachable = i 2; bugs = i 3; wall_s = f 0 }
+    | 3 ->
+      Test
+        {
+          test = i 0;
+          parent = i 1;
+          origin = s 0;
+          branch = i 2;
+          index = i 3;
+          cached = b 0;
+          nprocs = i 4;
+          focus = i 5;
+          covered = i 6;
+          reachable = i 7;
+          cs_size = i 8;
+          faults = i 9;
+          restarted = b 1;
+          exec_s = f 0;
+          solve_s = f 1;
+        }
+    | 4 -> Restart { iteration = i 0; reason = s 0 }
+    | 5 -> Sched_deadlock { ranks }
+    | 6 -> Fault { iteration = i 0; rank = i 1; kind = s 0; detail = s 1 }
+    | 7 -> Cache_evict { dropped = i 0; entries = i 1 }
+    | 8 -> Checkpoint_write { iteration = i 0; path = s 0; bytes = i 1 }
+    | 9 -> Checkpoint_load { iteration = i 0; path = s 0 }
+    | 10 -> Lineage_negation { parent = i 0; index = i 1; branch = i 2; outcome; cached = b 0 }
+    | 11 -> summary
+    | 12 -> Deadlock_witness { rank = i 0; comm = i 1; kind = s 0; peer = i 2 }
+    | 13 ->
+      Schedule_choice { rank = i 0; comm = i 1; tag = i 2; chosen = i 3; alts = ranks; point = i 4 }
+    | 14 -> Schedule_enum { parent = i 0; points = i 1; emitted = i 2; pruned = i 3 }
+    | 15 -> Span { domain = i 0; kind = s 0; t0 = i 1; t1 = i 2 }
+    | 16 -> Span_summary { rows }
+    | _ -> Ledger_append { path = s 0; run = s 1; covered = i 0; reachable = i 1; bugs = i 2 })
+
+(* A line without [t] is in canonical form (re-rendering its parse gives
+   the same bytes) and decodes to the event; with [t], the timestamp
+   reads back within a microsecond. *)
+let prop_event_line_canonical =
+  QCheck.Test.make ~name:"event line: canonical form and round trip" ~count:1000
+    (QCheck.make
+       ~print:(fun (ev, t) -> Printf.sprintf "%s at %h" (Obs.Event.to_line ev) t)
+       QCheck.Gen.(
+         pair gen_event
+           (oneof [ float_range (-1.0) 1e6; oneofl [ 0.0; -0.0; 0.0000005; 1.0000005; 1e13 ] ])))
+    (fun (ev, t) ->
+      let line = Obs.Event.to_line ev in
+      let canonical, decoded =
+        match Obs.Json.parse line with
+        | Ok j -> (Obs.Json.to_string j = line, Obs.Event.of_json j = Ok ev)
+        | Error _ -> (false, false)
+      in
+      let stamped =
+        match Obs.Json.parse (Obs.Event.to_line ~t ev) with
+        | Ok j -> (
+          match Option.bind (Obs.Json.member "t" j) Obs.Json.to_float with
+          | Some t' -> Float.abs (t' -. t) <= 1e-6 && Obs.Event.of_json j = Ok ev
+          | None -> false)
+        | Error _ -> false
+      in
+      canonical && decoded && stamped)
 
 (* A summary line whose lists disagree in length with [nprocs] or with
    each other is corruption, not a newer producer. *)
@@ -359,21 +448,32 @@ let test_buffer_sink () =
   Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
       Alcotest.(check bool) "buffer sink active" true (Obs.Sink.active ());
       Obs.Sink.emit (Obs.Event.Restart { iteration = 1; reason = "stagnation" });
-      Obs.Sink.emit (Obs.Event.Sched_deadlock { ranks = [ 2 ] }));
+      Obs.Sink.emit (Obs.Event.Sched_deadlock { ranks = [ 2 ] });
+      Obs.Sink.emit_all
+        [ Obs.Event.Cache_evict { dropped = 1; entries = 2 }; Obs.Event.Span_summary { rows = [] } ]);
   Alcotest.(check bool) "restored to inactive" false (Obs.Sink.active ());
   let lines =
     Buffer.contents buf |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
   in
-  Alcotest.(check int) "one line per event" 2 (List.length lines);
+  Alcotest.(check int) "one line per event" 4 (List.length lines);
+  (* the text of "t", the second field *)
+  let t_text line =
+    match String.split_on_char ':' line with
+    | _ :: key :: value :: _ when String.ends_with ~suffix:",\"t\"" key ->
+      String.sub value 0 (String.index value ',')
+    | _ -> Alcotest.failf "no t field second in %s" line
+  in
   List.iter
     (fun line ->
+      (match String.split_on_char '.' (t_text line) with
+      | [ secs; frac ] when secs <> "" && String.length frac = 6 -> ()
+      | _ -> Alcotest.failf "t not in six-decimal form: %s" line);
       match Obs.Json.parse line with
-      | Ok j ->
-        Alcotest.(check bool) "has ev" true (Obs.Json.member "ev" j <> None);
-        Alcotest.(check bool) "has t" true (Obs.Json.member "t" j <> None)
+      | Ok j -> Alcotest.(check bool) "has ev" true (Obs.Json.member "ev" j <> None)
       | Error e -> Alcotest.failf "bad JSONL line %s: %s" line e)
-    lines
+    lines;
+  Alcotest.(check string) "one stamp per batch" (t_text (List.nth lines 2)) (t_text (List.nth lines 3))
 
 let toy_result () =
   let t = Targets.Catalog.find_exn "toy-fig2" in
@@ -427,6 +527,7 @@ let suite =
         Alcotest.test_case "event round-trip (all kinds)" `Quick test_event_roundtrip;
         Alcotest.test_case "event decode rejects junk" `Quick test_event_of_json_rejects;
         QCheck_alcotest.to_alcotest prop_summary_roundtrip;
+        QCheck_alcotest.to_alcotest prop_event_line_canonical;
         Alcotest.test_case "mpi_summary length mismatch is malformed" `Quick
           test_summary_length_mismatch;
         Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;

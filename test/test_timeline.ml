@@ -10,8 +10,7 @@ let contains ~affix s =
   n = 0 || go 0
 
 let span_line ~domain ~kind ~t0 ~t1 =
-  Obs.Json.to_string
-    (Obs.Event.to_json ~t:0.0 (Obs.Event.Span { domain; kind; t0; t1 }))
+  Obs.Event.to_line ~t:0.0 (Obs.Event.Span { domain; kind; t0; t1 })
 
 let fold_of_spans spans =
   Obs.Fold.of_lines
