@@ -36,9 +36,15 @@ let branch_list t =
 let encountered t fn = Sset.mem fn t.funcs
 let encountered_functions t = Sset.elements t.funcs
 
+(* Per run, every rank's map is absorbed into the run's coverage, and a
+   rank's functions are usually ones already there: no union then. *)
 let absorb ~into t =
-  Bytes.iteri (fun b v -> if v <> '\000' then add_branch into b) t.hit;
-  into.funcs <- Sset.union into.funcs t.funcs
+  let hit = t.hit in
+  for b = 0 to Bytes.length hit - 1 do
+    if Bytes.unsafe_get hit b <> '\000' then add_branch into b
+  done;
+  if not (Sset.subset t.funcs into.funcs) then
+    into.funcs <- Sset.union into.funcs t.funcs
 
 let copy t = { hit = Bytes.copy t.hit; count = t.count; funcs = t.funcs }
 

@@ -107,10 +107,33 @@ let faults r =
     r.outcomes;
   List.rev !acc
 
-let input_value config (d : Ast.input_decl) =
-  match List.assoc_opt d.Ast.iname config.inputs with
-  | Some v -> v
-  | None -> d.Ast.default
+(* The run's input values, built once per run and read by every rank's
+   [input_value] hook. The first binding of a name wins and an absent
+   name takes its declared default, as [List.assoc_opt] over
+   [config.inputs] would. *)
+module Names = Hashtbl.Make (String)
+
+let input_table inputs =
+  let tbl = Names.create 32 in
+  List.iter (fun (name, v) -> if not (Names.mem tbl name) then Names.add tbl name v) inputs;
+  tbl
+
+let input_value tbl (d : Ast.input_decl) =
+  match Names.find_opt tbl d.Ast.iname with Some v -> v | None -> d.Ast.default
+
+(* A rank's [on_func_enter] hook. A function is named into the rank's
+   coverage on its first entry; a repeated entry finds its name among
+   those already seen by physical equality, so it costs no string
+   comparison and no set insertion. The compiled executor passes one
+   string per function; the interpreter passes its call site's, so
+   there a function may be named once per call site. *)
+let func_recorder cover =
+  let seen = ref [] in
+  fun fn ->
+    if not (List.memq fn !seen) then begin
+      seen := fn :: !seen;
+      Coverage.add_func cover fn
+    end
 
 let effective_cap config (d : Ast.input_decl) =
   match List.assoc_opt d.Ast.iname config.cap_overrides with
@@ -120,10 +143,10 @@ let effective_cap config (d : Ast.input_decl) =
 (* Heavy-instrumentation hooks for a process: symbolic shadow, automatic
    marking, constraint logging. Non-focus heavy processes (one-way mode)
    use the same machinery with their results discarded. *)
-let heavy_hooks config ~mpi ~symtab ~log ~cover =
+let heavy_hooks config ~inputs ~mpi ~symtab ~log ~cover =
   {
     Interp.mode = Interp.Heavy;
-    input_value = (fun d -> input_value config d);
+    input_value = input_value inputs;
     on_input =
       (fun d concrete ->
         let var =
@@ -157,22 +180,22 @@ let heavy_hooks config ~mpi ~symtab ~log ~cover =
       (fun ~id ~taken ~constr ->
         Pathlog.record log ~cond_id:id ~taken ~constr;
         Coverage.add_branch cover (Branchinfo.branch_of_cond id taken));
-    on_func_enter = (fun fn -> Coverage.add_func cover fn);
+    on_func_enter = func_recorder cover;
     mpi;
     step_limit = config.step_limit;
   }
 
 (* Light instrumentation: branch ids and functions only. *)
-let light_hooks config ~mpi ~cover =
+let light_hooks config ~inputs ~mpi ~cover =
   {
     Interp.mode = Interp.Light;
-    input_value = (fun d -> input_value config d);
+    input_value = input_value inputs;
     on_input = (fun _ _ -> None);
     on_mpi_sem = (fun _ _ -> None);
     on_branch =
       (fun ~id ~taken ~constr:_ ->
         Coverage.add_branch cover (Branchinfo.branch_of_cond id taken));
-    on_func_enter = (fun fn -> Coverage.add_func cover fn);
+    on_func_enter = func_recorder cover;
     mpi;
     step_limit = config.step_limit;
   }
@@ -195,14 +218,15 @@ let run_raw config =
   (* per-process heavy logs for the one-way cost model *)
   let heavy_logs = Array.make config.nprocs None in
   let t0 = Unix.gettimeofday () in
+  let inputs = input_table config.inputs in
   match
     Mpisim.Scheduler.run ~max_procs:config.max_procs ~on_event:config.on_event
       ?schedule:config.schedule ~nprocs:config.nprocs (fun ~rank ~mpi ->
         let hooks =
-          if not config.symbolic then light_hooks config ~mpi ~cover:covers.(rank)
+          if not config.symbolic then light_hooks config ~inputs ~mpi ~cover:covers.(rank)
           else if rank = focus then
-            heavy_hooks config ~mpi ~symtab ~log:focus_log ~cover:covers.(rank)
-          else if config.two_way then light_hooks config ~mpi ~cover:covers.(rank)
+            heavy_hooks config ~inputs ~mpi ~symtab ~log:focus_log ~cover:covers.(rank)
+          else if config.two_way then light_hooks config ~inputs ~mpi ~cover:covers.(rank)
           else begin
             (* one-way: everyone pays for symbolic execution *)
             let shadow_tab = Symtab.create () in
@@ -210,7 +234,7 @@ let run_raw config =
             heavy_logs.(rank) <- Some log;
             heavy_hooks
               { config with mark_mpi_sem = false }
-              ~mpi ~symtab:shadow_tab ~log ~cover:covers.(rank)
+              ~inputs ~mpi ~symtab:shadow_tab ~log ~cover:covers.(rank)
           end
         in
         exec hooks)

@@ -95,6 +95,10 @@ exception Exit_exn of int
 
 type cfunc = {
   cf_index : int;  (* position in the variant's function table, keys [pools] *)
+  cf_name : string;
+      (* the definition's name: every call passes this one string to
+         [on_func_enter], so a hook can tell functions apart by
+         physical equality *)
   cf_params : (int * Ast.ctype) list;  (* slot of each parameter, in order *)
   cf_nslots : int;
   cf_slots : (string, int) Hashtbl.t;
@@ -1378,6 +1382,7 @@ and compile_call env name args : ctx -> frame -> (Value.t * shadow) option
       in
       let heavy = env.heavy in
       let idx = cf.cf_index in
+      let fname = cf.cf_name in
       let nslots = cf.cf_nslots in
       fun c f ->
         let nf =
@@ -1387,10 +1392,12 @@ and compile_call env name args : ctx -> frame -> (Value.t * shadow) option
             fr
           | [] -> make_frame heavy nslots
         in
-        Array.iter (fun b -> b c f nf) binders;
+        for i = 0 to Array.length binders - 1 do
+          binders.(i) c f nf
+        done;
         let saved = c.func in
-        c.func <- name;
-        c.hooks.Interp.on_func_enter name;
+        c.func <- fname;
+        c.hooks.Interp.on_func_enter fname;
         cf.cf_body c nf;
         let result =
           if c.returning then begin
@@ -1439,7 +1446,14 @@ let compile_variant ~heavy (program : Ast.program) : entrycode * int * int =
           let cf_index = !next_index in
           incr next_index;
           let cf =
-            { cf_index; cf_params; cf_nslots; cf_slots; cf_body = (fun _c _f -> ()) }
+            {
+              cf_index;
+              cf_name = fn.Ast.fname;
+              cf_params;
+              cf_nslots;
+              cf_slots;
+              cf_body = (fun _c _f -> ());
+            }
           in
           Hashtbl.add funcs fn.Ast.fname cf;
           Some (fn, cf)

@@ -41,6 +41,13 @@ type buf = {
   mutable tail_used : int;
   published : int Atomic.t;  (* entries safe for a foreign reader *)
   mutable drained : int;  (* entries already emitted; main domain only *)
+  mutable cur : chunk;
+  mutable cur_first : int;
+      (* drain cursor, main domain only: the chunk holding entries
+         [cur_first] to [cur_first + chunk_size - 1], with [drained] in
+         [cur_first, cur_first + chunk_size], so a drain starts there
+         instead of at [head]. Drained chunks stay reachable from
+         [head]. *)
 }
 
 (* Registry of every buffer ever created, so the drainer finds buffers
@@ -64,6 +71,8 @@ let key =
           tail_used = 0;
           published = Atomic.make 0;
           drained = 0;
+          cur = c;
+          cur_first = 0;
         }
       in
       Mutex.protect registry_mu (fun () -> registry := b :: !registry);
@@ -116,11 +125,31 @@ let bump tbl key c ns =
 
 let rows_of tbl = Hashtbl.fold (fun k (c, ns) acc -> (k, c, ns) :: acc) tbl [] |> List.sort compare
 
+(* Move the drain cursor to the chunk holding [drained] after [enable]
+   skipped ahead, as far as chunks exist: a chunk is linked before any
+   of its entries is published, so the walk reaches every chunk up to
+   the one holding [published]. *)
+let seek b =
+  let rec go () =
+    if b.cur_first + chunk_size <= b.drained then
+      match b.cur.next with
+      | Some nx ->
+        b.cur <- nx;
+        b.cur_first <- b.cur_first + chunk_size;
+        go ()
+      | None -> ()
+  in
+  go ()
+
 let enable () =
   (* restart the clock and discard anything not yet drained; called on
      the main domain before worker domains exist, so no buffer is being
      appended to concurrently *)
-  List.iter (fun b -> b.drained <- Atomic.get b.published) (buffers ());
+  List.iter
+    (fun b ->
+      b.drained <- Atomic.get b.published;
+      seek b)
+    (buffers ());
   Hashtbl.reset totals_tbl;
   epoch := Unix.gettimeofday ();
   on_flag := true
@@ -172,20 +201,20 @@ let compact batch =
   (kept, rows_of rows)
 
 (* Entry [j] of a buffer lives in chunk [j / chunk_size] (chunks only
-   ever fill forward) at offset [j mod chunk_size]. *)
+   ever fill forward) at offset [j mod chunk_size]. A drain starts at the
+   cursor and leaves it at the chunk of the last entry it read, so it
+   costs what it reads rather than every span ever recorded. *)
 let drain_buf b =
   let n = Atomic.get b.published in
   let batch = ref [] in
   if n > b.drained then begin
-    let c = ref b.head in
-    for _ = 1 to b.drained / chunk_size do
-      match !c.next with Some nx -> c := nx | None -> assert false
-    done;
     for j = b.drained to n - 1 do
-      let off = j mod chunk_size in
-      if off = 0 && j > b.drained then
-        (match !c.next with Some nx -> c := nx | None -> assert false);
-      batch := { kind = !c.kinds.(off); t0 = !c.t0s.(off); t1 = !c.t1s.(off) } :: !batch
+      if j - b.cur_first = chunk_size then begin
+        (match b.cur.next with Some nx -> b.cur <- nx | None -> assert false);
+        b.cur_first <- j
+      end;
+      let c = b.cur and off = j - b.cur_first in
+      batch := { kind = c.kinds.(off); t0 = c.t0s.(off); t1 = c.t1s.(off) } :: !batch
     done;
     b.drained <- n
   end;

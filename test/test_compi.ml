@@ -318,6 +318,86 @@ let test_runner_inputs_respected () =
     | None -> Alcotest.fail "x not marked");
     Alcotest.(check bool) "no faults" true (Compi.Runner.faults res = [])
 
+(* Rank 1 calls a function per input value it reads; rank 0, the focus,
+   calls none. Conditionals are numbered depth-first in program order:
+   0 [rank = 1], 1 [a = 3], 2 [a = 4], 3 [b = 9]. *)
+let input_probe_info =
+  lazy
+    (let open Minic in
+     let open Builder in
+     Branchinfo.instrument
+       (Check.check_exn
+          (program
+             [
+               func "main" []
+                 [
+                   input ~default:5 "a";
+                   input ~default:9 "b";
+                   decl "rank" (i 0);
+                   comm_rank Ast.World "rank";
+                   if_
+                     (v "rank" =: i 1)
+                     [
+                       if_ (v "a" =: i 3) [ call "first" []; call "first" [] ] [];
+                       if_ (v "a" =: i 4) [ call "second" [] ] [];
+                       if_ (v "b" =: i 9) [ call "dflt" []; call "first" [] ] [];
+                     ]
+                     [];
+                 ];
+               func "first" [] [];
+               func "second" [] [];
+               func "dflt" [] [];
+             ])))
+
+(* Every rank reads the run's one input table: a duplicated name takes
+   its first binding and an absent one its declared default, in the
+   focus's symbolic record and in a light rank's calls alike. The
+   coverage is the union over ranks with all-recorders and the focus's
+   own without, exactly. *)
+let test_runner_input_table_and_coverage () =
+  let info = Lazy.force input_probe_info in
+  List.iter
+    (fun mode ->
+      let name = Compi.Runner.exec_mode_name mode in
+      let run record_all =
+        let config =
+          {
+            (Compi.Runner.default_config ~info) with
+            Compi.Runner.nprocs = 2;
+            focus = 0;
+            record_all;
+            inputs = [ ("a", 3); ("a", 4) ];
+            compiled = Compi.Runner.prepare mode info;
+          }
+        in
+        match Compi.Runner.run config with
+        | Ok res -> res
+        | Error (`Platform_limit _) -> Alcotest.fail "platform limit"
+      in
+      let all = run true and focus_only = run false in
+      let tab = all.Compi.Runner.execution.Execution.symtab in
+      let concrete input =
+        match Symtab.find_input tab input with
+        | Some e -> e.Symtab.concrete
+        | None -> Alcotest.failf "%s: %s not marked" name input
+      in
+      Alcotest.(check int) (name ^ ": first binding wins") 3 (concrete "a");
+      Alcotest.(check int) (name ^ ": absent input takes its default") 9 (concrete "b");
+      let check_cov what ~branches ~funcs cov =
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s, %s: branches" name what)
+          branches (Coverage.branch_list cov);
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s, %s: functions" name what)
+          funcs
+          (Coverage.encountered_functions cov)
+      in
+      check_cov "all recorders" ~branches:[ 0; 1; 2; 5; 6 ]
+        ~funcs:[ "dflt"; "first"; "main" ] all.Compi.Runner.coverage;
+      check_cov "focus only" ~branches:[ 1 ] ~funcs:[ "main" ]
+        focus_only.Compi.Runner.coverage)
+    [ Compi.Runner.Exec_compiled; Compi.Runner.Exec_interp ]
+
 (* ------------------------------------------------------------------ *)
 (* Campaign end-to-end                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -654,6 +734,7 @@ let unit_tests =
     ("runner auto marking", `Quick, test_runner_auto_marking);
     ("runner marking disabled", `Quick, test_runner_no_marking_when_disabled);
     ("runner inputs respected", `Quick, test_runner_inputs_respected);
+    ("runner input table and coverage", `Quick, test_runner_input_table_and_coverage);
     ("driver fig1 complete + bug", `Quick, test_campaign_full_coverage_fig1);
     ("driver beats random (fig2)", `Quick, test_campaign_beats_random_on_fig2);
     ("driver varies focus", `Quick, test_campaign_framework_varies_focus);

@@ -419,6 +419,39 @@ let test_phases_equal_profile () =
        (List.map (fun (k, (c, ns)) -> (k, (c, float_of_int ns /. 1e9))) p.Obs.Fold.pf_kinds))
     (List.sort compare table)
 
+(* A drain reads from its cursor, not from the first chunk: spans
+   recorded across more than three chunk boundaries (a chunk holds 1,024)
+   and drained in small batches come out exactly once and in order, also
+   after an [enable] that skipped a chunk's worth of undrained spans. *)
+let test_drain_from_cursor () =
+  let buf = Buffer.create 65536 in
+  let recorded = ref [] in
+  Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
+      Obs.Timeline.enable ();
+      Fun.protect ~finally:Obs.Timeline.disable (fun () ->
+          for _ = 1 to 1500 do
+            Obs.Timeline.record ~kind:"exec" ~t0:0 ~t1:0
+          done;
+          Obs.Timeline.enable ();
+          for i = 1 to 3700 do
+            (* disjoint intervals, so compaction keeps every one *)
+            Obs.Timeline.record ~kind:"exec" ~t0:(2 * i) ~t1:((2 * i) + 1);
+            recorded := ((2 * i), (2 * i) + 1) :: !recorded;
+            if i mod 97 = 0 then Obs.Timeline.drain ()
+          done;
+          Obs.Timeline.drain ();
+          Alcotest.(check int) "nothing pending" 0 (Obs.Timeline.pending ())));
+  let drained =
+    List.filter_map
+      (fun line ->
+        match Result.bind (Obs.Json.parse line) Obs.Event.of_json with
+        | Ok (Obs.Event.Span { kind = "exec"; t0; t1; _ }) -> Some (t0, t1)
+        | _ -> None)
+      (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  Alcotest.(check (list (pair int int))) "every span once, in order" (List.rev !recorded)
+    drained
+
 let suite =
   [
     ( "timeline",
@@ -437,6 +470,7 @@ let suite =
         Alcotest.test_case "live jobs-2 campaign profile" `Quick
           test_live_campaign_profile;
         Alcotest.test_case "compact folds nested busy spans only" `Quick test_compact_rule;
+        Alcotest.test_case "drain reads from its cursor" `Quick test_drain_from_cursor;
         QCheck_alcotest.to_alcotest prop_compact_keeps_profile;
         Alcotest.test_case "metrics phases equal the profile per-kind table" `Quick
           test_phases_equal_profile;
