@@ -11,6 +11,7 @@ let () =
          Test_compile.suite;
          Test_mpisim.suite;
          Test_matching.suite;
+         Test_coll_golden.suite;
          Test_schedule.suite;
          Test_concolic.suite;
          Test_compi.suite;
