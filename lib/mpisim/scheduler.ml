@@ -4,32 +4,34 @@ exception Platform_limit of int
 
 let default_max_procs = 512
 
-type _ Effect.t += Mpi_call : Mpi_iface.request -> Mpi_iface.reply Effect.t
+(* A request suspends its fiber with [Yield]. The request itself waits
+   in the scheduler's per-rank slot, so the effect carries nothing. *)
+type _ Effect.t += Yield : Mpi_iface.reply Effect.t
 
-let mpi_handler : Mpi_iface.handler = fun req -> Effect.perform (Mpi_call req)
+(* A rank's fiber: not yet started, suspended in a request, or done. *)
+type fiber =
+  | Unstarted
+  | Paused of (Mpi_iface.reply, fiber) Effect.Deep.continuation
+  | Finished of (unit, Fault.t) result
 
-type step =
-  | Done of (unit, Fault.t) result
-  | Paused of Mpi_iface.request * (Mpi_iface.reply, step) Effect.Deep.continuation
+let on_yield : ((Mpi_iface.reply, fiber) Effect.Deep.continuation -> fiber) option =
+  Some (fun k -> Paused k)
 
-let start_fiber body =
-  Effect.Deep.match_with body ()
-    {
-      Effect.Deep.retc = (fun r -> Done r);
-      exnc =
-        (function
-        (* a fault injected while the fiber was blocked (deadlock, bad
-           request) may escape bodies that do not run under Interp.run *)
-        | Fault.Fault f -> Done (Error f)
-        | e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Mpi_call req ->
-            Some
-              (fun (k : (a, step) Effect.Deep.continuation) -> Paused (req, k))
-          | _ -> None);
-    }
+let fiber_handler =
+  {
+    Effect.Deep.retc = (fun r -> Finished r);
+    exnc =
+      (function
+      (* a fault injected while the fiber was blocked (deadlock, bad
+         request) may escape bodies that do not run under Interp.run *)
+      | Fault.Fault f -> Finished (Error f)
+      | e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield -> (on_yield : ((a, fiber) Effect.Deep.continuation -> fiber) option)
+        | _ -> None);
+  }
 
 type leaked_message = { leak_comm : int; leak_dest : int; leak_tag : int }
 
@@ -46,8 +48,6 @@ type run_result = {
          the run executed in schedule mode *)
 }
 
-type continuation = (Mpi_iface.reply, step) Effect.Deep.continuation
-
 (* A message sitting in a mailbox. [src_global] is remembered so the
    delivery event can name the sender globally however late the match
    happens. *)
@@ -58,94 +58,7 @@ type pending_recv = {
   recv_rank : int;  (* global *)
   src_filter : int option;
   tag_filter : int option;
-  recv_k : continuation;
 }
-
-(* Non-blocking request state, per owning rank. Isends complete eagerly
-   (the simulator buffers sends), so only receives can be outstanding. *)
-type nb_status =
-  | Nb_send_done
-  | Nb_recv_posted of { comm : int; local : int; src_filter : int option; tag_filter : int option }
-  | Nb_recv_done of Value.t
-
-module Itbl = Hashtbl.Make (Int)
-
-type nb_table = {
-  mutable next_handle : int;
-  statuses : nb_status Itbl.t;
-  mutable posted : int;  (* [Nb_recv_posted] entries in [statuses] *)
-}
-
-(* A fiber blocked in MPI_Wait. *)
-type pending_wait = { wait_handle : int; wait_k : continuation }
-
-(* One collective in progress on a communicator. *)
-type arrival = {
-  arr_local : int;
-  arr_rank : int;  (* global *)
-  arr_req : Mpi_iface.request;
-  arr_k : continuation;
-}
-
-(* Collectives are compatible only if their signature (operation plus
-   root/op parameters) agrees across participants. The key is compared
-   structurally; {!signature} renders it for reports and messages. *)
-type coll_key =
-  | K_barrier
-  | K_split
-  | K_bcast of int
-  | K_reduce of Mpi_iface.reduce_op * int
-  | K_allreduce of Mpi_iface.reduce_op
-  | K_gather of int
-  | K_scatter of int
-  | K_allgather
-  | K_alltoall
-
-let coll_key (req : Mpi_iface.request) =
-  match req with
-  | Mpi_iface.Barrier _ -> K_barrier
-  | Mpi_iface.Split _ -> K_split
-  | Mpi_iface.Bcast { root; _ } -> K_bcast root
-  | Mpi_iface.Reduce { op; root; _ } -> K_reduce (op, root)
-  | Mpi_iface.Allreduce { op; _ } -> K_allreduce op
-  | Mpi_iface.Gather { root; _ } -> K_gather root
-  | Mpi_iface.Scatter { root; _ } -> K_scatter root
-  | Mpi_iface.Allgather _ -> K_allgather
-  | Mpi_iface.Alltoall _ -> K_alltoall
-  | Mpi_iface.Rank _ | Mpi_iface.Size _ | Mpi_iface.Send _ | Mpi_iface.Recv _
-  | Mpi_iface.Isend _ | Mpi_iface.Irecv _ | Mpi_iface.Wait _ ->
-    invalid_arg "Scheduler.coll_key: not a collective"
-
-let same_key a b =
-  match (a, b) with
-  | K_barrier, K_barrier | K_split, K_split | K_allgather, K_allgather | K_alltoall, K_alltoall ->
-    true
-  | K_bcast r, K_bcast r' | K_gather r, K_gather r' | K_scatter r, K_scatter r' -> r = r'
-  | K_reduce (op, r), K_reduce (op', r') -> op = op' && r = r'
-  | K_allreduce op, K_allreduce op' -> op = op'
-  | ( ( K_barrier | K_split | K_bcast _ | K_reduce _ | K_allreduce _ | K_gather _ | K_scatter _
-      | K_allgather | K_alltoall ),
-      _ ) ->
-    false
-
-let op_name = function
-  | Mpi_iface.Rsum -> "sum"
-  | Mpi_iface.Rprod -> "prod"
-  | Mpi_iface.Rmax -> "max"
-  | Mpi_iface.Rmin -> "min"
-
-let signature = function
-  | K_barrier -> "barrier"
-  | K_split -> "split"
-  | K_bcast root -> Printf.sprintf "bcast:%d" root
-  | K_reduce (op, root) -> Printf.sprintf "reduce:%s:%d" (op_name op) root
-  | K_allreduce op -> Printf.sprintf "allreduce:%s" (op_name op)
-  | K_gather root -> Printf.sprintf "gather:%d" root
-  | K_scatter root -> Printf.sprintf "scatter:%d" root
-  | K_allgather -> "allgather"
-  | K_alltoall -> "alltoall"
-
-type site = { key : coll_key; mutable arrived : int; mutable arrivals : arrival list }
 
 (* Matching state of one communicator, built from the registry on its
    first request and indexed by local rank. *)
@@ -155,7 +68,36 @@ type comm_state = {
   local_of : int array;  (* global rank -> local rank, -1 for non-members *)
   mailboxes : message Queue.t array;  (* per destination *)
   pending : pending_recv option array;  (* the blocked Recv of each member *)
-  mutable site : site option;  (* the collective in progress *)
+  slots : Mpi_iface.request array;
+      (* the collective in progress: each member's request, [vacant]
+         until it arrives *)
+  mutable arrived : int;  (* members in [slots]; 0 when none is open *)
+  mutable opened : Mpi_iface.request;  (* the first arrival's request *)
+}
+
+let vacant = Mpi_iface.Barrier (-1)
+
+(* An outstanding Irecv, kept in its rank's posted list until a message
+   completes it. *)
+type posted = { p_handle : int; p_comm : int; p_src : int option; p_tag : int option }
+
+(* Non-blocking request state. Isends complete eagerly (the simulator
+   buffers sends), so only receives can be outstanding; a complete
+   request holds the reply its Wait returns. *)
+type nb_status = Complete of Mpi_iface.reply | Outstanding of posted
+
+let send_done = Complete Mpi_iface.Runit
+
+(* The non-blocking requests of one rank. Handle [h] lives in slot
+   [h land (capacity - 1)]; the capacity doubles only when a new handle
+   lands on a live one, so it follows the span of the handles still
+   unwaited, not the number issued. *)
+type nb_table = {
+  mutable next_handle : int;  (* from 1 *)
+  mutable keys : int array;  (* the handle in each slot, 0 when free *)
+  mutable stats : nb_status array;
+  mutable posted : posted array;  (* outstanding Irecvs, in post order *)
+  mutable n_posted : int;
 }
 
 let mpi_fault message = Fault.Fault (Fault.Mpi_error { message; func = "<mpi>" })
@@ -179,20 +121,22 @@ type tally = {
   t_coll_sigs : (int * string, int) Hashtbl.t;
 }
 
-(* What the run queue resumes next. *)
-type task =
-  | Start of int
-  | Continue of int * continuation * Mpi_iface.reply
-  | Crash of int * continuation * string
-
 type sched = {
   nprocs : int;
   registry : Rankmap.t;
-  results : (unit, Fault.t) result option array;
-  runq : task Queue.t;
+  fibers : fiber array;  (* per global rank *)
+  mutable finished : int;
+  requests : Mpi_iface.request array;  (* per rank: the request it yielded *)
+  replies : Mpi_iface.reply array;  (* per rank: what its queued resumption returns *)
+  crashes : string option array;  (* per rank: the fault its queued resumption raises *)
+  runq : int array;
+      (* FIFO ring of ranks to resume; a rank is queued at most once, so
+         it holds [nprocs] *)
+  mutable runq_head : int;
+  mutable runq_len : int;
   mutable comms : comm_state option array;  (* by handle *)
   nb_tables : nb_table array;  (* per global rank *)
-  waits : pending_wait option array;  (* per global rank *)
+  waits : int array;  (* per global rank: the handle it waits on, 0 when none *)
   on_event : Trace.event -> unit;
   observe : bool;
       (* [on_event] is not {!Trace.discard}. Every observable occurrence
@@ -255,8 +199,21 @@ let summary_event s t =
         |> List.sort compare;
     }
 
-let resume s rank k reply = Queue.push (Continue (rank, k, reply)) s.runq
-let crash s rank k message = Queue.push (Crash (rank, k, message)) s.runq
+(* Queue [rank] at the tail of the run queue. *)
+let enqueue s rank =
+  let cap = Array.length s.runq in
+  if s.runq_len = cap then invalid_arg "Scheduler: a rank was queued twice";
+  let i = s.runq_head + s.runq_len in
+  s.runq.(if i >= cap then i - cap else i) <- rank;
+  s.runq_len <- s.runq_len + 1
+
+let resume s rank reply =
+  s.replies.(rank) <- reply;
+  enqueue s rank
+
+let crash s rank message =
+  s.crashes.(rank) <- Some message;
+  enqueue s rank
 
 (* The matching state of [comm], built on first use; [None] when the
    registry does not know the handle. *)
@@ -279,7 +236,9 @@ let comm_state s comm =
             local_of;
             mailboxes = Array.init size (fun _ -> Queue.create ());
             pending = Array.make size None;
-            site = None;
+            slots = Array.make size vacant;
+            arrived = 0;
+            opened = vacant;
           }
       in
       if comm >= Array.length s.comms then begin
@@ -290,9 +249,12 @@ let comm_state s comm =
       s.comms.(comm) <- c;
       c)
 
+let accepts ~src_filter ~tag_filter ~src ~tag =
+  (match src_filter with Some f -> f = src | None -> true)
+  && match tag_filter with Some f -> f = tag | None -> true
+
 let matches ~src_filter ~tag_filter (m : message) =
-  (match src_filter with Some src -> src = m.src_local | None -> true)
-  && match tag_filter with Some tag -> tag = m.tag | None -> true
+  accepts ~src_filter ~tag_filter ~src:m.src_local ~tag:m.tag
 
 (* Pull the first matching message out of a mailbox, preserving order.
    A match at the head pops it; any other match rebuilds the queue. *)
@@ -319,164 +281,270 @@ let take_matching q ~src_filter ~tag_filter =
     go []
 
 (* ------------------------------------------------------------------ *)
+(* Collective signatures                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Collectives are compatible only if their signature (operation plus
+   root/op parameters) agrees across participants. *)
+let same_collective (a : Mpi_iface.request) (b : Mpi_iface.request) =
+  match (a, b) with
+  | Mpi_iface.Barrier _, Mpi_iface.Barrier _
+  | Mpi_iface.Split _, Mpi_iface.Split _
+  | Mpi_iface.Allgather _, Mpi_iface.Allgather _
+  | Mpi_iface.Alltoall _, Mpi_iface.Alltoall _ ->
+    true
+  | Mpi_iface.Bcast { root = r; _ }, Mpi_iface.Bcast { root = r'; _ }
+  | Mpi_iface.Gather { root = r; _ }, Mpi_iface.Gather { root = r'; _ }
+  | Mpi_iface.Scatter { root = r; _ }, Mpi_iface.Scatter { root = r'; _ } ->
+    r = r'
+  | Mpi_iface.Reduce { op; root; _ }, Mpi_iface.Reduce { op = op'; root = root'; _ } ->
+    op = op' && root = root'
+  | Mpi_iface.Allreduce { op; _ }, Mpi_iface.Allreduce { op = op'; _ } -> op = op'
+  | ( ( Mpi_iface.Barrier _ | Mpi_iface.Split _ | Mpi_iface.Bcast _ | Mpi_iface.Reduce _
+      | Mpi_iface.Allreduce _ | Mpi_iface.Gather _ | Mpi_iface.Scatter _
+      | Mpi_iface.Allgather _ | Mpi_iface.Alltoall _ | Mpi_iface.Rank _ | Mpi_iface.Size _
+      | Mpi_iface.Send _ | Mpi_iface.Recv _ | Mpi_iface.Isend _ | Mpi_iface.Irecv _
+      | Mpi_iface.Wait _ ),
+      _ ) ->
+    false
+
+let op_name = function
+  | Mpi_iface.Rsum -> "sum"
+  | Mpi_iface.Rprod -> "prod"
+  | Mpi_iface.Rmax -> "max"
+  | Mpi_iface.Rmin -> "min"
+
+(* The signature of a collective request, for reports and messages. *)
+let signature (req : Mpi_iface.request) =
+  match req with
+  | Mpi_iface.Barrier _ -> "barrier"
+  | Mpi_iface.Split _ -> "split"
+  | Mpi_iface.Bcast { root; _ } -> Printf.sprintf "bcast:%d" root
+  | Mpi_iface.Reduce { op; root; _ } -> Printf.sprintf "reduce:%s:%d" (op_name op) root
+  | Mpi_iface.Allreduce { op; _ } -> Printf.sprintf "allreduce:%s" (op_name op)
+  | Mpi_iface.Gather { root; _ } -> Printf.sprintf "gather:%d" root
+  | Mpi_iface.Scatter { root; _ } -> Printf.sprintf "scatter:%d" root
+  | Mpi_iface.Allgather _ -> "allgather"
+  | Mpi_iface.Alltoall _ -> "alltoall"
+  | Mpi_iface.Rank _ | Mpi_iface.Size _ | Mpi_iface.Send _ | Mpi_iface.Recv _
+  | Mpi_iface.Isend _ | Mpi_iface.Irecv _ | Mpi_iface.Wait _ ->
+    invalid_arg "Scheduler.signature: not a collective"
+
+(* ------------------------------------------------------------------ *)
 (* Collective completion                                               *)
 (* ------------------------------------------------------------------ *)
 
-let payload_of_arrival (a : arrival) =
-  match a.arr_req with
+(* The payload every member supplies to reduce, gather, allgather and
+   alltoall. *)
+let payload (req : Mpi_iface.request) =
+  match req with
   | Mpi_iface.Reduce { data; _ }
   | Mpi_iface.Allreduce { data; _ }
   | Mpi_iface.Gather { data; _ }
   | Mpi_iface.Allgather { data; _ }
   | Mpi_iface.Alltoall { data; _ } ->
-    Some data
-  | Mpi_iface.Bcast { data; _ } -> data
-  | Mpi_iface.Scatter { data; _ } -> data
-  | Mpi_iface.Barrier _ | Mpi_iface.Split _ | Mpi_iface.Rank _ | Mpi_iface.Size _
-  | Mpi_iface.Send _ | Mpi_iface.Recv _ | Mpi_iface.Isend _ | Mpi_iface.Irecv _
-  | Mpi_iface.Wait _ ->
+    data
+  | Mpi_iface.Bcast _ | Mpi_iface.Scatter _ | Mpi_iface.Barrier _ | Mpi_iface.Split _
+  | Mpi_iface.Rank _ | Mpi_iface.Size _ | Mpi_iface.Send _ | Mpi_iface.Recv _
+  | Mpi_iface.Isend _ | Mpi_iface.Irecv _ | Mpi_iface.Wait _ ->
+    invalid_arg "Scheduler.payload: no payload"
+
+(* The data a rooted bcast or scatter request supplies, if any. *)
+let root_data (req : Mpi_iface.request) =
+  match req with
+  | Mpi_iface.Bcast { data; _ } | Mpi_iface.Scatter { data; _ } -> data
+  | Mpi_iface.Reduce _ | Mpi_iface.Allreduce _ | Mpi_iface.Gather _ | Mpi_iface.Allgather _
+  | Mpi_iface.Alltoall _ | Mpi_iface.Barrier _ | Mpi_iface.Split _ | Mpi_iface.Rank _
+  | Mpi_iface.Size _ | Mpi_iface.Send _ | Mpi_iface.Recv _ | Mpi_iface.Isend _
+  | Mpi_iface.Irecv _ | Mpi_iface.Wait _ ->
     None
 
-let crash_all s arrivals message =
-  List.iter (fun a -> crash s a.arr_rank a.arr_k message) arrivals
+(* Members are answered, or crashed, in local-rank order. *)
+let crash_all s (c : comm_state) message = Array.iter (fun rank -> crash s rank message) c.members
 
-let complete_collective s (c : comm_state) (site : site) =
+let reply_each s (c : comm_state) reply = Array.iter (fun rank -> resume s rank reply) c.members
+
+(* Each member its own deep copy of an array [v]; a scalar is immutable,
+   so every member shares it. *)
+let copy_each s (c : comm_state) v =
+  match v with
+  | Value.Vint _ | Value.Vfloat _ -> reply_each s c (Mpi_iface.Rvalue v)
+  | Value.Varr_int _ | Value.Varr_float _ ->
+    Array.iter (fun rank -> resume s rank (Mpi_iface.Rvalue (Value.copy v))) c.members
+
+let reply_parts s (c : comm_state) parts =
+  Array.iteri (fun l rank -> resume s rank (Mpi_iface.Rvalue parts.(l))) c.members
+
+(* [v] to local [root], nothing to the others. *)
+let reply_root s (c : comm_state) root v =
+  Array.iteri
+    (fun l rank -> resume s rank (if l = root then Mpi_iface.Rvalue v else Mpi_iface.Rnone))
+    c.members
+
+let complete_collective s (c : comm_state) =
   s.coll_count <- s.coll_count + 1;
-  let comm = c.handle in
-  let arrivals = List.sort (fun a b -> Int.compare a.arr_local b.arr_local) site.arrivals in
+  let comm = c.handle and size = Array.length c.members in
+  let req = c.opened and slots = c.slots in
+  let in_comm root = root >= 0 && root < size in
   (match s.tally with
   | Some t ->
-    List.iter (fun a -> t.t_colls.(a.arr_rank) <- t.t_colls.(a.arr_rank) + 1) arrivals;
-    let key = (comm, signature site.key) in
+    Array.iter (fun rank -> t.t_colls.(rank) <- t.t_colls.(rank) + 1) c.members;
+    let key = (comm, signature req) in
     Hashtbl.replace t.t_coll_sigs key
       (1 + Option.value (Hashtbl.find_opt t.t_coll_sigs key) ~default:0)
   | None -> ());
   if s.observe then
     s.on_event
-      (Trace.Collective
-         {
-           comm;
-           signature = signature site.key;
-           ranks = List.map (fun a -> a.arr_rank) arrivals;
-         });
-  let payloads () = List.map (fun a -> Option.get (payload_of_arrival a)) arrivals in
-  let reply_each f = List.iter (fun a -> resume s a.arr_rank a.arr_k (f a)) arrivals in
-  let reply_root root make_root_reply =
-    List.iter
-      (fun a ->
-        if a.arr_local = root then resume s a.arr_rank a.arr_k (make_root_reply ())
-        else resume s a.arr_rank a.arr_k Mpi_iface.Rnone)
-      arrivals
-  in
-  let first = List.hd arrivals in
-  match first.arr_req with
-  | Mpi_iface.Barrier _ -> reply_each (fun _ -> Mpi_iface.Runit)
-  | Mpi_iface.Bcast { root; _ } -> (
-    match List.find_opt (fun a -> a.arr_local = root) arrivals with
-    | None -> crash_all s arrivals "bcast root outside communicator"
-    | Some root_a -> (
-      match payload_of_arrival root_a with
-      | Some v -> reply_each (fun _ -> Mpi_iface.Rvalue (Value.copy v))
-      | None -> crash_all s arrivals "bcast root supplied no data"))
+      (Trace.Collective { comm; signature = signature req; ranks = Array.to_list c.members });
+  (match req with
+  | Mpi_iface.Barrier _ -> reply_each s c Mpi_iface.Runit
+  | Mpi_iface.Bcast { root; _ } ->
+    if not (in_comm root) then crash_all s c "bcast root outside communicator"
+    else (
+      match root_data slots.(root) with
+      | Some v -> copy_each s c v
+      | None -> crash_all s c "bcast root supplied no data")
   | Mpi_iface.Reduce { op; root; _ } -> (
-    match Collectives.reduce op (payloads ()) with
+    match Collectives.reduce op (Array.map payload slots) with
     | Ok v ->
-      if List.exists (fun a -> a.arr_local = root) arrivals then
-        reply_root root (fun () -> Mpi_iface.Rvalue v)
-      else crash_all s arrivals "reduce root outside communicator"
-    | Error e -> crash_all s arrivals e)
+      if in_comm root then reply_root s c root v
+      else crash_all s c "reduce root outside communicator"
+    | Error e -> crash_all s c e)
   | Mpi_iface.Allreduce { op; _ } -> (
-    match Collectives.reduce op (payloads ()) with
-    | Ok v -> reply_each (fun _ -> Mpi_iface.Rvalue (Value.copy v))
-    | Error e -> crash_all s arrivals e)
+    match Collectives.reduce op (Array.map payload slots) with
+    | Ok v -> copy_each s c v
+    | Error e -> crash_all s c e)
   | Mpi_iface.Gather { root; _ } -> (
-    match Collectives.gather (payloads ()) with
+    match Collectives.gather (Array.map payload slots) with
     | Ok v ->
-      if List.exists (fun a -> a.arr_local = root) arrivals then
-        reply_root root (fun () -> Mpi_iface.Rvalue v)
-      else crash_all s arrivals "gather root outside communicator"
-    | Error e -> crash_all s arrivals e)
+      if in_comm root then reply_root s c root v
+      else crash_all s c "gather root outside communicator"
+    | Error e -> crash_all s c e)
   | Mpi_iface.Allgather _ -> (
-    match Collectives.gather (payloads ()) with
-    | Ok v -> reply_each (fun _ -> Mpi_iface.Rvalue (Value.copy v))
-    | Error e -> crash_all s arrivals e)
-  | Mpi_iface.Scatter { root; _ } -> (
-    match List.find_opt (fun a -> a.arr_local = root) arrivals with
-    | None -> crash_all s arrivals "scatter root outside communicator"
-    | Some root_a -> (
-      match payload_of_arrival root_a with
-      | None -> crash_all s arrivals "scatter root supplied no data"
+    match Collectives.gather (Array.map payload slots) with
+    | Ok v -> copy_each s c v
+    | Error e -> crash_all s c e)
+  | Mpi_iface.Scatter { root; _ } ->
+    if not (in_comm root) then crash_all s c "scatter root outside communicator"
+    else (
+      match root_data slots.(root) with
+      | None -> crash_all s c "scatter root supplied no data"
       | Some src -> (
-        match Collectives.scatter src (List.length arrivals) with
-        | Ok parts ->
-          List.iter2
-            (fun a part -> resume s a.arr_rank a.arr_k (Mpi_iface.Rvalue part))
-            arrivals parts
-        | Error e -> crash_all s arrivals e)))
+        match Collectives.scatter src size with
+        | Ok parts -> reply_parts s c parts
+        | Error e -> crash_all s c e))
   | Mpi_iface.Alltoall _ -> (
-    match Collectives.alltoall (payloads ()) with
-    | Ok parts ->
-      List.iter2
-        (fun a part -> resume s a.arr_rank a.arr_k (Mpi_iface.Rvalue part))
-        arrivals parts
-    | Error e -> crash_all s arrivals e)
+    match Collectives.alltoall (Array.map payload slots) with
+    | Ok parts -> reply_parts s c parts
+    | Error e -> crash_all s c e)
   | Mpi_iface.Split _ ->
     let decisions =
-      List.map
-        (fun a ->
-          match a.arr_req with
-          | Mpi_iface.Split { color; key; _ } -> (a.arr_rank, color, key)
+      List.init size (fun l ->
+          match slots.(l) with
+          | Mpi_iface.Split { color; key; _ } -> (c.members.(l), color, key)
           | _ -> assert false)
-        arrivals
     in
     let handles = Rankmap.split s.registry ~parent:comm decisions in
-    List.iter
-      (fun a ->
-        let handle = List.assoc a.arr_rank handles in
-        resume s a.arr_rank a.arr_k (Mpi_iface.Rint handle))
-      arrivals
+    Array.iter (fun rank -> resume s rank (Mpi_iface.Rint (List.assoc rank handles))) c.members
   | Mpi_iface.Rank _ | Mpi_iface.Size _ | Mpi_iface.Send _ | Mpi_iface.Recv _
   | Mpi_iface.Isend _ | Mpi_iface.Irecv _ | Mpi_iface.Wait _ ->
-    assert false
+    assert false);
+  Array.fill slots 0 size vacant;
+  c.arrived <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Non-blocking request bookkeeping                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_handle table status =
-  let h = table.next_handle in
-  table.next_handle <- h + 1;
-  Itbl.replace table.statuses h status;
-  (match status with
-  | Nb_recv_posted _ -> table.posted <- table.posted + 1
-  | Nb_send_done | Nb_recv_done _ -> ());
+(* Fills the unused cells of a posted list. *)
+let no_posted = { p_handle = 0; p_comm = -1; p_src = None; p_tag = None }
+
+let nb_table () =
+  {
+    next_handle = 1;
+    keys = Array.make 8 0;
+    stats = Array.make 8 send_done;
+    posted = Array.make 4 no_posted;
+    n_posted = 0;
+  }
+
+(* The slot holding [handle], -1 when it is not a live handle. *)
+let slot t handle =
+  if handle <= 0 then -1
+  else
+    let i = handle land (Array.length t.keys - 1) in
+    if t.keys.(i) = handle then i else -1
+
+let free t i =
+  t.keys.(i) <- 0;
+  t.stats.(i) <- send_done
+
+(* Double the capacity and rehash. Handles are issued in order and a
+   new handle [h] collides only with a live [h - capacity], so before
+   each issue every live handle lies within [capacity] of [h]; one
+   doubling then always separates them. *)
+let grow t =
+  let cap = 2 * Array.length t.keys in
+  let keys = Array.make cap 0 and stats = Array.make cap send_done in
+  Array.iteri
+    (fun i k ->
+      if k > 0 then begin
+        keys.(k land (cap - 1)) <- k;
+        stats.(k land (cap - 1)) <- t.stats.(i)
+      end)
+    t.keys;
+  t.keys <- keys;
+  t.stats <- stats
+
+let fresh_handle t status =
+  let h = t.next_handle in
+  t.next_handle <- h + 1;
+  if t.keys.(h land (Array.length t.keys - 1)) <> 0 then grow t;
+  let i = h land (Array.length t.keys - 1) in
+  assert (t.keys.(i) = 0);
+  t.keys.(i) <- h;
+  t.stats.(i) <- status;
   h
 
-(* Complete a posted receive on [rank]; wake its waiter if any. *)
-let complete_posted s ~rank ~handle ~data =
-  let table = s.nb_tables.(rank) in
-  Itbl.replace table.statuses handle (Nb_recv_done data);
-  table.posted <- table.posted - 1;
-  match s.waits.(rank) with
-  | Some w when w.wait_handle = handle ->
-    s.waits.(rank) <- None;
-    Itbl.remove table.statuses handle;
-    resume s rank w.wait_k (Mpi_iface.Rvalue data)
-  | Some _ | None -> ()
+let post_recv t ~comm ~src ~tag =
+  let p = { p_handle = t.next_handle; p_comm = comm; p_src = src; p_tag = tag } in
+  if t.n_posted = Array.length t.posted then begin
+    let grown = Array.make (2 * t.n_posted) no_posted in
+    Array.blit t.posted 0 grown 0 t.n_posted;
+    t.posted <- grown
+  end;
+  t.posted.(t.n_posted) <- p;
+  t.n_posted <- t.n_posted + 1;
+  fresh_handle t (Outstanding p)
 
-(* Earliest matching posted receive of the destination, if any. *)
-let find_posted s ~dest_rank ~comm ~dest_local (m : message) =
-  let best = ref (-1) in
-  Itbl.iter
-    (fun handle status ->
-      match status with
-      | Nb_recv_posted p
-        when p.comm = comm && p.local = dest_local
-             && matches ~src_filter:p.src_filter ~tag_filter:p.tag_filter m ->
-        if !best < 0 || handle < !best then best := handle
-      | Nb_recv_posted _ | Nb_send_done | Nb_recv_done _ -> ())
-    s.nb_tables.(dest_rank).statuses;
-  !best
+(* The earliest posted receive of [t] on [comm] that takes a message
+   from local [src] with [tag], as an index into [t.posted]; -1 when
+   none. *)
+let find_posted t ~comm ~src ~tag =
+  let rec go i =
+    if i = t.n_posted then -1
+    else
+      let p = t.posted.(i) in
+      if p.p_comm = comm && accepts ~src_filter:p.p_src ~tag_filter:p.p_tag ~src ~tag then i
+      else go (i + 1)
+  in
+  go 0
+
+(* Complete posted receive [j] of global [rank] with [data]; wake its
+   waiter if any. *)
+let complete_posted s ~rank j ~data =
+  let t = s.nb_tables.(rank) in
+  let handle = t.posted.(j).p_handle in
+  Array.blit t.posted (j + 1) t.posted j (t.n_posted - j - 1);
+  t.n_posted <- t.n_posted - 1;
+  t.posted.(t.n_posted) <- no_posted;
+  let i = slot t handle in
+  if s.waits.(rank) = handle then begin
+    s.waits.(rank) <- 0;
+    free t i;
+    resume s rank (Mpi_iface.Rvalue data)
+  end
+  else t.stats.(i) <- Complete (Mpi_iface.Rvalue data)
 
 (* ------------------------------------------------------------------ *)
 (* Request dispatch                                                    *)
@@ -509,8 +577,11 @@ let peer_of (c : comm_state) = function
   | Some sl when sl >= 0 && sl < Array.length c.members -> c.members.(sl)
   | Some _ | None -> -1
 
+(* The global rank a posted receive waits on, -1 when unknown. *)
+let posted_peer s p =
+  match comm_state s p.p_comm with Some c -> peer_of c p.p_src | None -> -1
+
 let send s (c : comm_state) rank my_local ~dest ~tag ~data =
-  let msg = { src_local = my_local; src_global = rank; tag; data } in
   let comm = c.handle in
   s.msg_count <- s.msg_count + 1;
   count s sends rank;
@@ -522,24 +593,22 @@ let send s (c : comm_state) rank my_local ~dest ~tag ~data =
      ambiguous code, so the simpler rule is acceptable here.) *)
   match c.pending.(dest) with
   | Some pr
-    when matches ~src_filter:pr.src_filter ~tag_filter:pr.tag_filter msg
+    when accepts ~src_filter:pr.src_filter ~tag_filter:pr.tag_filter ~src:my_local ~tag
          && not (s.lazy_wildcards && is_wildcard pr) ->
     c.pending.(dest) <- None;
     recv_completed s ~rank:pr.recv_rank ~src_local:my_local ~src:rank ~comm ~tag;
-    resume s pr.recv_rank pr.recv_k (Mpi_iface.Rvalue data)
+    resume s pr.recv_rank (Mpi_iface.Rvalue data)
   | Some _ | None ->
     let dest_rank = c.members.(dest) in
-    let handle =
-      if s.nb_tables.(dest_rank).posted = 0 then -1
-      else find_posted s ~dest_rank ~comm ~dest_local:dest msg
-    in
-    if handle >= 0 then begin
+    let t = s.nb_tables.(dest_rank) in
+    let j = if t.n_posted = 0 then -1 else find_posted t ~comm ~src:my_local ~tag in
+    if j >= 0 then begin
       delivered s ~src:rank ~dst:dest_rank ~comm ~tag;
-      complete_posted s ~rank:dest_rank ~handle ~data
+      complete_posted s ~rank:dest_rank j ~data
     end
-    else Queue.push msg c.mailboxes.(dest)
+    else Queue.push { src_local = my_local; src_global = rank; tag; data } c.mailboxes.(dest)
 
-let recv s (c : comm_state) rank my_local ~src ~tag k =
+let recv s (c : comm_state) rank my_local ~src ~tag =
   let comm = c.handle in
   let eager =
     (* schedule mode defers every wildcard-source match to the
@@ -550,108 +619,86 @@ let recv s (c : comm_state) rank my_local ~src ~tag k =
   match eager with
   | Some m ->
     recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
-    resume s rank k (Mpi_iface.Rvalue m.data)
+    resume s rank (Mpi_iface.Rvalue m.data)
   | None -> (
     match c.pending.(my_local) with
-    | Some _ -> crash s rank k "second simultaneous recv on one process"
+    | Some _ -> crash s rank "second simultaneous recv on one process"
     | None ->
       blocked s ~rank ~comm ~kind:"recv" ~peer:(peer_of c src);
-      c.pending.(my_local) <-
-        Some { recv_rank = rank; src_filter = src; tag_filter = tag; recv_k = k })
+      c.pending.(my_local) <- Some { recv_rank = rank; src_filter = src; tag_filter = tag })
 
-let wait s rank handle k =
-  let table = s.nb_tables.(rank) in
-  match Itbl.find_opt table.statuses handle with
-  | None -> crash s rank k (Printf.sprintf "wait on unknown request %d" handle)
-  | Some Nb_send_done ->
-    Itbl.remove table.statuses handle;
-    resume s rank k Mpi_iface.Runit
-  | Some (Nb_recv_done data) ->
-    Itbl.remove table.statuses handle;
-    resume s rank k (Mpi_iface.Rvalue data)
-  | Some (Nb_recv_posted p) ->
-    if Option.is_some s.waits.(rank) then crash s rank k "second simultaneous wait on one process"
-    else begin
-      let peer =
-        match comm_state s p.comm with Some c -> peer_of c p.src_filter | None -> -1
-      in
-      blocked s ~rank ~comm:p.comm ~kind:"wait" ~peer;
-      s.waits.(rank) <- Some { wait_handle = handle; wait_k = k }
-    end
+let wait s rank handle =
+  let t = s.nb_tables.(rank) in
+  let i = slot t handle in
+  if i < 0 then crash s rank (Printf.sprintf "wait on unknown request %d" handle)
+  else
+    match t.stats.(i) with
+    | Complete reply ->
+      free t i;
+      resume s rank reply
+    | Outstanding p ->
+      if s.waits.(rank) <> 0 then crash s rank "second simultaneous wait on one process"
+      else begin
+        blocked s ~rank ~comm:p.p_comm ~kind:"wait" ~peer:(posted_peer s p);
+        s.waits.(rank) <- handle
+      end
 
-let arrive s (c : comm_state) rank my_local req k =
-  let key = coll_key req in
-  let arrival = { arr_local = my_local; arr_rank = rank; arr_req = req; arr_k = k } in
-  let size = Array.length c.members in
-  match c.site with
-  | Some site when not (same_key site.key key) ->
-    crash s rank k
+let arrive s (c : comm_state) rank my_local req =
+  if c.arrived > 0 && not (same_collective c.opened req) then
+    crash s rank
       (Printf.sprintf "collective mismatch on communicator %d: %s vs %s" c.handle
-         (signature site.key) (signature key))
-  | Some site ->
-    site.arrivals <- arrival :: site.arrivals;
-    site.arrived <- site.arrived + 1;
-    if site.arrived = size then begin
-      c.site <- None;
-      complete_collective s c site
-    end
+         (signature c.opened) (signature req))
+  else begin
+    if c.arrived = 0 then c.opened <- req;
+    c.slots.(my_local) <- req;
+    c.arrived <- c.arrived + 1;
+    if c.arrived = Array.length c.members then complete_collective s c
     else blocked s ~rank ~comm:c.handle ~kind:"collective" ~peer:(-1)
-  | None ->
-    let site = { key; arrived = 1; arrivals = [ arrival ] } in
-    if size = 1 then complete_collective s c site
-    else begin
-      blocked s ~rank ~comm:c.handle ~kind:"collective" ~peer:(-1);
-      c.site <- Some site
-    end
+  end
 
 (* A request on [c] from its member [rank], local rank [my_local]. *)
-let member_request s (c : comm_state) rank my_local req k =
-  let comm = c.handle in
+let member_request s (c : comm_state) rank my_local (req : Mpi_iface.request) =
   match req with
-  | Mpi_iface.Rank _ -> resume s rank k (Mpi_iface.Rint my_local)
-  | Mpi_iface.Size _ -> resume s rank k (Mpi_iface.Rint (Array.length c.members))
+  | Mpi_iface.Rank _ -> resume s rank (Mpi_iface.Rint my_local)
+  | Mpi_iface.Size _ -> resume s rank (Mpi_iface.Rint (Array.length c.members))
   | Mpi_iface.Send { dest; tag; data; _ } | Mpi_iface.Isend { dest; tag; data; _ } -> (
     let size = Array.length c.members in
     if dest < 0 || dest >= size then
-      crash s rank k (Printf.sprintf "send to invalid rank %d (size %d)" dest size)
+      crash s rank (Printf.sprintf "send to invalid rank %d (size %d)" dest size)
     else begin
       send s c rank my_local ~dest ~tag ~data;
       match req with
       | Mpi_iface.Isend _ ->
-        resume s rank k (Mpi_iface.Rint (fresh_handle s.nb_tables.(rank) Nb_send_done))
-      | _ -> resume s rank k Mpi_iface.Runit
+        resume s rank (Mpi_iface.Rint (fresh_handle s.nb_tables.(rank) send_done))
+      | _ -> resume s rank Mpi_iface.Runit
     end)
   | Mpi_iface.Irecv { src; tag; _ } -> (
-    let table = s.nb_tables.(rank) in
+    let t = s.nb_tables.(rank) in
     match take_matching c.mailboxes.(my_local) ~src_filter:src ~tag_filter:tag with
     | Some m ->
-      delivered s ~src:m.src_global ~dst:rank ~comm ~tag:m.tag;
-      resume s rank k (Mpi_iface.Rint (fresh_handle table (Nb_recv_done m.data)))
-    | None ->
-      let handle =
-        fresh_handle table
-          (Nb_recv_posted { comm; local = my_local; src_filter = src; tag_filter = tag })
-      in
-      resume s rank k (Mpi_iface.Rint handle))
+      delivered s ~src:m.src_global ~dst:rank ~comm:c.handle ~tag:m.tag;
+      resume s rank
+        (Mpi_iface.Rint (fresh_handle t (Complete (Mpi_iface.Rvalue m.data))))
+    | None -> resume s rank (Mpi_iface.Rint (post_recv t ~comm:c.handle ~src ~tag)))
   | Mpi_iface.Recv { src = Some sl; _ } when sl < 0 || sl >= Array.length c.members ->
-    crash s rank k
+    crash s rank
       (Printf.sprintf "recv from invalid rank %d (size %d)" sl (Array.length c.members))
-  | Mpi_iface.Recv { src; tag; _ } -> recv s c rank my_local ~src ~tag k
+  | Mpi_iface.Recv { src; tag; _ } -> recv s c rank my_local ~src ~tag
   | Mpi_iface.Barrier _ | Mpi_iface.Split _ | Mpi_iface.Bcast _ | Mpi_iface.Reduce _
   | Mpi_iface.Allreduce _ | Mpi_iface.Gather _ | Mpi_iface.Scatter _
   | Mpi_iface.Allgather _ | Mpi_iface.Alltoall _ ->
-    arrive s c rank my_local req k
+    arrive s c rank my_local req
   | Mpi_iface.Wait _ -> assert false
 
-let handle_request s rank req k =
-  match req with
-  | Mpi_iface.Wait handle -> wait s rank handle k
-  | _ -> (
+let handle_request s rank =
+  match s.requests.(rank) with
+  | Mpi_iface.Wait handle -> wait s rank handle
+  | req -> (
     let comm = comm_of_request req in
     match comm_state s comm with
-    | Some c when c.local_of.(rank) >= 0 -> member_request s c rank c.local_of.(rank) req k
+    | Some c when c.local_of.(rank) >= 0 -> member_request s c rank c.local_of.(rank) req
     | Some _ | None ->
-      crash s rank k
+      crash s rank
         (Printf.sprintf "%s on communicator %d which rank %d does not belong to"
            (Mpi_iface.request_name req) comm rank))
 
@@ -659,18 +706,36 @@ let handle_request s rank req k =
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let advance s rank = function
-  | Done r ->
-    if s.observe then s.on_event (Trace.Finished { rank; ok = Result.is_ok r });
-    s.results.(rank) <- Some r
-  | Paused (req, k) -> handle_request s rank req k
-
+(* Resume the ranks of the run queue, in FIFO order, until it is empty.
+   Each request a rank yields is handled as soon as it yields. *)
 let drain s body =
-  while not (Queue.is_empty s.runq) do
-    match Queue.pop s.runq with
-    | Start rank -> advance s rank (start_fiber (fun () -> body ~rank ~mpi:mpi_handler))
-    | Continue (rank, k, reply) -> advance s rank (Effect.Deep.continue k reply)
-    | Crash (rank, k, message) -> advance s rank (Effect.Deep.discontinue k (mpi_fault message))
+  while s.runq_len > 0 do
+    let rank = s.runq.(s.runq_head) in
+    s.runq_head <- (if s.runq_head + 1 = Array.length s.runq then 0 else s.runq_head + 1);
+    s.runq_len <- s.runq_len - 1;
+    let next =
+      match s.fibers.(rank) with
+      | Unstarted ->
+        let mpi req =
+          s.requests.(rank) <- req;
+          Effect.perform Yield
+        in
+        Effect.Deep.match_with (fun () -> body ~rank ~mpi) () fiber_handler
+      | Paused k -> (
+        match s.crashes.(rank) with
+        | None -> Effect.Deep.continue k s.replies.(rank)
+        | Some message ->
+          s.crashes.(rank) <- None;
+          Effect.Deep.discontinue k (mpi_fault message))
+      | Finished _ -> invalid_arg "Scheduler: a finished rank was queued"
+    in
+    s.fibers.(rank) <- next;
+    match next with
+    | Paused _ -> handle_request s rank
+    | Finished r ->
+      s.finished <- s.finished + 1;
+      if s.observe then s.on_event (Trace.Finished { rank; ok = Result.is_ok r })
+    | Unstarted -> assert false
   done
 
 (* Every communicator built so far, in handle order. *)
@@ -753,7 +818,7 @@ let serve_choice s =
     if Obs.Sink.active () then
       Obs.Sink.emit (Obs.Event.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
     recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
-    resume s rank pr.recv_k (Mpi_iface.Rvalue m.data);
+    resume s rank (Mpi_iface.Rvalue m.data);
     true
 
 (* Terminate every blocked fiber with a deadlock fault and record it,
@@ -761,53 +826,48 @@ let serve_choice s =
    the trace names the cycle, not just the stuck ranks. Blocked ranks
    are listed and crashed in ascending global rank order. *)
 let break_deadlock s =
-  let blocked = ref [] in
+  let stuck = Array.make s.nprocs false in
   let edges = ref [] in
-  let edge ~rank ~comm ~kind ~peer = edges := (rank, kind, peer, comm) :: !edges in
+  let edge ~rank ~comm ~kind ~peer =
+    stuck.(rank) <- true;
+    edges := (rank, kind, peer, comm) :: !edges
+  in
   iter_comms s (fun c ->
       let comm = c.handle in
       Array.iteri
         (fun local -> function
           | Some pr ->
             edge ~rank:pr.recv_rank ~comm ~kind:"recv" ~peer:(peer_of c pr.src_filter);
-            blocked := (pr.recv_rank, pr.recv_k) :: !blocked;
             c.pending.(local) <- None
           | None -> ())
         c.pending;
-      match c.site with
-      | None -> ()
-      | Some site ->
-        c.site <- None;
-        let missing =
-          Array.to_list c.members
-          |> List.filter (fun r -> not (List.exists (fun a -> a.arr_rank = r) site.arrivals))
-        in
-        let kind = "collective:" ^ signature site.key in
-        List.iter
-          (fun a ->
-            (* each arrived rank waits on every member still missing *)
-            (match missing with
-            | [] -> edge ~rank:a.arr_rank ~comm ~kind ~peer:(-1)
-            | missing -> List.iter (fun peer -> edge ~rank:a.arr_rank ~comm ~kind ~peer) missing);
-            blocked := (a.arr_rank, a.arr_k) :: !blocked)
-          site.arrivals);
+      if c.arrived > 0 then begin
+        (* each arrived rank waits on every member still missing *)
+        let kind = "collective:" ^ signature c.opened in
+        Array.iteri
+          (fun l rank ->
+            if c.slots.(l) != vacant then
+              Array.iteri
+                (fun l' peer -> if c.slots.(l') == vacant then edge ~rank ~comm ~kind ~peer)
+                c.members)
+          c.members;
+        Array.fill c.slots 0 (Array.length c.slots) vacant;
+        c.arrived <- 0
+      end);
   Array.iteri
-    (fun rank -> function
-      | Some w ->
-        (match Itbl.find_opt s.nb_tables.(rank).statuses w.wait_handle with
-        | Some (Nb_recv_posted p) ->
-          let peer =
-            match comm_state s p.comm with Some c -> peer_of c p.src_filter | None -> -1
-          in
-          edge ~rank ~comm:p.comm ~kind:"wait" ~peer
-        | Some Nb_send_done | Some (Nb_recv_done _) | None ->
-          edge ~rank ~comm:Mpi_iface.world ~kind:"wait" ~peer:(-1));
-        blocked := (rank, w.wait_k) :: !blocked;
-        s.waits.(rank) <- None
-      | None -> ())
+    (fun rank handle ->
+      if handle <> 0 then begin
+        let t = s.nb_tables.(rank) in
+        (* a rank waits only on a posted receive, which clears its
+           waiter when it completes *)
+        (match t.stats.(slot t handle) with
+        | Outstanding p -> edge ~rank ~comm:p.p_comm ~kind:"wait" ~peer:(posted_peer s p)
+        | Complete _ -> assert false);
+        s.waits.(rank) <- 0
+      end)
     s.waits;
-  let blocked = List.sort (fun (a, _) (b, _) -> Int.compare a b) !blocked in
-  if blocked <> [] then begin
+  let ranks = List.filter (fun rank -> stuck.(rank)) (List.init s.nprocs Fun.id) in
+  if ranks <> [] then begin
     Obs.Metrics.incr m_deadlocks;
     let sink = Obs.Sink.active () in
     List.iter
@@ -815,15 +875,14 @@ let break_deadlock s =
         if s.observe then s.on_event (Trace.Witness { rank; comm; kind; peer });
         if sink then Obs.Sink.emit (Obs.Event.Deadlock_witness { rank; comm; kind; peer }))
       (List.sort compare !edges);
-    let ranks = List.map fst blocked in
     if s.observe then s.on_event (Trace.Deadlock { ranks });
     if sink then Obs.Sink.emit (Obs.Event.Sched_deadlock { ranks })
   end;
   List.iter
-    (fun (rank, k) ->
+    (fun rank ->
       s.deadlocked <- rank :: s.deadlocked;
-      crash s rank k "deadlock: all unfinished processes are blocked")
-    blocked
+      crash s rank "deadlock: all unfinished processes are blocked")
+    ranks
 
 let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~nprocs body =
   if nprocs < 1 || nprocs > max_procs then raise (Platform_limit nprocs);
@@ -845,12 +904,17 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
          else None);
       nprocs;
       registry = Rankmap.create ~nprocs;
-      results = Array.make nprocs None;
-      runq = Queue.create ();
+      fibers = Array.make nprocs Unstarted;
+      finished = 0;
+      requests = Array.make nprocs vacant;
+      replies = Array.make nprocs Mpi_iface.Runit;
+      crashes = Array.make nprocs None;
+      runq = Array.init nprocs Fun.id;
+      runq_head = 0;
+      runq_len = nprocs;
       comms = Array.make 4 None;
-      nb_tables =
-        Array.init nprocs (fun _ -> { next_handle = 1; statuses = Itbl.create 8; posted = 0 });
-      waits = Array.make nprocs None;
+      nb_tables = Array.init nprocs (fun _ -> nb_table ());
+      waits = Array.make nprocs 0;
       deadlocked = [];
       msg_count = 0;
       coll_count = 0;
@@ -861,16 +925,13 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
     }
   in
   Obs.Metrics.incr m_runs;
-  for rank = 0 to nprocs - 1 do
-    Queue.push (Start rank) s.runq
-  done;
   let rec settle () =
     drain s body;
-    if Array.exists Option.is_none s.results then
+    if s.finished < nprocs then
       if serve_choice s then settle ()
       else begin
         break_deadlock s;
-        if Queue.is_empty s.runq then
+        if s.runq_len = 0 then
           (* blocked set was empty yet fibers unfinished: impossible unless
              a fiber was lost; fail loudly rather than spin *)
           invalid_arg "Scheduler.run: stuck with no blocked fibers"
@@ -892,7 +953,8 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
             q)
         c.mailboxes);
   {
-    outcomes = Array.map Option.get s.results;
+    outcomes =
+      Array.map (function Finished r -> r | Unstarted | Paused _ -> assert false) s.fibers;
     deadlocked = List.sort Int.compare s.deadlocked;
     registry = s.registry;
     leaked = List.rev !leaked;

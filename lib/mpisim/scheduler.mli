@@ -6,6 +6,16 @@
     Scheduling is FIFO and fully deterministic, which the test suite
     relies on.
 
+    The interleaving is part of the contract. Every request, pure
+    queries such as [MPI_Comm_rank] and [MPI_Comm_size] included,
+    suspends its fiber and is handled at once; a request that can be
+    answered queues the fiber at the tail of the FIFO run queue, and one
+    that blocks queues it when it is matched. That order decides which
+    message an eager wildcard receive takes, which rank a collective
+    mismatch blames, the deadlock witnesses and the order of trace
+    events, so answering a request without suspending would change all
+    of them.
+
     A run that reaches a state where unfinished processes are all blocked
     is declared deadlocked: the blocked processes are terminated with an
     [Fault.Mpi_error] mentioning "deadlock" and the result is flagged.
@@ -35,10 +45,6 @@ type run_result = {
           the run executed in schedule mode ([?schedule]) *)
 }
 
-val mpi_handler : Minic.Mpi_iface.handler
-(** The handler a process body must use: performs the scheduling
-    effect. Only valid while running under {!run}. *)
-
 val run :
   ?max_procs:int ->
   ?on_event:(Trace.event -> unit) ->
@@ -47,9 +53,10 @@ val run :
   (rank:int -> mpi:Minic.Mpi_iface.handler -> (unit, Minic.Fault.t) result) ->
   run_result
 (** [run ~nprocs body] executes [body ~rank ~mpi] for every rank as a
-    fiber and schedules them to completion. [body] must not let
-    exceptions escape (return faults as [Error]); an escaped exception
-    aborts the whole run.
+    fiber and schedules them to completion. [mpi] is the rank's request
+    handler; it suspends the fiber and is valid only inside [body].
+    [body] must not let exceptions escape (return faults as [Error]);
+    an escaped exception aborts the whole run.
 
     With [?schedule] the run executes in {e schedule mode}: wildcard
     ([MPI_ANY_SOURCE]) receives never match eagerly; each is served at

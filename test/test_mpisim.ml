@@ -56,7 +56,7 @@ let test_rankmap_mapping_table () =
 let value = Alcotest.testable Value.pp Value.equal
 
 let test_reduce_ops () =
-  let vs = [ Value.Vint 3; Value.Vint (-1); Value.Vint 5 ] in
+  let vs = [| Value.Vint 3; Value.Vint (-1); Value.Vint 5 |] in
   let check op expected =
     match Collectives.reduce op vs with
     | Ok got -> Alcotest.check value "reduce" (Value.Vint expected) got
@@ -68,30 +68,30 @@ let test_reduce_ops () =
   check Mpi_iface.Rmin (-1)
 
 let test_reduce_arrays_elementwise () =
-  let vs = [ Value.Varr_int [| 1; 2 |]; Value.Varr_int [| 10; 20 |] ] in
+  let vs = [| Value.Varr_int [| 1; 2 |]; Value.Varr_int [| 10; 20 |] |] in
   match Collectives.reduce Mpi_iface.Rsum vs with
   | Ok got -> Alcotest.check value "elementwise" (Value.Varr_int [| 11; 22 |]) got
   | Error e -> Alcotest.fail e
 
 let test_reduce_mismatch () =
-  match Collectives.reduce Mpi_iface.Rsum [ Value.Vint 1; Value.Vfloat 2.0 ] with
+  match Collectives.reduce Mpi_iface.Rsum [| Value.Vint 1; Value.Vfloat 2.0 |] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected mismatch error"
 
 let test_gather_scatter_alltoall () =
-  (match Collectives.gather [ Value.Vint 5; Value.Vint 6 ] with
+  (match Collectives.gather [| Value.Vint 5; Value.Vint 6 |] with
   | Ok got -> Alcotest.check value "gather" (Value.Varr_int [| 5; 6 |]) got
   | Error e -> Alcotest.fail e);
   (match Collectives.scatter (Value.Varr_int [| 7; 8; 9 |]) 2 with
-  | Ok [ a; b ] ->
+  | Ok [| a; b |] ->
     Alcotest.check value "scatter0" (Value.Vint 7) a;
     Alcotest.check value "scatter1" (Value.Vint 8) b
   | Ok _ -> Alcotest.fail "wrong arity"
   | Error e -> Alcotest.fail e);
   match
-    Collectives.alltoall [ Value.Varr_int [| 1; 2 |]; Value.Varr_int [| 3; 4 |] ]
+    Collectives.alltoall [| Value.Varr_int [| 1; 2 |]; Value.Varr_int [| 3; 4 |] |]
   with
-  | Ok [ r0; r1 ] ->
+  | Ok [| r0; r1 |] ->
     Alcotest.check value "alltoall0" (Value.Varr_int [| 1; 3 |]) r0;
     Alcotest.check value "alltoall1" (Value.Varr_int [| 2; 4 |]) r1
   | Ok _ -> Alcotest.fail "wrong arity"
@@ -489,6 +489,224 @@ let test_nb_wait_unknown_handle () =
   | Error f -> Alcotest.failf "wrong fault %s" (Fault.to_string f)
   | Ok () -> Alcotest.fail "expected fault"
 
+(* Each bad [Wait] faults once, and the rank goes on: handle 0, a
+   negative handle, the next handle not yet issued, and a handle already
+   waited on. *)
+let test_nb_wait_bad_handles () =
+  let log = ref [] in
+  let r =
+    Scheduler.run ~nprocs:1 (fun ~rank:_ ~mpi ->
+        let call req =
+          log :=
+            (match mpi req with
+            | Mpi_iface.Rint h -> Printf.sprintf "handle %d" h
+            | Mpi_iface.Runit -> "done"
+            | Mpi_iface.Rvalue v -> Format.asprintf "value %a" Value.pp v
+            | Mpi_iface.Rvalues _ | Mpi_iface.Rnone -> "other"
+            | exception Fault.Fault f -> Fault.to_string f)
+            :: !log
+        in
+        call (Mpi_iface.Isend { comm = Mpi_iface.world; dest = 0; tag = 1; data = Value.Vint 7 });
+        List.iter (fun h -> call (Mpi_iface.Wait h)) [ 0; -3; 2; 1; 1 ];
+        call (Mpi_iface.Recv { comm = Mpi_iface.world; src = Some 0; tag = Some 1 });
+        Ok ())
+  in
+  all_ok "bad handles" r;
+  let unknown h = Printf.sprintf "MPI error in <mpi>: wait on unknown request %d" h in
+  Alcotest.(check (list string)) "replies and faults"
+    [ "handle 1"; unknown 0; unknown (-3); unknown 2; "done"; unknown 1; "value 7" ]
+    (List.rev !log)
+
+(* 300 outstanding requests on each side, waited in reverse order: the
+   table grows past its first capacity and keeps every handle. *)
+let test_nb_many_outstanding () =
+  let n = 300 in
+  let handles = Array.make 2 [] and replies = Array.make 2 [] in
+  let r =
+    Scheduler.run ~nprocs:2
+      (ok_body (fun ~rank ~mpi ->
+           let post req =
+             match mpi req with
+             | Mpi_iface.Rint h -> handles.(rank) <- h :: handles.(rank)
+             | _ -> failwith "post"
+           in
+           if rank = 1 then
+             for tag = 1 to n do
+               post (Mpi_iface.Irecv { comm = Mpi_iface.world; src = Some 0; tag = Some tag })
+             done;
+           (* rank 0 sends only once every receive is posted *)
+           ignore (mpi (Mpi_iface.Barrier Mpi_iface.world));
+           if rank = 0 then
+             for tag = n downto 1 do
+               post
+                 (Mpi_iface.Isend
+                    { comm = Mpi_iface.world; dest = 1; tag; data = Value.Vint (1000 + tag) })
+             done;
+           List.iter
+             (fun h -> replies.(rank) <- mpi (Mpi_iface.Wait h) :: replies.(rank))
+             handles.(rank)))
+  in
+  all_ok "300 outstanding" r;
+  let upto = List.init n (fun k -> k + 1) in
+  Alcotest.(check (list int)) "send handles" upto (List.rev handles.(0));
+  Alcotest.(check (list int)) "recv handles" upto (List.rev handles.(1));
+  Alcotest.(check bool) "sends complete" true
+    (List.for_all (fun reply -> reply = Mpi_iface.Runit) replies.(0));
+  (* waited from handle 300 down, so the replies list runs from 1 up *)
+  Alcotest.(check (list string)) "each receive got its tag's message"
+    (List.map (fun tag -> string_of_int (1000 + tag)) upto)
+    (List.map
+       (function Mpi_iface.Rvalue v -> Format.asprintf "%a" Value.pp v | _ -> "?")
+       replies.(1))
+
+(* A request left outstanding while hundreds of later ones come and go:
+   the table must keep it however far the later handles run past it. *)
+let test_nb_long_lived_handle () =
+  let world = Mpi_iface.world in
+  let got = ref [] in
+  let r =
+    Scheduler.run ~nprocs:2
+      (ok_body (fun ~rank ~mpi ->
+           let handle req = match mpi req with Mpi_iface.Rint h -> h | _ -> failwith "post" in
+           if rank = 0 then begin
+             let early = handle (Mpi_iface.Irecv { comm = world; src = Some 1; tag = Some 9 }) in
+             for k = 1 to 200 do
+               let h =
+                 handle (Mpi_iface.Isend { comm = world; dest = 0; tag = k; data = Value.Vint k })
+               in
+               ignore (mpi (Mpi_iface.Wait h));
+               ignore (mpi (Mpi_iface.Recv { comm = world; src = Some 0; tag = Some k }))
+             done;
+             ignore (mpi (Mpi_iface.Barrier world));
+             got := [ early; 202 ];
+             match mpi (Mpi_iface.Wait early) with
+             | Mpi_iface.Rvalue (Value.Vint n) -> got := n :: !got
+             | _ -> failwith "wait"
+           end
+           else begin
+             ignore (mpi (Mpi_iface.Barrier world));
+             ignore (mpi (Mpi_iface.Send { comm = world; dest = 0; tag = 9; data = Value.Vint 99 }))
+           end))
+  in
+  all_ok "long-lived handle" r;
+  Alcotest.(check (list int)) "early receive kept" [ 99; 1; 202 ] !got
+
+(* Posted receives with different filters, some already completed: each
+   send completes the earliest posted receive that takes it. *)
+let test_nb_earliest_posted () =
+  let got = ref [] in
+  let world = Mpi_iface.world in
+  let r =
+    Scheduler.run ~nprocs:3
+      (ok_body (fun ~rank ~mpi ->
+           let barrier () = ignore (mpi (Mpi_iface.Barrier world)) in
+           let send tag =
+             ignore
+               (mpi
+                  (Mpi_iface.Send
+                     { comm = world; dest = 2; tag; data = Value.Varr_int [| rank; tag |] }))
+           in
+           match rank with
+           | 2 ->
+             let handles =
+               List.map
+                 (fun (src, tag) ->
+                   match mpi (Mpi_iface.Irecv { comm = world; src; tag }) with
+                   | Mpi_iface.Rint h -> h
+                   | _ -> failwith "irecv")
+                 [
+                   (Some 0, Some 5); (None, Some 5); (Some 1, None); (None, None); (Some 0, Some 6);
+                 ]
+             in
+             for _ = 1 to 5 do
+               barrier ()
+             done;
+             List.iter
+               (fun h ->
+                 match mpi (Mpi_iface.Wait h) with
+                 | Mpi_iface.Rvalue v -> got := (h, Format.asprintf "%a" Value.pp v) :: !got
+                 | _ -> failwith "wait")
+               handles
+           | _ ->
+             (* one send per round, from rank 0 or 1 as listed *)
+             List.iter
+               (fun (from, tag) ->
+                 barrier ();
+                 if from = rank then send tag)
+               [ (0, 5); (1, 5); (0, 6); (1, 7); (0, 6) ]))
+  in
+  all_ok "earliest posted" r;
+  Alcotest.(check (list (pair int string))) "matches"
+    [
+      (1, "[|0; 5|]"); (2, "[|1; 5|]"); (3, "[|1; 7|]"); (4, "[|0; 6|]"); (5, "[|0; 6|]");
+    ]
+    (List.rev !got)
+
+(* A rank that mutates an array it received from bcast, allreduce,
+   allgather or alltoall changes neither another rank's copy nor the
+   buffer it came from; scalar replies still compare equal. *)
+let test_collective_replies_not_aliased () =
+  let np = 3 and world = Mpi_iface.world in
+  let root_buf = [| 1; 2; 3 |] in
+  let rows = Array.init np (fun r -> Array.init np (fun j -> (10 * r) + j)) in
+  let sums = Array.init np (fun r -> [| r; 2 * r |]) in
+  let got = Array.make_matrix 4 np [||] and scalars = Array.make np (Value.Vint 0) in
+  let ints = function Mpi_iface.Rvalue (Value.Varr_int a) -> a | _ -> failwith "not an array" in
+  let r =
+    Scheduler.run ~nprocs:np
+      (ok_body (fun ~rank ~mpi ->
+           let replies =
+             [|
+               mpi
+                 (Mpi_iface.Bcast
+                    {
+                      comm = world;
+                      root = 0;
+                      data = (if rank = 0 then Some (Value.Varr_int root_buf) else None);
+                    });
+               mpi
+                 (Mpi_iface.Allreduce
+                    { comm = world; op = Mpi_iface.Rsum; data = Value.Varr_int sums.(rank) });
+               mpi (Mpi_iface.Allgather { comm = world; data = Value.Vint rank });
+               mpi (Mpi_iface.Alltoall { comm = world; data = Value.Varr_int rows.(rank) });
+             |]
+           in
+           Array.iteri
+             (fun k reply ->
+               let a = ints reply in
+               a.(0) <- -1 - rank;
+               got.(k).(rank) <- a)
+             replies;
+           (match
+              mpi (Mpi_iface.Allreduce { comm = world; op = Mpi_iface.Rmax; data = Value.Vint rank })
+            with
+           | Mpi_iface.Rvalue v -> scalars.(rank) <- v
+           | _ -> failwith "allreduce");
+           ignore (mpi (Mpi_iface.Barrier world))))
+  in
+  all_ok "aliasing" r;
+  let check name k expected =
+    Array.iteri
+      (fun rank a ->
+        let want = Array.copy (expected rank) in
+        want.(0) <- -1 - rank;
+        Alcotest.(check (array int)) (Printf.sprintf "%s copy of rank %d" name rank) want a)
+      got.(k)
+  in
+  check "bcast" 0 (fun _ -> [| 1; 2; 3 |]);
+  check "allreduce" 1 (fun _ -> [| 0 + 1 + 2; 0 + 2 + 4 |]);
+  check "allgather" 2 (fun _ -> [| 0; 1; 2 |]);
+  check "alltoall" 3 (fun j -> Array.init np (fun i -> (10 * i) + j));
+  Alcotest.(check (array int)) "root buffer" [| 1; 2; 3 |] root_buf;
+  Array.iteri
+    (fun r row ->
+      Alcotest.(check (array int)) "alltoall send buffer" (Array.init np (fun j -> (10 * r) + j)) row)
+    rows;
+  Array.iteri
+    (fun r a -> Alcotest.(check (array int)) "allreduce send buffer" [| r; 2 * r |] a)
+    sums;
+  Array.iter (fun v -> Alcotest.check value "scalar reply" (Value.Vint 2) v) scalars
+
 (* ------------------------------------------------------------------ *)
 (* Interp + scheduler integration                                      *)
 (* ------------------------------------------------------------------ *)
@@ -885,6 +1103,11 @@ let unit_tests =
     ("nb posted order", `Quick, test_nb_posted_order);
     ("nb unmatched wait deadlocks", `Quick, test_nb_unmatched_wait_deadlocks);
     ("nb wait unknown handle", `Quick, test_nb_wait_unknown_handle);
+    ("nb wait bad handles", `Quick, test_nb_wait_bad_handles);
+    ("nb 300 outstanding", `Quick, test_nb_many_outstanding);
+    ("nb long-lived handle", `Quick, test_nb_long_lived_handle);
+    ("nb earliest posted", `Quick, test_nb_earliest_posted);
+    ("collective replies not aliased", `Quick, test_collective_replies_not_aliased);
     ("trace ring events", `Quick, test_trace_ring_events);
     ("trace deadlock event", `Quick, test_trace_deadlock_event);
     ("spmd allreduce", `Quick, test_spmd_pi_style_reduction);
