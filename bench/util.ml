@@ -93,11 +93,11 @@ let repeat reps f = List.init reps f
 let compare_line ~label ~paper ~measured =
   Printf.printf "  %-40s paper: %-18s measured: %s\n%!" label paper measured
 
-(* Persist the whole metrics registry (bench gauges plus whatever the
-   engine accumulated while benchmarks ran: solver latency histograms,
-   interpreter step counts; the phases are the span totals of a drained
-   timeline, empty when none was) — the BENCH_*.json perf trajectory the
-   roadmap tracks across PRs. *)
+(* Persist the whole metrics registry: the bench gauges, which
+   scripts/bench_diff.py compares, plus the instruments the engine fed
+   while benchmarks ran (solver nodes, cache occupancy, step counts,
+   simulated messages); the phases are the span totals of a drained
+   timeline, empty when none was. *)
 let write_metrics_json path =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Obs.Json.to_string (Obs.Metrics.snapshot_json ()));

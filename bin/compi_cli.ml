@@ -232,11 +232,13 @@ let metrics_arg ?docs () =
     value
     & opt (some string) None
     & info [ "metrics" ] ?docs ~docv:"FILE.json"
-        ~doc:"Write the metrics registry snapshot (counters, histograms, per-kind span \
-              totals) to $(docv) when the campaign ends")
+        ~doc:"Write the metrics snapshot (the campaign's folded counters, the registry's \
+              counters, gauges and histograms, per-kind span totals) to $(docv) when the \
+              campaign ends")
 
 (* Install a JSONL sink for the duration of [f]; afterwards dump the
-   metrics snapshot. Both files are optional and independent.
+   metrics snapshot, with the folded counters [f] returns beside its
+   result. Both files are optional and independent.
 
    While the sink is live, SIGINT/SIGTERM flush the buffered tail to
    the trace file before re-raising the default action, so a killed
@@ -260,6 +262,7 @@ let with_telemetry ~trace_events ~metrics f =
      snapshot's phases; with neither file asked for, nothing is timed *)
   let timed = Option.is_some oc || Option.is_some metrics in
   if timed then Obs.Timeline.enable ();
+  let counters = ref [] in
   let old_handlers =
     if Option.is_none oc then []
     else
@@ -298,11 +301,15 @@ let with_telemetry ~trace_events ~metrics f =
       match metrics with
       | Some path ->
         Out_channel.with_open_text path (fun mc ->
-            Out_channel.output_string mc (Obs.Json.to_string (Obs.Metrics.snapshot_json ()));
+            Out_channel.output_string mc
+              (Obs.Json.to_string (Obs.Metrics.snapshot_json ~counters:!counters ()));
             Out_channel.output_char mc '\n');
         Printf.printf "metrics snapshot written to %s\n" path
       | None -> ())
-    f
+    (fun () ->
+      let r, c = f () in
+      counters := c;
+      r)
 
 let save_arg =
   Arg.(
@@ -522,7 +529,7 @@ let run_cmd =
     let result =
       try
         with_telemetry ~trace_events ~metrics (fun () ->
-            Compi.Campaign.run ~settings ~label:t.Targets.Registry.name info)
+            Compi.Campaign.run_with_counters ~settings ~label:t.Targets.Registry.name info)
       with Compi.Checkpoint.Load_error e ->
         Printf.eprintf "cannot resume: %s\n" (Compi.Checkpoint.error_to_string e);
         exit 1

@@ -129,14 +129,6 @@ type done_item =
 
 (* --- telemetry ------------------------------------------------------ *)
 
-let m_iterations = Obs.Metrics.counter "campaign.iterations"
-let m_restarts = Obs.Metrics.counter "campaign.restarts"
-let m_faults = Obs.Metrics.counter "campaign.faults"
-let m_checkpoints = Obs.Metrics.counter "campaign.checkpoints"
-let m_cs_size = Obs.Metrics.histogram "campaign.constraint_set"
-let g_covered = Obs.Metrics.gauge "campaign.covered"
-let g_reachable = Obs.Metrics.gauge "campaign.reachable"
-
 (* Lineage: each merged test's [test] event records where it came from,
    each negation attempt its verdict against the candidate it negated. *)
 let origin_fields = function
@@ -198,7 +190,7 @@ let derive (s : Driver.settings) ~cached (cand : Strategy.candidate)
     p_schedule = record.Execution.exec_schedule;
   }
 
-let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
+let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   let refuse what =
     Option.iter (fun path ->
         Option.iter
@@ -354,10 +346,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   let rounds = ref (snap_field (fun sn -> sn.Checkpoint.ck_rounds) 0) in
   let executed = ref (snap_field (fun sn -> sn.Checkpoint.ck_executed) 0) in
   let speculated = ref (snap_field (fun sn -> sn.Checkpoint.ck_speculated) 0) in
-  let emit_restart reason =
-    Obs.Metrics.incr m_restarts;
-    emit (Obs.Event.Restart { iteration = !iter; reason })
-  in
+  let emit_restart reason = emit (Obs.Event.Restart { iteration = !iter; reason }) in
   (* restart tests queued during the merge; consumed (and cleared) by
      the scheduling step, so mid-round snapshots carry exactly the
      items accumulated since the last schedule *)
@@ -459,12 +448,10 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       end;
       Coverage.absorb ~into:coverage r.Runner.coverage;
       max_cs := max !max_cs r.Runner.constraint_set_size;
-      Obs.Metrics.observe_int m_cs_size r.Runner.constraint_set_size;
       last_np := (p.Driver.p_nprocs, p.Driver.p_focus);
       let faults = Runner.faults r in
       List.iter
         (fun (rank, fault) ->
-          Obs.Metrics.incr m_faults;
           emit
             (Obs.Event.Fault
                {
@@ -521,9 +508,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       let reachable =
         Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage)
       in
-      Obs.Metrics.incr m_iterations;
-      Obs.Metrics.set g_covered (float_of_int covered_now);
-      Obs.Metrics.set g_reachable (float_of_int reachable);
       let origin, parent, branch, index, cached = origin_fields p.Driver.p_origin in
       emit
         (Obs.Event.Test
@@ -650,7 +634,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     in
     let bytes = Obs.Timeline.span "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap) in
     incr checkpoints_written;
-    Obs.Metrics.incr m_checkpoints;
     emit
       (Obs.Event.Checkpoint_write
          { iteration = !iter; path = Checkpoint.file ~dir; bytes })
@@ -885,43 +868,63 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       (Obs.Event.Ledger_append
          { path; run = written.Obs.Ledger.run; covered; reachable; bugs = List.length !bugs }));
   let lv = Obs.Fold.live fold in
-  {
-    summary =
-      {
-        Driver.coverage;
-        stats = List.rev !stats;
-        bugs = List.rev !bugs;
-        total_branches = info.Branchinfo.total_branches;
-        reachable_branches = reachable;
-        covered_branches = covered;
-        coverage_rate =
-          (if reachable = 0 then 0.0 else float_of_int covered /. float_of_int reachable);
-        iterations_run = !iter;
-        wall_time = elapsed ();
-        max_constraint_set = !max_cs;
-        derived_bound = !derived_bound;
-      };
-    rounds = !rounds;
-    executed = !executed;
-    speculated = !speculated;
-    solver_calls = lv.Obs.Fold.lv_solver_calls;
-    (* hits and misses over merged attempts, as folded from
-       [lineage_negation]; the cache's own probe counters would also
-       count candidates dropped at the budget edge *)
-    cache =
-      Option.map
-        (fun c ->
-          {
-            (Smt.Cache.stats c) with
-            Smt.Cache.hits = lv.Obs.Fold.lv_cache_hits;
-            misses = lv.Obs.Fold.lv_cache_misses;
-          })
-        cache;
-    interrupted = !stop;
-    checkpoints_written = !checkpoints_written;
-    queue_depth = !max_depth;
-    worker_busy_s = Taskpool.busy_seconds pool;
-  }
+  let result =
+    {
+      summary =
+        {
+          Driver.coverage;
+          stats = List.rev !stats;
+          bugs = List.rev !bugs;
+          total_branches = info.Branchinfo.total_branches;
+          reachable_branches = reachable;
+          covered_branches = covered;
+          coverage_rate =
+            (if reachable = 0 then 0.0 else float_of_int covered /. float_of_int reachable);
+          iterations_run = !iter;
+          wall_time = elapsed ();
+          max_constraint_set = !max_cs;
+          derived_bound = !derived_bound;
+        };
+      rounds = !rounds;
+      executed = !executed;
+      speculated = !speculated;
+      solver_calls = lv.Obs.Fold.lv_solver_calls;
+      (* hits and misses over merged attempts, as folded from
+         [lineage_negation]; the cache's own probe counters would also
+         count candidates dropped at the budget edge *)
+      cache =
+        Option.map
+          (fun c ->
+            {
+              (Smt.Cache.stats c) with
+              Smt.Cache.hits = lv.Obs.Fold.lv_cache_hits;
+              misses = lv.Obs.Fold.lv_cache_misses;
+            })
+          cache;
+      interrupted = !stop;
+      checkpoints_written = !checkpoints_written;
+      queue_depth = !max_depth;
+      worker_busy_s = Taskpool.busy_seconds pool;
+    }
+  in
+  (* what [--metrics] writes, by name: the fold's counts and this run's
+     checkpoint writes *)
+  ( result,
+    [
+      ("campaign.iterations", !executed);
+      ("campaign.covered", covered);
+      ("campaign.reachable", reachable);
+      ("campaign.restarts", lv.Obs.Fold.lv_restarts);
+      ("campaign.faults", lv.Obs.Fold.lv_bugs);
+      ("campaign.checkpoints", !checkpoints_written);
+      ("solver.calls", lv.Obs.Fold.lv_solver_calls);
+      ("solver.sat", lv.Obs.Fold.lv_solver_sat);
+      ("solver.unsat", lv.Obs.Fold.lv_solver_unsat);
+      ("cache.hits", lv.Obs.Fold.lv_cache_hits);
+      ("cache.misses", lv.Obs.Fold.lv_cache_misses);
+    ] )
+
+let run ?settings ?label info = fst (run_with_counters ?settings ?label info)
 
 (* Canonical, timing-free rendering of a campaign outcome. Two runs of
    the same campaign — at any worker count, interrupted-and-resumed or

@@ -114,16 +114,25 @@ val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
     [campaign_start] event) and the checkpoint fingerprint. Emits the
     campaign event vocabulary (campaign boundaries, one [test] per
     merged execution, one [lineage_negation] per negation attempt,
-    restarts, faults) plus the cache and checkpoint events, and feeds
-    the [campaign.*] metrics and the [exec]/[solve]/[strategy]/[report]
-    phase timers. Every event it emits is also stepped into the
-    campaign's own {!Obs.Fold}, sink or no sink: [solver_calls], the
-    cache hits and misses, the status snapshots and the ledger record
-    are read from that fold, and the checkpoint carries it. Raises
+    restarts, faults) plus the cache and checkpoint events, and records
+    the [exec]/[solve]/[strategy]/[report] spans. Every event it emits
+    is also stepped into the campaign's own {!Obs.Fold}, sink or no
+    sink: [solver_calls], the cache hits and misses, the status
+    snapshots, the ledger record and {!run_with_counters}' counters are
+    read from that fold, and the checkpoint carries it. Raises
     [Invalid_argument], naming the path, when {!output_path_problem}
     refuses [status_file] or [ledger], before the first test or event.
     Raises {!Checkpoint.Load_error} when [resume] is set and the
     checkpoint cannot be used (never partially applies one). *)
+
+val run_with_counters :
+  ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result * (string * int) list
+(** {!run}, plus the counters [compi-cli run --metrics] writes, by name:
+    [campaign.{iterations,covered,reachable,restarts,faults,checkpoints}],
+    [solver.{calls,sat,unsat}] and [cache.{hits,misses}] (0 with the
+    cache off). They are the fold's counts, so they equal the result,
+    the ledger record and a fold of the trace, and all but this run's
+    checkpoint writes survive a resume. *)
 
 val coverage_report : result -> string
 (** Canonical timing-free rendering — iteration count, coverage

@@ -200,8 +200,6 @@ let light_hooks config ~inputs ~mpi ~cover =
     step_limit = config.step_limit;
   }
 
-let m_runs = Obs.Metrics.counter "runner.runs"
-let m_cs_size = Obs.Metrics.histogram "runner.constraint_set"
 let m_log_bytes = Obs.Metrics.histogram "runner.focus_log_bytes"
 
 let run_raw config =
@@ -301,7 +299,6 @@ let run_raw config =
         !total / (config.nprocs - 1)
       end
     in
-    Obs.Metrics.observe_int m_cs_size (Pathlog.constraint_count focus_log);
     Obs.Metrics.observe_int m_log_bytes (String.length focus_serialized);
     let focus_tail = Pathlog.tail focus_log in
     (* every result the events give is read: the buffers go back to
@@ -324,6 +321,4 @@ let run_raw config =
         choices = sched.Mpisim.Scheduler.choices;
       }
 
-let run config =
-  Obs.Metrics.incr m_runs;
-  Obs.Timeline.span "exec" (fun () -> run_raw config)
+let run config = Obs.Timeline.span "exec" (fun () -> run_raw config)

@@ -1520,8 +1520,6 @@ let slots t = t.t_slots
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let m_runs = Obs.Metrics.counter "compiled.runs"
-let m_faults = Obs.Metrics.counter "compiled.faults"
 let m_steps = Obs.Metrics.histogram "compiled.steps_per_run"
 
 let run t (hooks : Interp.hooks) =
@@ -1548,9 +1546,7 @@ let run t (hooks : Interp.hooks) =
   let result =
     match entry c with () -> Ok () | exception Fault.Fault f -> Error f
   in
-  Obs.Metrics.incr m_runs;
   Obs.Metrics.observe_int m_steps c.steps;
-  if Result.is_error result then Obs.Metrics.incr m_faults;
   if Obs.Timeline.on () then
     Obs.Timeline.record ~kind:"compiled" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
   result

@@ -36,9 +36,8 @@ val compile : Ast.program -> t
 val run : t -> Interp.hooks -> (unit, Fault.t) result
 (** Execute the compiled program under [hooks] — the same signature and
     semantics as {!Interp.run}.  Picks the heavy or light closure tree
-    from [hooks.mode].  Emits a ["compiled"] timeline span and
-    [compiled.runs] / [compiled.faults] / [compiled.steps_per_run]
-    metrics (the interpreter's [interp.*] counterparts). *)
+    from [hooks.mode].  Emits a ["compiled"] timeline span and observes
+    the run's step count in the [compiled.steps_per_run] histogram. *)
 
 val program : t -> Ast.program
 (** The source AST the program was compiled from. *)

@@ -627,10 +627,6 @@ and expr_of_lval _st = function
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let m_runs = Obs.Metrics.counter "interp.runs"
-let m_faults = Obs.Metrics.counter "interp.faults"
-let m_steps = Obs.Metrics.histogram "interp.steps_per_run"
-
 let run hooks (program : Ast.program) =
   (* Timed as one "interp" span per simulated process. The interpreter
      runs inside a scheduler fiber, so the interval covers the process
@@ -653,9 +649,6 @@ let run hooks (program : Ast.program) =
     | () -> Ok ()
     | exception Fault.Fault f -> Error f
   in
-  Obs.Metrics.incr m_runs;
-  Obs.Metrics.observe_int m_steps st.steps;
-  if Result.is_error result then Obs.Metrics.incr m_faults;
   if Obs.Timeline.on () then
     Obs.Timeline.record ~kind:"interp" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
   result

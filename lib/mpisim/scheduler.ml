@@ -104,11 +104,8 @@ let mpi_fault message = Fault.Fault (Fault.Mpi_error { message; func = "<mpi>" }
 
 (* --- telemetry ---------------------------------------------------- *)
 
-let m_runs = Obs.Metrics.counter "sched.runs"
 let m_messages = Obs.Metrics.counter "sched.messages"
 let m_collectives = Obs.Metrics.counter "sched.collectives"
-let m_deadlocks = Obs.Metrics.counter "sched.deadlocks"
-let m_msgs_per_run = Obs.Metrics.histogram "sched.messages_per_run"
 
 (* Per-run MPI aggregates for the trace's one [Mpi_summary] event;
    allocated only when a sink is writing at run start. *)
@@ -868,7 +865,6 @@ let break_deadlock s =
     s.waits;
   let ranks = List.filter (fun rank -> stuck.(rank)) (List.init s.nprocs Fun.id) in
   if ranks <> [] then begin
-    Obs.Metrics.incr m_deadlocks;
     let sink = Obs.Sink.active () in
     List.iter
       (fun (rank, kind, peer, comm) ->
@@ -924,7 +920,6 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
       choice_points = 0;
     }
   in
-  Obs.Metrics.incr m_runs;
   let rec settle () =
     drain s body;
     if s.finished < nprocs then
@@ -941,7 +936,6 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
   Obs.Timeline.span "schedule" settle;
   Obs.Metrics.incr ~by:s.msg_count m_messages;
   Obs.Metrics.incr ~by:s.coll_count m_collectives;
-  Obs.Metrics.observe_int m_msgs_per_run s.msg_count;
   Option.iter (fun t -> Obs.Sink.emit (summary_event s t)) s.tally;
   let leaked = ref [] in
   iter_comms s (fun c ->

@@ -370,15 +370,19 @@ let finish st =
 type live = {
   lv_reachable : int;
   lv_bugs : int;
+  lv_restarts : int;
   lv_solver_calls : int;
+  lv_solver_sat : int;
+  lv_solver_unsat : int;
   lv_cache_hits : int;
   lv_cache_misses : int;
   lv_schedule_emitted : int;
   lv_curve_tail : (int * int) list;
 }
 
-(* Reads the counters and walks at most 64 lineage nodes, so a caller
-   can poll it after every event without finishing the fold. *)
+(* Reads the counters, sums the few restart reasons and walks at most
+   64 lineage nodes, so a caller can poll it after every event without
+   finishing the fold. *)
 let live st =
   let rec tail n acc = function
     | nd :: rest when n > 0 ->
@@ -388,7 +392,10 @@ let live st =
   {
     lv_reachable = Option.value st.s_final_reachable ~default:st.s_reachable;
     lv_bugs = List.length st.s_faults;
+    lv_restarts = Hashtbl.fold (fun _ n acc -> acc + n) st.s_restarts 0;
     lv_solver_calls = st.s_calls;
+    lv_solver_sat = st.s_sat;
+    lv_solver_unsat = st.s_unsat;
     lv_cache_hits = st.s_hits;
     lv_cache_misses = st.s_misses;
     lv_schedule_emitted = st.s_sched_emitted;

@@ -129,7 +129,10 @@ type live = {
       (** the [campaign_end] reachable count once folded, else the latest
           test's *)
   lv_bugs : int;  (** [fault] events *)
+  lv_restarts : int;  (** [restart] events, every reason *)
   lv_solver_calls : int;  (** as [t.solver_calls] *)
+  lv_solver_sat : int;  (** as [t.solver_sat] *)
+  lv_solver_unsat : int;  (** as [t.solver_unsat] *)
   lv_cache_hits : int;
   lv_cache_misses : int;
   lv_schedule_emitted : int;  (** as [t.schedule_emitted] *)

@@ -1,20 +1,11 @@
 (* Process-wide registry of named counters, gauges, and log-scale
-   histograms. Creation is idempotent (a name resolves to one instance
-   for the process lifetime), so hot modules bind their instruments at
-   init time and pay one mutable-field update per observation. [reset]
-   zeroes values in place — instrument handles cached by other modules
-   stay valid across resets.
-
-   Observations are domain-safe: campaign workers bump counters and
-   histograms concurrently, so every update takes a (process-wide,
-   uncontended in the common case) mutex — lost updates would silently
-   skew cache hit rates and solver accounting. *)
+   histograms, for what the campaign's merged events do not carry (the
+   interface lists the instruments). Creation is idempotent, so hot
+   modules bind their instruments at init time; [reset] zeroes values
+   in place, so cached handles stay valid. Campaign workers observe
+   concurrently, so every update takes the one process-wide mutex. *)
 
 let mu = Mutex.create ()
-
-let locked f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
@@ -22,7 +13,7 @@ type gauge = { mutable g : float }
 (* Histogram buckets are powers of two: bucket 0 collects v <= 0, bucket
    i >= 1 collects 2^(emin+i-1) <= v < 2^(emin+i). The exponent range
    [emin, emax] spans nanoseconds-in-seconds (2^-30 ~ 1e-9) up past
-   float max_int (2^62), so both solver latencies and step counts fit
+   float max_int (2^62), so both sub-second timings and step counts fit
    without configuration. *)
 let emin = -30
 let emax = 63
@@ -46,7 +37,7 @@ let kind_name = function
   | Histogram _ -> "histogram"
 
 let register name make =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       match Hashtbl.find_opt registry name with
       | Some m -> m
       | None ->
@@ -79,9 +70,9 @@ let histogram name =
   | m ->
     invalid_arg (Printf.sprintf "metric %s is a %s, not a histogram" name (kind_name m))
 
-let incr ?(by = 1) c = locked (fun () -> c.c <- c.c + by)
+let incr ?(by = 1) c = Mutex.protect mu (fun () -> c.c <- c.c + by)
 let value c = c.c
-let set g x = locked (fun () -> g.g <- x)
+let set g x = Mutex.protect mu (fun () -> g.g <- x)
 let gauge_value g = g.g
 
 let bucket_index v =
@@ -96,7 +87,7 @@ let bucket_bounds i =
   else (Float.pow 2.0 (float_of_int (emin + i - 1)), Float.pow 2.0 (float_of_int (emin + i)))
 
 let observe h v =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       h.count <- h.count + 1;
       h.sum <- h.sum +. v;
       if v < h.vmin then h.vmin <- v;
@@ -109,7 +100,7 @@ let histogram_count h = h.count
 let histogram_sum h = h.sum
 
 let reset () =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m with
@@ -149,7 +140,7 @@ let histogram_json h =
       ("buckets", Json.List !buckets);
     ]
 
-let snapshot_json () =
+let snapshot_json ?(counters = []) () =
   let metrics =
     Hashtbl.fold
       (fun name m acc ->
@@ -160,7 +151,8 @@ let snapshot_json () =
           | Histogram h -> histogram_json h
         in
         (name, j) :: acc)
-      registry []
+      registry
+      (List.map (fun (name, n) -> (name, Json.Int n)) counters)
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let phase (kind, count, ns) =

@@ -2,9 +2,16 @@
     histograms, exported as one JSON snapshot (with the {!Timeline}
     per-kind totals attached as phases).
 
+    The registry holds only what the campaign's merged events do not
+    carry: [solver.nodes], [solver.unknown] (every solve, also those
+    dropped at the budget edge), [cache.entries], [cache.evictions],
+    [runner.focus_log_bytes], [compiled.steps_per_run], [sched.messages],
+    [sched.collectives] and the microbench's [bench.*] gauges. Counts
+    the events carry are read from the campaign's {!Fold} and passed to
+    {!snapshot_json} as [counters].
+
     Instrument creation is idempotent and cheap; observation is a few
-    mutable-field updates under a process-wide mutex, safe on hot paths
-    whether or not any telemetry sink is installed, and safe from any
+    mutable-field updates under a process-wide mutex, safe from any
     domain (campaign workers observe concurrently). [reset] zeroes
     values in place, so instrument handles bound at module-init time
     survive it. *)
@@ -45,8 +52,10 @@ val reset : unit -> unit
 (** Zero every registered metric (and nothing else: registration and
     cached handles survive). Does not touch the {!Timeline} totals. *)
 
-val snapshot_json : unit -> Json.t
+val snapshot_json : ?counters:(string * int) list -> unit -> Json.t
 (** [{"metrics": {name: value|histogram, …}, "phases": {kind:
     {"total_s":…,"count":…}, …}}] with names sorted; histograms export
-    count/sum/mean/min/max plus the non-empty buckets. The phases are
+    count/sum/mean/min/max plus the non-empty buckets. [counters]
+    (default none) are written as integers beside the registered
+    instruments, whose names they must not repeat. The phases are
     {!Timeline.totals}. *)

@@ -108,12 +108,8 @@ type t = {
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
-let m_hits = Obs.Metrics.counter "cache.hits"
-let m_misses = Obs.Metrics.counter "cache.misses"
 let m_evictions = Obs.Metrics.counter "cache.evictions"
 let g_entries = Obs.Metrics.gauge "cache.entries"
-let g_shards = Obs.Metrics.gauge "cache.shards"
-let g_shard_max = Obs.Metrics.gauge "cache.shard_entries.max"
 
 let default_capacity = 4096
 
@@ -128,7 +124,6 @@ let pow2_floor n =
 let create ?(capacity = default_capacity) () =
   let capacity = max 1 capacity in
   let nshards = pow2_floor (max 1 (min 16 (capacity / 256))) in
-  Obs.Metrics.set g_shards (float_of_int nshards);
   {
     capacity;
     shard_capacity = max 1 (capacity / nshards);
@@ -146,19 +141,10 @@ let shard_of t k = t.shards.(k.khash land t.mask)
 let entries t =
   Array.fold_left (fun acc s -> acc + Tbl.length s.table) 0 t.shards
 
-let shard_entries_max t =
-  Array.fold_left (fun acc s -> max acc (Tbl.length s.table)) 0 t.shards
-
 let find t k =
   let s = shard_of t k in
   let r = Obs.Timeline.span "cache.probe" (fun () -> Tbl.find_opt s.table k) in
-  (match r with
-  | Some _ ->
-    t.hits <- t.hits + 1;
-    Obs.Metrics.incr m_hits
-  | None ->
-    t.misses <- t.misses + 1;
-    Obs.Metrics.incr m_misses);
+  (match r with Some _ -> t.hits <- t.hits + 1 | None -> t.misses <- t.misses + 1);
   r
 
 let add t k outcome =
@@ -172,16 +158,16 @@ let add t k outcome =
         incr dropped
       end
     done;
+    let n = entries t in
     if !dropped > 0 then begin
       t.evictions <- t.evictions + !dropped;
       Obs.Metrics.incr ~by:!dropped m_evictions;
       if Obs.Sink.active () then
-        Obs.Sink.emit (Obs.Event.Cache_evict { dropped = !dropped; entries = entries t })
+        Obs.Sink.emit (Obs.Event.Cache_evict { dropped = !dropped; entries = n })
     end;
     Tbl.replace s.table k outcome;
     Queue.push k s.order;
-    Obs.Metrics.set g_entries (float_of_int (entries t));
-    Obs.Metrics.set g_shard_max (float_of_int (shard_entries_max t))
+    Obs.Metrics.set g_entries (float_of_int (n + 1))
   end
 
 let stats (t : t) =

@@ -9,12 +9,11 @@
     makes structurally identical runs produce identical keys, so paths
     re-explored after a restart hit.
 
-    Probes and insertions feed the [cache.hits]/[cache.misses]/
-    [cache.evictions] counters and the [cache.entries]/[cache.shards]/
-    [cache.shard_entries.max] gauges; an eviction emits a [cache_evict]
-    event when a sink is active. The trace records each probe's outcome
-    in the campaign's [lineage_negation] event (its [cached] flag), not
-    here.
+    Insertions feed the [cache.evictions] counter and the
+    [cache.entries] gauge; an eviction emits a [cache_evict] event when
+    a sink is active. The trace records each probe's outcome in the
+    campaign's [lineage_negation] event (its [cached] flag), not here,
+    and campaign hit and miss counts are folded from those events.
 
     The table is split into hash-indexed shards and is lock-free:
     [find]/[add] take no mutex at all. The pipelined campaign engine is
@@ -60,7 +59,7 @@ val default_capacity : int
 val create : ?capacity:int -> unit -> t
 
 val find : t -> key -> outcome option
-(** Counts a hit or a miss in {!stats} and the [cache.*] metrics. *)
+(** Counts a hit or a miss in {!stats}. *)
 
 val add : t -> key -> outcome -> unit
 (** First verdict wins: re-adding an existing key is a no-op. At shard

@@ -207,28 +207,18 @@ let solve_raw ~budget ~domains ~prefer ~nodes cs =
 
 (* --- telemetry ---------------------------------------------------- *)
 
-let m_calls = Obs.Metrics.counter "solver.calls"
-let m_sat = Obs.Metrics.counter "solver.sat"
-let m_unsat = Obs.Metrics.counter "solver.unsat"
 let m_unknown = Obs.Metrics.counter "solver.unknown"
-let m_latency = Obs.Metrics.histogram "solver.latency_s"
 let m_nodes = Obs.Metrics.histogram "solver.nodes"
 
-(* Wrap one solver entry with latency/outcome/node accounting in the
-   [solver.*] metrics. The trace records each negation attempt once, in
-   the campaign's [lineage_negation] event, and times the solve in the
-   enclosing "solve" span. *)
+(* Wrap one solver entry with the search-node and unknown-verdict
+   accounting no event carries. The trace records each negation attempt
+   once, in the campaign's [lineage_negation] event, and times the
+   solve in the enclosing "solve" span. *)
 let instrumented f =
-  let t0 = Unix.gettimeofday () in
   let nodes = ref 0 in
   let outcome = f nodes in
-  Obs.Metrics.incr m_calls;
-  Obs.Metrics.observe m_latency (Unix.gettimeofday () -. t0);
   Obs.Metrics.observe_int m_nodes !nodes;
-  (match outcome with
-  | Sat _ -> Obs.Metrics.incr m_sat
-  | Unsat -> Obs.Metrics.incr m_unsat
-  | Unknown -> Obs.Metrics.incr m_unknown);
+  (match outcome with Unknown -> Obs.Metrics.incr m_unknown | Sat _ | Unsat -> ());
   outcome
 
 let solve ?(budget = default_budget) ?(domains = Varid.Map.empty) ?(prefer = Model.empty) cs =

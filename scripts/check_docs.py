@@ -17,7 +17,13 @@ reference things that don't exist:
      and every span kind lib/ or bin/ records (`Timeline.span "kind"`,
      `Timeline.record ~kind:"kind"`) must be listed in TELEMETRY.md's
      span kind vocabulary and accepted by `Fold.span_busy_kind` or
-     `Fold.span_wait_kind` in lib/obs/fold.ml.
+     `Fold.span_wait_kind` in lib/obs/fold.ml;
+  5. metrics drift: every instrument lib/ registers
+     (`Obs.Metrics.counter|gauge|histogram "name"`) and every folded
+     counter `Campaign.run_with_counters` writes must be listed in
+     TELEMETRY.md's "Metrics registry" section, and every metric name
+     that section lists must be registered (in lib/, bin/ or bench/),
+     written, or a figure BENCHMARK.json names.
 
 With `--exe PATH` (a built compi_cli executable) it additionally runs
 `PATH <cmd> --help` for each audited subcommand (run, explain, report,
@@ -32,6 +38,7 @@ Run from the repository root: python3 scripts/check_docs.py
 
 import argparse
 import glob
+import json
 import os
 import re
 import subprocess
@@ -161,6 +168,62 @@ def check_telemetry_vocab(errors):
         errors.append(
             f"lib/obs/fold.ml: span kind {kind!r} (Timeline call site) is "
             f"neither a busy nor a wait kind, so profile would skip it")
+    check_metrics_vocab(text, errors)
+
+
+METRIC_RE = re.compile(r'Obs\.Metrics\.(?:counter|gauge|histogram)\s+"([a-z0-9_.]+)"')
+METRIC_NAME_RE = re.compile(r"^[a-z]+(?:\.[a-z0-9_]+)+$")
+
+
+def registered_metrics(dirs):
+    """Names passed to Obs.Metrics.counter/gauge/histogram under dirs."""
+    names = set()
+    for d in dirs:
+        for path in glob.glob(os.path.join(ROOT, d, "**", "*.ml"), recursive=True):
+            names.update(METRIC_RE.findall(open(path).read()))
+    return names
+
+
+def written_counters():
+    """Names of the folded counters Campaign.run_with_counters returns
+    beside its result, or None if the list cannot be found."""
+    src = open(os.path.join(ROOT, "lib", "core", "campaign.ml")).read()
+    m = re.search(r"let run_with_counters .*?\(\s*result,\s*\[(.*?)\]\s*\)",
+                  src, re.S)
+    return set(re.findall(r'"([a-z0-9_.]+)"', m.group(1))) if m else None
+
+
+def check_metrics_vocab(text, errors):
+    """TELEMETRY.md's metrics section must list exactly the names lib/
+    registers and the campaign writes (bench/ and bin/ names may be
+    listed too)."""
+    section = re.search(r"^## Metrics registry\n(.*?)(?=^## )", text, re.M | re.S)
+    if not section:
+        errors.append("docs/TELEMETRY.md: no 'Metrics registry' section to audit")
+        return
+    lib = registered_metrics(["lib"])
+    written = written_counters()
+    if not lib:
+        errors.append("no Obs.Metrics.counter/gauge/histogram call in lib/ "
+                      "(audit regex rotted)")
+    if not written:
+        errors.append("cannot parse the counter list of run_with_counters "
+                      "from lib/core/campaign.ml (audit regex rotted)")
+        written = set()
+    # the section may quote the perfbench figures an instrument feeds
+    bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
+    reported = {m["name"] for key in ("end_to_end", "per_layer") for m in bench[key]}
+    known = lib | written | registered_metrics(["bin", "bench"])
+    listed = {tok for tok in CODE_RE.findall(section.group(1))
+              if METRIC_NAME_RE.match(tok) and not tok.endswith(FILE_EXTS)}
+    for name in sorted((lib | written) - listed):
+        errors.append(
+            f"docs/TELEMETRY.md: metric {name!r} is registered or written "
+            f"but missing from the 'Metrics registry' section")
+    for name in sorted(listed - known - reported):
+        errors.append(
+            f"docs/TELEMETRY.md: 'Metrics registry' lists {name!r}, which "
+            f"nothing registers or writes")
 
 
 def cli_flags():

@@ -439,6 +439,78 @@ let test_metrics_registry () =
   Obs.Metrics.incr c;
   Alcotest.(check int) "handle survives reset" 1 (Obs.Metrics.value c)
 
+let short_campaign ?(solver_budget = Smt.Solver.default_budget)
+    ?(cache_capacity = Smt.Cache.default_capacity) name =
+  let t = Targets.Catalog.find_exn name in
+  let tn = t.Targets.Registry.tuning in
+  let settings =
+    {
+      Compi.Campaign.default_settings with
+      Compi.Campaign.base =
+        {
+          Compi.Driver.default_settings with
+          Compi.Driver.iterations = 30;
+          dfs_phase_iters = tn.Targets.Registry.dfs_phase;
+          initial_nprocs = tn.Targets.Registry.initial_nprocs;
+          step_limit = tn.Targets.Registry.step_limit;
+          solver_budget;
+          seed = 1;
+        };
+      cache_capacity;
+    }
+  in
+  Compi.Campaign.run ~settings ~label:name (Targets.Registry.instrument t)
+
+(* perfbench reads four instruments through the find-or-create calls,
+   so a renamed one would read 0 without an error. Each must be
+   registered by the engine under its name and kind before anything
+   else asks for it, and a short imb-mpi1 campaign must move it (a
+   two-node solver budget makes a few solves give up). *)
+let test_perfbench_instruments () =
+  let metrics () =
+    match Obs.Json.member "metrics" (Obs.Metrics.snapshot_json ()) with
+    | Some (Obs.Json.Obj kvs) -> kvs
+    | _ -> Alcotest.fail "snapshot has no metrics object"
+  in
+  (* an instrument's kind and the figure perfbench reads from it *)
+  let reading kvs name =
+    match List.assoc_opt name kvs with
+    | Some (Obs.Json.Int n) -> ("counter", float_of_int n)
+    | Some (Obs.Json.Obj _ as h) ->
+      ("histogram", Option.get (Option.bind (Obs.Json.member "sum" h) Obs.Json.to_float))
+    | Some _ -> ("other", 0.0)
+    | None -> ("absent", 0.0)
+  in
+  let before = metrics () in
+  ignore (short_campaign ~solver_budget:2 "imb-mpi1");
+  let after = metrics () in
+  List.iter
+    (fun (name, kind) ->
+      let k0, v0 = reading before name and k1, v1 = reading after name in
+      Alcotest.(check string) (name ^ " registered") kind k0;
+      Alcotest.(check string) (name ^ " kind") kind k1;
+      Alcotest.(check bool) (Printf.sprintf "%s moved (%g -> %g)" name v0 v1) true (v1 > v0))
+    [
+      ("solver.unknown", "counter");
+      ("compiled.steps_per_run", "histogram");
+      ("sched.messages", "counter");
+      ("sched.collectives", "counter");
+    ]
+
+(* The cache's own instruments equal the campaign's cache stats: the
+   entries gauge is set at every insert and the evictions counter
+   grows with every drop (an 8-entry cache drops some). *)
+let test_cache_instruments () =
+  let evictions = Obs.Metrics.counter "cache.evictions" in
+  let e0 = Obs.Metrics.value evictions in
+  let r = short_campaign ~cache_capacity:8 "heat2d" in
+  let cs = Option.get r.Compi.Campaign.cache in
+  Alcotest.(check bool) "the cache evicted" true (cs.Smt.Cache.evictions > 0);
+  Alcotest.(check int) "cache.evictions" cs.Smt.Cache.evictions
+    (Obs.Metrics.value evictions - e0);
+  Alcotest.(check (float 0.0)) "cache.entries" (float_of_int cs.Smt.Cache.entries)
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge "cache.entries"))
+
 (* ------------------------------------------------------------------ *)
 (* Sink: emission shape, and the null sink changes nothing             *)
 (* ------------------------------------------------------------------ *)
@@ -533,6 +605,8 @@ let suite =
         Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;
         Alcotest.test_case "histogram snapshot edge cases" `Quick test_histogram_snapshot;
         Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+        Alcotest.test_case "perfbench's instruments move" `Quick test_perfbench_instruments;
+        Alcotest.test_case "cache instruments = cache stats" `Quick test_cache_instruments;
         Alcotest.test_case "buffer sink JSONL shape" `Quick test_buffer_sink;
         Alcotest.test_case "sinks do not perturb campaigns" `Quick
           test_null_sink_transparent;

@@ -123,6 +123,51 @@ let test_budget_respected () =
     "executed <= iterations merged" true
     (r.Compi.Campaign.executed <= r.Compi.Campaign.summary.Compi.Driver.iterations_run)
 
+(* The --metrics snapshot's solver and cache counts come from the
+   campaign's fold, so they equal the result and the ledger record at
+   any worker count. toy-fig2 at 60 tests drops a probed candidate at
+   the budget edge, which the cache's own probe counters would count. *)
+let test_metrics_match_ledger () =
+  let info = Targets.Registry.instrument (Targets.Catalog.find_exn "toy-fig2") in
+  List.iter
+    (fun jobs ->
+      let ledger = Filename.temp_file "compi_metrics" ".jsonl" in
+      Sys.remove ledger;
+      let settings =
+        {
+          Compi.Campaign.default_settings with
+          Compi.Campaign.base =
+            { Compi.Driver.default_settings with Compi.Driver.iterations = 60; seed = 11 };
+          jobs;
+          ledger = Some ledger;
+        }
+      in
+      let r, counters = Compi.Campaign.run_with_counters ~settings ~label:"toy-fig2" info in
+      let record =
+        match Obs.Ledger.load ledger with
+        | Ok { Obs.Ledger.records = [ record ]; _ } -> record
+        | _ -> Alcotest.fail "expected one ledger record"
+      in
+      Sys.remove ledger;
+      let metrics = Obs.Json.member "metrics" (Obs.Metrics.snapshot_json ~counters ()) in
+      let snapshot name =
+        match Option.bind metrics (fun m -> Option.bind (Obs.Json.member name m) Obs.Json.to_int) with
+        | Some n -> n
+        | None -> Alcotest.failf "no integer %s in the snapshot" name
+      in
+      let cs = Option.get r.Compi.Campaign.cache in
+      let agree name ~result ~ledger =
+        let what = Printf.sprintf "jobs %d: %s" jobs name in
+        Alcotest.(check int) (what ^ " = result") result (snapshot name);
+        Alcotest.(check int) (what ^ " = ledger") ledger (snapshot name)
+      in
+      agree "solver.calls" ~result:r.Compi.Campaign.solver_calls
+        ~ledger:record.Obs.Ledger.solver_calls;
+      agree "cache.hits" ~result:cs.Smt.Cache.hits ~ledger:record.Obs.Ledger.cache_hits;
+      agree "cache.misses" ~result:cs.Smt.Cache.misses ~ledger:record.Obs.Ledger.cache_misses;
+      Alcotest.(check bool) "the cache hit" true (cs.Smt.Cache.hits > 0))
+    [ 1; 2 ]
+
 let test_taskpool_order_and_errors () =
   let pool = Compi.Taskpool.create ~jobs:4 in
   Fun.protect ~finally:(fun () -> Compi.Taskpool.shutdown pool) @@ fun () ->
@@ -187,6 +232,7 @@ let suite =
         Alcotest.test_case "cache invariance + savings" `Quick test_cache_invariance;
         Alcotest.test_case "toy-fig1 saturates, finds bug" `Quick test_toy_saturates;
         Alcotest.test_case "iteration budget respected" `Quick test_budget_respected;
+        Alcotest.test_case "--metrics = ledger counts" `Quick test_metrics_match_ledger;
       ] );
     ( "parallel:taskpool",
       [
