@@ -53,7 +53,9 @@ let pathlog_test ~name ~reduce =
          done;
          ignore (Concolic.Pathlog.constraint_count log)))
 
-(* The focus log's per-iteration round trip: record, render, read back. *)
+(* The focus log's per-iteration round trip as the runner runs it:
+   record, render into the domain's buffer, count the records back,
+   release. *)
 let pathlog_round_trip_test =
   let constr =
     Some (Smt.Constr.cmp (Smt.Linexp.var 0) Smt.Constr.Lt (Smt.Linexp.const 100))
@@ -64,7 +66,9 @@ let pathlog_round_trip_test =
          for k = 0 to 999 do
            Concolic.Pathlog.record log ~cond_id:(k mod 7) ~taken:(k mod 11 < 9) ~constr
          done;
-         ignore (Concolic.Pathlog.parse_count (Concolic.Pathlog.serialize log))))
+         let bytes, len = Concolic.Pathlog.render log in
+         ignore (Concolic.Pathlog.count_records bytes len);
+         Concolic.Pathlog.release log))
 
 (* The observatory fold over a synthetic 1k-line trace: the hot path of
    [compi-cli replay/report] on a real campaign's JSONL. *)

@@ -24,21 +24,21 @@ val release : t -> unit
     so call it only once everything the events give has been read:
     afterwards {!constraints} and the counts ({!constraint_count},
     {!branch_events}, {!heavy_bytes}) still answer, while {!record},
-    {!tail} and {!serialize} raise [Invalid_argument].
+    {!tail}, {!render} and {!serialize} raise [Invalid_argument].
     Releasing twice is harmless. Several logs may be live on a domain at
     once (a one-way run keeps one per heavy process); each keeps its own
     buffer until it is released. *)
 
 val record : t -> cond_id:int -> taken:bool -> constr:Smt.Constr.t option -> unit
 (** Log one branch event; [constr] is [None] for a concrete branch.
-    Events are stored flat and the reduction state is one byte per
-    conditional id, so only array growth and a kept constraint's list
-    cell allocate. *)
+    Events and kept constraints are stored flat, oldest first, and the
+    reduction state is one byte per conditional id, so only array
+    growth and a kept constraint's pair allocate. *)
 
 val constraints : t -> (int * Smt.Constr.t) array
 (** The constraint path: kept symbolic constraints in order, each with
     the branch id it came from. Negation indices refer to positions in
-    this array. *)
+    this array. It is a fresh copy of the stored prefix. *)
 
 val constraint_count : t -> int
 val branch_events : t -> int
@@ -49,20 +49,29 @@ val tail : ?n:int -> t -> (int * bool) list
 
 val heavy_bytes : t -> int
 
-val serialize : t -> string
-(** The focus process's log file, really rendered: every branch event
-    and every kept constraint, line-oriented. CREST ships this file
-    between the target and the search at {e every} iteration; calling
-    this (and {!parse_count} on the result) in the runner charges that
-    real cost, which is exactly what constraint-set reduction shrinks.
+val render : t -> Bytes.t * int
+(** [render t] is [(bytes, len)]: the focus process's log file, really
+    rendered into the first [len] bytes of [bytes]. CREST ships this
+    file between the target and the search at {e every} iteration;
+    calling this (and {!count_records} on the result) in the runner
+    charges that real cost, which is exactly what constraint-set
+    reduction shrinks.
 
     One line per event: the branch id, then for a kept constraint its
     relation, each term as [coeff*var] and the constant, space-separated.
-    Rendering is exact-size: a width pass sums every line's bytes from
-    each integer's decimal width (sign included), one [Bytes.create]
-    of that size follows, and a write pass puts the digits in place, so
-    no per-integer string or intermediate buffer is allocated. *)
+    One forward pass writes the lines into the calling domain's
+    reusable buffer, which grows only when a log needs more room, so no
+    per-integer string or per-render copy is allocated. [bytes] is that
+    buffer: it stays valid until the domain's next [render]. *)
+
+val count_records : Bytes.t -> int -> int
+(** [count_records bytes len] counts the records in the first [len]
+    bytes of a rendered log, one per newline, eight bytes at a time
+    (the read-back half of the round trip). Raises [Invalid_argument]
+    unless [0 <= len <= Bytes.length bytes]. *)
+
+val serialize : t -> string
+(** The bytes {!render} writes, copied out into a string. *)
 
 val parse_count : string -> int
-(** Scan a serialized log and count its records, one per newline (the
-    read-back half of the round trip). *)
+(** {!count_records} over a whole string. *)

@@ -246,15 +246,15 @@ let run_raw config =
        One-way runs pay it once per heavy process. The read-back must
        find one record per branch event. *)
     let round_trip rank log =
-      let text = Pathlog.serialize log in
-      let records = Pathlog.parse_count text in
+      let bytes, len = Pathlog.render log in
+      let records = Pathlog.count_records bytes len in
       if records <> Pathlog.branch_events log then
         invalid_arg
           (Printf.sprintf "Runner: rank %d's path log reads back %d records for %d branch events"
              rank records (Pathlog.branch_events log));
-      text
+      len
     in
-    let focus_serialized = round_trip focus focus_log in
+    let focus_log_bytes = round_trip focus focus_log in
     Array.iteri
       (fun rank -> function Some log -> ignore (round_trip rank log) | None -> ())
       heavy_logs;
@@ -299,7 +299,7 @@ let run_raw config =
         !total / (config.nprocs - 1)
       end
     in
-    Obs.Metrics.observe_int m_log_bytes (String.length focus_serialized);
+    Obs.Metrics.observe_int m_log_bytes focus_log_bytes;
     let focus_tail = Pathlog.tail focus_log in
     (* every result the events give is read: the buffers go back to
        this domain for the next run's logs *)
@@ -313,7 +313,7 @@ let run_raw config =
         deadlocked = sched.Mpisim.Scheduler.deadlocked;
         leaked_messages = List.length sched.Mpisim.Scheduler.leaked;
         focus_tail;
-        focus_log_bytes = String.length focus_serialized;
+        focus_log_bytes;
         nonfocus_log_bytes;
         mapping;
         constraint_set_size = Pathlog.constraint_count focus_log;

@@ -41,6 +41,7 @@ let is_const a = if Varid.Map.is_empty a.coeffs then Some a.k else None
 let coeff v a = match Varid.Map.find_opt v a.coeffs with Some c -> c | None -> 0
 let constant a = a.k
 let terms a = Varid.Map.fold (fun v c acc -> (c, v) :: acc) a.coeffs [] |> List.rev
+let fold_terms f a init = Varid.Map.fold (fun v c acc -> f acc c v) a.coeffs init
 let vars a = Varid.Map.fold (fun v _ acc -> Varid.Set.add v acc) a.coeffs Varid.Set.empty
 let mem v a = Varid.Map.mem v a.coeffs
 

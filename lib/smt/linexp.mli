@@ -41,6 +41,10 @@ val constant : t -> int
 val terms : t -> (int * Varid.t) list
 (** Non-zero terms in increasing variable order. *)
 
+val fold_terms : ('a -> int -> Varid.t -> 'a) -> t -> 'a -> 'a
+(** [fold_terms f e init] folds [f acc coeff var] over {!terms} in
+    their order, without building the list. *)
+
 val vars : t -> Varid.Set.t
 val mem : Varid.t -> t -> bool
 

@@ -264,6 +264,34 @@ let test_pathlog_serialize_matches_buffer_oracle () =
         [ true; false ])
     Targets.[ Susy_hmc.target; Hpl.target; Npb_cg.target; Imb_mpi1.target ]
 
+(* Each domain renders into its own buffer: two domains rendering
+   different logs at once each read back their own log's bytes. *)
+let test_pathlog_render_per_domain () =
+  let focus_log target =
+    match heavy_executions ~reduce:true target with
+    | (log, events) :: _ -> (log, buffer_serialize events (Pathlog.constraints log))
+    | [] -> Alcotest.fail "no rank"
+  in
+  let logs = List.map focus_log Targets.[ Npb_cg.target; Hpl.target ] in
+  let started = Atomic.make 0 in
+  let render_repeatedly (log, text) () =
+    Atomic.incr started;
+    while Atomic.get started < List.length logs do
+      Domain.cpu_relax ()
+    done;
+    List.for_all
+      (fun _ ->
+        let bytes, len = Pathlog.render log in
+        Bytes.sub_string bytes 0 len = text
+        && Pathlog.count_records bytes len = Pathlog.branch_events log)
+      (List.init 100 Fun.id)
+  in
+  let domains = List.map (fun l -> Domain.spawn (render_repeatedly l)) logs in
+  List.iteri
+    (fun k d ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d reads its own log" k) true (Domain.join d))
+    domains
+
 let test_runner_platform_limit () =
   let info = Lazy.force fig2_info in
   let config =
@@ -730,6 +758,7 @@ let unit_tests =
     ("runner two-way log sizes", `Quick, test_runner_two_way_log_sizes);
     ("runner log read-back checked", `Quick, test_runner_log_read_back_checked);
     ("pathlog serialize = Buffer renderer", `Quick, test_pathlog_serialize_matches_buffer_oracle);
+    ("pathlog render per domain", `Quick, test_pathlog_render_per_domain);
     ("runner platform limit", `Quick, test_runner_platform_limit);
     ("runner auto marking", `Quick, test_runner_auto_marking);
     ("runner marking disabled", `Quick, test_runner_no_marking_when_disabled);

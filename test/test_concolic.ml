@@ -699,6 +699,89 @@ let prop_pathlog_wide_ints_match_printf =
           got = text && Pathlog.parse_count got = n)
         [ true; false ])
 
+(* Byte strings that put a newline beside the bytes a word-at-a-time
+   zero-byte test can get wrong: 0x0b (one above '\n', a borrow
+   target), 0x09 (one below), 0x8a ('\n' with the top bit set), 0x00
+   and 0xff. Lengths up to 70 put each at every offset modulo 8 and
+   leave a tail shorter than a word; [cut] reads a prefix, as the
+   runner reads a buffer longer than its log. *)
+let gen_newline_bytes =
+  QCheck.Gen.(
+    let byte =
+      frequency
+        [ (4, return '\n'); (6, oneofl [ '\x0b'; '\x09'; '\x8a'; '\x00'; '\xff' ]); (2, char) ]
+    in
+    let* s = string_size ~gen:byte (int_range 0 70) in
+    let* cut = int_range 0 (String.length s) in
+    return (s, cut))
+
+let prop_count_records_matches_byte_loop =
+  QCheck.Test.make ~name:"pathlog: count = byte loop" ~count:1000
+    (QCheck.make ~print:(fun (s, cut) -> Printf.sprintf "%S cut %d" s cut) gen_newline_bytes)
+    (fun (s, cut) ->
+      let bytes_loop len =
+        let n = ref 0 in
+        for i = 0 to len - 1 do
+          if s.[i] = '\n' then incr n
+        done;
+        !n
+      in
+      Pathlog.count_records (Bytes.of_string s) cut = bytes_loop cut
+      && Pathlog.parse_count s = bytes_loop (String.length s))
+
+(* [n] events with every third one concrete, as [model_pathlog] reads
+   them. *)
+let path_events ~seed n =
+  List.init n (fun k ->
+      ( (k * seed) mod 41,
+        (k + seed) mod 3 = 0,
+        if k mod 3 = 0 then None else Some (mk_constr (k mod 7) (k - (1000 * seed))) ))
+
+let rendered events =
+  let log = Pathlog.create ~reduce:false in
+  List.iter (fun (cond_id, taken, constr) -> Pathlog.record log ~cond_id ~taken ~constr) events;
+  let bytes, len = Pathlog.render log in
+  Pathlog.release log;
+  (bytes, len)
+
+(* The domain's render buffer serves a large log, then a small one,
+   then one larger than the buffer: each render reads back exactly its
+   own log's bytes, with nothing left over from an earlier, longer
+   one. *)
+let test_pathlog_render_buffer_reuse () =
+  let check what events =
+    let _, n, _, _, text = model_pathlog ~reduce:false events in
+    let bytes, len = rendered events in
+    Alcotest.(check string) (what ^ ": bytes") text (Bytes.sub_string bytes 0 len);
+    Alcotest.(check int) (what ^ ": records") n (Pathlog.count_records bytes len);
+    bytes
+  in
+  let large = check "large" (path_events ~seed:3 3000) in
+  let small = check "small" (path_events ~seed:5 7) in
+  Alcotest.(check bool) "the small log reuses the buffer" true (small == large);
+  let events = path_events ~seed:7 (3 * Bytes.length large / 4) in
+  let larger = check "larger than the buffer" events in
+  Alcotest.(check bool) "the buffer grew" true (Bytes.length larger > Bytes.length large)
+
+(* [constraints] copies the stored prefix, so asking for 300 kept
+   constraints 100 times forces no minor collection: an [Array.make]
+   of more than 256 slots would force one each time to promote a young
+   initial value. *)
+let test_pathlog_constraints_no_minor_gc () =
+  let log = Pathlog.create ~reduce:false in
+  for k = 0 to 299 do
+    Pathlog.record log ~cond_id:k ~taken:true ~constr:(Some (mk_constr 0 k))
+  done;
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Pathlog.constraints log))
+  done;
+  let forced = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor collections in 100 calls" forced)
+    true (forced < 10);
+  Alcotest.(check int) "300 kept" 300 (Array.length (Pathlog.constraints log))
+
 let prop_dfs_indices_unique_per_record =
   QCheck.Test.make ~name:"strategy: DFS pops each index once" ~count:100
     QCheck.(make Gen.(int_range 1 30))
@@ -739,6 +822,8 @@ let unit_tests =
     ("pathlog decimal writer", `Quick, test_pathlog_decimal_writer);
     ("pathlog bytes", `Quick, test_pathlog_bytes);
     ("pathlog reused buffer", `Quick, test_pathlog_reused_buffer);
+    ("pathlog render buffer reuse", `Quick, test_pathlog_render_buffer_reuse);
+    ("pathlog constraints no gc", `Quick, test_pathlog_constraints_no_minor_gc);
     ("execution prefix", `Quick, test_execution_prefix);
     ("execution negation", `Quick, test_execution_solve_negation);
     ("execution prefix respected", `Quick, test_execution_negation_respects_prefix);
@@ -763,6 +848,7 @@ let property_tests =
       prop_coverage_matches_set_model;
       prop_pathlog_matches_model;
       prop_pathlog_wide_ints_match_printf;
+      prop_count_records_matches_byte_loop;
       prop_dfs_indices_unique_per_record;
     ]
 
