@@ -472,7 +472,7 @@ let status_file_arg =
         ~doc:
           "Publish a live status snapshot (one flat JSON object, written \
            atomically via temp file + rename) to $(docv) at every merge point; \
-           read it with $(b,compi-cli status) or $(b,compi-cli watch)")
+           read it with $(b,compi-cli watch) ($(b,--once) for a single frame)")
 
 let run_ledger_arg =
   Arg.(
@@ -681,6 +681,8 @@ let load_fold path =
        trace from a newer build; counts below exclude them\n"
       path total (List.length skipped)
       (String.concat ", " (List.map fst skipped)));
+  if f.Obs.Fold.malformed > 0 then
+    Printf.eprintf "warning: %s: %d malformed line(s)\n" path f.Obs.Fold.malformed;
   if f.Obs.Fold.events = 0 then begin
     Printf.eprintf "%s: no parseable telemetry events\n" path;
     exit 1
@@ -862,15 +864,6 @@ let explain_cmd =
           whose negations never produced a covering test")
     Term.(const run $ trace_pos_arg $ branch_arg $ testcase_arg $ label_target_arg)
 
-let report_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out"; "o" ] ~docv:"FILE.html"
-        ~doc:
-          "Write a self-contained HTML report (inline CSS + SVG, no scripts) to \
-           $(docv); without it the ASCII report goes to stdout")
-
 let stable_arg =
   Arg.(
     value & flag
@@ -880,27 +873,20 @@ let stable_arg =
            report is byte-identical across $(b,--jobs) values and re-runs")
 
 let report_cmd =
-  let run path out stable target =
+  let run path stable target =
     let f = load_fold path in
-    let branch_label = branch_labeler target in
-    match out with
-    | Some file ->
-      Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_string oc (Obs.Fold.to_html ~stable ~branch_label f));
-      Printf.printf "report written to %s (%d events)\n" file f.Obs.Fold.events
-    | None -> print_string (Obs.Fold.to_text ~stable ~branch_label f)
+    print_string (Obs.Fold.to_text ~stable ~branch_label:(branch_labeler target) f)
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Fold a $(b,--trace-events) JSONL trace into a campaign report: coverage \
-          curve, per-branch hit table, solver/cache breakdown, rank-by-rank \
-          communication matrix, lineage summary and deadlock witnesses — HTML with \
-          $(b,--out), ASCII otherwise")
-    Term.(const run $ trace_pos_arg $ report_out_arg $ stable_arg $ label_target_arg)
+         "Fold a $(b,--trace-events) JSONL trace into an ASCII campaign report: \
+          coverage curve, per-branch hit table, solver/cache breakdown, rank-by-rank \
+          communication matrix, lineage summary and deadlock witnesses")
+    Term.(const run $ trace_pos_arg $ stable_arg $ label_target_arg)
 
 let profile_cmd =
-  let run path out stable =
+  let run path stable =
     let f = load_fold path in
     if f.Obs.Fold.spans = [] then begin
       Printf.eprintf
@@ -909,25 +895,18 @@ let profile_cmd =
         path;
       exit 1
     end;
-    match out with
-    | Some file ->
-      Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_string oc (Obs.Fold.profile_html ~stable f));
-      Printf.printf "profile written to %s (%d span intervals)\n" file
-        (List.length f.Obs.Fold.spans)
-    | None -> print_string (Obs.Fold.profile_text ~stable f)
+    print_string (Obs.Fold.profile_text ~stable f)
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Fold the timeline spans of a $(b,--trace-events) JSONL trace into a \
+         "Fold the timeline spans of a $(b,--trace-events) JSONL trace into an ASCII \
           performance profile: per-kind wall breakdown, per-worker utilization, \
-          pipeline queue wait, worker idle, pool join and per-round critical path — \
-          HTML with a Gantt timeline via $(b,--out), ASCII otherwise")
-    Term.(const run $ trace_pos_arg $ report_out_arg $ stable_arg)
+          pipeline queue wait, worker idle, pool join and per-round critical path")
+    Term.(const run $ trace_pos_arg $ stable_arg)
 
 (* ------------------------------------------------------------------ *)
-(* status / watch: the live campaign monitor                           *)
+(* watch: the live campaign monitor                                    *)
 (* ------------------------------------------------------------------ *)
 
 let status_pos_arg =
@@ -980,29 +959,6 @@ let status_line (st : Obs.Status.t) =
      else if st.eta_iterations > 0 then Printf.sprintf " eta ~%d" st.eta_iterations
      else "")
     (if st.finished then " finished" else "")
-
-let status_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print the raw snapshot as one JSON object (machine-readable)")
-  in
-  let run path json =
-    match Obs.Status.read path with
-    | Error e ->
-      Printf.eprintf "cannot read status %s: %s\n" path e;
-      exit 1
-    | Ok st ->
-      if json then print_endline (Obs.Json.to_string (Obs.Status.to_json st))
-      else print_string (render_status st)
-  in
-  Cmd.v
-    (Cmd.info "status"
-       ~doc:
-         "One-shot view of a running campaign's $(b,--status-file) snapshot; \
-          $(b,--json) emits the raw object for scripts")
-    Term.(const run $ status_pos_arg $ json_arg)
 
 let watch_cmd =
   let interval_arg =
@@ -1102,7 +1058,8 @@ let watch_cmd =
          "Live dashboard for a campaign started with $(b,--status-file): polls \
           the snapshot (and, with $(b,--trace), tails the event stream through \
           the incremental fold) until the campaign finishes. Full-screen on a \
-          tty; one compact line per poll otherwise")
+          tty; one compact line per poll otherwise; $(b,--once) prints one \
+          frame and exits")
     Term.(const run $ status_pos_arg $ interval_arg $ once_arg $ watch_trace_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1404,6 +1361,6 @@ let () =
        (Cmd.group ~default info
           [
             list_cmd; show_cmd; run_cmd; random_cmd; exec_cmd; replay_cmd;
-            explain_cmd; report_cmd; profile_cmd; status_cmd; watch_cmd;
+            explain_cmd; report_cmd; profile_cmd; watch_cmd;
             history_cmd; compare_cmd; test_file_cmd;
           ]))

@@ -735,253 +735,6 @@ let to_text ?(stable = false) ?(branch_label = string_of_int) t =
   end;
   Buffer.contents b
 
-(* HTML report: one self-contained page, no scripts, no timestamps —
-   regeneration from the same trace is byte-identical. *)
-
-let esc s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let svg_curve points =
-  let w = 640 and h = 200 and m = 36 in
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf
-    "<svg viewBox=\"0 0 %d %d\" width=\"%d\" height=\"%d\" role=\"img\" \
-     aria-label=\"coverage curve\">\n"
-    w h w h;
-  (match points with
-  | [] -> pf "<text x=\"%d\" y=\"%d\">no iterations in trace</text>\n" m (h / 2)
-  | points ->
-    let pts = Array.of_list points in
-    let n = Array.length pts in
-    let max_x = max 1 (fst pts.(n - 1)) in
-    let max_y = Array.fold_left (fun acc (_, y) -> max acc y) 1 pts in
-    let px x = float_of_int m +. float_of_int x /. float_of_int max_x *. float_of_int (w - 2 * m) in
-    let py y =
-      float_of_int (h - m) -. (float_of_int y /. float_of_int max_y *. float_of_int (h - 2 * m))
-    in
-    pf "<line x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" stroke=\"#999\"/>\n" m (h - m)
-      (w - m) (h - m);
-    pf "<line x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" stroke=\"#999\"/>\n" m m m (h - m);
-    let coords =
-      (* a single point still draws a visible (degenerate) polyline *)
-      let pts = if n = 1 then [| pts.(0); pts.(0) |] else pts in
-      Array.to_list pts
-      |> List.map (fun (x, y) -> Printf.sprintf "%.1f,%.1f" (px x) (py y))
-      |> String.concat " "
-    in
-    pf "<polyline fill=\"none\" stroke=\"#b22\" stroke-width=\"2\" points=\"%s\"/>\n"
-      coords;
-    pf "<text x=\"%d\" y=\"%d\" font-size=\"11\">0</text>\n" m (h - m + 14);
-    pf "<text x=\"%d\" y=\"%d\" font-size=\"11\" text-anchor=\"end\">iteration %d</text>\n"
-      (w - m) (h - m + 14) max_x;
-    pf "<text x=\"%d\" y=\"%d\" font-size=\"11\">%d</text>\n" 2 (m + 4) max_y;
-    pf "<text x=\"%d\" y=\"%d\" font-size=\"11\">covered</text>\n" 2 (m - 10));
-  pf "</svg>\n";
-  Buffer.contents b
-
-let to_html ?(stable = false) ?(branch_label = string_of_int) t =
-  let b = Buffer.create 16384 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n";
-  pf "<title>compi campaign report</title>\n";
-  pf
-    "<style>\nbody{font-family:system-ui,sans-serif;margin:2em auto;max-width:70em;\
-     padding:0 1em;color:#222}\nh1,h2{border-bottom:1px solid #ddd;padding-bottom:.2em}\n\
-     table{border-collapse:collapse;margin:.6em 0}\n\
-     th,td{border:1px solid #ccc;padding:.25em .6em;text-align:right;\
-     font-variant-numeric:tabular-nums}\nth{background:#f4f4f4}\n\
-     td.l,th.l{text-align:left}\ntd.zero{color:#bbb}\n\
-     .matrix td{min-width:2.2em;text-align:center}\n\
-     code{background:#f4f4f4;padding:0 .25em}\n</style>\n</head>\n<body>\n";
-  pf "<h1>compi campaign report</h1>\n";
-  (match (t.target, t.budget, t.seed, t.nprocs0) with
-  | Some tg, Some bu, Some sd, Some np ->
-    pf
-      "<p>target <code>%s</code> · budget %d iterations · seed %d · initial nprocs \
-       %d</p>\n"
-      (esc (if tg = "" then "?" else tg))
-      bu sd np
-  | _ -> ());
-  let census = if stable then stable_census t else t.census in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 census in
-  pf "<p>%d events" total;
-  if t.unknown_kinds <> [] then begin
-    let skipped = List.fold_left (fun acc (_, n) -> acc + n) 0 t.unknown_kinds in
-    pf " · %d of unknown kind skipped" skipped
-  end;
-  if t.malformed > 0 then pf " · %d malformed lines" t.malformed;
-  pf "</p>\n";
-  (* coverage *)
-  pf "<h2>Coverage</h2>\n%s" (svg_curve t.curve);
-  (match (t.final_covered, t.final_reachable) with
-  | Some c, Some r ->
-    pf "<p>final coverage: <b>%d</b>/%d branches over %d iterations</p>\n" c r
-      t.iterations
-  | _ -> pf "<p>%d iterations</p>\n" t.iterations);
-  (* solver + cache *)
-  pf "<h2>Solver and cache</h2>\n<table>\n";
-  pf "<tr><th class=\"l\">metric</th><th>value</th></tr>\n";
-  pf "<tr><td class=\"l\">solver calls</td><td>%d</td></tr>\n" t.solver_calls;
-  pf "<tr><td class=\"l\">sat / unsat / unknown</td><td>%d / %d / %d</td></tr>\n"
-    t.solver_sat t.solver_unsat t.solver_unknown;
-  let probes = t.cache_hits + t.cache_misses in
-  pf "<tr><td class=\"l\">cache probes</td><td>%d</td></tr>\n" probes;
-  pf "<tr><td class=\"l\">cache hits</td><td>%d (%.0f%%)</td></tr>\n" t.cache_hits
-    (pct t.cache_hits probes);
-  pf "<tr><td class=\"l\">cache evictions</td><td>%d</td></tr>\n" t.cache_evictions;
-  if not stable then begin
-    pf "<tr><td class=\"l\">exec time</td><td>%.3fs</td></tr>\n" t.exec_s;
-    pf "<tr><td class=\"l\">solve time (attributed)</td><td>%.3fs</td></tr>\n" t.solve_s;
-    match t.wall_s with
-    | Some w -> pf "<tr><td class=\"l\">wall clock</td><td>%.3fs</td></tr>\n" w
-    | None -> ()
-  end;
-  pf "</table>\n";
-  (* per-branch table *)
-  if t.branches <> [] then begin
-    pf "<h2>Per-branch negations</h2>\n<table>\n";
-    pf
-      "<tr><th class=\"l\">branch</th><th>first test</th><th>attempts</th><th>sat</th>\
-       <th>unsat</th><th>unknown</th><th>cached</th></tr>\n";
-    List.iter
-      (fun br ->
-        pf
-          "<tr><td class=\"l\">%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td>\
-           <td>%d</td><td>%d</td></tr>\n"
-          (esc (branch_label br.br_branch))
-          (if br.br_first_test < 0 then "—" else string_of_int br.br_first_test)
-          br.br_attempts br.br_sat br.br_unsat br.br_unknown br.br_cached)
-      t.branches;
-    pf "</table>\n"
-  end;
-  (* lineage *)
-  if t.lineage <> [] then begin
-    let seeds, negated, schedules, restarts = origin_counts t in
-    let depths = lineage_depths t in
-    let maxd = Hashtbl.fold (fun _ d acc -> max d acc) depths 0 in
-    pf "<h2>Lineage</h2>\n";
-    pf
-      "<p>%d tests: %d seed, %d negated, %d schedule, %d restart · max derivation \
-       depth %d</p>\n"
-      (List.length t.lineage) seeds negated schedules restarts maxd;
-    if t.schedule_choices > 0 || t.schedule_emitted > 0 then
-      pf
-        "<p>schedules: %d wildcard choice(s) served (%d with alternatives), %d \
-         alternative schedule(s) enumerated, %d pruned</p>\n"
-        t.schedule_choices t.schedule_forks t.schedule_emitted t.schedule_pruned;
-    let plateau = plateau_branches t in
-    if plateau <> [] then begin
-      pf "<p>plateau branches (attempted, never covered): %d</p>\n<ul>\n"
-        (List.length plateau);
-      List.iter
-        (fun br ->
-          pf "<li>branch %s — %d attempts (%d sat, %d unsat, %d unknown; %d cached)</li>\n"
-            (esc (branch_label br.br_branch))
-            br.br_attempts br.br_sat br.br_unsat br.br_unknown br.br_cached)
-        plateau;
-      pf "</ul>\n"
-    end
-  end;
-  (* communication *)
-  let ranks = ranks_of t in
-  if ranks <> [] then begin
-    let cell src dst = Option.value (List.assoc_opt (src, dst) t.matrix) ~default:0 in
-    let max_cell = List.fold_left (fun acc (_, n) -> max acc n) 1 t.matrix in
-    pf "<h2>Communication matrix</h2>\n";
-    pf "<p>delivered point-to-point messages, sender rows × receiver columns</p>\n";
-    pf "<table class=\"matrix\">\n<tr><th>src\\dst</th>";
-    List.iter (fun d -> pf "<th>%d</th>" d) ranks;
-    pf "</tr>\n";
-    List.iter
-      (fun s ->
-        pf "<tr><th>%d</th>" s;
-        List.iter
-          (fun d ->
-            let n = cell s d in
-            if n = 0 then pf "<td class=\"zero\">·</td>"
-            else
-              (* heat: linear alpha over the max cell *)
-              pf "<td style=\"background:rgba(178,34,34,%.2f)%s\">%d</td>"
-                (0.15 +. (0.75 *. float_of_int n /. float_of_int max_cell))
-                (if 2 * n > max_cell then ";color:#fff" else "")
-                n)
-          ranks;
-        pf "</tr>\n")
-      ranks;
-    pf "</table>\n";
-    pf "<table>\n<tr><th>rank</th><th>sends</th><th>recvs</th><th>collectives</th>\
-        <th>blocked</th></tr>\n";
-    List.iter
-      (fun r ->
-        let g tbl = Option.value (List.assoc_opt r tbl) ~default:0 in
-        pf "<tr><th>%d</th><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n" r
-          (g t.rank_sends) (g t.rank_recvs) (g t.rank_colls) (g t.rank_blocked))
-      ranks;
-    pf "</table>\n";
-    if t.collectives <> [] then begin
-      pf "<p>collectives: ";
-      pf "%s"
-        (String.concat " · "
-           (List.map
-              (fun ((comm, signature), n) ->
-                Printf.sprintf "comm %d %s ×%d" comm (esc signature) n)
-              t.collectives));
-      pf "</p>\n"
-    end
-  end;
-  (* deadlocks *)
-  if t.deadlocks > 0 || t.witness <> [] then begin
-    pf "<h2>Deadlocks</h2>\n<p>%d deadlock(s) observed</p>\n" t.deadlocks;
-    if t.witness <> [] then begin
-      pf "<ul>\n";
-      List.iter
-        (fun ({ we_rank; we_kind; we_peer; we_comm }, n) ->
-          if we_peer >= 0 then
-            pf "<li>rank %d blocked in %s waiting on rank %d (comm %d) ×%d</li>\n"
-              we_rank (esc we_kind) we_peer we_comm n
-          else
-            pf "<li>rank %d blocked in %s (comm %d) ×%d</li>\n" we_rank (esc we_kind)
-              we_comm n)
-        t.witness;
-      pf "</ul>\n";
-      match witness_cycle t with
-      | Some cycle ->
-        pf "<p>wait-for cycle: <b>%s → %s</b></p>\n"
-          (String.concat " → " (List.map string_of_int cycle))
-          (string_of_int (List.hd cycle))
-      | None -> ()
-    end
-  end;
-  (* incidents *)
-  if t.faults <> [] then begin
-    pf "<h2>Faults</h2>\n<p>%d fault observation(s)</p>\n<ul>\n" (List.length t.faults);
-    List.iteri
-      (fun i (iteration, rank, kind, detail) ->
-        if i < 40 then
-          pf "<li>[iter %d, rank %d] %s: %s</li>\n" iteration rank (esc kind) (esc detail))
-      t.faults;
-    if List.length t.faults > 40 then pf "<li>… %d more</li>\n" (List.length t.faults - 40);
-    pf "</ul>\n"
-  end;
-  if t.restarts <> [] then begin
-    pf "<h2>Restarts</h2>\n<ul>\n";
-    List.iter (fun (reason, n) -> pf "<li>%s ×%d</li>\n" (esc reason) n) t.restarts;
-    pf "</ul>\n"
-  end;
-  pf "</body>\n</html>\n";
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* Profile fold: where the nanoseconds went                            *)
 (* ------------------------------------------------------------------ *)
@@ -1308,140 +1061,3 @@ let profile_text ?(stable = false) t =
     end;
     Buffer.contents b
   end
-
-(* Gantt colors: a fixed palette indexed by a deterministic hash of the
-   kind name, so the same kind is the same color in every report. *)
-let span_color kind =
-  let palette =
-    [|
-      "#4878cf"; "#6acc65"; "#d65f5f"; "#b47cc7"; "#c4ad66"; "#77bedb";
-      "#ee854a"; "#8c613c"; "#dc7ec0"; "#797979"; "#82c6e2"; "#d5bb67";
-    |]
-  in
-  let h = ref 0 in
-  String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) kind;
-  palette.(!h mod Array.length palette)
-
-let profile_html ?(stable = false) t =
-  let p = profile t in
-  let b = Buffer.create 16384 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n";
-  pf "<title>compi campaign profile</title>\n";
-  pf
-    "<style>\nbody{font-family:system-ui,sans-serif;margin:2em auto;max-width:76em;\
-     padding:0 1em;color:#222}\nh1,h2{border-bottom:1px solid #ddd;padding-bottom:.2em}\n\
-     table{border-collapse:collapse;margin:.6em 0}\n\
-     th,td{border:1px solid #ccc;padding:.25em .6em;text-align:right;\
-     font-variant-numeric:tabular-nums}\nth{background:#f4f4f4}\n\
-     td.l,th.l{text-align:left}\n\
-     .ubar{display:inline-block;height:.8em;background:#4878cf}\n\
-     .utrack{display:inline-block;width:200px;height:.8em;background:#eee}\n\
-     .legend span{display:inline-block;margin-right:1em}\n\
-     .swatch{display:inline-block;width:.8em;height:.8em;margin-right:.3em;\
-     vertical-align:middle}\n</style>\n</head>\n<body>\n";
-  pf "<h1>compi campaign profile</h1>\n";
-  if p.pf_spans = 0 then pf "<p>no spans in this trace</p>\n"
-  else begin
-    pf "<p>%d spans across %d domain(s) · wall %s · %s of wall attributed on the \
-        main domain</p>\n"
-      p.pf_spans (List.length p.pf_domains) (dur ~stable p.pf_wall_ns)
-      (share ~stable
-         (int_of_float (float_of_int p.pf_wall_ns *. p.pf_attributed_pct /. 100.0))
-         p.pf_wall_ns);
-    (* utilization bars *)
-    pf "<h2>Per-worker utilization</h2>\n<table>\n";
-    pf "<tr><th>domain</th><th>busy</th><th>wait</th><th>util</th><th class=\"l\">\
-        </th></tr>\n";
-    List.iter
-      (fun d ->
-        let u = d.dp_util *. 100.0 in
-        pf
-          "<tr><th>%d</th><td>%s</td><td>%s</td><td>%.0f%%</td>\
-           <td class=\"l\"><span class=\"utrack\"><span class=\"ubar\" \
-           style=\"width:%.0f%%\"></span></span></td></tr>\n"
-          d.dp_domain (dur ~stable d.dp_busy_ns) (dur ~stable d.dp_wait_ns) u
-          (Float.min 100.0 u))
-      p.pf_domains;
-    pf "</table>\n";
-    (* stalls *)
-    pf "<h2>Stalls and contention</h2>\n<table>\n";
-    pf "<tr><th class=\"l\">source</th><th>total</th><th>%% wall</th></tr>\n";
-    List.iter
-      (fun (label, ns) ->
-        pf "<tr><td class=\"l\">%s</td><td>%s</td><td>%s</td></tr>\n" label
-          (dur ~stable ns) (share ~stable ns p.pf_wall_ns))
-      [
-        ("pipeline queue wait", p.pf_queue_wait_ns);
-        ("worker idle", p.pf_idle_ns);
-        ("pool join", p.pf_join_ns);
-      ];
-    pf "</table>\n";
-    (* gantt *)
-    let w = 1000 and row_h = 22 and label_w = 60 in
-    let nd = List.length p.pf_domains in
-    let h = (nd * row_h) + 30 in
-    let spans = List.filter (fun s -> span_known_kind s.sp_kind) t.spans in
-    let t_min =
-      List.fold_left (fun acc s -> min acc s.sp_t0) max_int spans
-    in
-    let px tk =
-      let raw =
-        float_of_int (tk - t_min) /. float_of_int p.pf_wall_ns *. float_of_int w
-      in
-      (* stable mode buckets ticks onto a 1000-step grid *)
-      if stable then Float.round raw else raw
-    in
-    pf "<h2>Timeline</h2>\n";
-    pf
-      "<svg viewBox=\"0 0 %d %d\" width=\"%d\" height=\"%d\" role=\"img\" \
-       aria-label=\"span timeline\">\n"
-      (w + label_w + 10) h (w + label_w + 10) h;
-    List.iteri
-      (fun row d ->
-        let y = row * row_h in
-        pf "<text x=\"2\" y=\"%d\" font-size=\"11\">domain %d</text>\n"
-          (y + (row_h / 2) + 4) d.dp_domain;
-        pf "<line x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" stroke=\"#eee\"/>\n" label_w
-          (y + row_h) (w + label_w) (y + row_h);
-        List.iter
-          (fun s ->
-            if s.sp_domain = d.dp_domain then begin
-              let x0 = px s.sp_t0 and x1 = px s.sp_t1 in
-              let wd = Float.max 0.5 (x1 -. x0) in
-              pf
-                "<rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"%d\" \
-                 fill=\"%s\" fill-opacity=\"0.8\"><title>%s</title></rect>\n"
-                (float_of_int label_w +. x0)
-                (y + 3) wd (row_h - 6) (span_color s.sp_kind) (esc s.sp_kind)
-            end)
-          spans)
-      p.pf_domains;
-    pf "</svg>\n";
-    let legend_kinds = List.map fst p.pf_kinds in
-    pf "<p class=\"legend\">";
-    List.iter
-      (fun k ->
-        pf "<span><span class=\"swatch\" style=\"background:%s\"></span>%s</span>"
-          (span_color k) (esc k))
-      legend_kinds;
-    pf "</p>\n";
-    (* kind table *)
-    pf "<h2>Per-kind totals</h2>\n<table>\n";
-    pf "<tr><th class=\"l\">kind</th><th>count</th><th>total</th><th>%% wall</th></tr>\n";
-    List.iter
-      (fun (k, (c, ns)) ->
-        pf "<tr><td class=\"l\">%s</td><td>%d</td><td>%s</td><td>%s</td></tr>\n" (esc k)
-          c (dur ~stable ns) (share ~stable ns p.pf_wall_ns))
-      p.pf_kinds;
-    pf "</table>\n";
-    if p.pf_rounds <> [] then begin
-      let nr = List.length p.pf_rounds in
-      let tot f = List.fold_left (fun acc r -> acc + f r) 0 p.pf_rounds in
-      pf "<p>%d round(s): critical path %s of round wall, stall %s</p>\n" nr
-        (share ~stable (tot (fun r -> r.rp_crit_ns)) (tot (fun r -> r.rp_wall_ns)))
-        (share ~stable (tot (fun r -> r.rp_stall_ns)) (tot (fun r -> r.rp_wall_ns)))
-    end
-  end;
-  pf "</body>\n</html>\n";
-  Buffer.contents b

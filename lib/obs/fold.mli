@@ -188,11 +188,6 @@ val to_text : ?stable:bool -> ?branch_label:(int -> string) -> t -> string
     [--jobs] values; [branch_label] renders branch ids (default
     [string_of_int]). *)
 
-val to_html : ?stable:bool -> ?branch_label:(int -> string) -> t -> string
-(** Self-contained HTML report (inline CSS + SVG, no scripts, no
-    timestamps): coverage curve, solver/cache breakdown, per-branch hit
-    table, comm-matrix heatmap, lineage summary, deadlock witnesses. *)
-
 (** {2 Profile fold}
 
     Everything below is a pure function of {!t}[.spans] and
@@ -259,8 +254,3 @@ val profile_text : ?stable:bool -> t -> string
     path. Under [stable], absolute durations collapse to power-of-two
     buckets and percentages to whole points, so reruns over the same
     trace are byte-identical and shapes are comparable across hosts. *)
-
-val profile_html : ?stable:bool -> t -> string
-(** Self-contained HTML profile: utilization bars, stall table, SVG
-    Gantt timeline (one row per domain, colored by kind), per-kind
-    totals. No scripts, no timestamps. *)

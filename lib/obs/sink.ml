@@ -75,8 +75,6 @@ let flush_now = flush_channel
 
 let active () = !is_active
 
-let installed () = Option.is_some !current
-
 (* The calling domain's line buffer, reused from emit to emit. *)
 let lines = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 

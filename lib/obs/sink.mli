@@ -43,9 +43,6 @@ val active : unit -> bool
 (** [true] iff events are currently being written ([Null_sink] and
     no-sink both answer [false]). *)
 
-val installed : unit -> bool
-(** [true] iff any sink, including [Null_sink], is installed. *)
-
 val emit : Event.t -> unit
 (** Append one JSONL line [{"ev":…,"t":…,…}] to the active sink;
     no-op otherwise. [t] is seconds since the sink was installed. The

@@ -1,6 +1,6 @@
 (* Live campaign status snapshot: the compact JSON document the engine
-   atomically publishes at merge points, and `compi-cli status`/`watch`
-   read back. One flat object per file, versioned, so a newer producer
+   atomically publishes at merge points, and `compi-cli watch` reads
+   back. One flat object per file, versioned, so a newer producer
    can add fields without breaking an older reader. *)
 
 let version = 1

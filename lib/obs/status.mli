@@ -2,7 +2,7 @@
 
     The campaign engine publishes one of these (atomically: temp file +
     rename) at every merge point when a status file is configured;
-    [compi-cli status] and [compi-cli watch] read it back. The document
+    [compi-cli watch] reads it back. The document
     is a single flat JSON object with a version field, so a newer
     producer can add fields without breaking an older reader — the v1
     core is always readable. *)

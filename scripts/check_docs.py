@@ -27,7 +27,7 @@ reference things that don't exist:
 
 With `--exe PATH` (a built compi_cli executable) it additionally runs
 `PATH <cmd> --help` for each audited subcommand (run, explain, report,
-profile, status, watch, history, compare)
+profile, watch, history, compare)
 and cross-checks the live help text: the checkpoint/resume,
 observatory and live-monitor/ledger flags must exist in the binary AND
 be documented, and every flag the help mentions must also be found by
@@ -75,9 +75,8 @@ REQUIRED_FLAGS = {
             "--no-fwk", "--save-bugs", "--csv", "--curve", "--uncovered",
             "--annotate"},
     "explain": {"--branch", "--testcase", "--target"},
-    "report": {"--out", "--stable", "--target"},
-    "profile": {"--out", "--stable"},
-    "status": {"--json"},
+    "report": {"--stable", "--target"},
+    "profile": {"--stable"},
     "watch": {"--interval", "--once", "--trace"},
     "history": {"--target"},
     "compare": {"--ledger", "--tolerance"},

@@ -91,7 +91,6 @@ let renderings (f : Obs.Fold.t) =
   [
     ("to_text", Obs.Fold.to_text f);
     ("to_text stable", Obs.Fold.to_text ~stable:true f);
-    ("to_html", Obs.Fold.to_html f);
     ("profile_text", Obs.Fold.profile_text f);
     ("profile_text stable", Obs.Fold.profile_text ~stable:true f);
     ("ascii_curve", Obs.Fold.ascii_curve f.Obs.Fold.curve);

@@ -157,9 +157,6 @@ let test_profile_renderers_deterministic () =
   let t1 = Obs.Fold.profile_text ~stable:true f in
   let t2 = Obs.Fold.profile_text ~stable:true f in
   Alcotest.(check string) "stable text is byte-identical" t1 t2;
-  let h1 = Obs.Fold.profile_html ~stable:true f in
-  let h2 = Obs.Fold.profile_html ~stable:true f in
-  Alcotest.(check string) "stable html is byte-identical" h1 h2;
   (* stable text never contains raw second values *)
   Alcotest.(check bool) "no raw seconds under --stable" false
     (contains ~affix:"0.000s" t1);
@@ -168,12 +165,7 @@ let test_profile_renderers_deterministic () =
     (fun phrase ->
       Alcotest.(check bool) (phrase ^ " present") true
         (contains ~affix:phrase t1))
-    [ "per-worker utilization"; "pipeline queue wait" ];
-  List.iter
-    (fun affix ->
-      Alcotest.(check bool) (affix ^ " in html") true
-        (contains ~affix h1))
-    [ "<svg"; "</html>"; "Per-worker utilization" ]
+    [ "per-worker utilization"; "pipeline queue wait" ]
 
 (* With the timeline off, span/record must not touch the minor heap —
    the instrumented hot paths run at full speed in untraced campaigns. *)
