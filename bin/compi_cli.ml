@@ -464,16 +464,6 @@ let resume_arg =
            continue toward the (possibly larger) budget; the finished campaign is \
            byte-identical to an uninterrupted run")
 
-let status_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "status-file" ] ~docs:s_telemetry ~docv:"FILE.json"
-        ~doc:
-          "Publish a live status snapshot (one flat JSON object, written \
-           atomically via temp file + rename) to $(docv) at every merge point; \
-           read it with $(b,compi-cli watch) ($(b,--once) for a single frame)")
-
 let run_ledger_arg =
   Arg.(
     value
@@ -494,7 +484,7 @@ let run_cmd =
   in
   let run t iterations time seed nprocs caps no_reduce one_way no_fwk strategy exec_mode
       schedules schedule_depth jobs batch solver_cache checkpoint checkpoint_every resume
-      coverage_report status_file ledger save_bugs csv curve uncovered_n annotate
+      coverage_report ledger save_bugs csv curve uncovered_n annotate
       trace_events metrics =
     let info, base =
       settings_of t iterations time seed nprocs caps no_reduce one_way no_fwk strategy
@@ -510,22 +500,29 @@ let run_cmd =
         checkpoint;
         checkpoint_every;
         resume;
-        status_file;
         ledger;
       }
     in
-    (* refuse an unwritable status or ledger path before any telemetry
-       file is opened, with the flag in the message *)
-    let check flag =
-      Option.iter (fun path ->
-          Option.iter
-            (fun why ->
-              Printf.eprintf "%s %s: %s\n" flag path why;
-              exit 1)
-            (Compi.Campaign.output_path_problem path))
-    in
-    check "--status-file" status_file;
-    check "--ledger" ledger;
+    (* refuse every unwritable output path before any telemetry file is
+       opened or the first test runs, with the flag in the message *)
+    List.iter
+      (fun (flag, path) ->
+        Option.iter
+          (fun path ->
+            Option.iter
+              (fun why ->
+                Printf.eprintf "%s %s: %s\n" flag path why;
+                exit 1)
+              (Compi.Campaign.output_path_problem path))
+          path)
+      [
+        ("--ledger", ledger);
+        ("--trace-events", trace_events);
+        ("--metrics", metrics);
+        ("--coverage-report", coverage_report);
+        ("--csv", csv);
+        ("--save-bugs", save_bugs);
+      ];
     let result =
       try
         with_telemetry ~trace_events ~metrics (fun () ->
@@ -566,9 +563,6 @@ let run_cmd =
         (if cs.Smt.Cache.entries = 1 then "y" else "ies")
         cs.Smt.Cache.evictions
     | None -> Printf.printf "solver cache    off\n");
-    (match status_file with
-    | Some path -> Printf.printf "final status snapshot at %s\n" path
-    | None -> ());
     (match ledger with
     | Some path -> Printf.printf "run recorded in ledger %s\n" path
     | None -> ());
@@ -614,7 +608,7 @@ let run_cmd =
       $ strategy_arg ~docs:s_execution () $ exec_mode_arg ~docs:s_execution ()
       $ schedules_arg $ schedule_depth_arg
       $ jobs_arg $ batch_arg $ solver_cache_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg $ coverage_report_arg $ status_file_arg $ run_ledger_arg
+      $ resume_arg $ coverage_report_arg $ run_ledger_arg
       $ save_arg $ csv_arg $ curve_arg $ uncovered_arg $ annotate_arg
       $ trace_events_arg ~docs:s_telemetry () $ metrics_arg ~docs:s_telemetry ())
 
@@ -659,19 +653,10 @@ let replay_cmd =
 (* explain / report: the campaign observatory                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Load a JSONL trace into the observatory fold. All explain/report/
-   profile analytics live in {!Obs.Fold}; the CLI only renders. *)
-let load_fold path =
-  let lines =
-    try In_channel.with_open_text path In_channel.input_lines
-    with Sys_error e ->
-      Printf.eprintf "cannot read %s: %s\n" path e;
-      exit 1
-  in
-  let f = Obs.Fold.of_lines lines in
-  (* surface forward-compatibility skips loudly: a trace from a newer
-     build folds, but silently dropping its events would make the
-     views lie by omission *)
+(* Surface the lines a fold skipped loudly: a trace from a newer build
+   folds, but silently dropping its events would make the views lie by
+   omission. *)
+let warn_skipped path (f : Obs.Fold.t) =
   (match f.Obs.Fold.unknown_kinds with
   | [] -> ()
   | skipped ->
@@ -682,7 +667,19 @@ let load_fold path =
       path total (List.length skipped)
       (String.concat ", " (List.map fst skipped)));
   if f.Obs.Fold.malformed > 0 then
-    Printf.eprintf "warning: %s: %d malformed line(s)\n" path f.Obs.Fold.malformed;
+    Printf.eprintf "warning: %s: %d malformed line(s)\n" path f.Obs.Fold.malformed
+
+(* Load a JSONL trace into the observatory fold. All explain/report/
+   profile/watch analytics live in {!Obs.Fold}; the CLI only renders. *)
+let load_fold path =
+  let lines =
+    try In_channel.with_open_text path In_channel.input_lines
+    with Sys_error e ->
+      Printf.eprintf "cannot read %s: %s\n" path e;
+      exit 1
+  in
+  let f = Obs.Fold.of_lines lines in
+  warn_skipped path f;
   if f.Obs.Fold.events = 0 then begin
     Printf.eprintf "%s: no parseable telemetry events\n" path;
     exit 1
@@ -909,57 +906,6 @@ let profile_cmd =
 (* watch: the live campaign monitor                                    *)
 (* ------------------------------------------------------------------ *)
 
-let status_pos_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"STATUS.json")
-
-let render_status (st : Obs.Status.t) =
-  let b = Buffer.create 512 in
-  let add fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string b s;
-        Buffer.add_char b '\n')
-      fmt
-  in
-  add "target          %s" (if st.target = "" then "(unnamed)" else st.target);
-  add "progress        %d / %d iteration(s)%s, round %d%s" st.executed st.budget
-    (if st.budget > 0 && st.budget < max_int then
-       Printf.sprintf " (%.1f%%)"
-         (100.0 *. float_of_int st.executed /. float_of_int st.budget)
-     else "")
-    st.rounds
-    (if st.finished then " — finished" else "");
-  add "coverage        %d / %d reachable%s" st.covered st.reachable
-    (if st.reachable > 0 then
-       Printf.sprintf " (%.1f%%)"
-         (100.0 *. float_of_int st.covered /. float_of_int st.reachable)
-     else "");
-  add "bugs            %d" st.bugs;
-  add "queue depth     %d" st.queue_depth;
-  add "utilization     %.0f%%" (100.0 *. st.utilization);
-  add "cache hit rate  %.0f%%" (100.0 *. st.cache_hit_rate);
-  add "schedule forks  %d" st.schedule_forks;
-  (match (st.plateau, st.eta_iterations) with
-  | true, _ -> add "trend           plateau — no coverage gain over the trailing window"
-  | false, 0 -> add "trend           fully covered"
-  | false, n when n > 0 ->
-    add "trend           ~%d iteration(s) to full reachable coverage at the current rate" n
-  | false, _ -> add "trend           (not enough history for an estimate)");
-  Buffer.contents b
-
-(* One compact line per poll for pipes and logs: `watch` uses it when
-   stdout is not a tty, so output appends cleanly. *)
-let status_line (st : Obs.Status.t) =
-  Printf.sprintf
-    "iter %d/%d round %d cov %d/%d bugs %d queue %d util %.0f%% cache %.0f%%%s%s"
-    st.executed st.budget st.rounds st.covered st.reachable st.bugs st.queue_depth
-    (100.0 *. st.utilization)
-    (100.0 *. st.cache_hit_rate)
-    (if st.plateau then " plateau"
-     else if st.eta_iterations > 0 then Printf.sprintf " eta ~%d" st.eta_iterations
-     else "")
-    (if st.finished then " finished" else "")
-
 let watch_cmd =
   let interval_arg =
     Arg.(
@@ -969,30 +915,26 @@ let watch_cmd =
   let once_arg =
     Arg.(value & flag & info [ "once" ] ~doc:"Render a single frame and exit")
   in
-  let watch_trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"TRACE.jsonl"
-          ~doc:
-            "Also tail the campaign's $(b,--trace-events) file through the \
-             incremental observatory fold: each poll absorbs only the newly \
-             appended lines and re-renders the live coverage curve")
-  in
-  let run path interval once trace =
+  let run path interval once =
     let interval = if interval < 0.05 then 0.05 else interval in
     let tty = Unix.isatty Unix.stdout in
-    (* incremental fold over the growing trace: the state persists
-       across polls, each poll steps only the bytes appended since the
-       last one (complete lines only — a torn tail waits for the next
-       poll) *)
-    let fstate = Obs.Fold.init () in
-    let offset = ref 0 in
-    let tail_trace () =
-      match trace with
-      | None -> None
-      | Some tp -> (
-        (match open_in_bin tp with
+    let show f =
+      if tty && not once then
+        (* full-screen dashboard: home + clear, then redraw *)
+        print_string ("\027[H\027[2J" ^ Obs.Fold.watch_text f)
+      else if tty || once then print_string (Obs.Fold.watch_text f)
+      else print_endline (Obs.Fold.watch_line f);
+      flush stdout
+    in
+    if once then show (load_fold path)
+    else begin
+      (* incremental fold over the growing trace: the state persists
+         across polls, each poll steps only the complete lines appended
+         since the last one (a torn tail waits for the next poll) *)
+      let st = Obs.Fold.init () in
+      let offset = ref 0 in
+      let poll () =
+        match open_in_bin path with
         | exception Sys_error _ -> ()
         | ic ->
           let len = in_channel_length ic in
@@ -1004,63 +946,40 @@ let watch_cmd =
             | Some k ->
               offset := !offset + k + 1;
               List.iter
-                (fun l -> ignore (Obs.Fold.step_line fstate l))
+                (fun l -> ignore (Obs.Fold.step_line st l))
                 (String.split_on_char '\n' (String.sub chunk 0 k))
           end;
-          close_in ic);
-        Some (Obs.Fold.finish fstate))
-    in
-    let render_frame st fopt =
-      let b = Buffer.create 1024 in
-      Buffer.add_string b (render_status st);
-      (match fopt with
-      | None -> ()
-      | Some (f : Obs.Fold.t) ->
-        Buffer.add_string b
-          (Printf.sprintf "trace           %d event(s), %d iteration(s), %d fault(s)\n"
-             f.Obs.Fold.events f.Obs.Fold.iterations
-             (List.length f.Obs.Fold.faults));
-        if f.Obs.Fold.curve <> [] then begin
-          Buffer.add_char b '\n';
-          Buffer.add_string b (Obs.Fold.ascii_curve f.Obs.Fold.curve)
-        end);
-      Buffer.contents b
-    in
-    let rec loop announced =
-      match Obs.Status.read path with
-      | Error e ->
-        if once then begin
-          Printf.eprintf "cannot read status %s: %s\n" path e;
-          exit 1
-        end;
-        (* the campaign may not have published its first snapshot yet *)
-        if not announced then Printf.eprintf "waiting for %s\n%!" path;
-        Unix.sleepf interval;
-        loop true
-      | Ok st ->
-        let fopt = tail_trace () in
-        if tty && not once then
-          (* full-screen dashboard: home + clear, then redraw *)
-          print_string ("\027[H\027[2J" ^ render_frame st fopt)
-        else if tty || once then print_string (render_frame st fopt)
-        else print_endline (status_line st);
-        flush stdout;
-        if not (once || st.Obs.Status.finished) then begin
+          close_in ic
+      in
+      let rec loop ~announced ~skipped =
+        poll ();
+        let f = Obs.Fold.finish st in
+        if f.Obs.Fold.events > 0 then show f
+        else if not announced then
+          (* the campaign may not have written its first event yet *)
+          Printf.eprintf "waiting for %s\n%!" path;
+        (* after the frame, so a full-screen redraw does not wipe it *)
+        let skipped' = (f.Obs.Fold.malformed, f.Obs.Fold.unknown_kinds) in
+        if skipped' <> skipped then warn_skipped path f;
+        if not (Obs.Fold.finished f) then begin
           Unix.sleepf interval;
-          loop announced
+          loop ~announced:true ~skipped:skipped'
         end
-    in
-    loop false
+      in
+      loop ~announced:false ~skipped:(0, [])
+    end
   in
   Cmd.v
     (Cmd.info "watch"
        ~doc:
-         "Live dashboard for a campaign started with $(b,--status-file): polls \
-          the snapshot (and, with $(b,--trace), tails the event stream through \
-          the incremental fold) until the campaign finishes. Full-screen on a \
-          tty; one compact line per poll otherwise; $(b,--once) prints one \
-          frame and exits")
-    Term.(const run $ status_pos_arg $ interval_arg $ once_arg $ watch_trace_arg)
+         "Live dashboard for a campaign's $(b,--trace-events) file: tails the \
+          trace through the incremental observatory fold and renders coverage \
+          against the reachable count, bugs, cache hit rate, schedule forks, \
+          the plateau/ETA trend and the coverage curve until the campaign's \
+          $(b,campaign_end) is folded. Full-screen on a tty; one compact line \
+          per poll otherwise; $(b,--once) prints one frame of the trace as it \
+          stands and exits")
+    Term.(const run $ trace_pos_arg $ interval_arg $ once_arg)
 
 (* ------------------------------------------------------------------ *)
 (* history / compare: the run ledger                                   *)

@@ -62,7 +62,6 @@ type settings = {
   checkpoint : string option;  (* snapshot directory; None = no checkpointing *)
   checkpoint_every : int;  (* periodic snapshot cadence in iterations *)
   resume : bool;  (* load the snapshot under [checkpoint] before running *)
-  status_file : string option;  (* live status snapshot path; None = off *)
   ledger : string option;  (* run-ledger JSONL store; None = off *)
 }
 
@@ -76,13 +75,12 @@ let default_settings =
     checkpoint = None;
     checkpoint_every = 50;
     resume = false;
-    status_file = None;
     ledger = None;
   }
 
-(* The status file is written at the first merge and the ledger after
-   all the work, so a path that can take neither is refused up front:
-   one that names a directory, or whose directory is missing. *)
+(* The ledger is written after all the work, so a path that cannot
+   take it is refused up front: one that names a directory, or whose
+   directory is missing. *)
 let output_path_problem path =
   let is_dir p = try Sys.is_directory p with Sys_error _ -> false in
   let parent = Filename.dirname path in
@@ -191,14 +189,12 @@ let derive (s : Driver.settings) ~cached (cand : Strategy.candidate)
   }
 
 let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
-  let refuse what =
-    Option.iter (fun path ->
-        Option.iter
-          (fun why -> invalid_arg (Printf.sprintf "Campaign.run: %s %s: %s" what path why))
-          (output_path_problem path))
-  in
-  refuse "status file" settings.status_file;
-  refuse "ledger" settings.ledger;
+  Option.iter
+    (fun path ->
+      Option.iter
+        (fun why -> invalid_arg (Printf.sprintf "Campaign.run: ledger %s: %s" path why))
+        (output_path_problem path))
+    settings.ledger;
   let s = settings.base in
   let fp =
     Checkpoint.fingerprint ~label ~batch:settings.batch
@@ -223,8 +219,8 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
           | ms -> raise (Checkpoint.Load_error (Checkpoint.Settings_mismatch ms))))
   in
   let snap_field f default = match resumed with Some (_, sn) -> f sn | None -> default in
-  (* The campaign folds every event it emits. Its result, status
-     snapshots and ledger record read this one fold, so they agree with
+  (* The campaign folds every event it emits. Its result, counters
+     and ledger record read this one fold, so they agree with
      a fold of the trace by construction, and a resume restores the
      fold with the rest of the merged state. *)
   let fold = snap_field (fun sn -> sn.Checkpoint.ck_fold) (Obs.Fold.init ()) in
@@ -649,27 +645,6 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       next_due := ((!iter / every) + 1) * every
     | Some _ | None -> ()
   in
-  (* Live status: an atomic snapshot published at every merge position
-     (and once more, finished, at campaign end). Everything quoted is
-     main-domain merge state or its fold, so the snapshot sequence —
-     like the trajectory itself — is invariant across [jobs]. *)
-  let publish_status ~finished () =
-    match settings.status_file with
-    | None -> ()
-    | Some path ->
-      let wall = elapsed () in
-      let utilization =
-        if wall <= 0.0 then 0.0
-        else
-          Float.min 1.0
-            (Taskpool.busy_seconds pool
-            /. (wall *. float_of_int (max 1 settings.jobs)))
-      in
-      Obs.Status.publish path
-        (Obs.Status.of_fold ~target:label ~budget:s.Driver.iterations ~rounds:!rounds
-           ~executed:!iter ~covered:!best_covered ~queue_depth:!max_depth ~utilization
-           ~finished fold)
-  in
   while !work <> [] && continue_ok () do
     incr rounds;
     let round_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
@@ -814,8 +789,6 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
             Obs.Timeline.span "merge" (fun () -> merge_one w item);
             work_remaining := rest;
             maybe_checkpoint ();
-            max_depth := max !max_depth (Taskpool.max_inflight st);
-            publish_status ~finished:false ();
             merge_stream rest
           end)
     in
@@ -853,7 +826,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
          bugs = List.length !bugs;
          wall_s = elapsed ();
        });
-  publish_status ~finished:true ();
+  let f = Obs.Fold.finish fold in
   (match settings.ledger with
   | None -> ()
   | Some path ->
@@ -862,12 +835,11 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
         (Obs.Ledger.of_fold ~target:label ~fingerprint:(Obs.Ledger.digest fp)
            ~exec_mode:(Runner.exec_mode_name s.Driver.exec_mode) ~jobs:settings.jobs
            ~seed:s.Driver.seed ~budget:s.Driver.iterations ~executed:!iter ~rounds:!rounds
-           ~wall_s:(elapsed ()) (Obs.Fold.finish fold))
+           ~wall_s:(elapsed ()) f)
     in
     emit
       (Obs.Event.Ledger_append
          { path; run = written.Obs.Ledger.run; covered; reachable; bugs = List.length !bugs }));
-  let lv = Obs.Fold.live fold in
   let result =
     {
       summary =
@@ -888,7 +860,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       rounds = !rounds;
       executed = !executed;
       speculated = !speculated;
-      solver_calls = lv.Obs.Fold.lv_solver_calls;
+      solver_calls = f.Obs.Fold.solver_calls;
       (* hits and misses over merged attempts, as folded from
          [lineage_negation]; the cache's own probe counters would also
          count candidates dropped at the budget edge *)
@@ -897,8 +869,8 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
           (fun c ->
             {
               (Smt.Cache.stats c) with
-              Smt.Cache.hits = lv.Obs.Fold.lv_cache_hits;
-              misses = lv.Obs.Fold.lv_cache_misses;
+              Smt.Cache.hits = f.Obs.Fold.cache_hits;
+              misses = f.Obs.Fold.cache_misses;
             })
           cache;
       interrupted = !stop;
@@ -914,14 +886,14 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       ("campaign.iterations", !executed);
       ("campaign.covered", covered);
       ("campaign.reachable", reachable);
-      ("campaign.restarts", lv.Obs.Fold.lv_restarts);
-      ("campaign.faults", lv.Obs.Fold.lv_bugs);
+      ("campaign.restarts", List.fold_left (fun acc (_, n) -> acc + n) 0 f.Obs.Fold.restarts);
+      ("campaign.faults", List.length f.Obs.Fold.faults);
       ("campaign.checkpoints", !checkpoints_written);
-      ("solver.calls", lv.Obs.Fold.lv_solver_calls);
-      ("solver.sat", lv.Obs.Fold.lv_solver_sat);
-      ("solver.unsat", lv.Obs.Fold.lv_solver_unsat);
-      ("cache.hits", lv.Obs.Fold.lv_cache_hits);
-      ("cache.misses", lv.Obs.Fold.lv_cache_misses);
+      ("solver.calls", f.Obs.Fold.solver_calls);
+      ("solver.sat", f.Obs.Fold.solver_sat);
+      ("solver.unsat", f.Obs.Fold.solver_unsat);
+      ("cache.hits", f.Obs.Fold.cache_hits);
+      ("cache.misses", f.Obs.Fold.cache_misses);
     ] )
 
 let run ?settings ?label info = fst (run_with_counters ?settings ?label info)

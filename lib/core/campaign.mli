@@ -57,11 +57,6 @@ type settings = {
       (** load the snapshot under [checkpoint] before running; raises
           {!Checkpoint.Load_error} if it is missing, damaged, from
           another format version, or fingerprint-incompatible *)
-  status_file : string option;
-      (** publish an {!Obs.Status} snapshot (atomic temp-file + rename)
-          to this path at every merge position and once more, with
-          [finished = true], when the campaign ends; [None] (the
-          default) disables live status entirely *)
   ledger : string option;
       (** append an {!Obs.Ledger} summary record to this JSONL store
           when the campaign ends; [None] (the default) keeps no
@@ -71,14 +66,13 @@ type settings = {
 val default_settings : settings
 (** [Driver.default_settings], 1 job, batch 4, cache on at
     {!Smt.Cache.default_capacity}, checkpointing off
-    ([checkpoint_every = 50] once a directory is supplied), no status
-    file, no ledger. *)
+    ([checkpoint_every = 50] once a directory is supplied), no ledger. *)
 
 val output_path_problem : string -> string option
-(** Why a [status_file] or [ledger] path cannot be written, or [None]
-    when it can: it ["is a directory"], or its directory is missing
-    (["no such directory D"]). {!run} checks both settings with it
-    before anything runs. *)
+(** Why an output file path cannot be written, or [None] when it can:
+    it ["is a directory"], or its directory is missing (["no such
+    directory D"]). {!run} checks [ledger] with it before anything runs;
+    [compi-cli run] checks every output file it is given the same way. *)
 
 type result = {
   summary : Driver.result;  (** the campaign summary every caller reads *)
@@ -117,11 +111,11 @@ val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
     restarts, faults) plus the cache and checkpoint events, and records
     the [exec]/[solve]/[strategy]/[report] spans. Every event it emits
     is also stepped into the campaign's own {!Obs.Fold}, sink or no
-    sink: [solver_calls], the cache hits and misses, the status
-    snapshots, the ledger record and {!run_with_counters}' counters are
-    read from that fold, and the checkpoint carries it. Raises
+    sink: [solver_calls], the cache hits and misses, the ledger record
+    and {!run_with_counters}' counters are read from one [finish] of
+    that fold at the end, and the checkpoint carries it. Raises
     [Invalid_argument], naming the path, when {!output_path_problem}
-    refuses [status_file] or [ledger], before the first test or event.
+    refuses [ledger], before the first test or event.
     Raises {!Checkpoint.Load_error} when [resume] is set and the
     checkpoint cannot be used (never partially applies one). *)
 

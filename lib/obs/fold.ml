@@ -60,6 +60,7 @@ type t = {
   iterations : int;
   final_covered : int option;
   final_reachable : int option;
+  reachable : int;
   bugs : int;
   wall_s : float option;
   exec_s : float;
@@ -331,6 +332,7 @@ let finish st =
     iterations = List.length curve;
     final_covered = st.s_final_covered;
     final_reachable = st.s_final_reachable;
+    reachable = Option.value st.s_final_reachable ~default:st.s_reachable;
     bugs = st.s_bugs;
     wall_s = st.s_wall;
     exec_s = st.s_exec;
@@ -365,41 +367,6 @@ let finish st =
             (b.sp_t0, b.sp_domain, b.sp_t1, b.sp_kind))
         st.s_spans;
     span_rows = sorted_assoc st.s_span_rows;
-  }
-
-type live = {
-  lv_reachable : int;
-  lv_bugs : int;
-  lv_restarts : int;
-  lv_solver_calls : int;
-  lv_solver_sat : int;
-  lv_solver_unsat : int;
-  lv_cache_hits : int;
-  lv_cache_misses : int;
-  lv_schedule_emitted : int;
-  lv_curve_tail : (int * int) list;
-}
-
-(* Reads the counters, sums the few restart reasons and walks at most
-   64 lineage nodes, so a caller can poll it after every event without
-   finishing the fold. *)
-let live st =
-  let rec tail n acc = function
-    | nd :: rest when n > 0 ->
-      tail (n - 1) ((nd.ln_test, Hashtbl.find st.s_curve nd.ln_test) :: acc) rest
-    | _ -> acc
-  in
-  {
-    lv_reachable = Option.value st.s_final_reachable ~default:st.s_reachable;
-    lv_bugs = List.length st.s_faults;
-    lv_restarts = Hashtbl.fold (fun _ n acc -> acc + n) st.s_restarts 0;
-    lv_solver_calls = st.s_calls;
-    lv_solver_sat = st.s_sat;
-    lv_solver_unsat = st.s_unsat;
-    lv_cache_hits = st.s_hits;
-    lv_cache_misses = st.s_misses;
-    lv_schedule_emitted = st.s_sched_emitted;
-    lv_curve_tail = tail 64 [] st.s_lineage;
   }
 
 let fold events = finish (List.fold_left step (init ()) events)
@@ -734,6 +701,84 @@ let to_text ?(stable = false) ?(branch_label = string_of_int) t =
     List.iter (fun (reason, n) -> pf "  %-16s %d\n" reason n) t.restarts
   end;
   Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Live monitor: the frames `compi-cli watch` renders                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Coverage-curve slope over the trailing [window] iterations: the
+   plateau/ETA estimate the monitor shows. The curve is ascending
+   (iteration, cumulative covered). *)
+let estimate ?(window = 20) ~reachable curve =
+  match List.rev curve with
+  | [] -> (false, -1)
+  | (_, c1) :: _ when c1 >= reachable && reachable > 0 -> (false, 0)
+  | (i1, c1) :: older -> (
+    let rec back = function
+      | [] -> None
+      | (i0, c0) :: rest -> if i1 - i0 >= window then Some (i0, c0) else back rest
+    in
+    match back older with
+    | None -> (false, -1) (* not enough history for a slope *)
+    | Some (i0, c0) ->
+      let gained = c1 - c0 in
+      if gained <= 0 then (true, -1)
+      else
+        let slope = float_of_int gained /. float_of_int (i1 - i0) in
+        let remaining = max 0 (reachable - c1) in
+        (false, int_of_float (ceil (float_of_int remaining /. slope))))
+
+let finished t = t.final_reachable <> None
+
+(* the campaign_end count once folded, else the newest curve point *)
+let covered_now t =
+  match (t.final_covered, List.rev t.curve) with
+  | Some c, _ | None, (_, c) :: _ -> c
+  | None, [] -> 0
+
+let watch_text t =
+  let b = Buffer.create 1024 in
+  let add fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string b s;
+        Buffer.add_char b '\n')
+      fmt
+  in
+  let budget = Option.value t.budget ~default:0 in
+  let covered = covered_now t in
+  add "target          %s"
+    (match t.target with None | Some "" -> "(unnamed)" | Some tg -> tg);
+  add "progress        %d / %d iteration(s)%s%s" t.iterations budget
+    (if budget > 0 && budget < max_int then
+       Printf.sprintf " (%.1f%%)" (pct t.iterations budget)
+     else "")
+    (if finished t then " — finished" else "");
+  add "coverage        %d / %d reachable%s" covered t.reachable
+    (if t.reachable > 0 then Printf.sprintf " (%.1f%%)" (pct covered t.reachable) else "");
+  add "bugs            %d" (List.length t.faults);
+  add "cache hit rate  %.0f%%" (pct t.cache_hits (t.cache_hits + t.cache_misses));
+  add "schedule forks  %d" t.schedule_emitted;
+  (match estimate ~reachable:t.reachable t.curve with
+  | true, _ -> add "trend           plateau — no coverage gain over the trailing window"
+  | false, 0 -> add "trend           fully covered"
+  | false, n when n > 0 ->
+    add "trend           ~%d iteration(s) to full reachable coverage at the current rate" n
+  | false, _ -> add "trend           (not enough history for an estimate)");
+  if t.curve <> [] then begin
+    Buffer.add_char b '\n';
+    Buffer.add_string b (ascii_curve t.curve)
+  end;
+  Buffer.contents b
+
+let watch_line t =
+  let plateau, eta = estimate ~reachable:t.reachable t.curve in
+  Printf.sprintf "iter %d/%d cov %d/%d bugs %d cache %.0f%%%s%s" t.iterations
+    (Option.value t.budget ~default:0)
+    (covered_now t) t.reachable (List.length t.faults)
+    (pct t.cache_hits (t.cache_hits + t.cache_misses))
+    (if plateau then " plateau" else if eta > 0 then Printf.sprintf " eta ~%d" eta else "")
+    (if finished t then " finished" else "")
 
 (* ------------------------------------------------------------------ *)
 (* Profile fold: where the nanoseconds went                            *)

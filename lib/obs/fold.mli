@@ -66,6 +66,9 @@ type t = {
   iterations : int;
   final_covered : int option;
   final_reachable : int option;
+  reachable : int;
+      (** [final_reachable] once [campaign_end] is folded, else the
+          latest [test]'s reachable count: the live denominator *)
   bugs : int;
   wall_s : float option;
   exec_s : float;
@@ -124,28 +127,6 @@ val finish : state -> t
 (** Snapshot the aggregate for the events absorbed so far. Read-only:
     the state remains valid for further [step]s. *)
 
-type live = {
-  lv_reachable : int;
-      (** the [campaign_end] reachable count once folded, else the latest
-          test's *)
-  lv_bugs : int;  (** [fault] events *)
-  lv_restarts : int;  (** [restart] events, every reason *)
-  lv_solver_calls : int;  (** as [t.solver_calls] *)
-  lv_solver_sat : int;  (** as [t.solver_sat] *)
-  lv_solver_unsat : int;  (** as [t.solver_unsat] *)
-  lv_cache_hits : int;
-  lv_cache_misses : int;
-  lv_schedule_emitted : int;  (** as [t.schedule_emitted] *)
-  lv_curve_tail : (int * int) list;
-      (** the newest 64 points of the coverage curve, in [test] event
-          order *)
-}
-
-val live : state -> live
-(** The scalars a live status snapshot quotes, plus the trailing curve
-    points, read without a [finish] (which sorts every lineage node and
-    curve point), so a campaign can call it at every merge. *)
-
 val fold : Event.t list -> t
 (** [finish (List.fold_left step (init ()) events)] — aggregate an
     already-parsed stream ([unknown_kinds] and [malformed] are
@@ -187,6 +168,29 @@ val to_text : ?stable:bool -> ?branch_label:(int -> string) -> t -> string
     span/checkpoint/ledger census rows so output is byte-identical across
     [--jobs] values; [branch_label] renders branch ids (default
     [string_of_int]). *)
+
+(** {2 Live monitor}
+
+    The frames [compi-cli watch] renders from the fold of a trace
+    prefix: target and budget, executed iterations, covered against
+    {!t}[.reachable], bugs, cache hit rate, schedule forks, the
+    plateau/ETA trend and the coverage curve. *)
+
+val estimate : ?window:int -> reachable:int -> (int * int) list -> bool * int
+(** [(plateau, eta_iterations)] from an ascending coverage curve
+    [(iteration, covered)]: the slope over the trailing [window]
+    (default 20) iterations extrapolated to [reachable]. A window with
+    zero gain is a plateau; too little history gives [(false, -1)]; a
+    fully covered curve gives [(false, 0)]. *)
+
+val finished : t -> bool
+(** [campaign_end] has been folded. *)
+
+val watch_text : t -> string
+(** The full frame, one labelled row per figure, then the ASCII curve. *)
+
+val watch_line : t -> string
+(** The same figures on one compact line, for pipes and logs. *)
 
 (** {2 Profile fold}
 

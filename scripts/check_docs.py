@@ -71,13 +71,13 @@ BUILTIN_FLAGS = {"--help", "--version"}
 REQUIRED_FLAGS = {
     "run": {"--checkpoint", "--checkpoint-every", "--resume", "--trace-events",
             "--exec-mode", "--schedules", "--schedule-depth",
-            "--status-file", "--ledger", "--no-reduce", "--one-way",
+            "--ledger", "--no-reduce", "--one-way",
             "--no-fwk", "--save-bugs", "--csv", "--curve", "--uncovered",
             "--annotate"},
     "explain": {"--branch", "--testcase", "--target"},
     "report": {"--stable", "--target"},
     "profile": {"--stable"},
-    "watch": {"--interval", "--once", "--trace"},
+    "watch": {"--interval", "--once"},
     "history": {"--target"},
     "compare": {"--ledger", "--tolerance"},
 }

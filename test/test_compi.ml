@@ -764,16 +764,16 @@ let unit_tests =
     ("runner marking disabled", `Quick, test_runner_no_marking_when_disabled);
     ("runner inputs respected", `Quick, test_runner_inputs_respected);
     ("runner input table and coverage", `Quick, test_runner_input_table_and_coverage);
-    ("driver fig1 complete + bug", `Quick, test_campaign_full_coverage_fig1);
-    ("driver beats random (fig2)", `Quick, test_campaign_beats_random_on_fig2);
-    ("driver varies focus", `Quick, test_campaign_framework_varies_focus);
-    ("driver varies nprocs", `Quick, test_campaign_framework_varies_nprocs);
-    ("driver No_Fwk fixed nprocs", `Quick, test_campaign_no_fwk_fixed_nprocs);
-    ("driver two-phase bound", `Quick, test_campaign_two_phase_derives_bound);
-    ("driver time budget", `Quick, test_campaign_time_budget_respected);
-    ("driver bug dedupe", `Quick, test_campaign_distinct_bugs_dedupe);
+    ("campaign fig1 complete + bug", `Quick, test_campaign_full_coverage_fig1);
+    ("campaign beats random (fig2)", `Quick, test_campaign_beats_random_on_fig2);
+    ("campaign varies focus", `Quick, test_campaign_framework_varies_focus);
+    ("campaign varies nprocs", `Quick, test_campaign_framework_varies_nprocs);
+    ("campaign No_Fwk fixed nprocs", `Quick, test_campaign_no_fwk_fixed_nprocs);
+    ("campaign two-phase bound", `Quick, test_campaign_two_phase_derives_bound);
+    ("campaign time budget", `Quick, test_campaign_time_budget_respected);
+    ("campaign bug dedupe", `Quick, test_campaign_distinct_bugs_dedupe);
     ("focus shift end-to-end (fig 3)", `Quick, test_focus_shift_end_to_end);
-    ("driver deterministic", `Quick, test_campaign_deterministic_given_seed);
+    ("campaign deterministic", `Quick, test_campaign_deterministic_given_seed);
     ("runner one-way same coverage", `Quick, test_runner_one_way_same_coverage);
     ("variants apply", `Quick, test_variants_apply);
     ("testcase roundtrip", `Quick, test_testcase_roundtrip);

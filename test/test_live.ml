@@ -1,10 +1,15 @@
 (* The live campaign monitor and the run ledger: incremental-fold
    equivalence with the batch fold (the streaming-folds tentpole),
-   status snapshot round trips and plateau/ETA estimates, ledger
-   persistence/triage/diffing, and a live jobs-2 campaign whose final
-   status snapshot must agree with the post-hoc replay census. *)
+   plateau/ETA estimates, ledger persistence/triage/diffing, and a live
+   jobs-2 campaign whose `watch` frame must agree with the campaign's
+   result, its ledger record and `report` on the same trace. *)
 
 let tmp_file suffix = Filename.temp_file "compi-live" suffix
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
 
 (* ------------------------------------------------------------------ *)
 (* incremental fold == batch fold, on every renderer                    *)
@@ -94,6 +99,8 @@ let renderings (f : Obs.Fold.t) =
     ("profile_text", Obs.Fold.profile_text f);
     ("profile_text stable", Obs.Fold.profile_text ~stable:true f);
     ("ascii_curve", Obs.Fold.ascii_curve f.Obs.Fold.curve);
+    ("watch_text", Obs.Fold.watch_text f);
+    ("watch_line", Obs.Fold.watch_line f);
   ]
 
 let check_equal_folds ~what (batch : Obs.Fold.t) (incr : Obs.Fold.t) =
@@ -168,76 +175,24 @@ let prop_step_line_equals_of_lines =
         (Obs.Fold.finish st))
 
 (* ------------------------------------------------------------------ *)
-(* status snapshots                                                    *)
+(* the live monitor's plateau/ETA trend                                *)
 (* ------------------------------------------------------------------ *)
-
-let sample_status : Obs.Status.t =
-  {
-    Obs.Status.target = "toy";
-    budget = 100;
-    rounds = 12;
-    executed = 48;
-    covered = 9;
-    reachable = 12;
-    bugs = 1;
-    queue_depth = 3;
-    utilization = 0.75;
-    cache_hit_rate = 0.5;
-    schedule_forks = 2;
-    plateau = false;
-    eta_iterations = 40;
-    finished = false;
-  }
-
-let test_status_roundtrip () =
-  match Obs.Status.of_json (Obs.Status.to_json sample_status) with
-  | Ok st -> Alcotest.(check bool) "round-trips" true (st = sample_status)
-  | Error e -> Alcotest.failf "decode failed: %s" e
-
-let test_status_publish_read () =
-  let path = tmp_file ".json" in
-  Obs.Status.publish path sample_status;
-  (match Obs.Status.read path with
-  | Ok st -> Alcotest.(check bool) "published then read" true (st = sample_status)
-  | Error e -> Alcotest.failf "read failed: %s" e);
-  (* publish is tmp+rename: no stray temp file survives *)
-  Alcotest.(check bool) "no temp residue" false (Sys.file_exists (path ^ ".tmp"));
-  Sys.remove path
-
-let test_status_forward_compat () =
-  (* a v2 producer adds a field: the v1 core must still read *)
-  let extended =
-    match Obs.Status.to_json sample_status with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (List.map
-           (function "v", _ -> ("v", Obs.Json.Int 2) | kv -> kv)
-           fields
-        @ [ ("novelty", Obs.Json.Str "ignored") ])
-    | _ -> Alcotest.fail "status json is not an object"
-  in
-  (match Obs.Status.of_json extended with
-  | Ok st -> Alcotest.(check bool) "newer version readable" true (st = sample_status)
-  | Error e -> Alcotest.failf "v2 rejected: %s" e);
-  match Obs.Status.of_json (Obs.Json.Obj [ ("v", Obs.Json.Int 0) ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a v0 document"
 
 let test_status_estimate () =
   let check name expect got =
     Alcotest.(check (pair bool int)) name expect got
   in
-  check "empty curve" (false, -1) (Obs.Status.estimate ~reachable:10 []);
+  check "empty curve" (false, -1) (Obs.Fold.estimate ~reachable:10 []);
   check "fully covered" (false, 0)
-    (Obs.Status.estimate ~reachable:10 [ (0, 2); (30, 10) ]);
+    (Obs.Fold.estimate ~reachable:10 [ (0, 2); (30, 10) ]);
   check "too little history" (false, -1)
-    (Obs.Status.estimate ~reachable:10 [ (0, 2); (5, 3) ]);
+    (Obs.Fold.estimate ~reachable:10 [ (0, 2); (5, 3) ]);
   (* 2 branches gained over 40 iterations: slope 0.05, 6 remaining ->
      ceil(6 / 0.05) = 120 *)
   check "slope extrapolates" (false, 120)
-    (Obs.Status.estimate ~reachable:10 [ (0, 2); (40, 4) ]);
+    (Obs.Fold.estimate ~reachable:10 [ (0, 2); (40, 4) ]);
   check "flat window is a plateau" (true, -1)
-    (Obs.Status.estimate ~reachable:10 [ (0, 4); (40, 4) ])
+    (Obs.Fold.estimate ~reachable:10 [ (0, 4); (40, 4) ])
 
 (* ------------------------------------------------------------------ *)
 (* run ledger                                                          *)
@@ -345,11 +300,6 @@ let test_ledger_digest_stable () =
 
 (* A directory where a file is expected is a read failure, not an
    exception: on Linux opening one succeeds and the read itself fails. *)
-let test_status_read_directory () =
-  match Obs.Status.read (Filename.get_temp_dir_name ()) with
-  | Error e -> Alcotest.(check bool) "diagnostic nonempty" true (e <> "")
-  | Ok _ -> Alcotest.fail "a directory read as a status snapshot"
-
 let test_ledger_load_directory () =
   match Obs.Ledger.load (Filename.get_temp_dir_name ()) with
   | Error e -> Alcotest.(check bool) "diagnostic nonempty" true (e <> "")
@@ -371,20 +321,14 @@ let test_campaign_refuses_directory_ledger () =
   match refusal with
   | None -> Alcotest.fail "a directory was accepted as the ledger"
   | Some msg ->
-    let names_path =
-      let n = String.length dir in
-      let rec at i = i + n <= String.length msg && (String.sub msg i n = dir || at (i + 1)) in
-      at 0
-    in
-    Alcotest.(check bool) (Printf.sprintf "%S names %s" msg dir) true names_path;
+    Alcotest.(check bool) (Printf.sprintf "%S names %s" msg dir) true (contains msg dir);
     Alcotest.(check string) "no event before the refusal" "" (Buffer.contents trace)
 
 (* ------------------------------------------------------------------ *)
-(* live jobs-2 campaign: status snapshot vs post-hoc replay census     *)
+(* live jobs-2 campaign: the watch frame vs result, ledger and report  *)
 (* ------------------------------------------------------------------ *)
 
-let test_live_campaign_status_matches_replay () =
-  let status_path = tmp_file ".json" in
+let test_live_campaign_watch_agrees () =
   let trace_path = tmp_file ".jsonl" in
   let ledger_path = tmp_file ".jsonl" in
   Sys.remove ledger_path;
@@ -401,7 +345,6 @@ let test_live_campaign_status_matches_replay () =
           seed = 11;
         };
       jobs = 2;
-      status_file = Some status_path;
       ledger = Some ledger_path;
     }
   in
@@ -415,32 +358,61 @@ let test_live_campaign_status_matches_replay () =
       (fun () -> Compi.Campaign.run ~settings ~label:"toy-fig1" info)
   in
   let summary = result.Compi.Campaign.summary in
-  (* the final snapshot is the campaign's own closing publish *)
-  let st =
-    match Obs.Status.read status_path with
-    | Ok st -> st
-    | Error e -> Alcotest.failf "status unreadable: %s" e
+  let executed = summary.Compi.Driver.iterations_run in
+  let covered = summary.Compi.Driver.covered_branches in
+  let reachable = summary.Compi.Driver.reachable_branches in
+  let bugs = List.length summary.Compi.Driver.bugs in
+  Alcotest.(check bool) "the campaign found a bug" true (bugs > 0);
+  (* what `watch --once` renders: the frame of the whole trace *)
+  let lines = In_channel.with_open_text trace_path In_channel.input_lines in
+  let f = Obs.Fold.of_lines lines in
+  let frame = Obs.Fold.watch_text f in
+  let row what expect =
+    Alcotest.(check bool) (Printf.sprintf "frame %s: %S" what expect) true (contains frame expect)
   in
-  Alcotest.(check bool) "finished flag set" true st.Obs.Status.finished;
-  Alcotest.(check string) "target" "toy-fig1" st.Obs.Status.target;
-  (* the snapshot agrees with the post-hoc replay census of the trace *)
-  let f =
-    Obs.Fold.of_lines (In_channel.with_open_text trace_path In_channel.input_lines)
+  Alcotest.(check bool) "finished" true (Obs.Fold.finished f);
+  row "target" "target          toy-fig1\n";
+  row "progress" (Printf.sprintf "progress        %d / 40 iteration(s)" executed);
+  row "finished" "— finished\n";
+  row "coverage" (Printf.sprintf "coverage        %d / %d reachable" covered reachable);
+  row "bugs" (Printf.sprintf "bugs            %d\n" bugs);
+  (match result.Compi.Campaign.cache with
+  | Some cs ->
+    row "cache"
+      (Printf.sprintf "cache hit rate  %.0f%%"
+         (100.0 *. float_of_int cs.Smt.Cache.hits
+         /. float_of_int (max 1 (cs.Smt.Cache.hits + cs.Smt.Cache.misses))))
+  | None -> Alcotest.fail "the cache is on by default");
+  Alcotest.(check bool) "the compact line says finished" true
+    (contains (Obs.Fold.watch_line f)
+       (Printf.sprintf "iter %d/40 cov %d/%d bugs %d " executed covered reachable bugs));
+  (* `report` on the same trace quotes the same numbers *)
+  let report = Obs.Fold.to_text f in
+  Alcotest.(check bool) "report coverage" true
+    (contains report (Printf.sprintf "coverage: %d/%d branches\n" covered reachable));
+  Alcotest.(check bool) "report iterations" true
+    (contains report (Printf.sprintf "coverage curve (%d iterations)" executed));
+  Alcotest.(check bool) "report faults" true
+    (contains report (Printf.sprintf "faults (%d):" bugs));
+  (* before campaign_end the denominator is the latest test's *)
+  let rec before_end = function
+    | l :: rest when not (contains l "\"campaign_end\"") -> l :: before_end rest
+    | _ -> []
   in
-  Alcotest.(check (option int))
-    "covered agrees with replay" (Some st.Obs.Status.covered)
-    f.Obs.Fold.final_covered;
-  Alcotest.(check (option int))
-    "reachable agrees with replay" (Some st.Obs.Status.reachable)
-    f.Obs.Fold.final_reachable;
-  Alcotest.(check int) "bugs agree with replay" f.Obs.Fold.bugs st.Obs.Status.bugs;
-  Alcotest.(check int)
-    "executed agrees with replay" f.Obs.Fold.iterations st.Obs.Status.executed;
-  (* and with the in-process result *)
-  Alcotest.(check int) "covered agrees with result"
-    summary.Compi.Driver.covered_branches st.Obs.Status.covered;
-  Alcotest.(check int) "executed agrees with result"
-    result.Compi.Campaign.executed st.Obs.Status.executed;
+  let live = Obs.Fold.of_lines (before_end lines) in
+  let latest_reachable =
+    List.fold_left
+      (fun acc l ->
+        match Obs.Fold.classify_line l with
+        | `Event (Obs.Event.Test { reachable; _ }) -> reachable
+        | _ -> acc)
+      (-1) lines
+  in
+  Alcotest.(check bool) "not finished before campaign_end" false (Obs.Fold.finished live);
+  Alcotest.(check int) "live reachable is the latest test's" latest_reachable
+    live.Obs.Fold.reachable;
+  Alcotest.(check bool) "live frame is unfinished" false
+    (contains (Obs.Fold.watch_text live) "finished");
   (* the trace carries the ledger breadcrumb *)
   let census kind =
     match List.assoc_opt kind f.Obs.Fold.census with Some n -> n | None -> 0
@@ -450,28 +422,23 @@ let test_live_campaign_status_matches_replay () =
   (match Obs.Ledger.load ledger_path with
   | Ok { Obs.Ledger.records = [ r ]; skipped = 0; malformed = 0 } ->
     Alcotest.(check string) "run id" "toy-fig1#0" r.Obs.Ledger.run;
-    Alcotest.(check int) "ledger covered" st.Obs.Status.covered r.Obs.Ledger.covered;
-    Alcotest.(check int) "ledger executed" st.Obs.Status.executed r.Obs.Ledger.executed;
-    Alcotest.(check int) "ledger bugs" st.Obs.Status.bugs
-      (List.length r.Obs.Ledger.bugs);
+    Alcotest.(check int) "ledger covered" covered r.Obs.Ledger.covered;
+    Alcotest.(check int) "ledger reachable" reachable r.Obs.Ledger.reachable;
+    Alcotest.(check int) "ledger executed" executed r.Obs.Ledger.executed;
+    Alcotest.(check int) "ledger bugs" bugs (List.length r.Obs.Ledger.bugs);
     Alcotest.(check string) "ledger exec mode" "compiled" r.Obs.Ledger.exec_mode
   | Ok s ->
     Alcotest.failf "expected exactly one clean ledger record, got %d (+%d/%d)"
       (List.length s.Obs.Ledger.records)
       s.Obs.Ledger.skipped s.Obs.Ledger.malformed
   | Error e -> Alcotest.failf "ledger unreadable: %s" e);
-  List.iter Sys.remove [ status_path; trace_path; ledger_path ]
+  List.iter Sys.remove [ trace_path; ledger_path ]
 
 let suite =
   [
     ( "live",
       [
-        Alcotest.test_case "status: json round trip" `Quick test_status_roundtrip;
-        Alcotest.test_case "status: publish/read" `Quick test_status_publish_read;
-        Alcotest.test_case "status: forward compat" `Quick test_status_forward_compat;
         Alcotest.test_case "status: plateau/eta estimate" `Quick test_status_estimate;
-        Alcotest.test_case "status: a directory is an error" `Quick
-          test_status_read_directory;
         Alcotest.test_case "ledger: json round trip" `Quick test_ledger_roundtrip;
         Alcotest.test_case "ledger: append assigns ids" `Quick
           test_ledger_append_assigns_ids;
@@ -482,8 +449,8 @@ let suite =
           test_ledger_load_directory;
         Alcotest.test_case "campaign: a directory ledger is refused up front" `Quick
           test_campaign_refuses_directory_ledger;
-        Alcotest.test_case "campaign: live status agrees with replay" `Quick
-          test_live_campaign_status_matches_replay;
+        Alcotest.test_case "campaign: live status agrees with result, ledger and report"
+          `Quick test_live_campaign_watch_agrees;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_incremental_equals_batch; prop_step_line_equals_of_lines ] );
