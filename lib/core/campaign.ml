@@ -371,16 +371,24 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       p_schedule = [];
     }
   in
-  let exec (p : Driver.pending) =
+  let runner_config (p : Driver.pending) =
     let nprocs = min p.Driver.p_nprocs s.Driver.max_procs in
-    Runner.run
-      {
-        base_runner with
-        Runner.inputs = p.Driver.p_inputs;
-        nprocs;
-        focus = min p.Driver.p_focus (nprocs - 1);
-        schedule = (if s.Driver.schedules then Some p.Driver.p_schedule else None);
-      }
+    {
+      base_runner with
+      Runner.inputs = p.Driver.p_inputs;
+      nprocs;
+      focus = min p.Driver.p_focus (nprocs - 1);
+      schedule = (if s.Driver.schedules then Some p.Driver.p_schedule else None);
+    }
+  in
+  (* a repeated test copies the remembered result of its first run;
+     [view] is the memo as it stood when the task was dispatched *)
+  let memo = Replay_memo.create () in
+  let exec view (p : Driver.pending) =
+    let config = runner_config p in
+    match Replay_memo.replay view (Replay_memo.key config) with
+    | Some r -> Ok r
+    | None -> Runner.run config
   in
   (* Merge one completed execution: assigns the next iteration id and
      feeds every accumulator. *)
@@ -537,7 +545,9 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
           exec_time = r.Runner.wall_time;
           solve_time = solve_s;
         }
-        :: !stats);
+        :: !stats;
+      (* later tests of this key replay it while its execution lives *)
+      Replay_memo.remember memo (Replay_memo.key (runner_config p)) r);
     incr iter
   in
   let budget_left () = !iter < s.Driver.iterations && time_ok () in
@@ -666,11 +676,13 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
             | None -> `Miss (cand, p)))
         !work
     in
+    (* the round's tasks replay from the memo as merged before dispatch *)
+    let memo_now = Replay_memo.view memo in
     let thunks =
       List.map
         (fun w () ->
           match w with
-          | `Fresh p -> D_fresh (p, exec p)
+          | `Fresh p -> D_fresh (p, exec memo_now p)
           | `Hit (cand, p, outcome) -> (
             (* replay the cached verdict; no solver call *)
             match Execution.apply_prepared cand.Strategy.record p outcome with
@@ -683,7 +695,8 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
                   solved = false;
                   key = None;
                   solve_s = 0.0;
-                  outcome = N_sat { fresh = sr.Smt.Solver.fresh; next; run = exec next };
+                  outcome =
+                    N_sat { fresh = sr.Smt.Solver.fresh; next; run = exec memo_now next };
                 })
           | `Miss (cand, p) -> (
             let key = Some (Execution.prepared_key p) in
@@ -710,7 +723,8 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
                   solved = true;
                   key;
                   solve_s;
-                  outcome = N_sat { fresh = sr.Smt.Solver.fresh; next; run = exec next };
+                  outcome =
+                    N_sat { fresh = sr.Smt.Solver.fresh; next; run = exec memo_now next };
                 }))
         classified
     in

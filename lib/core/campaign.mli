@@ -30,6 +30,13 @@
     Each merged execution's [solve_time] is the solve that {e produced
     it} (0 for fresh random tests). See DESIGN.md §7.
 
+    A test that repeats a recently merged one (same inputs, process
+    count, focus and schedule) copies its result from a
+    {!Replay_memo} instead of running the ranks again, while the
+    search still holds that execution. Which tests replay varies with
+    the GC and the worker count; what they merge does not, so replays
+    change execution work, never the trajectory.
+
     Campaigns are resumable: with [checkpoint] set, the engine writes a
     crash-safe {!Checkpoint.snapshot} every [checkpoint_every]
     iterations, on SIGINT/SIGTERM and at exit, always at a merge

@@ -97,6 +97,7 @@ type result = {
   constraint_set_size : int;
   wall_time : float;
   choices : Mpisim.Schedule.choice list;
+  events : Obs.Event.t list;
 }
 
 let faults r =
@@ -319,6 +320,7 @@ let run_raw config =
         constraint_set_size = Pathlog.constraint_count focus_log;
         wall_time;
         choices = sched.Mpisim.Scheduler.choices;
+        events = sched.Mpisim.Scheduler.events;
       }
 
 let run config = Obs.Timeline.span "exec" (fun () -> run_raw config)

@@ -76,6 +76,10 @@ type result = {
   choices : Mpisim.Schedule.choice list;
       (** wildcard match decisions in service order; empty unless the
           run executed in schedule mode *)
+  events : Obs.Event.t list;
+      (** the telemetry events the run emitted
+          ({!Mpisim.Scheduler.run_result.events}); empty unless a sink
+          was writing at run start *)
 }
 
 val faults : result -> (int * Minic.Fault.t) list

@@ -46,6 +46,9 @@ type run_result = {
   choices : Schedule.choice list;
       (* wildcard match decisions taken, in service order; empty unless
          the run executed in schedule mode *)
+  events : Obs.Event.t list;
+      (* the sink's events of the run, in emission order; empty unless a
+         sink was writing at run start *)
 }
 
 (* A message sitting in a mailbox. [src_global] is remembered so the
@@ -139,8 +142,10 @@ type sched = {
       (* [on_event] is not {!Trace.discard}. Every observable occurrence
          goes to [on_event], built only when [observe] holds; the
          telemetry sink sees only the per-run summary and the deadlock
-         and schedule-choice events, which stay per occurrence. *)
+         and schedule-choice events, all written at the run's end. *)
   tally : tally option;
+  mutable events_rev : Obs.Event.t list;
+      (* the sink's events so far, newest first; kept only with [tally] *)
   mutable deadlocked : int list;
   mutable msg_count : int;
   mutable coll_count : int;
@@ -151,6 +156,10 @@ type sched = {
   mutable choices_rev : Schedule.choice list;
   mutable choice_points : int;
 }
+
+(* Keep a telemetry event for the run's end; a no-op when no sink was
+   writing at run start. *)
+let keep s ev = if s.tally <> None then s.events_rev <- ev :: s.events_rev
 
 (* [count s field i] adds one to cell [i] of a tally array; a no-op,
    allocating nothing, when no sink was writing at run start. *)
@@ -812,8 +821,7 @@ let serve_choice s =
       :: s.choices_rev;
     if s.observe then
       s.on_event (Trace.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
-    if Obs.Sink.active () then
-      Obs.Sink.emit (Obs.Event.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
+    keep s (Obs.Event.Schedule_choice { rank; comm; tag = m.tag; chosen; alts; point });
     recv_completed s ~rank ~src_local:m.src_local ~src:m.src_global ~comm ~tag:m.tag;
     resume s rank (Mpi_iface.Rvalue m.data);
     true
@@ -865,14 +873,13 @@ let break_deadlock s =
     s.waits;
   let ranks = List.filter (fun rank -> stuck.(rank)) (List.init s.nprocs Fun.id) in
   if ranks <> [] then begin
-    let sink = Obs.Sink.active () in
     List.iter
       (fun (rank, kind, peer, comm) ->
         if s.observe then s.on_event (Trace.Witness { rank; comm; kind; peer });
-        if sink then Obs.Sink.emit (Obs.Event.Deadlock_witness { rank; comm; kind; peer }))
+        keep s (Obs.Event.Deadlock_witness { rank; comm; kind; peer }))
       (List.sort compare !edges);
     if s.observe then s.on_event (Trace.Deadlock { ranks });
-    if sink then Obs.Sink.emit (Obs.Event.Sched_deadlock { ranks })
+    keep s (Obs.Event.Sched_deadlock { ranks })
   end;
   List.iter
     (fun rank ->
@@ -898,6 +905,7 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
                t_coll_sigs = Hashtbl.create 8;
              }
          else None);
+      events_rev = [];
       nprocs;
       registry = Rankmap.create ~nprocs;
       fibers = Array.make nprocs Unstarted;
@@ -936,7 +944,12 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
   Obs.Timeline.span "schedule" settle;
   Obs.Metrics.incr ~by:s.msg_count m_messages;
   Obs.Metrics.incr ~by:s.coll_count m_collectives;
-  Option.iter (fun t -> Obs.Sink.emit (summary_event s t)) s.tally;
+  let events =
+    match s.tally with
+    | Some t -> List.rev (summary_event s t :: s.events_rev)
+    | None -> []
+  in
+  Obs.Sink.emit_all events;
   let leaked = ref [] in
   iter_comms s (fun c ->
       Array.iteri
@@ -953,4 +966,5 @@ let run ?(max_procs = default_max_procs) ?(on_event = Trace.discard) ?schedule ~
     registry = s.registry;
     leaked = List.rev !leaked;
     choices = List.rev s.choices_rev;
+    events;
   }

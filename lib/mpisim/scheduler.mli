@@ -43,6 +43,11 @@ type run_result = {
   choices : Schedule.choice list;
       (** wildcard match decisions taken in service order — empty unless
           the run executed in schedule mode ([?schedule]) *)
+  events : Obs.Event.t list;
+      (** the telemetry events the run emitted, in order: each
+          [Schedule_choice], [Deadlock_witness] and [Sched_deadlock],
+          then the [Mpi_summary]; empty unless a sink was writing at run
+          start *)
 }
 
 val run :
@@ -70,6 +75,8 @@ val run :
 
     [on_event] sees every occurrence, message by message; with the
     default, {!Trace.discard}, no event is built. The {!Obs.Sink}
-    sees, when one is writing at run start, one [Obs.Event.Mpi_summary]
-    at the end of the run plus each [Schedule_choice],
-    [Deadlock_witness] and [Sched_deadlock] as it happens. *)
+    sees, when one is writing at run start, the run's [events] at its
+    end, in one {!Obs.Sink.emit_all}: each [Schedule_choice],
+    [Deadlock_witness] and [Sched_deadlock] in the order they happened,
+    then one [Obs.Event.Mpi_summary]. A caller that replays the run
+    re-emits the same list. *)

@@ -21,4 +21,5 @@ let () =
          Test_testcase.suite;
          Test_targets.suite;
          Test_parse.suite;
+         Test_replay.suite;
        ])

@@ -353,6 +353,32 @@ let test_pretty_printed_sloc () =
       Alcotest.(check bool) (name ^ " sloc") true (sloc >= minimum))
     [ ("susy-hmc", 500); ("hpl", 500); ("imb-mpi1", 300) ]
 
+(* The whole message-by-message history `compi-cli exec imb-mpi1
+   --trace` prints (capped there at 60 lines), pinned by digest at np 4
+   and 8: any change to the scheduler's matching or emission order moves
+   it. *)
+let test_imb_exec_timeline_pinned () =
+  List.iter
+    (fun (nprocs, events, digest) ->
+      let t = Targets.Imb_mpi1.target in
+      let tracer = Mpisim.Trace.create () in
+      let config =
+        {
+          (Compi.Runner.default_config ~info:(Targets.Registry.instrument t)) with
+          Compi.Runner.nprocs;
+          step_limit = t.Targets.Registry.tuning.Targets.Registry.step_limit;
+          on_event = Mpisim.Trace.collector tracer;
+        }
+      in
+      (match Compi.Runner.run config with
+      | Ok _ -> ()
+      | Error (`Platform_limit _) -> Alcotest.fail "platform limit");
+      let label = Printf.sprintf "np %d" nprocs in
+      Alcotest.(check int) (label ^ ": events") events (Mpisim.Trace.length tracer);
+      Alcotest.(check string) (label ^ ": timeline digest") digest
+        (Digest.to_hex (Digest.string (Mpisim.Trace.timeline ~limit:max_int tracer))))
+    [ (4, 4203, "4d79172c258afc237ec10dddd9b50984"); (8, 7776, "c33c6979bc97d462bc23e487798b5ebd") ]
+
 let unit_tests =
   [
     ("catalog complete", `Quick, test_catalog_complete);
@@ -377,6 +403,7 @@ let unit_tests =
     ("heat2d remainder bug", `Quick, test_heat2d_remainder_bug);
     ("npb-cg clean + class verify", `Quick, test_npb_cg_clean_and_class_verification);
     ("targets sloc (table III)", `Quick, test_pretty_printed_sloc);
+    ("imb exec timeline pinned", `Quick, test_imb_exec_timeline_pinned);
   ]
 
 let suite = [ ("targets:unit", unit_tests) ]
