@@ -39,7 +39,7 @@ open Concolic
 
    Checkpointing piggybacks on the same structure. Every state mutation
    happens on the main domain at a merge position — after item k of the
-   round, before item k+1 — so a {!Checkpoint.snapshot} taken there
+   round, before item k+1 — so a {!Checkpoint.state} saved there
    (merged state + the un-merged tail as work items) is a point the
    uninterrupted run also passes through with identical state. A resume
    re-dispatches the tail: executions are pure functions of their
@@ -213,26 +213,65 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       | Some dir -> (
         match Checkpoint.load ~dir with
         | Error e -> raise (Checkpoint.Load_error e)
-        | Ok snap -> (
-          match Checkpoint.mismatches ~stored:snap.Checkpoint.ck_fingerprint ~current:fp with
-          | [] -> Some (dir, snap)
+        | Ok loaded -> (
+          match Checkpoint.mismatches ~stored:loaded.Checkpoint.fingerprint ~current:fp with
+          | [] -> Some (dir, loaded)
           | ms -> raise (Checkpoint.Load_error (Checkpoint.Settings_mismatch ms))))
   in
-  let snap_field f default = match resumed with Some (_, sn) -> f sn | None -> default in
+  let program = info.Branchinfo.program in
+  let fresh_pending rng ~origin ~nprocs ~focus =
+    {
+      Driver.p_inputs = Driver.random_inputs rng s program;
+      p_nprocs = nprocs;
+      p_focus = focus;
+      p_depth = 0;
+      p_origin = origin;
+      p_schedule = [];
+    }
+  in
+  (* Everything a checkpoint carries: a fresh campaign starts from this
+     literal, a resumed one from the loaded record. *)
+  let state : Checkpoint.state =
+    match resumed with
+    | Some (_, loaded) -> loaded
+    | None ->
+      let rng = Random.State.make [| s.Driver.seed |] in
+      {
+        fingerprint = fp;
+        iter = 0;
+        rounds = 0;
+        speculated = 0;
+        fold = Obs.Fold.init ();
+        max_cs = 0;
+        last_improvement = 0;
+        barren = 0;
+        last_np = (s.Driver.initial_nprocs, s.Driver.initial_focus);
+        derived_bound = None;
+        rng;
+        strategy = Driver.make_strategy s info;
+        coverage = Coverage.create ();
+        cache =
+          (if settings.solver_cache then
+             Some (Smt.Cache.create ~capacity:settings.cache_capacity ())
+           else None);
+        bugs = [];
+        forced = [];
+        stagnated_round = false;
+        schedules = [];
+        work =
+          [
+            W_fresh
+              (fresh_pending rng ~origin:Driver.O_seed ~nprocs:s.Driver.initial_nprocs
+                 ~focus:s.Driver.initial_focus);
+          ];
+      }
+  in
   (* The campaign folds every event it emits. Its result, counters
      and ledger record read this one fold, so they agree with
-     a fold of the trace by construction, and a resume restores the
-     fold with the rest of the merged state. *)
-  let fold = snap_field (fun sn -> sn.Checkpoint.ck_fold) (Obs.Fold.init ()) in
+     a fold of the trace by construction. *)
   let emit ev =
-    ignore (Obs.Fold.step fold ev);
+    ignore (Obs.Fold.step state.fold ev);
     Obs.Sink.emit ev
-  in
-  let rng = snap_field (fun sn -> sn.Checkpoint.ck_rng) (Random.State.make [| s.Driver.seed |]) in
-  let program = info.Branchinfo.program in
-  let coverage = snap_field (fun sn -> sn.Checkpoint.ck_coverage) (Coverage.create ()) in
-  let strategy =
-    ref (snap_field (fun sn -> sn.Checkpoint.ck_strategy) (Driver.make_strategy s info))
   in
   let base_runner =
     {
@@ -253,13 +292,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       compiled = Runner.prepare ~target:label s.Driver.exec_mode info;
     }
   in
-  let cache =
-    if not settings.solver_cache then None
-    else
-      match snap_field (fun sn -> sn.Checkpoint.ck_cache) None with
-      | Some c -> Some c
-      | None -> Some (Smt.Cache.create ~capacity:settings.cache_capacity ())
-  in
+  let coverage = state.coverage and cache = state.cache in
   (* The campaign owns the span timeline unless the caller (CLI, test
      harness) already enabled it. Enabling must precede pool creation so
      the worker domains' spans share the epoch. *)
@@ -305,10 +338,8 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       if tl_owner then Obs.Timeline.disable ())
   @@ fun () ->
   (match resumed with
-  | Some (dir, sn) ->
-    emit
-      (Obs.Event.Checkpoint_load
-         { iteration = sn.Checkpoint.ck_iter; path = Checkpoint.file ~dir })
+  | Some (dir, _) ->
+    emit (Obs.Event.Checkpoint_load { iteration = state.iter; path = Checkpoint.file ~dir })
   | None -> ());
   emit
     (Obs.Event.Campaign_start
@@ -324,52 +355,16 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
   let time_ok () =
     match s.Driver.time_budget with Some b -> elapsed () < b | None -> true
   in
-  let stats = ref (snap_field (fun sn -> sn.Checkpoint.ck_stats) []) in
-  let bugs = ref (snap_field (fun sn -> sn.Checkpoint.ck_bugs) []) in
-  let max_cs = ref (snap_field (fun sn -> sn.Checkpoint.ck_max_cs) 0) in
-  let derived_bound = ref (snap_field (fun sn -> sn.Checkpoint.ck_derived_bound) None) in
-  let iter = ref (snap_field (fun sn -> sn.Checkpoint.ck_iter) 0) in
-  let best_covered = ref (snap_field (fun sn -> sn.Checkpoint.ck_best_covered) 0) in
-  let last_improvement = ref (snap_field (fun sn -> sn.Checkpoint.ck_last_improvement) 0) in
-  (* consecutive failed negations since a SAT one *)
-  let barren = ref (snap_field (fun sn -> sn.Checkpoint.ck_barren) 0) in
-  let last_np =
-    ref
-      (snap_field
-         (fun sn -> sn.Checkpoint.ck_last_np)
-         (s.Driver.initial_nprocs, s.Driver.initial_focus))
-  in
-  let rounds = ref (snap_field (fun sn -> sn.Checkpoint.ck_rounds) 0) in
-  let executed = ref (snap_field (fun sn -> sn.Checkpoint.ck_executed) 0) in
-  let speculated = ref (snap_field (fun sn -> sn.Checkpoint.ck_speculated) 0) in
-  let emit_restart reason = emit (Obs.Event.Restart { iteration = !iter; reason }) in
-  (* restart tests queued during the merge; consumed (and cleared) by
-     the scheduling step, so mid-round snapshots carry exactly the
-     items accumulated since the last schedule *)
-  let forced = ref (snap_field (fun sn -> sn.Checkpoint.ck_forced) []) in
-  let stagnated_round = ref (snap_field (fun sn -> sn.Checkpoint.ck_stagnated_round) false) in
-  (* schedule forks enumerated during merges; consumed (and cleared) by
-     the scheduling step, mirroring [forced] *)
-  let schedules_q = ref (snap_field (fun sn -> sn.Checkpoint.ck_schedules) []) in
+  let emit_restart reason = emit (Obs.Event.Restart { iteration = state.iter; reason }) in
   let checkpoints_written = ref 0 in
   (* peak pipeline depth across rounds, for the result record *)
   let max_depth = ref 0 in
   let fresh_strategy () =
-    match (s.Driver.strategy, !derived_bound) with
+    match (s.Driver.strategy, state.derived_bound) with
     | Driver.Two_phase_dfs, Some bound ->
-      Strategy.create ~seed:(s.Driver.seed + !iter) (Strategy.Bounded_dfs bound)
+      Strategy.create ~seed:(s.Driver.seed + state.iter) (Strategy.Bounded_dfs bound)
     | (Driver.Two_phase_dfs | Driver.Fixed_strategy _ | Driver.Cfg_strategy), _ ->
       Driver.make_strategy s info
-  in
-  let fresh_pending ~origin ~nprocs ~focus () =
-    {
-      Driver.p_inputs = Driver.random_inputs rng s program;
-      p_nprocs = nprocs;
-      p_focus = focus;
-      p_depth = 0;
-      p_origin = origin;
-      p_schedule = [];
-    }
   in
   let runner_config (p : Driver.pending) =
     let nprocs = min p.Driver.p_nprocs s.Driver.max_procs in
@@ -398,15 +393,14 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
     (match res with
     | Error (`Platform_limit _) ->
       emit_restart "platform-limit";
-      forced :=
-        fresh_pending ~origin:Driver.O_restart ~nprocs:s.Driver.initial_nprocs
-          ~focus:s.Driver.initial_focus ()
-        :: !forced
+      state.forced <-
+        fresh_pending state.rng ~origin:Driver.O_restart ~nprocs:s.Driver.initial_nprocs
+          ~focus:s.Driver.initial_focus
+        :: state.forced
     | Ok r ->
-      incr executed;
       (* assign the campaign-wide test id before the strategy observes
          the execution, so every candidate carries a valid parent *)
-      r.Runner.execution.Execution.exec_id <- !iter;
+      r.Runner.execution.Execution.exec_id <- state.iter;
       (* schedule enumeration: fork this run's recorded wildcard
          decisions into alternative prescriptions (POR-pruned — only
          non-prescribed choice points with >1 eligible source fork).
@@ -422,7 +416,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
         in
         List.iter
           (fun (a : Mpisim.Schedule.alt) ->
-            schedules_q :=
+            state.schedules <-
               {
                 Driver.p_inputs = p.Driver.p_inputs;
                 p_nprocs = p.Driver.p_nprocs;
@@ -431,42 +425,43 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
                 p_origin =
                   Driver.O_schedule
                     {
-                      parent = !iter;
+                      parent = state.iter;
                       point = a.Mpisim.Schedule.alt_point;
                       source = a.Mpisim.Schedule.alt_source;
                     };
                 p_schedule = a.Mpisim.Schedule.alt_prescription;
               }
-              :: !schedules_q)
+              :: state.schedules)
           alts;
         let st = Mpisim.Schedule.stats choices alts in
         if st.Mpisim.Schedule.st_points > 0 then
           emit
             (Obs.Event.Schedule_enum
                {
-                 parent = !iter;
+                 parent = state.iter;
                  points = st.Mpisim.Schedule.st_points;
                  emitted = st.Mpisim.Schedule.st_emitted;
                  pruned = st.Mpisim.Schedule.st_pruned;
                })
       end;
+      let covered_before = Coverage.covered_branches coverage in
       Coverage.absorb ~into:coverage r.Runner.coverage;
-      max_cs := max !max_cs r.Runner.constraint_set_size;
-      last_np := (p.Driver.p_nprocs, p.Driver.p_focus);
+      state.max_cs <- max state.max_cs r.Runner.constraint_set_size;
+      state.last_np <- (p.Driver.p_nprocs, p.Driver.p_focus);
       let faults = Runner.faults r in
       List.iter
         (fun (rank, fault) ->
           emit
             (Obs.Event.Fault
                {
-                 iteration = !iter;
+                 iteration = state.iter;
                  rank;
                  kind = Fault.kind_name fault;
                  detail = Fault.to_string fault;
                });
-          bugs :=
+          state.bugs <-
             {
-              Driver.bug_iteration = !iter;
+              Driver.bug_iteration = state.iter;
               bug_rank = rank;
               bug_fault = fault;
               bug_inputs = p.Driver.p_inputs;
@@ -474,40 +469,37 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
               bug_focus = focus;
               bug_context = r.Runner.focus_tail;
             }
-            :: !bugs)
+            :: state.bugs)
         faults;
       Obs.Timeline.span "strategy" (fun () ->
-          Strategy.observe !strategy ~depth:p.Driver.p_depth r.Runner.execution);
+          Strategy.observe state.strategy ~depth:p.Driver.p_depth r.Runner.execution);
       (* two-phase bound derivation *)
       (match s.Driver.strategy with
-      | Driver.Two_phase_dfs when !iter + 1 = s.Driver.dfs_phase_iters ->
+      | Driver.Two_phase_dfs when state.iter + 1 = s.Driver.dfs_phase_iters ->
         let bound =
           match s.Driver.depth_bound with
           | Some b -> b
-          | None -> (!max_cs * 6 / 5) + 10
+          | None -> (state.max_cs * 6 / 5) + 10
         in
-        derived_bound := Some bound;
+        state.derived_bound <- Some bound;
         let st =
           Strategy.create ~seed:(s.Driver.seed + 1) (Strategy.Bounded_dfs bound)
         in
         Strategy.observe st ~depth:0 r.Runner.execution;
-        strategy := st
+        state.strategy <- st
       | Driver.Two_phase_dfs | Driver.Fixed_strategy _ | Driver.Cfg_strategy -> ());
       let covered_now = Coverage.covered_branches coverage in
-      if covered_now > !best_covered then begin
-        best_covered := covered_now;
-        last_improvement := !iter
-      end;
+      if covered_now > covered_before then state.last_improvement <- state.iter;
       let stagnated =
         match s.Driver.stagnation_restart with
-        | Some k -> !iter - !last_improvement >= k
+        | Some k -> state.iter - state.last_improvement >= k
         | None -> false
       in
       if stagnated then begin
         emit_restart "stagnation";
-        last_improvement := !iter;
-        strategy := fresh_strategy ();
-        stagnated_round := true
+        state.last_improvement <- state.iter;
+        state.strategy <- fresh_strategy ();
+        state.stagnated_round <- true
       end;
       let reachable =
         Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage)
@@ -516,7 +508,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       emit
         (Obs.Event.Test
            {
-             test = !iter;
+             test = state.iter;
              parent;
              origin;
              branch;
@@ -532,131 +524,80 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
              exec_s = r.Runner.wall_time;
              solve_s;
            });
-      stats :=
-        {
-          Driver.iteration = !iter;
-          nprocs;
-          focus;
-          constraint_set_size = r.Runner.constraint_set_size;
-          covered_after = covered_now;
-          reachable_after = reachable;
-          faults_seen = List.length faults;
-          restarted = stagnated;
-          exec_time = r.Runner.wall_time;
-          solve_time = solve_s;
-        }
-        :: !stats;
       (* later tests of this key replay it while its execution lives *)
       Replay_memo.remember memo (Replay_memo.key (runner_config p)) r);
-    incr iter
+    state.iter <- state.iter + 1
   in
-  let budget_left () = !iter < s.Driver.iterations && time_ok () in
+  let budget_left () = state.iter < s.Driver.iterations && time_ok () in
   let continue_ok () = budget_left () && not !stop in
-  let work =
-    ref
-      (match resumed with
-      | Some (_, sn) -> sn.Checkpoint.ck_work
-      | None ->
-        [
-          W_fresh
-            (fresh_pending ~origin:Driver.O_seed ~nprocs:s.Driver.initial_nprocs
-               ~focus:s.Driver.initial_focus ());
-        ])
-  in
-  (* Items of the current round not yet merged — the tail a snapshot
-     records. Maintained at every merge position, and reset to the new
-     work list by the scheduling step. *)
-  let work_remaining = ref !work in
   (* Schedule the next round from the merged state. [forced] and
      [stagnated_round] are consumed here so a later snapshot never
      replays them twice. Always yields at least one item (the restart
      fallback), so the main loop exits only on budget or stop. *)
   let schedule () =
-    let forced_items = List.rev_map (fun p -> W_fresh p) !forced in
+    let forced_items = List.rev_map (fun p -> W_fresh p) state.forced in
     (* enumerated schedule forks, in enumeration order: they interleave
        with the input-negation candidates of the same round *)
-    let sched_items = List.rev_map (fun p -> W_fresh p) !schedules_q in
+    let sched_items = List.rev_map (fun p -> W_fresh p) state.schedules in
     let restart_test () =
-      let nprocs, focus = !last_np in
-      W_fresh (fresh_pending ~origin:Driver.O_restart ~nprocs ~focus ())
+      let nprocs, focus = state.last_np in
+      W_fresh (fresh_pending state.rng ~origin:Driver.O_restart ~nprocs ~focus)
     in
-    work :=
-      (if !stagnated_round then
+    state.work <-
+      (if state.stagnated_round then
          (* fresh search tree: redo the testing from random inputs
             (queued schedule forks stay valid — they re-run concrete
             tests and need no search tree) *)
          forced_items @ sched_items @ [ restart_test () ]
-       else if !barren >= s.Driver.max_solve_attempts then begin
+       else if state.barren >= s.Driver.max_solve_attempts then begin
          emit_restart "exhausted";
-         barren := 0;
+         state.barren <- 0;
          forced_items @ sched_items @ [ restart_test () ]
        end
        else
          match
-           (sched_items, Strategy.next_batch !strategy ~coverage ~max:settings.batch)
+           (sched_items, Strategy.next_batch state.strategy ~coverage ~max:settings.batch)
          with
          | [], [] ->
            emit_restart "exhausted";
-           barren := 0;
+           state.barren <- 0;
            forced_items @ [ restart_test () ]
          | sched, cands ->
            forced_items @ sched @ List.map (fun c -> W_negate c) cands);
-    forced := [];
-    schedules_q := [];
-    stagnated_round := false;
-    work_remaining := !work
+    state.forced <- [];
+    state.schedules <- [];
+    state.stagnated_round <- false
   in
   (* An interrupted run cut exactly at a round boundary snapshots an
      empty tail (the cut happens before scheduling, which the longer
      uninterrupted run would have performed from this very state) — so
      a resume with budget left performs that scheduling now. *)
-  if !work = [] && budget_left () && not !stop then schedule ();
+  let resumed_tail = ref (Option.is_some resumed && state.work <> []) in
+  if state.work = [] && budget_left () && not !stop then schedule ();
   let write_checkpoint dir =
-    let snap =
-      {
-        Checkpoint.ck_fingerprint = fp;
-        ck_iter = !iter;
-        ck_rounds = !rounds;
-        ck_executed = !executed;
-        ck_speculated = !speculated;
-        ck_fold = fold;
-        ck_max_cs = !max_cs;
-        ck_best_covered = !best_covered;
-        ck_last_improvement = !last_improvement;
-        ck_barren = !barren;
-        ck_last_np = !last_np;
-        ck_derived_bound = !derived_bound;
-        ck_rng = rng;
-        ck_strategy = !strategy;
-        ck_coverage = coverage;
-        ck_cache = cache;
-        ck_stats = !stats;
-        ck_bugs = !bugs;
-        ck_forced = !forced;
-        ck_stagnated_round = !stagnated_round;
-        ck_schedules = !schedules_q;
-        ck_work = !work_remaining;
-      }
+    let bytes =
+      Obs.Timeline.span "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label state)
     in
-    let bytes = Obs.Timeline.span "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap) in
     incr checkpoints_written;
     emit
       (Obs.Event.Checkpoint_write
-         { iteration = !iter; path = Checkpoint.file ~dir; bytes })
+         { iteration = state.iter; path = Checkpoint.file ~dir; bytes })
   in
   let every = settings.checkpoint_every in
   let next_due =
-    ref (if every > 0 then ((!iter / every) + 1) * every else max_int)
+    ref (if every > 0 then ((state.iter / every) + 1) * every else max_int)
   in
   let maybe_checkpoint () =
     match settings.checkpoint with
-    | Some dir when !iter >= !next_due ->
+    | Some dir when state.iter >= !next_due ->
       write_checkpoint dir;
-      next_due := ((!iter / every) + 1) * every
+      next_due := ((state.iter / every) + 1) * every
     | Some _ | None -> ()
   in
-  while !work <> [] && continue_ok () do
-    incr rounds;
+  while state.work <> [] && continue_ok () do
+    (* a resumed mid-round tail belongs to a round already counted *)
+    if !resumed_tail then resumed_tail := false else state.rounds <- state.rounds + 1;
+    let work = state.work in
     let round_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
     (* dispatch: probe the cache on the main domain, then build one
        fused task per work item *)
@@ -674,7 +615,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
             match Option.bind cache (fun c -> Smt.Cache.find c (Execution.prepared_key p)) with
             | Some outcome -> `Hit (cand, p, outcome)
             | None -> `Miss (cand, p)))
-        !work
+        work
     in
     (* the round's tasks replay from the memo as merged before dispatch *)
     let memo_now = Replay_memo.view memo in
@@ -735,8 +676,8 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
        dispatch, so the folded solver and cache counts cover exactly
        the attempts whose verdicts entered the merged trajectory —
        results discarded at the budget edge only show up in
-       [speculated]. A budget (or stop-request) cut records the
-       un-merged tail in [work_remaining] so the final checkpoint can
+       [speculated]. A budget (or stop-request) cut leaves the
+       un-merged tail in [state.work] so the final checkpoint can
        resume mid-round; the tail's tasks are still drained to
        completion (executions there count as speculated) so the pool is
        quiescent and the tally matches the old round-barrier engine's
@@ -769,26 +710,26 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
         match outcome with
         | N_unsat ->
           insert Smt.Cache.Unsat;
-          incr barren
-        | N_unknown -> incr barren
+          state.barren <- state.barren + 1
+        | N_unknown -> state.barren <- state.barren + 1
         | N_sat { fresh; next; run } ->
           insert (Smt.Cache.Sat fresh);
-          barren := 0;
+          state.barren <- 0;
           merge_exec next ~solve_s run)
     in
     let count_speculated = function
       | D_fresh (_, Ok _) | D_negated { outcome = N_sat { run = Ok _; _ }; _ } ->
-        incr speculated
+        state.speculated <- state.speculated + 1
       | D_fresh (_, Error _) | D_negated _ -> ()
     in
+    (* [state.work] is the un-merged tail at every merge position *)
     let rec merge_stream = function
-      | [] -> work_remaining := []
+      | [] -> ()
       | w :: rest -> (
         match Taskpool.next st with
         | None -> assert false (* stream has exactly one item per work entry *)
         | Some item ->
           if not (continue_ok ()) then begin
-            work_remaining := w :: rest;
             count_speculated item;
             let rec drain () =
               match Taskpool.next st with
@@ -801,19 +742,19 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
           end
           else begin
             Obs.Timeline.span "merge" (fun () -> merge_one w item);
-            work_remaining := rest;
+            state.work <- rest;
             maybe_checkpoint ();
             merge_stream rest
           end)
     in
-    merge_stream !work;
+    merge_stream work;
     max_depth := max !max_depth (Taskpool.max_inflight st);
     (* one umbrella per round over the streaming window: publication of
        the batch through consumption of its last result *)
     if Obs.Timeline.on () then
       Obs.Timeline.record ~kind:"inflight" ~t0:inflight_tk
         ~t1:(Obs.Timeline.tick ());
-    if continue_ok () then schedule () else work := [];
+    if continue_ok () then schedule ();
     (* drain first, then record the round span: the drain cost itself
        lands inside this round's window (it is flushed by the next
        round's drain, or the final one), so round spans tile the loop
@@ -834,13 +775,13 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
   emit
     (Obs.Event.Campaign_end
        {
-         iterations_run = !iter;
+         iterations_run = state.iter;
          covered;
          reachable;
-         bugs = List.length !bugs;
+         bugs = List.length state.bugs;
          wall_s = elapsed ();
        });
-  let f = Obs.Fold.finish fold in
+  let f = Obs.Fold.finish state.fold in
   (match settings.ledger with
   | None -> ()
   | Some path ->
@@ -848,32 +789,52 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
       Obs.Ledger.append path
         (Obs.Ledger.of_fold ~target:label ~fingerprint:(Obs.Ledger.digest fp)
            ~exec_mode:(Runner.exec_mode_name s.Driver.exec_mode) ~jobs:settings.jobs
-           ~seed:s.Driver.seed ~budget:s.Driver.iterations ~executed:!iter ~rounds:!rounds
+           ~seed:s.Driver.seed ~budget:s.Driver.iterations ~executed:state.iter
+           ~rounds:state.rounds
            ~wall_s:(elapsed ()) f)
     in
     emit
       (Obs.Event.Ledger_append
-         { path; run = written.Obs.Ledger.run; covered; reachable; bugs = List.length !bugs }));
+         { path; run = written.Obs.Ledger.run; covered; reachable; bugs = List.length state.bugs }));
+  (* one row per merged execution: every [Ok] merge emits one [test] *)
+  let stats =
+    List.map
+      (fun (t : Obs.Event.test) ->
+        {
+          Driver.iteration = t.test;
+          nprocs = t.nprocs;
+          focus = t.focus;
+          constraint_set_size = t.cs_size;
+          covered_after = t.covered;
+          reachable_after = t.reachable;
+          faults_seen = t.faults;
+          restarted = t.restarted;
+          exec_time = t.exec_s;
+          solve_time = t.solve_s;
+        })
+      f.Obs.Fold.tests
+  in
+  let executed = List.length stats in
   let result =
     {
       summary =
         {
           Driver.coverage;
-          stats = List.rev !stats;
-          bugs = List.rev !bugs;
+          stats;
+          bugs = List.rev state.bugs;
           total_branches = info.Branchinfo.total_branches;
           reachable_branches = reachable;
           covered_branches = covered;
           coverage_rate =
             (if reachable = 0 then 0.0 else float_of_int covered /. float_of_int reachable);
-          iterations_run = !iter;
+          iterations_run = state.iter;
           wall_time = elapsed ();
-          max_constraint_set = !max_cs;
-          derived_bound = !derived_bound;
+          max_constraint_set = state.max_cs;
+          derived_bound = state.derived_bound;
         };
-      rounds = !rounds;
-      executed = !executed;
-      speculated = !speculated;
+      rounds = state.rounds;
+      executed;
+      speculated = state.speculated;
       solver_calls = f.Obs.Fold.solver_calls;
       (* hits and misses over merged attempts, as folded from
          [lineage_negation]; the cache's own probe counters would also
@@ -897,7 +858,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
      checkpoint writes *)
   ( result,
     [
-      ("campaign.iterations", !executed);
+      ("campaign.iterations", executed);
       ("campaign.covered", covered);
       ("campaign.reachable", reachable);
       ("campaign.restarts", List.fold_left (fun acc (_, n) -> acc + n) 0 f.Obs.Fold.restarts);

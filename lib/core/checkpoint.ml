@@ -4,9 +4,9 @@
 
      COMPI-CKPT <version>\n
      <md5-hex-of-payload> <payload-length>\n
-     <payload: Marshal of snapshot>
+     <payload: Marshal of state>
 
-   The payload is one Marshal call over the whole snapshot record, which
+   The payload is one Marshal call over the whole state record, which
    preserves physical sharing between the strategy's pending candidates
    and the work-list tail — Strategy.next_batch deduplicates by record
    identity, so losing that sharing would change the trajectory after a
@@ -24,29 +24,26 @@ type work =
   | W_fresh of Driver.pending
   | W_negate of Concolic.Strategy.candidate
 
-type snapshot = {
-  ck_fingerprint : (string * string) list;
-  ck_iter : int;
-  ck_rounds : int;
-  ck_executed : int;
-  ck_speculated : int;
-  ck_fold : Obs.Fold.state;
-  ck_max_cs : int;
-  ck_best_covered : int;
-  ck_last_improvement : int;
-  ck_barren : int;
-  ck_last_np : int * int;
-  ck_derived_bound : int option;
-  ck_rng : Random.State.t;
-  ck_strategy : Concolic.Strategy.t;
-  ck_coverage : Concolic.Coverage.t;
-  ck_cache : Smt.Cache.t option;
-  ck_stats : Driver.iter_stat list;
-  ck_bugs : Driver.bug list;
-  ck_forced : Driver.pending list;
-  ck_stagnated_round : bool;
-  ck_schedules : Driver.pending list;
-  ck_work : work list;
+type state = {
+  fingerprint : (string * string) list;
+  mutable iter : int;
+  mutable rounds : int;
+  mutable speculated : int;
+  fold : Obs.Fold.state;
+  mutable max_cs : int;
+  mutable last_improvement : int;
+  mutable barren : int;
+  mutable last_np : int * int;
+  mutable derived_bound : int option;
+  rng : Random.State.t;
+  mutable strategy : Concolic.Strategy.t;
+  coverage : Concolic.Coverage.t;
+  cache : Smt.Cache.t option;
+  mutable bugs : Driver.bug list;
+  mutable forced : Driver.pending list;
+  mutable stagnated_round : bool;
+  mutable schedules : Driver.pending list;
+  mutable work : work list;
 }
 
 (* version 2: [Driver.pending] gained [p_origin] and [Execution.t]
@@ -68,8 +65,12 @@ type snapshot = {
    result, status file and ledger read, replaced [ck_solver_calls] and
    [ck_cache_hits].
    version 9: [Obs.Fold.state] gained the [span_summary] rows, so
-   [ck_fold] marshals a different layout than v8's *)
-let version = 9
+   [ck_fold] marshals a different layout than v8's.
+   version 10: the snapshot became the campaign's own state record —
+   [ck_executed], [ck_best_covered] and [ck_stats] went, the fold keeps
+   each [test] event whole, and [Smt.Cache.t] became one table and one
+   queue again *)
+let version = 10
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"
@@ -179,9 +180,9 @@ let write_atomic ~path content =
      raise e);
   Sys.rename tmp path
 
-let save ~dir ~target snap =
+let save ~dir ~target state =
   mkdir_p dir;
-  let payload = Marshal.to_string snap [] in
+  let payload = Marshal.to_string state [] in
   let header =
     Printf.sprintf "%s %d\n%s %d\n" magic version
       (Digest.to_hex (Digest.string payload))
@@ -194,7 +195,7 @@ let save ~dir ~target snap =
       (fun k bug ->
         if k > 0 then Buffer.add_char buf '\n';
         Buffer.add_string buf (Testcase.to_string (Testcase.of_bug ~target bug)))
-      (List.rev snap.ck_bugs);
+      (List.rev state.bugs);
     Buffer.contents buf
   in
   write_atomic ~path:(corpus_file ~dir) corpus;
@@ -247,6 +248,6 @@ let load ~dir =
         let payload = String.sub raw (e2 + 1) declared in
         if Digest.to_hex (Digest.string payload) <> digest then Error Checksum_mismatch
         else
-          match (Marshal.from_string payload 0 : snapshot) with
-          | snap -> Ok snap
+          match (Marshal.from_string payload 0 : state) with
+          | state -> Ok state
           | exception (Failure msg | Invalid_argument msg) -> Error (Corrupt msg))

@@ -15,7 +15,7 @@
 
     - [campaign.ckpt] — header line ([COMPI-CKPT <version>]), digest
       line (MD5 of the payload plus its length), then the marshalled
-      {!snapshot}. Writes go to a temp file in the same directory and
+      {!state}. Writes go to a temp file in the same directory and
       are committed with an atomic rename, so a SIGKILL at any moment
       leaves either the previous snapshot or the new one — never a
       torn file. {!load} verifies magic, version, length and digest and
@@ -24,9 +24,9 @@
       {!Testcase} blocks (blank-line separated), also written via
       temp-and-rename. Human-readable and re-loadable with
       {!Testcase.load}; purely informational on resume (the
-      authoritative corpus is inside the snapshot).
+      authoritative corpus is inside the state).
 
-    The snapshot embeds a settings {!fingerprint}; {!mismatches}
+    The state embeds a settings {!fingerprint}; {!mismatches}
     compares it against the resuming run's settings so a checkpoint can
     never be silently resumed under a different seed, strategy, batch
     size or cap set. Budgets ([iterations], [time_budget]) and [jobs]
@@ -38,36 +38,39 @@ type work =
   | W_fresh of Driver.pending  (** execute a fresh test *)
   | W_negate of Concolic.Strategy.candidate  (** attempt a negation *)
 
-type snapshot = {
-  ck_fingerprint : (string * string) list;
-  ck_iter : int;  (** iterations merged so far *)
-  ck_rounds : int;
-  ck_executed : int;
-  ck_speculated : int;
-  ck_fold : Obs.Fold.state;
-      (** the campaign's fold of the events it emitted so far: solver,
-          cache, schedule and bug counts and the coverage curve *)
-  ck_max_cs : int;
-  ck_best_covered : int;
-  ck_last_improvement : int;
-  ck_barren : int;  (** consecutive failed negations since a SAT one *)
-  ck_last_np : int * int;  (** last merged (nprocs, focus) *)
-  ck_derived_bound : int option;
-  ck_rng : Random.State.t;
-  ck_strategy : Concolic.Strategy.t;  (** negation work-list / frontier *)
-  ck_coverage : Concolic.Coverage.t;
-  ck_cache : Smt.Cache.t option;
-  ck_stats : Driver.iter_stat list;  (** reverse chronological *)
-  ck_bugs : Driver.bug list;  (** reverse chronological *)
-  ck_forced : Driver.pending list;  (** restart tests queued mid-round *)
-  ck_stagnated_round : bool;
-  ck_schedules : Driver.pending list;
+type state = {
+  fingerprint : (string * string) list;
+      (** the settings the campaign runs under (see {!fingerprint}) *)
+  mutable iter : int;  (** iterations merged so far *)
+  mutable rounds : int;
+  mutable speculated : int;
+      (** executions completed but dropped at a budget edge *)
+  fold : Obs.Fold.state;
+      (** the fold of the events the campaign emitted so far: every
+          [test] event whole (the per-test stats and the executed
+          count), the solver, cache, schedule and bug counts *)
+  mutable max_cs : int;  (** largest constraint set observed *)
+  mutable last_improvement : int;  (** iteration of the last coverage gain *)
+  mutable barren : int;  (** consecutive failed negations since a SAT one *)
+  mutable last_np : int * int;  (** last merged (nprocs, focus) *)
+  mutable derived_bound : int option;  (** the two-phase BoundedDFS bound *)
+  rng : Random.State.t;
+  mutable strategy : Concolic.Strategy.t;  (** negation work-list / frontier *)
+  coverage : Concolic.Coverage.t;
+  cache : Smt.Cache.t option;
+  mutable bugs : Driver.bug list;  (** reverse chronological *)
+  mutable forced : Driver.pending list;  (** restart tests queued mid-round *)
+  mutable stagnated_round : bool;
+  mutable schedules : Driver.pending list;
       (** schedule forks enumerated but not yet dispatched (reverse
           accumulation order; the scheduler re-sorts deterministically) *)
-  ck_work : work list;
+  mutable work : work list;
       (** items of the current round not yet merged; re-executed
           deterministically on resume, then scheduling continues *)
 }
+(** The campaign's whole mutable state, declared once: {!Campaign.run}
+    builds a fresh one or resumes a loaded one, mutates it only on the
+    main domain at merge positions, and {!save}s it as it stands. *)
 
 val version : int
 (** Current snapshot format version; {!load} rejects any other. *)
@@ -112,11 +115,11 @@ val mismatches :
 (** [(key, stored_value, current_value)] for keys whose values differ
     (missing keys render as ["<absent>"]). Empty means compatible. *)
 
-val save : dir:string -> target:string -> snapshot -> int
+val save : dir:string -> target:string -> state -> int
 (** Atomically commit [campaign.ckpt] (and [corpus.txt], rendered for
     [target]) under [dir], creating the directory if needed. Returns the
     serialized payload size in bytes. *)
 
-val load : dir:string -> (snapshot, error) result
+val load : dir:string -> (state, error) result
 (** Never raises on malformed input: a directory left by a killed run
     either loads or is rejected with a diagnostic {!error}. *)

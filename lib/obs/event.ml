@@ -8,6 +8,24 @@ let outcome_of_name = function
   | "unknown" -> Some Unknown
   | _ -> None
 
+type test = {
+  test : int;
+  parent : int;
+  origin : string;
+  branch : int;
+  index : int;
+  cached : bool;
+  nprocs : int;
+  focus : int;
+  covered : int;
+  reachable : int;
+  cs_size : int;
+  faults : int;
+  restarted : bool;
+  exec_s : float;
+  solve_s : float;
+}
+
 type t =
   | Campaign_start of {
       target : string;
@@ -24,23 +42,7 @@ type t =
       bugs : int;
       wall_s : float;
     }
-  | Test of {
-      test : int;
-      parent : int;
-      origin : string;
-      branch : int;
-      index : int;
-      cached : bool;
-      nprocs : int;
-      focus : int;
-      covered : int;
-      reachable : int;
-      cs_size : int;
-      faults : int;
-      restarted : bool;
-      exec_s : float;
-      solve_s : float;
-    }
+  | Test of test
   | Restart of { iteration : int; reason : string }
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }

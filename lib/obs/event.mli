@@ -10,6 +10,37 @@ type solver_outcome = Sat | Unsat | Unknown
 
 val outcome_name : solver_outcome -> string
 
+type test = {
+  test : int;
+  parent : int;
+  origin : string;
+  branch : int;
+  index : int;
+  cached : bool;
+  nprocs : int;
+  focus : int;
+  covered : int;
+  reachable : int;
+  cs_size : int;
+  faults : int;
+  restarted : bool;
+  exec_s : float;
+  solve_s : float;
+}
+  (** A [test] event: one merged test execution, emitted at its merge
+      position. Provenance: [origin] is ["seed"], ["negated"], ["restart"],
+      or ["schedule"]; for negated tests [parent] is the test whose path was
+      negated, [branch] the branch id the negation targeted, [index] the
+      constraint-set position, and [cached] whether the producing verdict
+      was a cache replay. For schedule tests [parent] is the run whose
+      recorded choices were forked, [index] the flipped choice point, and
+      [branch] the alternative source delivered (a rank, not a branch id).
+      Seeds and restarts carry [parent]=[branch]=[index]=-1. The run itself:
+      [nprocs] and [focus] as executed, cumulative [covered] and [reachable]
+      after the merge, the constraint-set size [cs_size], [faults] found,
+      whether the merge triggered a stagnation restart, and the execute and
+      solve wall times. *)
+
 type t =
   | Campaign_start of {
       target : string;
@@ -33,37 +64,7 @@ type t =
       bugs : int;
       wall_s : float;
     }
-  | Test of {
-      test : int;
-      parent : int;
-      origin : string;
-      branch : int;
-      index : int;
-      cached : bool;
-      nprocs : int;
-      focus : int;
-      covered : int;
-      reachable : int;
-      cs_size : int;
-      faults : int;
-      restarted : bool;
-      exec_s : float;
-      solve_s : float;
-    }
-      (** one merged test execution, emitted at its merge position.
-          Provenance: [origin] is ["seed"], ["negated"], ["restart"], or
-          ["schedule"]; for negated tests [parent] is the test whose
-          path was negated, [branch] the branch id the negation
-          targeted, [index] the constraint-set position, and [cached]
-          whether the producing verdict was a cache replay. For schedule
-          tests [parent] is the run whose recorded choices were forked,
-          [index] the flipped choice point, and [branch] the alternative
-          source delivered (a rank, not a branch id). Seeds and restarts
-          carry [parent]=[branch]=[index]=-1. The run itself: [nprocs]
-          and [focus] as executed, cumulative [covered] and [reachable]
-          after the merge, the constraint-set size [cs_size], [faults]
-          found, whether the merge triggered a stagnation restart, and
-          the execute and solve wall times. *)
+  | Test of test
   | Restart of { iteration : int; reason : string }
       (** [reason] is one of ["stagnation"], ["exhausted"],
           ["platform-limit"] *)

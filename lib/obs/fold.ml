@@ -56,6 +56,7 @@ type t = {
   budget : int option;
   seed : int option;
   nprocs0 : int option;
+  tests : Event.test list;
   curve : (int * int) list;
   iterations : int;
   final_covered : int option;
@@ -115,14 +116,11 @@ type state = {
   mutable s_budget : int option;
   mutable s_seed : int option;
   mutable s_nprocs0 : int option;
-  s_curve : (int, int) Hashtbl.t;
-  mutable s_reachable : int; (* the latest test's reachable count *)
+  mutable s_tests : Event.test list; (* every test event, newest first *)
   mutable s_final_covered : int option;
   mutable s_final_reachable : int option;
   mutable s_bugs : int;
   mutable s_wall : float option;
-  mutable s_exec : float;
-  mutable s_solve : float;
   mutable s_calls : int;
   mutable s_sat : int;
   mutable s_unsat : int;
@@ -131,7 +129,6 @@ type state = {
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_evict : int;
-  mutable s_lineage : lineage_node list; (* newest first *)
   s_negs : (int, int * int * int * int * int) Hashtbl.t;
   (* branch -> attempts, sat, unsat, unknown, cached *)
   s_matrix : (int * int, int) Hashtbl.t;
@@ -162,14 +159,11 @@ let init () =
     s_budget = None;
     s_seed = None;
     s_nprocs0 = None;
-    s_curve = Hashtbl.create 64;
-    s_reachable = 0;
+    s_tests = [];
     s_final_covered = None;
     s_final_reachable = None;
     s_bugs = 0;
     s_wall = None;
-    s_exec = 0.0;
-    s_solve = 0.0;
     s_calls = 0;
     s_sat = 0;
     s_unsat = 0;
@@ -178,7 +172,6 @@ let init () =
     s_hits = 0;
     s_misses = 0;
     s_evict = 0;
-    s_lineage = [];
     s_negs = Hashtbl.create 64;
     s_matrix = Hashtbl.create 64;
     s_sends = Hashtbl.create 16;
@@ -215,23 +208,7 @@ let step st ev =
     st.s_final_reachable <- Some reachable;
     st.s_bugs <- b;
     st.s_wall <- Some w
-  | Event.Test
-      { test; parent; origin; branch; index; cached; covered; reachable; exec_s; solve_s; _ }
-    ->
-    Hashtbl.replace st.s_curve test covered;
-    st.s_reachable <- reachable;
-    st.s_exec <- st.s_exec +. exec_s;
-    st.s_solve <- st.s_solve +. solve_s;
-    st.s_lineage <-
-      {
-        ln_test = test;
-        ln_parent = parent;
-        ln_origin = origin;
-        ln_branch = branch;
-        ln_index = index;
-        ln_cached = cached;
-      }
-      :: st.s_lineage
+  | Event.Test row -> st.s_tests <- row :: st.s_tests
   | Event.Cache_evict { dropped; _ } -> st.s_evict <- st.s_evict + dropped
   | Event.Lineage_negation { branch; outcome; cached; _ } ->
     (* the one record of an attempt: uncached is a live solve, and with
@@ -295,7 +272,25 @@ let step_line st raw =
   st
 
 let finish st =
-  let lineage = List.sort (fun a b -> compare a.ln_test b.ln_test) st.s_lineage in
+  let tests = List.rev st.s_tests in
+  (* every row is a lineage node, so [lineage_errors] sees duplicates;
+     the curve keeps the last row of each test id *)
+  let lineage =
+    List.map
+      (fun (r : Event.test) ->
+        {
+          ln_test = r.test;
+          ln_parent = r.parent;
+          ln_origin = r.origin;
+          ln_branch = r.branch;
+          ln_index = r.index;
+          ln_cached = r.cached;
+        })
+      st.s_tests
+    |> List.sort (fun a b -> compare a.ln_test b.ln_test)
+  in
+  let last_covered = Hashtbl.create 64 in
+  List.iter (fun (r : Event.test) -> Hashtbl.replace last_covered r.test r.covered) tests;
   (* only a negated test covers the branch it targeted: a schedule
      fork's branch slot holds the source rank it delivers from *)
   let first_for_branch = Hashtbl.create 64 in
@@ -318,7 +313,8 @@ let finish st =
              br_cached = ca;
            })
   in
-  let curve = sorted_assoc st.s_curve in
+  let curve = sorted_assoc last_covered in
+  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 tests in
   {
     events = st.s_events;
     census = sorted_assoc st.s_census;
@@ -328,15 +324,20 @@ let finish st =
     budget = st.s_budget;
     seed = st.s_seed;
     nprocs0 = st.s_nprocs0;
+    tests;
     curve;
     iterations = List.length curve;
     final_covered = st.s_final_covered;
     final_reachable = st.s_final_reachable;
-    reachable = Option.value st.s_final_reachable ~default:st.s_reachable;
+    reachable =
+      (match (st.s_final_reachable, st.s_tests) with
+      | Some n, _ -> n
+      | None, latest :: _ -> latest.reachable
+      | None, [] -> 0);
     bugs = st.s_bugs;
     wall_s = st.s_wall;
-    exec_s = st.s_exec;
-    solve_s = st.s_solve;
+    exec_s = sum (fun r -> r.exec_s);
+    solve_s = sum (fun r -> r.solve_s);
     solver_calls = st.s_calls;
     solver_sat = st.s_sat;
     solver_unsat = st.s_unsat;

@@ -62,7 +62,10 @@ type t = {
   budget : int option;
   seed : int option;
   nprocs0 : int option;
-  curve : (int * int) list;  (** (iteration, cumulative covered), ascending *)
+  tests : Event.test list;  (** every [test] event, in emission order *)
+  curve : (int * int) list;
+      (** (iteration, cumulative covered), ascending; the last [test]
+          event of an id wins *)
   iterations : int;
   final_covered : int option;
   final_reachable : int option;

@@ -20,26 +20,21 @@
    attempt under the same budget is equally cheap to re-refuse, and a
    raised budget should get its chance.
 
-   Ownership: the table is split into [khash]-indexed shards and holds
-   no lock at all. The pipelined campaign engine is the single writer
-   and only mutates from the main domain at deterministic points —
-   probes at candidate dispatch, verdict publication at the ordered
-   merge — so every cache state transition happens at a work-list
-   position that is identical at any [--jobs], which is what makes
-   campaigns reproducible regardless of worker count. (The earlier
-   design kept a module-level mutex "just in case"; profile data showed
-   it as pure overhead — cache.lock.wait/hold spans — protecting a
-   structure that was already single-domain by protocol. Concurrent
-   multi-domain mutation was never supported and still is not.)
-   Sharding keeps per-shard FIFO queues short so eviction scans stay
-   O(shard) instead of O(table), and gives the checkpoint a layout that
-   still marshals directly (no mutex custom block to strip).
+   Ownership: one table and one FIFO queue, and no lock at all. The
+   pipelined campaign engine is the single writer and only mutates
+   from the main domain at deterministic points — probes at candidate
+   dispatch, verdict publication at the ordered merge — so every cache
+   state transition happens at a work-list position that is identical
+   at any [--jobs], which is what makes campaigns reproducible
+   regardless of worker count. (The earlier design kept a module-level
+   mutex "just in case"; profile data showed it as pure overhead —
+   cache.lock.wait/hold spans — protecting a structure that was already
+   single-domain by protocol. Concurrent multi-domain mutation was
+   never supported and still is not.) With no mutex the record
+   marshals directly into a checkpoint.
 
-   The shard count is derived from capacity — one shard per 256 slots,
-   clamped to [1, 16] and rounded down to a power of two — so small
-   caches (tests use capacity 2) keep the exact global-FIFO eviction
-   order of the unsharded design, while the default 4096-slot cache
-   gets 16 × 256-slot shards. *)
+   At capacity an insert evicts the oldest entry, one queue pop: a
+   global FIFO over the whole table. *)
 
 type outcome = Sat of Model.t | Unsat
 
@@ -91,16 +86,10 @@ module Tbl = Hashtbl.Make (struct
     && a.kdoms = b.kdoms
 end)
 
-type shard = {
-  table : outcome Tbl.t;
-  order : key Queue.t;  (* insertion order, for per-shard FIFO eviction *)
-}
-
 type t = {
   capacity : int;
-  shard_capacity : int;
-  mask : int;  (* nshards - 1; nshards is a power of two *)
-  shards : shard array;
+  table : outcome Tbl.t;
+  order : key Queue.t;  (* insertion order, for FIFO eviction *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -113,61 +102,36 @@ let g_entries = Obs.Metrics.gauge "cache.entries"
 
 let default_capacity = 4096
 
-(* largest power of two <= n, for n >= 1 *)
-let pow2_floor n =
-  let p = ref 1 in
-  while !p * 2 <= n do
-    p := !p * 2
-  done;
-  !p
-
 let create ?(capacity = default_capacity) () =
-  let capacity = max 1 capacity in
-  let nshards = pow2_floor (max 1 (min 16 (capacity / 256))) in
   {
-    capacity;
-    shard_capacity = max 1 (capacity / nshards);
-    mask = nshards - 1;
-    shards =
-      Array.init nshards (fun _ ->
-          { table = Tbl.create 256; order = Queue.create () });
+    capacity = max 1 capacity;
+    table = Tbl.create 256;
+    order = Queue.create ();
     hits = 0;
     misses = 0;
     evictions = 0;
   }
 
-let shard_of t k = t.shards.(k.khash land t.mask)
-
-let entries t =
-  Array.fold_left (fun acc s -> acc + Tbl.length s.table) 0 t.shards
+let entries t = Tbl.length t.table
 
 let find t k =
-  let s = shard_of t k in
-  let r = Obs.Timeline.span "cache.probe" (fun () -> Tbl.find_opt s.table k) in
+  let r = Obs.Timeline.span "cache.probe" (fun () -> Tbl.find_opt t.table k) in
   (match r with Some _ -> t.hits <- t.hits + 1 | None -> t.misses <- t.misses + 1);
   r
 
 let add t k outcome =
-  let s = shard_of t k in
-  if not (Tbl.mem s.table k) then begin
-    let dropped = ref 0 in
-    while Tbl.length s.table >= t.shard_capacity && not (Queue.is_empty s.order) do
-      let oldest = Queue.pop s.order in
-      if Tbl.mem s.table oldest then begin
-        Tbl.remove s.table oldest;
-        incr dropped
-      end
-    done;
-    let n = entries t in
-    if !dropped > 0 then begin
-      t.evictions <- t.evictions + !dropped;
-      Obs.Metrics.incr ~by:!dropped m_evictions;
+  if not (Tbl.mem t.table k) then begin
+    (* the queue holds exactly the table's keys, oldest first *)
+    if Tbl.length t.table >= t.capacity then begin
+      Tbl.remove t.table (Queue.pop t.order);
+      t.evictions <- t.evictions + 1;
+      Obs.Metrics.incr m_evictions;
       if Obs.Sink.active () then
-        Obs.Sink.emit (Obs.Event.Cache_evict { dropped = !dropped; entries = n })
+        Obs.Sink.emit (Obs.Event.Cache_evict { dropped = 1; entries = Tbl.length t.table })
     end;
-    Tbl.replace s.table k outcome;
-    Queue.push k s.order;
-    Obs.Metrics.set g_entries (float_of_int (n + 1))
+    Tbl.replace t.table k outcome;
+    Queue.push k t.order;
+    Obs.Metrics.set g_entries (float_of_int (Tbl.length t.table))
   end
 
 let stats (t : t) =

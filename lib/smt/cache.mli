@@ -15,18 +15,15 @@
     campaign's [lineage_negation] event (its [cached] flag), not here,
     and campaign hit and miss counts are folded from those events.
 
-    The table is split into hash-indexed shards and is lock-free:
-    [find]/[add] take no mutex at all. The pipelined campaign engine is
-    the single writer — it probes at candidate dispatch and publishes
-    verdicts at the ordered merge, both on the main domain — so every
-    cache state transition happens at a work-list position that is
-    identical at any [--jobs]. That protocol, not a lock, is what keeps
+    The cache is one table and one FIFO queue of its keys, and takes
+    no mutex at all. The pipelined campaign engine is the single
+    writer — it probes at candidate dispatch and publishes verdicts at
+    the ordered merge, both on the main domain — so every cache state
+    transition happens at a work-list position that is identical at
+    any [--jobs]. That protocol, not a lock, is what keeps
     campaign results independent of the worker count; concurrent
     multi-domain mutation is not supported. Each probe records a
-    [cache.probe] span when the {!Obs.Timeline} is enabled. The shard
-    count is derived from capacity (one shard per 256 slots, clamped to
-    [1, 16], power of two), so small caches behave exactly like the old
-    single-table design, including its global FIFO eviction order. *)
+    [cache.probe] span when the {!Obs.Timeline} is enabled. *)
 
 type outcome = Sat of Model.t | Unsat
 
@@ -62,8 +59,8 @@ val find : t -> key -> outcome option
 (** Counts a hit or a miss in {!stats}. *)
 
 val add : t -> key -> outcome -> unit
-(** First verdict wins: re-adding an existing key is a no-op. At shard
-    capacity, the oldest entries of that shard are evicted FIFO. *)
+(** First verdict wins: re-adding an existing key is a no-op. At
+    capacity, the oldest entry of the whole cache is evicted (FIFO). *)
 
 val entries : t -> int
 

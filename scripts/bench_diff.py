@@ -8,12 +8,9 @@ exits non-zero when NEW regresses beyond the tolerance. Two shapes are
 understood, sniffed from the document itself:
 
   * BENCH_parallel.json — a top-level "configs" list. Rows are matched
-    on (target, jobs, solver_cache) — baselines from before the bench
-    grew multiple targets (rows without a "target" field) fall back to
-    matching on (jobs, solver_cache) against the NEW document's first
-    target. A regression is wall_s beyond the tolerance, a cache
-    hit-rate drop of more than 0.10 absolute, or a row whose
-    identical_report flag went false (the determinism invariant is
+    on (target, jobs, solver_cache). A regression is wall_s beyond the
+    tolerance, a cache hit-rate drop of more than 0.10 absolute, or a
+    row whose identical_report flag went false (the determinism invariant is
     never a matter of tolerance). Rows flagged "oversubscribed" (the
     requested --jobs exceeded the host's cores, so the pool was
     clamped) skip the timing gates: their walls measure the clamp, not
@@ -103,32 +100,21 @@ def parallel_row_key(c):
 
 def parallel_label(key):
     target, jobs, cache = key
-    prefix = f"{target} " if target is not None else ""
-    return f"{prefix}jobs={jobs} cache={'on' if cache else 'off'}"
+    return f"{target} jobs={jobs} cache={'on' if cache else 'off'}"
 
 
 def diff_parallel(old, new, tol, out):
     regressions = []
     old_rows = {parallel_row_key(c): c for c in old["configs"]}
     new_rows = {parallel_row_key(c): c for c in new["configs"]}
-    # Baselines written before the bench grew a "target" field carry
-    # key (None, jobs, cache); match them against the first target in
-    # the NEW document (its rows come first in config order).
-    fallback = {}
-    for c in new["configs"]:
-        fallback.setdefault((c.get("jobs"), c.get("solver_cache")), c)
     out.append(f"{'config':>26} {'old wall':>10} {'new wall':>10} {'delta':>8} "
                f"{'old hit':>8} {'new hit':>8}")
     for key in sorted(old_rows, key=lambda k: (str(k[0]), str(k[1]), str(k[2]))):
         label = parallel_label(key)
-        target, jobs, cache = key
-        if key in new_rows:
-            n = new_rows[key]
-        elif target is None and (jobs, cache) in fallback:
-            n = fallback[(jobs, cache)]
-        else:
+        if key not in new_rows:
             regressions.append(f"config {label} missing from NEW")
             continue
+        n = new_rows[key]
         o = old_rows[key]
         oversub = o.get("oversubscribed", False) or n.get("oversubscribed", False)
         ow, nw = o.get("wall_s", 0.0), n.get("wall_s", 0.0)
@@ -212,15 +198,14 @@ def gate_parallel_new(new, out):
         if True in pair and False in pair:
             on = pair[True].get("wall_s", 0.0)
             off = pair[False].get("wall_s", 0.0)
-            label = f"{target} " if target is not None else ""
             if off > 0 and on > off * CACHE_ON_ALLOWANCE:
                 failures.append(
-                    f"{label}jobs=1: cache-on wall {on:.3f}s is more than "
+                    f"{target} jobs=1: cache-on wall {on:.3f}s is more than "
                     f"{CACHE_ON_ALLOWANCE:.2f}x the cache-off wall {off:.3f}s "
                     f"— the solver cache costs more than it saves")
             else:
                 out.append(
-                    f"cache gate: {label}cache-on {on:.3f}s vs "
+                    f"cache gate: {target} cache-on {on:.3f}s vs "
                     f"cache-off {off:.3f}s (allowance {CACHE_ON_ALLOWANCE:.2f}x): ok")
     return failures
 

@@ -235,10 +235,22 @@ let reference_negation t i =
   in
   (Cache.key ~domains:t.Concolic.Execution.domains closure, vars)
 
+(* Keys are compared as the cache compares them, not with [=]: a
+   [Linexp] is a map whose tree shape depends on insertion order, so
+   equal keys can differ structurally. *)
+let same_key a b =
+  let hits held probe =
+    let cache = Cache.create () in
+    Cache.add cache held Cache.Unsat;
+    Cache.find cache probe <> None
+  in
+  hits a b && hits b a
+  && List.equal Constr.equal (Cache.key_constrs a) (Cache.key_constrs b)
+
 let prepared_matches_reference t i =
   let ref_key, ref_vars = reference_negation t i in
   let p = Concolic.Execution.prepare_negation t i in
-  Concolic.Execution.prepared_key p = ref_key
+  same_key (Concolic.Execution.prepared_key p) ref_key
   && Varid.Set.equal (Concolic.Execution.prepared_vars p) ref_vars
 
 let every_position_matches t =

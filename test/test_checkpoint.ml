@@ -63,7 +63,37 @@ let test_resume_equals_uninterrupted () =
   in
   Alcotest.(check (option (pair int int)))
     "resumed cache hits and misses equal uninterrupted" (hits_misses full)
-    (hits_misses resumed)
+    (hits_misses resumed);
+  (* the per-test stats come from the restored fold: equal but for the
+     wall-clock times *)
+  let stats (r : Compi.Campaign.result) =
+    List.map
+      (fun (st : Compi.Driver.iter_stat) ->
+        { st with Compi.Driver.exec_time = 0.0; solve_time = 0.0 })
+      r.Compi.Campaign.summary.Compi.Driver.stats
+  in
+  Alcotest.(check bool) "resumed stats equal uninterrupted" true (stats full = stats resumed);
+  let summary (r : Compi.Campaign.result) = r.Compi.Campaign.summary in
+  Alcotest.(check int)
+    "resumed max constraint set equals uninterrupted"
+    (summary full).Compi.Driver.max_constraint_set
+    (summary resumed).Compi.Driver.max_constraint_set;
+  Alcotest.(check (option int))
+    "resumed derived bound equals uninterrupted" (summary full).Compi.Driver.derived_bound
+    (summary resumed).Compi.Driver.derived_bound;
+  let bug_keys (r : Compi.Campaign.result) =
+    List.map Compi.Driver.bug_key (summary r).Compi.Driver.bugs
+  in
+  Alcotest.(check (list string))
+    "resumed bug keys equal uninterrupted" (bug_keys full) (bug_keys resumed);
+  Alcotest.(check int)
+    "resumed executed equals uninterrupted" full.Compi.Campaign.executed
+    resumed.Compi.Campaign.executed;
+  (* the cut falls mid-round: the resumed tail finishes a round the
+     snapshot already counted *)
+  Alcotest.(check int)
+    "resumed rounds equal uninterrupted" full.Compi.Campaign.rounds
+    resumed.Compi.Campaign.rounds
 
 let test_resume_across_job_counts () =
   (* interrupt at jobs=2, resume at jobs=1; compare against an
@@ -156,30 +186,33 @@ let test_snapshot_roundtrip () =
   match Compi.Checkpoint.load ~dir with
   | Error e -> Alcotest.failf "load: %s" (Compi.Checkpoint.error_to_string e)
   | Ok snap ->
-    Alcotest.(check int) "iter restored" 13 snap.Compi.Checkpoint.ck_iter;
+    Alcotest.(check int) "iter restored" 13 snap.Compi.Checkpoint.iter;
     let dir2 = fresh_dir () in
     let bytes = Compi.Checkpoint.save ~dir:dir2 ~target:"toy-fig1" snap in
     Alcotest.(check bool) "payload nonempty" true (bytes > 0);
+    (* the executed count is the fold's test count *)
+    let executed (st : Compi.Checkpoint.state) =
+      List.length (Obs.Fold.finish st.Compi.Checkpoint.fold).Obs.Fold.tests
+    in
     (match Compi.Checkpoint.load ~dir:dir2 with
     | Error e -> Alcotest.failf "reload: %s" (Compi.Checkpoint.error_to_string e)
     | Ok snap2 ->
-      Alcotest.(check int) "iter survives" snap.Compi.Checkpoint.ck_iter
-        snap2.Compi.Checkpoint.ck_iter;
-      Alcotest.(check int) "executed survives" snap.Compi.Checkpoint.ck_executed
-        snap2.Compi.Checkpoint.ck_executed;
+      Alcotest.(check int) "iter survives" snap.Compi.Checkpoint.iter
+        snap2.Compi.Checkpoint.iter;
+      Alcotest.(check int) "executed survives" (executed snap) (executed snap2);
       Alcotest.(check int) "work tail length survives"
-        (List.length snap.Compi.Checkpoint.ck_work)
-        (List.length snap2.Compi.Checkpoint.ck_work);
+        (List.length snap.Compi.Checkpoint.work)
+        (List.length snap2.Compi.Checkpoint.work);
       Alcotest.(check (list (pair string string)))
-        "fingerprint survives" snap.Compi.Checkpoint.ck_fingerprint
-        snap2.Compi.Checkpoint.ck_fingerprint);
+        "fingerprint survives" snap.Compi.Checkpoint.fingerprint
+        snap2.Compi.Checkpoint.fingerprint);
     (* the bug corpus rides along as human-readable test cases *)
     (match Compi.Testcase.load ~path:(Compi.Checkpoint.corpus_file ~dir:dir2) with
     | Error e -> Alcotest.failf "corpus: %s" e
     | Ok cases ->
       Alcotest.(check int)
         "corpus mirrors the snapshot's bugs"
-        (List.length snap.Compi.Checkpoint.ck_bugs)
+        (List.length snap.Compi.Checkpoint.bugs)
         (List.length cases))
 
 (* --- load-error taxonomy ------------------------------------------- *)
@@ -216,7 +249,7 @@ let test_load_garbage () =
     (function Compi.Checkpoint.Bad_magic _ -> true | _ -> false)
     (Compi.Checkpoint.load ~dir)
 
-(* A future version, and v5, whose [ck_coverage] is a balanced set and
+(* A future version, and v5, whose coverage is a balanced set and
    not the byte map this build would unmarshal it as: both must be
    refused, not misread. *)
 let test_load_version_mismatch () =
