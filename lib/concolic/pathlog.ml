@@ -63,6 +63,13 @@ let push_event t word =
   t.events.(t.nevents) <- word;
   t.nevents <- t.nevents + 1
 
+(* [record]'s reduction decision, asked ahead of it: a conditional never
+   seen has no byte yet, which reads as '\000'. *)
+let keeps t ~cond_id ~taken =
+  (not t.reduce)
+  || cond_id >= Bytes.length t.last_outcome
+  || Bytes.get t.last_outcome cond_id <> outcome_byte taken
+
 let record t ~cond_id ~taken ~constr =
   if cond_id >= Bytes.length t.last_outcome then
     t.last_outcome <- Bytemap.ensure t.last_outcome cond_id;

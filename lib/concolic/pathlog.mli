@@ -35,6 +35,15 @@ val record : t -> cond_id:int -> taken:bool -> constr:Smt.Constr.t option -> uni
     reduction state is one byte per conditional id, so only array
     growth and a kept constraint's pair allocate. *)
 
+val keeps : t -> cond_id:int -> taken:bool -> bool
+(** [keeps t ~cond_id ~taken] is whether {!record} would keep a
+    constraint for this event if it were given one: always when
+    reduction is off, else when conditional [cond_id] has not been seen
+    or its last outcome differs from [taken]. It changes nothing, so a
+    heavy executor asks it first and builds the constraint only on
+    [true]; a [None] recorded for a [false] leaves the log exactly as
+    the dropped constraint would have. *)
+
 val constraints : t -> (int * Smt.Constr.t) array
 (** The constraint path: kept symbolic constraints in order, each with
     the branch id it came from. Negation indices refer to positions in

@@ -142,8 +142,10 @@ let effective_cap config (d : Ast.input_decl) =
   | None -> d.Ast.cap
 
 (* Heavy-instrumentation hooks for a process: symbolic shadow, automatic
-   marking, constraint logging. Non-focus heavy processes (one-way mode)
-   use the same machinery with their results discarded. *)
+   marking, constraint logging. A branch builds its constraint only when
+   [log] will keep it ([Pathlog.keeps]), so reduction spares the symbolic
+   work of the constraints it drops. Non-focus heavy processes (one-way
+   mode) use the same machinery with their results discarded. *)
 let heavy_hooks config ~inputs ~mpi ~symtab ~log ~cover =
   {
     Interp.mode = Interp.Heavy;
@@ -181,6 +183,7 @@ let heavy_hooks config ~inputs ~mpi ~symtab ~log ~cover =
       (fun ~id ~taken ~constr ->
         Pathlog.record log ~cond_id:id ~taken ~constr;
         Coverage.add_branch cover (Branchinfo.branch_of_cond id taken));
+    keeps = (fun ~id ~taken -> Pathlog.keeps log ~cond_id:id ~taken);
     on_func_enter = func_recorder cover;
     mpi;
     step_limit = config.step_limit;
@@ -196,6 +199,7 @@ let light_hooks config ~inputs ~mpi ~cover =
     on_branch =
       (fun ~id ~taken ~constr:_ ->
         Coverage.add_branch cover (Branchinfo.branch_of_cond id taken));
+    keeps = (fun ~id:_ ~taken:_ -> false);
     on_func_enter = func_recorder cover;
     mpi;
     step_limit = config.step_limit;

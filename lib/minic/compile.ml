@@ -20,16 +20,20 @@
      the light expression compiler.
 
    Heavy expression closures return the concrete [Value.t] and leave the
-   shadow in [ctx.sh] as their final action — a shadow register instead
-   of a tuple allocation per node. Both trees fuse variable and constant
-   operands into the operator node ([operand]): the light tree for every
-   binop and relational condition, the heavy tree for its linear binops
-   and relational conditions ([fuse_heavy]), where a variable's shadow
-   is read from the frame and a constant's is [Unshadowed], so a leaf
-   operand costs no closure call. Concrete int arithmetic in the heavy
-   tree builds no linear expression: a constant shadow always equals the
-   concrete value, so it is a constant constructor ([Konst], see
-   [shadow]) rather than a [Linexp.const].
+   shadow in the register [ctx.sh] / [ctx.sh_exp] as their final action —
+   a shadow register instead of a tuple allocation per node. Both trees
+   fuse variable and constant operands into the operator node
+   ([operand]), one closure per (left, right) shape, where a variable's
+   shadow is read from the frame and a constant's is [unshadowed], so a
+   leaf operand costs no closure call; the heavy shapes call their
+   operator ([apply2_heavy], [rel_apply_heavy], [apply2]) directly.
+   Concrete int arithmetic in the heavy tree builds no linear
+   expression: a constant shadow always equals the concrete value, so it
+   is a tag ([konst], see [shadow]) rather than a [Linexp.const].
+
+   A branch constraint is built only when the path log keeps it
+   ([Interp.hooks.keeps]), so the constraints that reduction drops cost
+   no symbolic work.
 
    Every observable — fault constructor and message, operand evaluation
    order (including the right-to-left record-field order the interpreter
@@ -37,27 +41,37 @@
    is byte-identical to [Interp]; test/test_compile.ml holds the
    differential proof. *)
 
-(* The heavy tree's symbolic shadow of an int value. The interpreter's
-   shadow is a [Linexp.t option]; here its [Some] case is split so that
-   concrete arithmetic never builds a linear expression:
-   - [Unshadowed] is the interpreter's [None] (literals, loads, results
+(* The heavy tree's symbolic shadow of an int value, as an immediate tag
+   beside a linear-expression slot. The interpreter's shadow is a
+   [Linexp.t option]; here its [Some] case is split so that concrete
+   arithmetic never builds a linear expression:
+   - [unshadowed] is the interpreter's [None] (literals, loads, results
      of non-linear operators, concretized values);
-   - [Konst] is a constant shadow [Some (Linexp.const v)]. It always
+   - [konst] is a constant shadow [Some (Linexp.const v)]. It always
      equals the concrete value [v], so it needs no expression and can
      never yield a constraint;
-   - [Sym e] is [Some e].
-   [Unshadowed] and [Konst] behave alike everywhere but in one place: a
-   product whose left operand has a shadow, even a constant one, scales
-   that shadow by the right operand's value (CREST's linearisation), so
-   [Konst * symbolic] is concrete while [Unshadowed * symbolic] stays
-   symbolic. *)
-type shadow = Unshadowed | Konst | Sym of Smt.Linexp.t
+   - [sym] is [Some e], with [e] in the slot beside the tag.
+   The slot is read only under [sym], so a concrete store writes the tag
+   alone: an int, which pays no write barrier, where a boxed shadow
+   paid [caml_modify] at every node. [unshadowed] and [konst] behave
+   alike everywhere but in one place: a product whose left operand has a
+   shadow, even a constant one, scales that shadow by the right
+   operand's value (CREST's linearisation), so [konst * symbolic] is
+   concrete while [unshadowed * symbolic] stays symbolic. *)
+type shadow = int
 
-let shadow_of_option = function Some e -> Sym e | None -> Unshadowed
+let unshadowed : shadow = 0
+let konst : shadow = 1
+let sym : shadow = 2
+
+(* The filler of expression slots whose tag is not [sym]. *)
+let no_exp = Smt.Linexp.const 0
+let no_constr = Smt.Constr.make no_exp Smt.Constr.Eq
 
 type frame = {
   vals : Value.t array;
   shs : shadow array;  (* heavy frames only; [||] in light *)
+  exps : Smt.Linexp.t array;  (* each slot's [sym] expression; heavy only *)
   bnd : bool array;  (* slot currently bound? (interp: name in hashtable) *)
 }
 
@@ -66,20 +80,25 @@ type ctx = {
   mutable steps : int;
   mutable func : string;  (* current function, for fault reports *)
   mutable sh : shadow;  (* heavy shadow register *)
-  mutable cs : Smt.Constr.t option;
-      (* heavy branch-constraint register: written by every heavy
-         condition closure, read by If/While right after — a register
-         rather than a tuple return so the light build's hot path
-         allocates nothing per branch *)
-  mutable ret : (Value.t * shadow) option;
+  mutable sh_exp : Smt.Linexp.t;  (* its expression when [sh = sym] *)
+  mutable has_cs : bool;
+  mutable cs : Smt.Constr.t;
+      (* heavy branch-constraint register: a heavy condition closure that
+         builds a constraint stores it here and sets [has_cs]; If/While
+         read and clear it right after, so a concrete branch stores
+         nothing and the light build's hot path allocates nothing per
+         branch *)
+  mutable ret : Value.t option;
   mutable returning : bool;
       (* return register: a [return] statement stores its value and
-         sets the flag instead of raising. Every statement closure
-         invokes its continuation in tail position, so simply {e not}
-         invoking it unwinds the whole closure chain back to the
-         call site, which consumes the flag — same control flow the
-         old Return_exn bought, minus the exception raise (and its
-         allocation) on the hot path *)
+         sets the flag instead of raising (in the heavy tree the value's
+         shadow stays in [sh]/[sh_exp], which nothing writes before the
+         call site reads it). Every statement closure invokes its
+         continuation in tail position, so simply {e not} invoking it
+         unwinds the whole closure chain back to the call site, which
+         consumes the flag — same control flow the old Return_exn
+         bought, minus the exception raise (and its allocation) on the
+         hot path *)
   pools : frame list array;
       (* per-function free lists of recycled frames, indexed by
          [cf_index]. Per-run state: the compiled program is shared
@@ -158,13 +177,34 @@ let coerce c ctype value =
     type_error c "cannot store array into scalar"
 
 let no_shadows : shadow array = [||]
+let no_exps : Smt.Linexp.t array = [||]
 
 let make_frame heavy n =
   {
     vals = Array.make n (Value.Vint 0);
-    shs = (if heavy then Array.make n Unshadowed else no_shadows);
+    shs = (if heavy then Array.make n unshadowed else no_shadows);
+    exps = (if heavy then Array.make n no_exp else no_exps);
     bnd = Array.make n false;
   }
+
+(* Heavy shadow moves: register to slot, slot to register, and a hook's
+   [Linexp.t option] to a slot. Only a [sym] shadow writes its
+   expression. *)
+let[@inline] store_shadow c f i =
+  let t = c.sh in
+  f.shs.(i) <- t;
+  if t = sym then f.exps.(i) <- c.sh_exp
+
+let[@inline] load_shadow c f i =
+  let t = f.shs.(i) in
+  c.sh <- t;
+  if t = sym then c.sh_exp <- f.exps.(i)
+
+let store_option f i = function
+  | Some e ->
+    f.shs.(i) <- sym;
+    f.exps.(i) <- e
+  | None -> f.shs.(i) <- unshadowed
 
 let slot env name =
   match Hashtbl.find_opt env.slots name with
@@ -302,44 +342,43 @@ let collect_slots (fn : Ast.func) =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Shadow builder for the linear ops (the only ones whose result shadow
-   depends on operand shadows). Under the [shadow] correspondence each
-   case is the interpreter's
-   [Some (Linexp.add (shadow_or_const x sa) (shadow_or_const y sb))]
-   (resp. [sub], the CREST product): concrete operands give [Konst], and
-   a concrete side folds into the symbolic side's constant term. *)
-let shadow_add x sa y sb =
-  match (sa, sb) with
-  | Sym ea, Sym eb -> Sym (Smt.Linexp.add ea eb)
-  | Sym ea, (Unshadowed | Konst) -> Sym (Smt.Linexp.plus_const ea y)
-  | (Unshadowed | Konst), Sym eb -> Sym (Smt.Linexp.plus_const eb x)
-  | (Unshadowed | Konst), (Unshadowed | Konst) -> Konst
+(* Shadow builders for the linear ops (the only ones whose result
+   shadow depends on operand shadows), leaving the result in the
+   register. Under the [shadow] correspondence each case is the
+   interpreter's [Some (Linexp.add (shadow_or_const x sa) (shadow_or_const
+   y sb))] (resp. [sub], the CREST product): concrete operands give
+   [konst], and a concrete side folds into the symbolic side's constant
+   term. An operand's expression [ea] / [eb] is read only when its tag
+   is [sym]. *)
+let[@inline] set_sym c e =
+  c.sh_exp <- e;
+  c.sh <- sym
 
-let shadow_sub x sa y sb =
-  match (sa, sb) with
-  | Sym ea, Sym eb -> Sym (Smt.Linexp.sub ea eb)
-  | Sym ea, (Unshadowed | Konst) -> Sym (Smt.Linexp.plus_const ea (-y))
-  | (Unshadowed | Konst), Sym eb -> Sym (Smt.Linexp.const_minus x eb)
-  | (Unshadowed | Konst), (Unshadowed | Konst) -> Konst
+let shadow_add c x ta ea y tb eb =
+  if ta = sym then
+    set_sym c (if tb = sym then Smt.Linexp.add ea eb else Smt.Linexp.plus_const ea y)
+  else if tb = sym then set_sym c (Smt.Linexp.plus_const eb x)
+  else c.sh <- konst
+
+(* [x - y] as an expression, for operands at least one of which is
+   [sym]: the difference's shadow, and the left side of a relational
+   condition's constraint ([Constr.cmp a rel b] is [make (sub a b) rel]). *)
+let sym_sub x ta ea y tb eb =
+  if ta = sym then
+    if tb = sym then Smt.Linexp.sub ea eb else Smt.Linexp.plus_const ea (-y)
+  else Smt.Linexp.const_minus x eb
+
+let shadow_sub c x ta ea y tb eb =
+  if ta = sym || tb = sym then set_sym c (sym_sub x ta ea y tb eb) else c.sh <- konst
 
 (* CREST-style linearization: scale the symbolic side by the other
    side's concrete value; two symbolic sides concretize the right one.
    A shadowed left side is scaled even when it is constant, which leaves
    a constant. *)
-let shadow_mul x sa y sb =
-  match (sa, sb) with
-  | Sym ea, (Sym _ | Unshadowed | Konst) -> Sym (Smt.Linexp.scale y ea)
-  | Konst, (Sym _ | Unshadowed | Konst) | Unshadowed, (Unshadowed | Konst) -> Konst
-  | Unshadowed, Sym eb -> Sym (Smt.Linexp.scale x eb)
-
-(* Wrap a shadow-free closure for use in the heavy tree: the result
-   shadow of these nodes is always [Unshadowed]. *)
-let nosh env (lc : ecode) : ecode =
-  if env.heavy then fun c f ->
-    let v = lc c f in
-    c.sh <- Unshadowed;
-    v
-  else lc
+let shadow_mul c x ta ea y tb eb =
+  if ta = sym then set_sym c (Smt.Linexp.scale y ea)
+  else if ta = unshadowed && tb = sym then set_sym c (Smt.Linexp.scale x eb)
+  else c.sh <- konst
 
 (* Operand shapes.  Constants and variables fuse straight into the
    consuming operator closure — no per-leaf closure, no indirect call;
@@ -350,57 +389,6 @@ type operand =
   | Ocode of ecode
 
 let[@inline] slot_value c f i msg = if f.bnd.(i) then f.vals.(i) else type_error c msg
-
-(* The nine (left, right) operand shapes of a heavy node, one closure
-   each, like the light tree's: [k] gets both values and both shadows.
-   A variable's shadow is read from its slot (expressions write no
-   variable, so after the right operand is as good as before) and a
-   constant's is [Unshadowed]; code leaves its own in [c.sh], so the
-   left one is read before the right operand runs. Values are fetched
-   left first (an unbound variable faults at its fetch), the
-   interpreter's order. *)
-let fuse_heavy (oa : operand) (ob : operand)
-    (k : ctx -> Value.t -> shadow -> Value.t -> shadow -> 'a) : ctx -> frame -> 'a =
-  match (oa, ob) with
-  | Oconst va, Oconst vb -> fun c _f -> k c va Unshadowed vb Unshadowed
-  | Oconst va, Oslot (ib, mb) ->
-    fun c f ->
-      let vb = slot_value c f ib mb in
-      k c va Unshadowed vb f.shs.(ib)
-  | Oconst va, Ocode cb ->
-    fun c f ->
-      let vb = cb c f in
-      k c va Unshadowed vb c.sh
-  | Oslot (ia, ma), Oconst vb ->
-    fun c f ->
-      let va = slot_value c f ia ma in
-      k c va f.shs.(ia) vb Unshadowed
-  | Oslot (ia, ma), Oslot (ib, mb) ->
-    fun c f ->
-      let va = slot_value c f ia ma in
-      let vb = slot_value c f ib mb in
-      k c va f.shs.(ia) vb f.shs.(ib)
-  | Oslot (ia, ma), Ocode cb ->
-    fun c f ->
-      let va = slot_value c f ia ma in
-      let vb = cb c f in
-      k c va f.shs.(ia) vb c.sh
-  | Ocode ca, Oconst vb ->
-    fun c f ->
-      let va = ca c f in
-      k c va c.sh vb Unshadowed
-  | Ocode ca, Oslot (ib, mb) ->
-    fun c f ->
-      let va = ca c f in
-      let sa = c.sh in
-      let vb = slot_value c f ib mb in
-      k c va sa vb f.shs.(ib)
-  | Ocode ca, Ocode cb ->
-    fun c f ->
-      let va = ca c f in
-      let sa = c.sh in
-      let vb = cb c f in
-      k c va sa vb c.sh
 
 (* Fused-node arithmetic: [op] is a compile-time constant in every
    caller, so both inner matches compile to jump tables — no closure
@@ -455,39 +443,183 @@ let apply2 (op : Ast.binop) c va vb =
     type_error c "arithmetic on array value"
 
 (* [apply2] for the heavy tree's linear ops ([Add], [Sub], [Mul]), with
-   the result shadow left in [c.sh]: the [shadow_*] builders on ints,
-   [Unshadowed] on floats. *)
-let apply2_heavy (op : Ast.binop) c va sa vb sb =
+   the result shadow left in the register: the [shadow_*] builders on
+   ints, [unshadowed] on floats. *)
+let apply2_heavy (op : Ast.binop) c va ta ea vb tb eb =
   match (va, vb) with
   | Value.Vint x, Value.Vint y -> (
     match op with
     | Ast.Add ->
-      c.sh <- shadow_add x sa y sb;
+      shadow_add c x ta ea y tb eb;
       Value.Vint (x + y)
     | Ast.Sub ->
-      c.sh <- shadow_sub x sa y sb;
+      shadow_sub c x ta ea y tb eb;
       Value.Vint (x - y)
     | Ast.Mul ->
-      c.sh <- shadow_mul x sa y sb;
+      shadow_mul c x ta ea y tb eb;
       Value.Vint (x * y)
     | _ -> invalid_arg "Compile.apply2_heavy")
   | _ ->
     let r = apply2 op c va vb in
-    c.sh <- Unshadowed;
+    c.sh <- unshadowed;
     r
+
+(* [apply2] for a heavy non-linear node, whose result is unshadowed. *)
+let[@inline] apply2_unshadowed (op : Ast.binop) c va vb =
+  let r = apply2 op c va vb in
+  c.sh <- unshadowed;
+  r
+
+(* The nine (left, right) operand shapes of a heavy linear node, one
+   closure each, like the light tree's, each calling [apply2_heavy]
+   directly. A variable's shadow is read from its slot (expressions
+   write no variable, so after the right operand is as good as before)
+   and a constant's is [unshadowed]; code leaves its own in the
+   register, so the left one is read before the right operand runs.
+   Values are fetched left first (an unbound variable faults at its
+   fetch), the interpreter's order. *)
+let heavy_linear op (oa : operand) (ob : operand) : ecode =
+  match (oa, ob) with
+  | Oconst va, Oconst vb ->
+    fun c _f -> apply2_heavy op c va unshadowed no_exp vb unshadowed no_exp
+  | Oconst va, Oslot (ib, mb) ->
+    fun c f ->
+      let vb = slot_value c f ib mb in
+      apply2_heavy op c va unshadowed no_exp vb f.shs.(ib) f.exps.(ib)
+  | Oconst va, Ocode cb ->
+    fun c f ->
+      let vb = cb c f in
+      apply2_heavy op c va unshadowed no_exp vb c.sh c.sh_exp
+  | Oslot (ia, ma), Oconst vb ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      apply2_heavy op c va f.shs.(ia) f.exps.(ia) vb unshadowed no_exp
+  | Oslot (ia, ma), Oslot (ib, mb) ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = slot_value c f ib mb in
+      apply2_heavy op c va f.shs.(ia) f.exps.(ia) vb f.shs.(ib) f.exps.(ib)
+  | Oslot (ia, ma), Ocode cb ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = cb c f in
+      apply2_heavy op c va f.shs.(ia) f.exps.(ia) vb c.sh c.sh_exp
+  | Ocode ca, Oconst vb ->
+    fun c f ->
+      let va = ca c f in
+      apply2_heavy op c va c.sh c.sh_exp vb unshadowed no_exp
+  | Ocode ca, Oslot (ib, mb) ->
+    fun c f ->
+      let va = ca c f in
+      let ta = c.sh and ea = c.sh_exp in
+      let vb = slot_value c f ib mb in
+      apply2_heavy op c va ta ea vb f.shs.(ib) f.exps.(ib)
+  | Ocode ca, Ocode cb ->
+    fun c f ->
+      let va = ca c f in
+      let ta = c.sh and ea = c.sh_exp in
+      let vb = cb c f in
+      apply2_heavy op c va ta ea vb c.sh c.sh_exp
+
+(* A non-linear binop's result shadow is always the interpreter's None:
+   its operands compile light, and its nine shapes fuse simple operands
+   as the light tree's do (left operand evaluated first, so fault order
+   matches the interpreter's), with the heavy ones storing [unshadowed]
+   as their last act. *)
+let fuse_apply2 ~heavy op (oa : operand) (ob : operand) : ecode =
+  match (oa, ob) with
+  | Ocode ca, Ocode cb ->
+    if heavy then fun c f ->
+      let va = ca c f in
+      let vb = cb c f in
+      apply2_unshadowed op c va vb
+    else fun c f ->
+      let va = ca c f in
+      let vb = cb c f in
+      apply2 op c va vb
+  | Ocode ca, Oconst vb ->
+    if heavy then fun c f -> apply2_unshadowed op c (ca c f) vb
+    else fun c f -> apply2 op c (ca c f) vb
+  | Ocode ca, Oslot (ib, mb) ->
+    if heavy then fun c f ->
+      let va = ca c f in
+      let vb = slot_value c f ib mb in
+      apply2_unshadowed op c va vb
+    else fun c f ->
+      let va = ca c f in
+      let vb = slot_value c f ib mb in
+      apply2 op c va vb
+  | Oconst va, Ocode cb ->
+    if heavy then fun c f ->
+      let vb = cb c f in
+      apply2_unshadowed op c va vb
+    else fun c f ->
+      let vb = cb c f in
+      apply2 op c va vb
+  | Oconst va, Oconst vb ->
+    if heavy then fun c _f -> apply2_unshadowed op c va vb
+    else fun c _f -> apply2 op c va vb
+  | Oconst va, Oslot (ib, mb) ->
+    if heavy then fun c f -> apply2_unshadowed op c va (slot_value c f ib mb)
+    else fun c f -> apply2 op c va (slot_value c f ib mb)
+  | Oslot (ia, ma), Ocode cb ->
+    if heavy then fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = cb c f in
+      apply2_unshadowed op c va vb
+    else fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = cb c f in
+      apply2 op c va vb
+  | Oslot (ia, ma), Oconst vb ->
+    if heavy then fun c f -> apply2_unshadowed op c (slot_value c f ia ma) vb
+    else fun c f -> apply2 op c (slot_value c f ia ma) vb
+  | Oslot (ia, ma), Oslot (ib, mb) ->
+    if heavy then fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = slot_value c f ib mb in
+      apply2_unshadowed op c va vb
+    else fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = slot_value c f ib mb in
+      apply2 op c va vb
+
+let[@inline] len_value c v =
+  match v with
+  | Value.Varr_int a -> Value.Vint (Array.length a)
+  | Value.Varr_float a -> Value.Vint (Array.length a)
+  | Value.Vint _ | Value.Vfloat _ -> type_error c "len of a scalar"
+
+let[@inline] idx_value c name not_arr v index =
+  match v with
+  | Value.Varr_int a ->
+    if index < 0 || index >= Array.length a then
+      fault (Fault.Segfault { array = name; index; length = Array.length a; func = c.func });
+    Value.Vint a.(index)
+  | Value.Varr_float a ->
+    if index < 0 || index >= Array.length a then
+      fault (Fault.Segfault { array = name; index; length = Array.length a; func = c.func });
+    Value.Vfloat a.(index)
+  | Value.Vint _ | Value.Vfloat _ -> type_error c not_arr
+
+let[@inline] lognot_value c v =
+  match v with
+  | Value.Vint n -> bool_to_value (n = 0)
+  | Value.Vfloat x -> bool_to_value (x = 0.0)
+  | Value.Varr_int _ | Value.Varr_float _ -> type_error c "lognot of array"
 
 let rec compile_expr env (e : Ast.expr) : ecode =
   match e with
   | Ast.Int n ->
     let v = Value.Vint n in
     if env.heavy then fun c _f ->
-      c.sh <- Unshadowed;
+      c.sh <- unshadowed;
       v
     else fun _c _f -> v
   | Ast.Float x ->
     let v = Value.Vfloat x in
     if env.heavy then fun c _f ->
-      c.sh <- Unshadowed;
+      c.sh <- unshadowed;
       v
     else fun _c _f -> v
   | Ast.Var name ->
@@ -495,20 +627,19 @@ let rec compile_expr env (e : Ast.expr) : ecode =
     let msg = "undefined variable " ^ name in
     if env.heavy then fun c f ->
       if f.bnd.(i) then begin
-        c.sh <- f.shs.(i);
+        load_shadow c f i;
         f.vals.(i)
       end
       else type_error c msg
-    else fun c f -> if f.bnd.(i) then f.vals.(i) else type_error c msg
+    else fun c f -> slot_value c f i msg
   | Ast.Len name ->
     let i = slot env name in
     let msg = "undefined variable " ^ name in
-    nosh env (fun c f ->
-        let v = if f.bnd.(i) then f.vals.(i) else type_error c msg in
-        match v with
-        | Value.Varr_int a -> Value.Vint (Array.length a)
-        | Value.Varr_float a -> Value.Vint (Array.length a)
-        | Value.Vint _ | Value.Vfloat _ -> type_error c "len of a scalar")
+    if env.heavy then fun c f ->
+      let v = len_value c (slot_value c f i msg) in
+      c.sh <- unshadowed;
+      v
+    else fun c f -> len_value c (slot_value c f i msg)
   | Ast.Idx (name, ie) ->
     let i = slot env name in
     let msg = "undefined variable " ^ name in
@@ -519,37 +650,27 @@ let rec compile_expr env (e : Ast.expr) : ecode =
       match operand (light env) ie with
       | Oconst v ->
         fun c _f -> as_int c v
-      | Oslot (ii, mi) ->
-        fun c f -> as_int c (if f.bnd.(ii) then f.vals.(ii) else type_error c mi)
+      | Oslot (ii, mi) -> fun c f -> as_int c (slot_value c f ii mi)
       | Ocode ci -> fun c f -> as_int c (ci c f)
     in
-    nosh env (fun c f ->
-        (* lookup first, index second: Interp.eval's order *)
-        let v = if f.bnd.(i) then f.vals.(i) else type_error c msg in
-        let index = fetch_index c f in
-        let check len =
-          if index < 0 || index >= len then
-            fault (Fault.Segfault { array = name; index; length = len; func = c.func })
-        in
-        match v with
-        | Value.Varr_int a ->
-          check (Array.length a);
-          Value.Vint a.(index)
-        | Value.Varr_float a ->
-          check (Array.length a);
-          Value.Vfloat a.(index)
-        | Value.Vint _ | Value.Vfloat _ -> type_error c not_arr)
+    if env.heavy then fun c f ->
+      (* lookup first, index second: Interp.eval's order *)
+      let v = slot_value c f i msg in
+      let r = idx_value c name not_arr v (fetch_index c f) in
+      c.sh <- unshadowed;
+      r
+    else fun c f ->
+      let v = slot_value c f i msg in
+      idx_value c name not_arr v (fetch_index c f)
   | Ast.Unop (Ast.Neg, e1) ->
     let ce = compile_expr env e1 in
     if env.heavy then fun c f ->
       match ce c f with
       | Value.Vint n ->
-        (match c.sh with
-        | Sym e -> c.sh <- Sym (Smt.Linexp.neg e)
-        | Unshadowed | Konst -> ());
+        if c.sh = sym then c.sh_exp <- Smt.Linexp.neg c.sh_exp;
         Value.Vint (-n)
       | Value.Vfloat x ->
-        c.sh <- Unshadowed;
+        c.sh <- unshadowed;
         Value.Vfloat (-.x)
       | Value.Varr_int _ | Value.Varr_float _ -> type_error c "negation of array"
     else fun c f ->
@@ -559,60 +680,18 @@ let rec compile_expr env (e : Ast.expr) : ecode =
       | Value.Varr_int _ | Value.Varr_float _ -> type_error c "negation of array")
   | Ast.Unop (Ast.Lognot, e1) ->
     let ce = compile_expr (light env) e1 in  (* operand shadow is discarded *)
-    nosh env (fun c f ->
-        match ce c f with
-        | Value.Vint n -> bool_to_value (n = 0)
-        | Value.Vfloat x -> bool_to_value (x = 0.0)
-        | Value.Varr_int _ | Value.Varr_float _ -> type_error c "lognot of array")
+    if env.heavy then fun c f ->
+      let v = lognot_value c (ce c f) in
+      c.sh <- unshadowed;
+      v
+    else fun c f -> lognot_value c (ce c f)
   | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul) as op), ea, eb) when env.heavy ->
     (* linear: the only binops whose result shadow depends on their
        operands'; left operand first, as in the interpreter *)
-    fuse_heavy (operand env ea) (operand env eb) (fun c va sa vb sb ->
-        apply2_heavy op c va sa vb sb)
+    heavy_linear op (operand env ea) (operand env eb)
   | Ast.Binop (op, ea, eb) ->
-    (* non-linear result shadow is always None: operands compile
-       light, and simple operand shapes fuse into the operator
-       closure (left operand still evaluated first, so fault order
-       matches the interpreter's) *)
     let le = light env in
-    let fused =
-      match (operand le ea, operand le eb) with
-      | Ocode ca, Ocode cb ->
-        fun c f ->
-          let va = ca c f in
-          let vb = cb c f in
-          apply2 op c va vb
-      | Ocode ca, Oconst vb -> fun c f -> apply2 op c (ca c f) vb
-      | Ocode ca, Oslot (ib, mb) ->
-        fun c f ->
-          let va = ca c f in
-          let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
-          apply2 op c va vb
-      | Oconst va, Ocode cb ->
-        fun c f ->
-          let vb = cb c f in
-          apply2 op c va vb
-      | Oconst va, Oconst vb -> fun c _f -> apply2 op c va vb
-      | Oconst va, Oslot (ib, mb) ->
-        fun c f ->
-          let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
-          apply2 op c va vb
-      | Oslot (ia, ma), Ocode cb ->
-        fun c f ->
-          let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
-          let vb = cb c f in
-          apply2 op c va vb
-      | Oslot (ia, ma), Oconst vb ->
-        fun c f ->
-          let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
-          apply2 op c va vb
-      | Oslot (ia, ma), Oslot (ib, mb) ->
-        fun c f ->
-          let va = if f.bnd.(ia) then f.vals.(ia) else type_error c ma in
-          let vb = if f.bnd.(ib) then f.vals.(ib) else type_error c mb in
-          apply2 op c va vb
-    in
-    nosh env fused
+    fuse_apply2 ~heavy:env.heavy op (operand le ea) (operand le eb)
 
 and operand env (e : Ast.expr) : operand =
   match e with
@@ -665,37 +744,90 @@ let rel_apply (op : Ast.binop) c va vb =
   | _, (Value.Varr_int _ | Value.Varr_float _) ->
     type_error c "arithmetic on array value"
 
-(* [rel_apply] for the heavy tree, with the branch constraint left in
-   [c.cs]. [Constr.cmp a rel b] is [make (Linexp.sub a b) rel]; no
-   variable on either side makes a concrete branch, and with no symbolic
-   side no expression is built at all. Float comparisons are concrete
-   only (Interp re-evaluates the whole pure expression there; the values
-   are identical). *)
-let rel_apply_heavy (op : Ast.binop) rel c va sa vb sb =
-  match (va, vb) with
-  | Value.Vint x, Value.Vint y ->
-    let taken = rel_apply op c va vb in
-    c.cs <-
-      (match shadow_sub x sa y sb with
-      | Sym exp when Smt.Linexp.is_const exp = None ->
-        let cns = Smt.Constr.make exp rel in
-        Some (if taken then cns else Smt.Constr.negate cns)
-      | Sym _ | Unshadowed | Konst -> None);
-    taken
-  | _ ->
-    c.cs <- None;
-    rel_apply op c va vb
+(* A heavy relational condition's compile-time facts: its operator and
+   relation, the branch statement's id, and whether an odd number of
+   [!]s encloses it, so the statement's outcome is its own negated. *)
+type site = { s_op : Ast.binop; s_rel : Smt.Constr.rel; s_id : int; s_flip : bool }
 
-(* Heavy condition closures leave their branch constraint in [c.cs];
-   light ones never touch it (the statement layer passes [None]). *)
-let rec compile_cond env (e : Ast.expr) : ccode =
+let[@inline] set_constr c cns taken =
+  c.cs <- (if taken then cns else Smt.Constr.negate cns);
+  c.has_cs <- true
+
+(* [rel_apply] for the heavy tree, leaving a branch constraint in the
+   register. With no symbolic side there is no constraint and no
+   expression is built; a symbolic one is built only when the path log
+   keeps it ([hooks.keeps]) for the statement's outcome, and vanishes if
+   its variables cancel (a concrete branch). Float comparisons are
+   concrete only (Interp re-evaluates the whole pure expression there;
+   the values are identical). *)
+let rel_apply_heavy s c va ta ea vb tb eb =
+  let taken = rel_apply s.s_op c va vb in
+  (match (va, vb) with
+  | Value.Vint x, Value.Vint y ->
+    if (ta = sym || tb = sym) && c.hooks.Interp.keeps ~id:s.s_id ~taken:(taken <> s.s_flip)
+    then begin
+      let exp = sym_sub x ta ea y tb eb in
+      if Smt.Linexp.is_const exp = None then set_constr c (Smt.Constr.make exp s.s_rel) taken
+    end
+  | _ -> ());
+  taken
+
+(* The nine operand shapes of a heavy relational condition, as
+   [heavy_linear]'s. *)
+let heavy_rel s (oa : operand) (ob : operand) : ccode =
+  match (oa, ob) with
+  | Oconst va, Oconst vb ->
+    fun c _f -> rel_apply_heavy s c va unshadowed no_exp vb unshadowed no_exp
+  | Oconst va, Oslot (ib, mb) ->
+    fun c f ->
+      let vb = slot_value c f ib mb in
+      rel_apply_heavy s c va unshadowed no_exp vb f.shs.(ib) f.exps.(ib)
+  | Oconst va, Ocode cb ->
+    fun c f ->
+      let vb = cb c f in
+      rel_apply_heavy s c va unshadowed no_exp vb c.sh c.sh_exp
+  | Oslot (ia, ma), Oconst vb ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      rel_apply_heavy s c va f.shs.(ia) f.exps.(ia) vb unshadowed no_exp
+  | Oslot (ia, ma), Oslot (ib, mb) ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = slot_value c f ib mb in
+      rel_apply_heavy s c va f.shs.(ia) f.exps.(ia) vb f.shs.(ib) f.exps.(ib)
+  | Oslot (ia, ma), Ocode cb ->
+    fun c f ->
+      let va = slot_value c f ia ma in
+      let vb = cb c f in
+      rel_apply_heavy s c va f.shs.(ia) f.exps.(ia) vb c.sh c.sh_exp
+  | Ocode ca, Oconst vb ->
+    fun c f ->
+      let va = ca c f in
+      rel_apply_heavy s c va c.sh c.sh_exp vb unshadowed no_exp
+  | Ocode ca, Oslot (ib, mb) ->
+    fun c f ->
+      let va = ca c f in
+      let ta = c.sh and ea = c.sh_exp in
+      let vb = slot_value c f ib mb in
+      rel_apply_heavy s c va ta ea vb f.shs.(ib) f.exps.(ib)
+  | Ocode ca, Ocode cb ->
+    fun c f ->
+      let va = ca c f in
+      let ta = c.sh and ea = c.sh_exp in
+      let vb = cb c f in
+      rel_apply_heavy s c va ta ea vb c.sh c.sh_exp
+
+(* A heavy condition closure that builds a constraint leaves it in the
+   register ([set_constr]); light ones never touch it (the statement
+   layer passes [None]). [id] is the branch statement's and [flip] tells
+   whether an odd number of [!]s encloses [e]. *)
+let rec compile_cond env id ~flip (e : Ast.expr) : ccode =
   match e with
   | Ast.Binop (op, ea, eb) when rel_of_binop op <> None ->
     let rel = Option.get (rel_of_binop op) in
-    if env.heavy then begin
-      fuse_heavy (operand env ea) (operand env eb) (fun c va sa vb sb ->
-          rel_apply_heavy op rel c va sa vb sb)
-    end
+    if env.heavy then
+      heavy_rel { s_op = op; s_rel = rel; s_id = id; s_flip = flip } (operand env ea)
+        (operand env eb)
     else begin
       (* light conditions fuse simple operands exactly like light
          binops (left fetched first for interp fault order) *)
@@ -739,7 +871,7 @@ let rec compile_cond env (e : Ast.expr) : ccode =
   | Ast.Unop (Ast.Lognot, inner) ->
     (* the inner constraint already holds for the values that were
        observed; negation flips only the boolean outcome *)
-    let cc = compile_cond env inner in
+    let cc = compile_cond env id ~flip:(not flip) inner in
     fun c f -> not (cc c f)
   | Ast.Int _ | Ast.Float _ | Ast.Var _ | Ast.Idx _ | Ast.Len _
   | Ast.Unop (Ast.Neg, _) | Ast.Binop _ ->
@@ -749,16 +881,12 @@ let rec compile_cond env (e : Ast.expr) : ccode =
       match ce c f with
       | Value.Vint n ->
         let taken = n <> 0 in
-        c.cs <-
-          (match c.sh with
-          | Sym exp when Smt.Linexp.is_const exp = None ->
-            let cns = Smt.Constr.make exp Smt.Constr.Ne in
-            Some (if taken then cns else Smt.Constr.negate cns)
-          | Sym _ | Unshadowed | Konst -> None);
+        if c.sh = sym
+           && Smt.Linexp.is_const c.sh_exp = None
+           && c.hooks.Interp.keeps ~id ~taken:(taken <> flip)
+        then set_constr c (Smt.Constr.make c.sh_exp Smt.Constr.Ne) taken;
         taken
-      | Value.Vfloat x ->
-        c.cs <- None;
-        x <> 0.0
+      | Value.Vfloat x -> x <> 0.0
       | Value.Varr_int _ | Value.Varr_float _ -> type_error c "array used as condition"
     else fun c f ->
       (match ce c f with
@@ -818,11 +946,11 @@ let compile_store env (lv : Ast.lval) : ctx -> frame -> Value.t -> unit =
           | Value.Vint _ -> coerce c Ast.Tint value
           | Value.Vfloat _ -> coerce c Ast.Tfloat value
           | Value.Varr_int _ | Value.Varr_float _ -> value);
-        f.shs.(i) <- Unshadowed
+        f.shs.(i) <- unshadowed
       end
       else begin
         f.vals.(i) <- value;
-        f.shs.(i) <- Unshadowed;
+        f.shs.(i) <- unshadowed;
         f.bnd.(i) <- true
       end
     else fun c f value ->
@@ -862,15 +990,22 @@ let compile_store env (lv : Ast.lval) : ctx -> frame -> Value.t -> unit =
         a.(index) <- as_float c value
       | Value.Vint _ | Value.Vfloat _ -> type_error c not_arr
 
-(* Bind a fresh slot the way Hashtbl.replace binds a fresh name. *)
+(* Bind a fresh slot the way Hashtbl.replace binds a fresh name, to an
+   unshadowed value. *)
 let set_slot env i =
-  if env.heavy then fun f value shadow ->
+  if env.heavy then fun f value ->
     f.vals.(i) <- value;
-    f.shs.(i) <- shadow;
+    f.shs.(i) <- unshadowed;
     f.bnd.(i) <- true
-  else fun f value _shadow ->
+  else fun f value ->
     f.vals.(i) <- value;
     f.bnd.(i) <- true
+
+(* [set_slot] in the heavy tree, with a hook's shadow. *)
+let bind_shadowed f i value shadow =
+  f.vals.(i) <- value;
+  store_option f i shadow;
+  f.bnd.(i) <- true
 
 (* Operand evaluation order below follows the interpreter exactly — and
    the interpreter builds Mpi_iface request records inline, so it
@@ -880,32 +1015,34 @@ let compile_mpi env (m : Ast.mpi) : scode =
   match m with
   | Ast.Comm_rank (cref, var) ->
     let ch = compile_comm env cref in
-    let set = set_slot env (slot env var) in
+    let i = slot env var in
+    let set = set_slot env i in
     let is_world = cref = Ast.World in
     if env.heavy then fun c f ->
       let comm = ch c f in
       let rank = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Rank comm)) in
       let kind = if is_world then Interp.Rank_world else Interp.Rank_comm comm in
       let shadow = c.hooks.Interp.on_mpi_sem kind rank in
-      set f (Value.Vint rank) (shadow_of_option shadow)
+      bind_shadowed f i (Value.Vint rank) shadow
     else fun c f ->
       let comm = ch c f in
       let rank = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Rank comm)) in
-      set f (Value.Vint rank) Unshadowed
+      set f (Value.Vint rank)
   | Ast.Comm_size (cref, var) ->
     let ch = compile_comm env cref in
-    let set = set_slot env (slot env var) in
+    let i = slot env var in
+    let set = set_slot env i in
     let is_world = cref = Ast.World in
     if env.heavy then fun c f ->
       let comm = ch c f in
       let size = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Size comm)) in
       let kind = if is_world then Interp.Size_world else Interp.Size_comm comm in
       let shadow = c.hooks.Interp.on_mpi_sem kind size in
-      set f (Value.Vint size) (shadow_of_option shadow)
+      bind_shadowed f i (Value.Vint size) shadow
     else fun c f ->
       let comm = ch c f in
       let size = expect_int c (c.hooks.Interp.mpi (Mpi_iface.Size comm)) in
-      set f (Value.Vint size) Unshadowed
+      set f (Value.Vint size)
   | Ast.Comm_split { comm; color; key; into } ->
     let ch = compile_comm env comm in
     let ccolor = cint env color in
@@ -916,7 +1053,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let color = ccolor c f in
       let comm = ch c f in
       let reply = c.hooks.Interp.mpi (Mpi_iface.Split { comm; color; key }) in
-      set f (Value.Vint (expect_int c reply)) Unshadowed
+      set f (Value.Vint (expect_int c reply))
   | Ast.Barrier comm ->
     let ch = compile_comm env comm in
     fun c f ->
@@ -961,7 +1098,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let reply =
         c.hooks.Interp.mpi (Mpi_iface.Isend { comm; dest; tag; data = Value.copy v })
       in
-      set f (Value.Vint (expect_int c reply)) Unshadowed
+      set f (Value.Vint (expect_int c reply))
   | Ast.Irecv { comm; src; tag; req } ->
     let ctag = cint_opt env tag in
     let csrc = cint_opt env src in
@@ -972,7 +1109,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let src = csrc c f in
       let comm = ch c f in
       let reply = c.hooks.Interp.mpi (Mpi_iface.Irecv { comm; src; tag }) in
-      set f (Value.Vint (expect_int c reply)) Unshadowed
+      set f (Value.Vint (expect_int c reply))
   | Ast.Wait { req; into } -> (
     let creq = cint env req in
     match into with
@@ -1052,7 +1189,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       in
       match reply with
       | Mpi_iface.Rnone -> ()
-      | Mpi_iface.Rvalue arr -> set f arr Unshadowed
+      | Mpi_iface.Rvalue arr -> set f arr
       | Mpi_iface.Runit | Mpi_iface.Rint _ | Mpi_iface.Rvalues _ ->
         type_error c "MPI reply: bad gather reply")
   | Ast.Scatter { comm; root; data; into } ->
@@ -1087,7 +1224,7 @@ let compile_mpi env (m : Ast.mpi) : scode =
       let reply =
         c.hooks.Interp.mpi (Mpi_iface.Allgather { comm; data = Value.copy v })
       in
-      set f (expect_value c reply) Unshadowed
+      set f (expect_value c reply)
   | Ast.Alltoall { comm; data; into } ->
     let i_data = slot env data in
     let data_msg = "undefined variable " ^ data in
@@ -1099,11 +1236,20 @@ let compile_mpi env (m : Ast.mpi) : scode =
       in
       let comm = ch c f in
       let reply = c.hooks.Interp.mpi (Mpi_iface.Alltoall { comm; data = v }) in
-      set f (expect_value c reply) Unshadowed
+      set f (expect_value c reply)
 
 (* ------------------------------------------------------------------ *)
 (* Statements (CPS: each closure ends by running the rest of the block) *)
 (* ------------------------------------------------------------------ *)
+
+(* A heavy branch statement's [on_branch], with the constraint its
+   condition left in the register, which it clears. *)
+let report_branch c id taken =
+  if c.has_cs then begin
+    c.has_cs <- false;
+    c.hooks.Interp.on_branch ~id ~taken ~constr:(Some c.cs)
+  end
+  else c.hooks.Interp.on_branch ~id ~taken ~constr:None
 
 let rec compile_block env block (k : scode) : scode =
   List.fold_right (compile_stmt env) block k
@@ -1119,9 +1265,8 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
     let ce = compile_expr env e in
     if env.heavy then fun c f ->
       tick c;
-      let value = coerce c Ast.Tint (ce c f) in
-      f.vals.(i) <- value;
-      f.shs.(i) <- c.sh;
+      f.vals.(i) <- coerce c Ast.Tint (ce c f);
+      store_shadow c f i;
       f.bnd.(i) <- true;
       k c f
     else fun c f ->
@@ -1136,7 +1281,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
     if env.heavy then fun c f ->
       tick c;
       f.vals.(i) <- coerce c Ast.Tfloat (ce c f);
-      f.shs.(i) <- Unshadowed;
+      f.shs.(i) <- unshadowed;
       f.bnd.(i) <- true;
       k c f
     else fun c f ->
@@ -1153,7 +1298,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       let n = as_int c (cs c f) in
       if n < 0 then
         fault (Fault.Segfault { array = name; index = n; length = 0; func = c.func });
-      set f (zero_value ctype n) Unshadowed;
+      set f (zero_value ctype n);
       k c f
   | Ast.Assign (Ast.Lvar name, e) ->
     let i = slot env name in
@@ -1162,7 +1307,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
     if env.heavy then fun c f ->
       tick c;
       let v = ce c f in
-      let s = c.sh in
+      (* the rhs's shadow stays in the register: nothing below evaluates *)
       if not f.bnd.(i) then type_error c msg;  (* lookup after rhs eval *)
       let value =
         match f.vals.(i) with
@@ -1175,7 +1320,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
           | Value.Vint _ | Value.Vfloat _ -> type_error c "scalar into array variable")
       in
       f.vals.(i) <- value;
-      f.shs.(i) <- (match value with Value.Vint _ -> s | _ -> Unshadowed);
+      (match value with Value.Vint _ -> store_shadow c f i | _ -> f.shs.(i) <- unshadowed);
       k c f
     else fun c f ->
       tick c;
@@ -1217,13 +1362,13 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       | Value.Vint _ | Value.Vfloat _ -> type_error c not_arr);
       k c f
   | Ast.If { id; cond; then_; else_ } ->
-    let cc = compile_cond env cond in
+    let cc = compile_cond env id ~flip:false cond in
     let ct = compile_block env then_ k in
     let ce = compile_block env else_ k in
     if env.heavy then fun c f ->
       tick c;
       let taken = cc c f in
-      c.hooks.Interp.on_branch ~id ~taken ~constr:c.cs;
+      report_branch c id taken;
       if taken then ct c f else ce c f
     else fun c f ->
       tick c;
@@ -1231,13 +1376,13 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       c.hooks.Interp.on_branch ~id ~taken ~constr:None;
       if taken then ct c f else ce c f
   | Ast.While { id; cond; body } ->
-    let cc = compile_cond env cond in
+    let cc = compile_cond env id ~flip:false cond in
     let body_ref = ref (fun _c _f -> ()) in
     let loop =
       if env.heavy then fun c f ->
         tick c;
         let taken = cc c f in
-        c.hooks.Interp.on_branch ~id ~taken ~constr:c.cs;
+        report_branch c id taken;
         if taken then !body_ref c f else k c f
       else fun c f ->
         tick c;
@@ -1263,20 +1408,23 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
     if env.heavy then fun c f ->
       tick c;
       (match call c f with
-      | Some (v, s) ->
+      | Some v -> (
+        (* the returned value's shadow is in the register *)
         if not f.bnd.(i) then type_error c msg;
         f.vals.(i) <-
           (match f.vals.(i) with
           | Value.Vint _ -> coerce c Ast.Tint v
           | Value.Vfloat _ -> coerce c Ast.Tfloat v
           | Value.Varr_int _ | Value.Varr_float _ -> v);
-        f.shs.(i) <- (match f.vals.(i) with Value.Vint _ -> s | _ -> Unshadowed)
+        match f.vals.(i) with
+        | Value.Vint _ -> store_shadow c f i
+        | Value.Vfloat _ | Value.Varr_int _ | Value.Varr_float _ -> f.shs.(i) <- unshadowed)
       | None -> type_error c none_msg);
       k c f
     else fun c f ->
       tick c;
       (match call c f with
-      | Some (v, _) ->
+      | Some v ->
         if not f.bnd.(i) then type_error c msg;
         f.vals.(i) <-
           (match f.vals.(i) with
@@ -1295,19 +1443,15 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       c.returning <- true
   | Ast.Return (Some e) ->
     let ce = compile_expr env e in
-    if env.heavy then fun c f ->
+    fun c f ->
       tick c;
-      let v = ce c f in
-      c.ret <- Some (v, c.sh);
-      c.returning <- true
-    else fun c f ->
-      tick c;
-      c.ret <- Some (ce c f, Unshadowed);
+      (* a heavy [ce] leaves the value's shadow in the register *)
+      c.ret <- Some (ce c f);
       c.returning <- true
   | Ast.Assert (cond, message) ->
     (* the constraint is discarded, so even the heavy tree uses the
        light condition compiler (shadow computation is pure) *)
-    let cc = compile_cond (light env) cond in
+    let cc = compile_cond (light env) 0 ~flip:false cond in
     fun c f ->
       tick c;
       if not (cc c f) then fault (Fault.Assert_fail { message; func = c.func });
@@ -1322,16 +1466,17 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       tick c;
       raise (Exit_exn (as_int c (ce c f)))
   | Ast.Input decl ->
-    let set = set_slot env (slot env decl.Ast.iname) in
+    let i = slot env decl.Ast.iname in
+    let set = set_slot env i in
     if env.heavy then fun c f ->
       tick c;
       let concrete = c.hooks.Interp.input_value decl in
       let shadow = c.hooks.Interp.on_input decl concrete in
-      set f (Value.Vint concrete) (shadow_of_option shadow);
+      bind_shadowed f i (Value.Vint concrete) shadow;
       k c f
     else fun c f ->
       tick c;
-      set f (Value.Vint (c.hooks.Interp.input_value decl)) Unshadowed;
+      set f (Value.Vint (c.hooks.Interp.input_value decl));
       k c f
   | Ast.Mpi m ->
     let cm = compile_mpi env m in
@@ -1340,7 +1485,7 @@ and compile_stmt env (stmt : Ast.stmt) (k : scode) : scode =
       cm c f;
       k c f
 
-and compile_call env name args : ctx -> frame -> (Value.t * shadow) option
+and compile_call env name args : ctx -> frame -> Value.t option
     =
   match Hashtbl.find_opt env.funcs name with
   | None ->
@@ -1361,7 +1506,6 @@ and compile_call env name args : ctx -> frame -> (Value.t * shadow) option
                let ca = compile_expr env arg in
                if env.heavy then fun c f nf ->
                  let v = ca c f in
-                 let s = c.sh in
                  let value =
                    match v with
                    | Value.Vint _ | Value.Vfloat _ -> coerce c ctype v
@@ -1369,7 +1513,10 @@ and compile_call env name args : ctx -> frame -> (Value.t * shadow) option
                    (* arrays pass by reference *)
                  in
                  nf.vals.(pslot) <- value;
-                 nf.shs.(pslot) <- (match value with Value.Vint _ -> s | _ -> Unshadowed);
+                 (match value with
+                 | Value.Vint _ -> store_shadow c nf pslot
+                 | Value.Vfloat _ | Value.Varr_int _ | Value.Varr_float _ ->
+                   nf.shs.(pslot) <- unshadowed);
                  nf.bnd.(pslot) <- true
                else fun c f nf ->
                  let v = ca c f in
@@ -1531,8 +1678,10 @@ let run t (hooks : Interp.hooks) =
       hooks;
       steps = 0;
       func = t.t_program.Ast.entry;
-      sh = Unshadowed;
-      cs = None;
+      sh = unshadowed;
+      sh_exp = no_exp;
+      has_cs = false;
+      cs = no_constr;
       ret = None;
       returning = false;
       pools = Array.make (max 1 t.t_funcs) [];

@@ -11,8 +11,12 @@
     ordering of operand evaluation), same step accounting against
     [step_limit], same [on_branch] / [on_input] / [on_func_enter] /
     [on_mpi_sem] hook invocations in the same order, and the same MPI
-    calls issued through the same {!Interp.mpi_iface}.  The qcheck
-    differential suite in [test/test_compile.ml] enforces this.
+    calls issued through the same {!Interp.mpi_iface}.  The pure query
+    [keeps] is not part of that stream: the heavy tree asks it only for
+    a condition with a symbolic operand, so it may ask less often than
+    the interpreter, with the same answers and the same [on_branch]
+    events.  The qcheck differential suite in [test/test_compile.ml]
+    enforces this.
 
     What is resolved at compile time: variable names to frame slots,
     function names and arities, entry-point lookup, per-operator

@@ -12,6 +12,7 @@ type hooks = {
   on_input : Ast.input_decl -> int -> Smt.Linexp.t option;
   on_mpi_sem : sem_kind -> int -> Smt.Linexp.t option;
   on_branch : id:int -> taken:bool -> constr:Smt.Constr.t option -> unit;
+  keeps : id:int -> taken:bool -> bool;
   on_func_enter : string -> unit;
   mpi : Mpi_iface.handler;
   step_limit : int;
@@ -66,6 +67,7 @@ let plain_hooks ?(step_limit = 5_000_000) ?(mpi = null_mpi) () =
     on_input = (fun _ _ -> None);
     on_mpi_sem = (fun _ _ -> None);
     on_branch = (fun ~id:_ ~taken:_ ~constr:_ -> ());
+    keeps = (fun ~id:_ ~taken:_ -> true);
     on_func_enter = (fun _ -> ());
     mpi;
     step_limit;
@@ -258,7 +260,17 @@ let rel_of_binop = function
   | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr ->
     None
 
-let rec eval_cond st frame (e : Ast.expr) : bool * Smt.Constr.t option =
+(* Whether to build the constraint of a symbolic condition: only in
+   heavy mode, only for a branch statement's condition ([branch] is its
+   id; an assert reports no constraint), and only when the path log
+   keeps it for the statement's outcome — the condition's own outcome
+   [taken], flipped by every enclosing [!] when [flip] is set. *)
+let wants st branch ~flip taken =
+  match branch with
+  | Some id -> heavy st && st.hooks.keeps ~id ~taken:(taken <> flip)
+  | None -> false
+
+let rec eval_cond st frame branch ~flip (e : Ast.expr) : bool * Smt.Constr.t option =
   match e with
   | Ast.Binop (op, ea, eb) when rel_of_binop op <> None -> (
     let rel = Option.get (rel_of_binop op) in
@@ -268,7 +280,7 @@ let rec eval_cond st frame (e : Ast.expr) : bool * Smt.Constr.t option =
     | Value.Vint x, Value.Vint y ->
       let taken = as_int st (fst (eval_int_binop st op x y None None)) <> 0 in
       let constr =
-        if heavy st then
+        if (Option.is_some sa || Option.is_some sb) && wants st branch ~flip taken then
           let c = Smt.Constr.cmp (shadow_or_const x sa) rel (shadow_or_const y sb) in
           (* constants on both sides: a concrete branch, no constraint *)
           if Smt.Varid.Set.is_empty (Smt.Constr.vars c) then None
@@ -284,7 +296,7 @@ let rec eval_cond st frame (e : Ast.expr) : bool * Smt.Constr.t option =
   | Ast.Unop (Ast.Lognot, inner) ->
     (* the inner constraint already holds for the values that were
        observed; negation flips only the boolean outcome *)
-    let taken, constr = eval_cond st frame inner in
+    let taken, constr = eval_cond st frame branch ~flip:(not flip) inner in
     (not taken, constr)
   | Ast.Int _ | Ast.Float _ | Ast.Var _ | Ast.Idx _ | Ast.Len _ | Ast.Unop (Ast.Neg, _)
   | Ast.Binop _ -> (
@@ -294,11 +306,13 @@ let rec eval_cond st frame (e : Ast.expr) : bool * Smt.Constr.t option =
     | Value.Vint n ->
       let taken = n <> 0 in
       let constr =
-        match (heavy st, s) with
-        | true, Some exp when not (Smt.Varid.Set.is_empty (Smt.Linexp.vars exp)) ->
+        match s with
+        | Some exp
+          when (not (Smt.Varid.Set.is_empty (Smt.Linexp.vars exp)))
+               && wants st branch ~flip taken ->
           let c = Smt.Constr.make exp Smt.Constr.Ne in
           Some (if taken then c else Smt.Constr.negate c)
-        | true, (Some _ | None) | false, _ -> None
+        | Some _ | None -> None
       in
       (taken, constr)
     | Value.Vfloat x -> (x <> 0.0, None)
@@ -369,13 +383,13 @@ and exec_stmt st frame (stmt : Ast.stmt) =
       a.(index) <- as_float st v
     | Value.Vint _ | Value.Vfloat _ -> type_error st (name ^ " is not an array"))
   | Ast.If { id; cond; then_; else_ } ->
-    let taken, constr = eval_cond st frame cond in
+    let taken, constr = eval_cond st frame (Some id) ~flip:false cond in
     st.hooks.on_branch ~id ~taken ~constr;
     exec_block st frame (if taken then then_ else else_)
   | Ast.While { id; cond; body } ->
     let rec loop () =
       tick st;
-      let taken, constr = eval_cond st frame cond in
+      let taken, constr = eval_cond st frame (Some id) ~flip:false cond in
       st.hooks.on_branch ~id ~taken ~constr;
       if taken then begin
         exec_block st frame body;
@@ -401,7 +415,7 @@ and exec_stmt st frame (stmt : Ast.stmt) =
     let result = Option.map (eval st frame) e_opt in
     raise (Return_exn result)
   | Ast.Assert (cond, message) ->
-    let taken, _ = eval_cond st frame cond in
+    let taken, _ = eval_cond st frame None ~flip:false cond in
     if not taken then fault (Fault.Assert_fail { message; func = st.func })
   | Ast.Abort message -> fault (Fault.Abort_called { message; func = st.func })
   | Ast.Exit code -> raise (Exit_exn (as_int st (fst (eval st frame code))))

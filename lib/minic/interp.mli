@@ -34,6 +34,18 @@ type hooks = {
       (** every conditional evaluation; [constr] holds for the taken
           direction and is [None] when the condition is concrete or the
           mode is light *)
+  keeps : id:int -> taken:bool -> bool;
+      (** [keeps ~id ~taken] asks, before a heavy-mode branch statement
+          builds its constraint, whether the path log will keep a
+          constraint for conditional [id] with final outcome [taken]
+          (after every [!] of the condition). When it answers [false]
+          the statement reports [constr = None] without building the
+          linear expression, so a log that would drop the constraint
+          anyway (constraint-set reduction) costs no symbolic work.
+          It must be a pure query: the executors call it at most once
+          per branch event, right before that event's [on_branch], and
+          conditions contain no calls, so no other hook runs between
+          the two. Asserts never ask. *)
   on_func_enter : string -> unit;
       (** reachable-function accounting *)
   mpi : Mpi_iface.handler;
@@ -46,7 +58,8 @@ val null_mpi : Mpi_iface.handler
 
 val plain_hooks : ?step_limit:int -> ?mpi:Mpi_iface.handler -> unit -> hooks
 (** Light-mode hooks that ignore all events; inputs read their declared
-    defaults. Convenient for unit tests. *)
+    defaults and [keeps] always answers [true], so a heavy run under
+    them reports every symbolic constraint. Convenient for unit tests. *)
 
 val run : hooks -> Ast.program -> (unit, Fault.t) result
 (** Execute the program's entry function. All runtime faults are

@@ -20,9 +20,25 @@ let merge f a b =
   in
   { coeffs = normalize coeffs; k = f a.k b.k }
 
-let add a b = merge ( + ) a b
-let sub a b = merge ( - ) a b
 let neg a = { coeffs = Varid.Map.map (fun c -> -c) a.coeffs; k = -a.k }
+
+(* [a] holds no zero coefficient unless [scale] wrapped a product to 0. *)
+let normalized a = Varid.Map.for_all (fun _ c -> c <> 0) a.coeffs
+
+(* With no zero coefficient on either side, [merge ( + )] keeps every
+   one-sided term as it is, so one [union] that sums the colliding
+   coefficients and drops the sums that cancel gives the same terms. *)
+let sum_coeffs a b =
+  Varid.Map.union (fun _ ca cb -> match ca + cb with 0 -> None | c -> Some c) a b
+
+let add a b =
+  if normalized a && normalized b then { coeffs = sum_coeffs a.coeffs b.coeffs; k = a.k + b.k }
+  else merge ( + ) a b
+
+let sub a b =
+  if normalized a && normalized b then
+    { coeffs = sum_coeffs a.coeffs (Varid.Map.map (fun c -> -c) b.coeffs); k = a.k - b.k }
+  else merge ( - ) a b
 
 let scale s a =
   if s = 0 then const 0
@@ -31,10 +47,8 @@ let scale s a =
 let add_const k a = { a with k = a.k + k }
 
 (* [add]/[sub] against a constant only shift [k] and drop zero
-   coefficients. [a] holds none unless [scale] wrapped a product to 0,
-   so the shortcut is taken exactly when it is [equal] (and hashes the
-   same) to the merge it replaces. *)
-let normalized a = Varid.Map.for_all (fun _ c -> c <> 0) a.coeffs
+   coefficients, so for a [normalized] [a] the shortcut is [equal] (and
+   hashes the same) to the merge it replaces. *)
 let plus_const a k = if normalized a then add_const k a else add a (const k)
 let const_minus k a = if normalized a then add_const k (neg a) else sub (const k) a
 let is_const a = if Varid.Map.is_empty a.coeffs then Some a.k else None

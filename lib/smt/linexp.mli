@@ -15,6 +15,9 @@ val of_terms : (int * Varid.t) list -> int -> t
     coefficients are dropped; repeated variables are summed. *)
 
 val add : t -> t -> t
+(** The sum, with the terms of both sides added per variable and zero
+    coefficients dropped. *)
+
 val sub : t -> t -> t
 val neg : t -> t
 val scale : int -> t -> t
@@ -39,7 +42,9 @@ val constant : t -> int
 (** The constant term [k]. *)
 
 val terms : t -> (int * Varid.t) list
-(** Non-zero terms in increasing variable order. *)
+(** Terms in increasing variable order. Every coefficient is non-zero
+    except one that {!scale} wrapped to 0, which stays until an
+    {!add} or {!sub} drops it. *)
 
 val fold_terms : ('a -> int -> Varid.t -> 'a) -> t -> 'a -> 'a
 (** [fold_terms f e init] folds [f acc coeff var] over {!terms} in

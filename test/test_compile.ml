@@ -13,7 +13,7 @@ let instrument p = Branchinfo.instrument (Check.check_exn p)
 (* Every observable an executor produces through the hook surface,
    rendered to strings so Alcotest diffs read well. The first element
    is the verdict; the rest is the chronological event stream. *)
-let observe ?step_limit exec mode (info : Branchinfo.t) ~inputs =
+let observe ?step_limit ?log exec mode (info : Branchinfo.t) ~inputs =
   let gen = Smt.Varid.make_gen () in
   let trace = ref [] in
   let push s = trace := s :: !trace in
@@ -34,12 +34,17 @@ let observe ?step_limit exec mode (info : Branchinfo.t) ~inputs =
           else None);
       on_branch =
         (fun ~id ~taken ~constr ->
+          Option.iter (fun log -> Concolic.Pathlog.record log ~cond_id:id ~taken ~constr) log;
           push
             (Printf.sprintf "branch %d %c %s" id
                (if taken then 'T' else 'F')
                (match constr with
                | None -> "concrete"
                | Some c -> Format.asprintf "%a" Smt.Constr.pp c)));
+      keeps =
+        (match log with
+        | Some log -> fun ~id ~taken -> Concolic.Pathlog.keeps log ~cond_id:id ~taken
+        | None -> hooks.Interp.keeps);
       on_func_enter = (fun fn -> push ("enter " ^ fn));
     }
   in
@@ -66,6 +71,32 @@ let differential ?step_limit ?(inputs = []) ?(check = true) name p =
         (Printf.sprintf "%s (%s)" name (mode_name mode))
         want got)
     [ Interp.Heavy; Interp.Light ]
+
+(* Both executors in heavy mode under the same reducing [keeps]: each
+   gets a fresh reducing path log that its branches are recorded into,
+   so a constraint the log would drop is reported as concrete. Returns
+   the shared stream. *)
+let differential_reducing ?(inputs = []) name p =
+  let info = instrument p in
+  let cp = Compile.compile info.Branchinfo.program in
+  let reduced exec =
+    let log = Concolic.Pathlog.create ~reduce:true in
+    let stream = observe ~log exec Interp.Heavy info ~inputs in
+    Concolic.Pathlog.release log;
+    stream
+  in
+  let want = reduced interp_exec in
+  Alcotest.(check (list string)) (name ^ " (heavy, reducing keeps)") want
+    (reduced (compiled_exec cp));
+  want
+
+let symbolic_branches stream =
+  List.length
+    (List.filter
+       (fun line ->
+         String.starts_with ~prefix:"branch " line
+         && not (String.ends_with ~suffix:" concrete" line))
+       stream)
 
 (* ------------------------------------------------------------------ *)
 (* Hand-picked programs covering the tricky equivalence corners        *)
@@ -648,6 +679,73 @@ let prop_compile_matches_interp =
           = observe (compiled_exec cp) mode info ~inputs:[ ("n", d) ])
         [ Interp.Heavy; Interp.Light ])
 
+(* Loop conditions whose outcome repeats, under [!] (relational and
+   [if (e)] shapes), so reduction drops most of their constraints. *)
+let test_reducing_keeps () =
+  let p =
+    program
+      [
+        func "main" []
+          [
+            input "n" ~default:6;
+            decl "x" (v "n");
+            decl "y" (i 0);
+            while_ (v "x" >: i 0)
+              [
+                assign "x" (v "x" -: i 1);
+                if_ (lognot (v "x" <: i 3)) [ assign "y" (v "y" +: v "x") ] [];
+                if_ (lognot (v "x" -: i 2)) [ assign "y" (v "y" -: i 1) ] [];
+                if_ (lognot (lognot (v "n" >=: v "x"))) [] [];
+                if_ (v "y" *: i 2) [] [];
+                if_ (i 1) [] [];
+              ];
+            if_ (v "y" >: v "n") [] [];
+          ];
+      ]
+  in
+  let inputs = [ ("n", 6) ] in
+  let reduced = differential_reducing ~inputs "reducing keeps" p in
+  let info = instrument p in
+  let full = observe interp_exec Interp.Heavy info ~inputs in
+  Alcotest.(check int) "same branch events" (List.length full) (List.length reduced);
+  Alcotest.(check bool) "reduction drops constraints" true
+    (symbolic_branches reduced < symbolic_branches full && symbolic_branches reduced > 0)
+
+(* Random loops of [!]-wrapped conditions over a symbolic input, under
+   the same reducing [keeps] in both executors. *)
+let prop_compile_matches_interp_reducing =
+  QCheck.Test.make ~name:"compile: differential vs interp under reduction" ~count:150
+    QCheck.(
+      make
+        Gen.(
+          let* d = int_range (-6) 6 in
+          let* conds =
+            list_size (int_range 1 5)
+              (triple (int_range 0 3) (int_range (-4) 4) bool)
+          in
+          return (d, conds)))
+    (fun (d, conds) ->
+      let cond (shape, a, negated) =
+        let e =
+          match shape with
+          | 0 -> v "x" +: v "n" <: i a
+          | 1 -> v "x" +: (v "n" *: i a)
+          | 2 -> v "n" -: v "x" >=: i a
+          | _ -> v "x" %: i 3
+        in
+        if_ (if negated then lognot e else e) [ assign "y" (v "y" +: i 1) ] []
+      in
+      let p =
+        program
+          [
+            func "main" []
+              ([ input "n" ~default:d; decl "y" (i 0) ]
+              @ for_ "x" (i (-3)) (i 4) (List.map cond conds));
+          ]
+      in
+      ignore (differential_reducing ~inputs:[ ("n", d) ] "random reducing" p);
+      true)
+
 let unit_tests =
   [
     ("arith and branches", `Quick, test_arith_and_branches);
@@ -671,9 +769,11 @@ let unit_tests =
     ("fused constant shadow product", `Quick, test_fused_constant_shadow_product);
     ("one-way campaign identical across modes", `Quick,
       test_one_way_campaign_modes_identical);
+    ("reducing keeps", `Quick, test_reducing_keeps);
   ]
 
 let property_tests =
-  List.map QCheck_alcotest.to_alcotest [ prop_compile_matches_interp ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_compile_matches_interp; prop_compile_matches_interp_reducing ]
 
 let suite = [ ("compile:unit", unit_tests); ("compile:property", property_tests) ]

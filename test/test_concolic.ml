@@ -514,6 +514,39 @@ let prop_reduction_keeps_flips =
       in
       Pathlog.constraint_count log = flips)
 
+(* A heavy executor builds a branch constraint only when [Pathlog.keeps]
+   says the log will keep it, and records [None] otherwise. A log fed
+   that way must equal one fed every constraint: the same rendered
+   bytes, kept constraints and tail, with reduction on or off. *)
+let prop_keeps_agrees_with_record =
+  QCheck.Test.make ~name:"pathlog: recording only what keeps admits changes nothing"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          pair bool
+            (list_size (int_range 1 80)
+               (triple (oneof [ int_range 0 7; int_range 60 140 ]) bool bool))))
+    (fun (reduce, events) ->
+      let full = Pathlog.create ~reduce and lean = Pathlog.create ~reduce in
+      List.iteri
+        (fun k (cond_id, taken, symbolic) ->
+          let constr = if symbolic then Some (mk_constr (k mod 3) k) else None in
+          Pathlog.record full ~cond_id ~taken ~constr;
+          let kept = symbolic && Pathlog.keeps lean ~cond_id ~taken in
+          Pathlog.record lean ~cond_id ~taken ~constr:(if kept then constr else None))
+        events;
+      let a = Pathlog.constraints full and b = Pathlog.constraints lean in
+      let same =
+        Pathlog.serialize full = Pathlog.serialize lean
+        && Pathlog.tail ~n:100 full = Pathlog.tail ~n:100 lean
+        && Array.length a = Array.length b
+        && Array.for_all2 (fun (i, c) (j, d) -> i = j && Smt.Constr.equal c d) a b
+      in
+      Pathlog.release full;
+      Pathlog.release lean;
+      same)
+
 (* Reference model of the coverage store: sorted sets of branch ids and
    function names. *)
 module Iset = Set.Make (Int)
@@ -845,6 +878,7 @@ let property_tests =
     [
       prop_reduction_never_more;
       prop_reduction_keeps_flips;
+      prop_keeps_agrees_with_record;
       prop_coverage_matches_set_model;
       prop_pathlog_matches_model;
       prop_pathlog_wide_ints_match_printf;

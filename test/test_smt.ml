@@ -505,6 +505,25 @@ let prop_linexp_const_shortcuts =
       && linexp_same (Linexp.plus_const e (-k)) (Linexp.sub e (Linexp.const k))
       && linexp_same (Linexp.const_minus k e) (Linexp.sub (Linexp.const k) e))
 
+(* [add]/[sub] take one [union] when neither side holds a zero
+   coefficient and the merge otherwise; either way the result must be
+   the merge definition's: the terms of both sides summed per variable,
+   zeros dropped ([of_terms]). [gen_shifted_linexp] scales by values
+   that wrap some products to 0, so both paths run. *)
+let prop_linexp_add_sub_match_merge =
+  QCheck.Test.make ~name:"linexp: add and sub equal the merge definition" ~count:1000
+    (QCheck.make
+       ~print:(fun ((a, _), (b, _)) -> Fmt.str "%a | %a" Linexp.pp a Linexp.pp b)
+       QCheck.Gen.(pair gen_shifted_linexp gen_shifted_linexp))
+    (fun ((a, _), (b, _)) ->
+      let merged sign =
+        Linexp.of_terms
+          (Linexp.terms a @ List.map (fun (c, v) -> (sign * c, v)) (Linexp.terms b))
+          (Linexp.constant a + (sign * Linexp.constant b))
+      in
+      let same got want = linexp_same got want && Linexp.terms got = Linexp.terms want in
+      same (Linexp.add a b) (merged 1) && same (Linexp.sub a b) (merged (-1)))
+
 let test_linexp_shortcut_wrapped_scale () =
   (* min_int * 2 wraps to 0: [scale] keeps the zero term, the merge drops it *)
   let e = Linexp.scale min_int (Linexp.of_terms [ (2, 0); (3, 1) ] 0) in
@@ -650,6 +669,7 @@ let property_tests =
       prop_prefer_stable;
       prop_normalize_preserves_solutions;
       prop_linexp_const_shortcuts;
+      prop_linexp_add_sub_match_merge;
     ]
 
 let suite = [ ("smt:unit", unit_tests); ("smt:property", property_tests) ]
