@@ -10,9 +10,10 @@ type t = {
   mutable hit : Bytes.t;
   mutable count : int;
   mutable funcs : Sset.t;
+  mutable nfuncs : int;  (* [Sset.cardinal funcs] *)
 }
 
-let create () = { hit = Bytes.make 256 '\000'; count = 0; funcs = Sset.empty }
+let create () = { hit = Bytes.make 256 '\000'; count = 0; funcs = Sset.empty; nfuncs = 0 }
 
 let add_branch t b =
   if b >= Bytes.length t.hit then t.hit <- Bytemap.ensure t.hit b;
@@ -21,7 +22,13 @@ let add_branch t b =
     t.count <- t.count + 1
   end
 
-let add_func t fn = t.funcs <- Sset.add fn t.funcs
+let add_func t fn =
+  let funcs = Sset.add fn t.funcs in
+  if funcs != t.funcs then begin
+    t.funcs <- funcs;
+    t.nfuncs <- t.nfuncs + 1
+  end
+
 let mem_branch t b = b >= 0 && b < Bytes.length t.hit && Bytes.get t.hit b <> '\000'
 let covered_branches t = t.count
 
@@ -35,6 +42,7 @@ let branch_list t =
 
 let encountered t fn = Sset.mem fn t.funcs
 let encountered_functions t = Sset.elements t.funcs
+let function_count t = t.nfuncs
 
 (* Per run, every rank's map is absorbed into the run's coverage, and a
    rank's functions are usually ones already there: no union then. *)
@@ -43,10 +51,12 @@ let absorb ~into t =
   for b = 0 to Bytes.length hit - 1 do
     if Bytes.unsafe_get hit b <> '\000' then add_branch into b
   done;
-  if not (Sset.subset t.funcs into.funcs) then
-    into.funcs <- Sset.union into.funcs t.funcs
+  if not (Sset.subset t.funcs into.funcs) then begin
+    into.funcs <- Sset.union into.funcs t.funcs;
+    into.nfuncs <- Sset.cardinal into.funcs
+  end
 
-let copy t = { hit = Bytes.copy t.hit; count = t.count; funcs = t.funcs }
+let copy t = { t with hit = Bytes.copy t.hit }
 
 let report t =
   (* Canonical, timing-free rendering: branch ids print in increasing
@@ -57,7 +67,7 @@ let report t =
   List.iter (fun b -> Buffer.add_string buf (Printf.sprintf " %d" b)) (branch_list t);
   Buffer.add_char buf '\n';
   Buffer.add_string buf
-    (Printf.sprintf "functions %d:" (Sset.cardinal t.funcs));
+    (Printf.sprintf "functions %d:" t.nfuncs);
   Sset.iter (fun fn -> Buffer.add_char buf ' '; Buffer.add_string buf fn) t.funcs;
   Buffer.add_char buf '\n';
   Buffer.contents buf

@@ -22,6 +22,10 @@ val branch_list : t -> int list
 val encountered : t -> string -> bool
 val encountered_functions : t -> string list
 
+val function_count : t -> int
+(** The number of functions ever entered, in constant time. The set
+    only grows, so an unchanged count means an unchanged set. *)
+
 val absorb : into:t -> t -> unit
 (** Union a per-run recorder into the campaign store. *)
 

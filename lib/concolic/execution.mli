@@ -7,10 +7,11 @@
     caps) that must hold in every solve. *)
 
 type closure_index
-(** Per-execution index of the path's distinct constraints, their
-    hashes, variables and first positions, used by {!prepare_negation}.
-    Holds only ints and the path's own constraints, so it marshals with
-    the execution. *)
+(** Per-execution index of the path's distinct constraints: each one's
+    {!Smt.Constr.flat} form, flattened once, with its hash and first
+    position, in {!Smt.Constr.compare} order, used by
+    {!prepare_negation}. Holds only ints and the path's own
+    constraints, so it marshals with the execution. *)
 
 type t = {
   constraints : (int * Smt.Constr.t) array;
@@ -72,7 +73,9 @@ val prepare_negation : t -> int -> prepared
     {!Smt.Cache.key} over {!Smt.Constr.dependency_closure} of the same
     problem, but are read off the run's {!closure_index} (built on the
     first call): a walk over the constraints present before [i] and one
-    pass in the index's sorted order, with no sort per call. *)
+    pass in the index's sorted order, with no sort per call. The key
+    shares the index's flat forms; no constraint list is built until a
+    miss is solved. *)
 
 val prepared_key : prepared -> Smt.Cache.key
 

@@ -293,6 +293,18 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
     }
   in
   let coverage = state.coverage and cache = state.cache in
+  (* the reachable-branch count moves only when the set of entered
+     functions grows: recount it then, not at every merge *)
+  let reachable_funcs = ref (-1) and reachable_count = ref 0 in
+  let reachable () =
+    let n = Coverage.function_count coverage in
+    if n <> !reachable_funcs then begin
+      reachable_funcs := n;
+      reachable_count :=
+        Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage)
+    end;
+    !reachable_count
+  in
   (* The campaign owns the span timeline unless the caller (CLI, test
      harness) already enabled it. Enabling must precede pool creation so
      the worker domains' spans share the epoch. *)
@@ -501,9 +513,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
         state.strategy <- fresh_strategy ();
         state.stagnated_round <- true
       end;
-      let reachable =
-        Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage)
-      in
+      let reachable = reachable () in
       let origin, parent, branch, index, cached = origin_fields p.Driver.p_origin in
       emit
         (Obs.Event.Test
@@ -767,10 +777,7 @@ let run_with_counters ?(settings = default_settings) ?(label = "") (info : Branc
   (* final flush: whatever stopped the campaign — budget, signal, or a
      drained work list — leave a snapshot the next run can pick up *)
   (match settings.checkpoint with Some dir -> write_checkpoint dir | None -> ());
-  let reachable =
-    Obs.Timeline.span "report" (fun () ->
-        Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage))
-  in
+  let reachable = Obs.Timeline.span "report" reachable in
   let covered = Coverage.covered_branches coverage in
   emit
     (Obs.Event.Campaign_end

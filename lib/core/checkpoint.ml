@@ -69,8 +69,20 @@ type state = {
    version 10: the snapshot became the campaign's own state record —
    [ck_executed], [ck_best_covered] and [ck_stats] went, the fold keeps
    each [test] event whole, and [Smt.Cache.t] became one table and one
-   queue again *)
-let version = 10
+   queue again.
+   version 11: the closure index stores each distinct constraint's flat
+   integer form (and its hash and the variables' domains) in place of
+   per-slot hashes and variable arrays, a cache key is those forms'
+   offsets and the domains as ints instead of a constraint list, and
+   [Concolic.Coverage.t] counts its functions. *)
+let version = 11
+
+(* MD5 of the marshalled probe state that test/test_checkpoint.ml
+   builds from fixed values, recorded with the version it belongs to.
+   The test fails when the digest moves: a change to the marshalled
+   layout of [state] (any field, constructor or nested type) must bump
+   [version] and record the new digest here. *)
+let layout_digest = (11, "4461185533114b8785510506ede296d3")
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"

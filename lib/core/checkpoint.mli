@@ -75,6 +75,14 @@ type state = {
 val version : int
 (** Current snapshot format version; {!load} rejects any other. *)
 
+val layout_digest : int * string
+(** [(version, digest)]: the MD5 hex of the marshalled bytes of a fixed
+    small {!state} (built by the checkpoint tests) under this
+    [version]. [Marshal] does not check types, so a layout change that
+    kept the old version would load an old snapshot as the new type;
+    the tests recompute the digest and fail until [version] is bumped
+    and this pair updated. *)
+
 val file : dir:string -> string
 (** [dir ^ "/campaign.ckpt"]. *)
 

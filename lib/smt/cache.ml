@@ -8,6 +8,19 @@
    case after a restart re-explores a path — produce the *same* key,
    which is what makes repeats hit.
 
+   The key is flat ints, not constraints. Each closure constraint is
+   its [Constr.flat] form preceded by the form's length, read from a
+   backing int array at an offset; [kat] lists the offsets in
+   [Constr.compare] order. One form may be read under another relation
+   ([kneg], [krel]): that is how a negation shares its path
+   constraint's form. [kdoms] holds [v; lo; hi] per variable in
+   increasing order. The hash mixes the forms' ints and equality
+   compares them, so a probe never walks a [Linexp] map. A campaign's
+   keys come from [Concolic.Execution.prepare_negation]: their backing
+   array is the run's closure index, where each distinct path
+   constraint was flattened once, so a key copies no form. [key] is the
+   reference construction from a list.
+
    A hit replays the previously found model (or the UNSAT verdict)
    without touching the solver; the replayed model satisfies the set by
    construction even when the current run's concrete inputs differ.
@@ -40,50 +53,98 @@ type outcome = Sat of Model.t | Unsat
 
 type key = {
   khash : int;
-  kconstrs : Constr.t list;  (* sorted, deduplicated *)
-  kdoms : (Varid.t * int * int) list;  (* domains of the vars, in var order *)
+  kforms : int array;  (* backing ints: forms, each preceded by its length *)
+  kat : int array;  (* offset in [kforms] of each constraint's length, sorted *)
+  kneg : int;  (* index in [kat] of the form read under [krel]; -1: none *)
+  krel : int;
+  kdoms : int array;  (* [v; lo; hi] per variable, in var order *)
 }
 
-let key_sorted ~domains ~vars ~hashes kconstrs =
-  let kdoms =
-    List.map
-      (fun v ->
-        let d =
-          match Varid.Map.find_opt v domains with Some d -> d | None -> Domain.full
-        in
-        (v, d.Domain.lo, d.Domain.hi))
-      vars
-  in
-  let mix acc x = (acc * 0x01000193) lxor (x land max_int) in
-  let khash = List.fold_left mix 0x811c9dc5 hashes in
-  let khash =
-    List.fold_left (fun acc (v, lo, hi) -> mix (mix (mix acc v) lo) hi) khash kdoms
-    land max_int
-  in
-  { khash; kconstrs; kdoms }
+(* the relation rank of the [k]th constraint *)
+let rel_at key k = if k = key.kneg then key.krel else key.kforms.(key.kat.(k) + 1)
+
+let mix h x = (h * 0x01000193) lxor x
+
+let form_hash forms o ~rel =
+  let h = ref (mix (mix 0x811c9dc5 forms.(o)) rel) in
+  for j = o + 2 to o + forms.(o) do
+    h := mix !h forms.(j)
+  done;
+  !h
+
+let key_of_forms ~forms ~at ~hashes ~neg ~rel ~doms =
+  let h = ref 0x811c9dc5 in
+  for k = 0 to Array.length hashes - 1 do
+    h := mix !h hashes.(k)
+  done;
+  for j = 0 to Array.length doms - 1 do
+    h := mix !h doms.(j)
+  done;
+  { khash = !h land max_int; kforms = forms; kat = at; kneg = neg; krel = rel; kdoms = doms }
 
 let key ~domains cs =
-  let kconstrs = List.sort_uniq Constr.compare cs in
+  let flats = List.map Constr.flat (List.sort_uniq Constr.compare cs) in
+  let forms = Array.concat (List.concat_map (fun f -> [ [| Array.length f |]; f ]) flats) in
+  let at = Array.make (List.length flats) 0 in
+  List.iteri
+    (fun k f -> if k + 1 < Array.length at then at.(k + 1) <- at.(k) + 1 + Array.length f)
+    flats;
   let vars =
-    List.fold_left
-      (fun acc c -> Varid.Set.union acc (Constr.vars c))
-      Varid.Set.empty cs
+    List.fold_left (fun acc c -> Varid.Set.union acc (Constr.vars c)) Varid.Set.empty cs
   in
-  key_sorted ~domains ~vars:(Varid.Set.elements vars)
-    ~hashes:(List.map Constr.hash kconstrs) kconstrs
+  let dom v =
+    let d = match Varid.Map.find_opt v domains with Some d -> d | None -> Domain.full in
+    [| v; d.Domain.lo; d.Domain.hi |]
+  in
+  key_of_forms ~forms ~at
+    ~hashes:(Array.map (fun o -> form_hash forms o ~rel:forms.(o + 1)) at)
+    ~neg:(-1) ~rel:0
+    ~doms:(Array.concat (List.map dom (Varid.Set.elements vars)))
 
-let key_constrs k = k.kconstrs
+let key_constrs key =
+  List.init (Array.length key.kat) (fun k ->
+      let o = key.kat.(k) in
+      let f = Array.sub key.kforms (o + 1) key.kforms.(o) in
+      f.(0) <- rel_at key k;
+      Constr.of_flat f)
+
+let ints_equal (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
+
+(* every form of [a] equals the same-numbered form of [b] *)
+let forms_equal a b =
+  let n = Array.length a.kat in
+  n = Array.length b.kat
+  &&
+  let fa = a.kforms and fb = b.kforms in
+  let k = ref 0 and same = ref true in
+  while !same && !k < n do
+    let oa = a.kat.(!k) and ob = b.kat.(!k) in
+    let len = fa.(oa) in
+    if len <> fb.(ob) || rel_at a !k <> rel_at b !k then same := false
+    else begin
+      let j = ref 2 in
+      while !j <= len && fa.(oa + !j) = fb.(ob + !j) do
+        incr j
+      done;
+      same := !j > len
+    end;
+    incr k
+  done;
+  !same
 
 module Tbl = Hashtbl.Make (struct
   type t = key
 
   let hash k = k.khash
-
-  let equal a b =
-    a.khash = b.khash
-    && (try List.for_all2 Constr.equal a.kconstrs b.kconstrs
-        with Invalid_argument _ -> false)
-    && a.kdoms = b.kdoms
+  let equal a b = a.khash = b.khash && ints_equal a.kdoms b.kdoms && forms_equal a b
 end)
 
 type t = {

@@ -2,12 +2,12 @@
 
     Maps the canonical form of one incremental solve — the sorted,
     deduplicated dependency closure of the negated constraint plus the
-    interval domains of its variables — to the solver's verdict: the
-    model found, or UNSAT. A hit replays the verdict without re-solving;
-    Unknown (budget-exhausted) outcomes are never cached. Per-run
-    variable numbering (each execution's symbol table counts from 0)
-    makes structurally identical runs produce identical keys, so paths
-    re-explored after a restart hit.
+    interval domains of its variables, as flat ints — to the solver's
+    verdict: the model found, or UNSAT. A hit replays the verdict
+    without re-solving; Unknown (budget-exhausted) outcomes are never
+    cached. Per-run variable numbering (each execution's symbol table
+    counts from 0) makes structurally identical runs produce identical
+    keys, so paths re-explored after a restart hit.
 
     Insertions feed the [cache.evictions] counter and the
     [cache.entries] gauge; an eviction emits a [cache_evict] event when
@@ -28,25 +28,45 @@
 type outcome = Sat of Model.t | Unsat
 
 type key
+(** Flat ints: every closure constraint's {!Constr.flat} form, sorted
+    and deduplicated, plus the domain of every variable they mention.
+    Hashing and equality read only those ints. *)
 
 val key : domains:Domain.t Varid.Map.t -> Constr.t list -> key
 (** Canonicalize a constraint set: sort and deduplicate, then attach the
     domain interval of every variable mentioned. Constraint order and
-    duplicates do not affect the key. *)
+    duplicates do not affect the key. The reference construction;
+    {!key_of_forms} builds the same key from forms already flattened. *)
 
-val key_sorted :
-  domains:Domain.t Varid.Map.t -> vars:Varid.t list -> hashes:int list -> Constr.t list -> key
-(** [key_sorted ~domains ~vars ~hashes cs] is [key ~domains cs] for a
-    caller that already holds the canonical form: [cs] sorted by
-    {!Constr.compare} and deduplicated, [hashes] the {!Constr.hash} of
-    each element of [cs] in the same order, and [vars] the variables
-    [cs] mentions in ascending order. Nothing is sorted or re-hashed. *)
+val form_hash : int array -> int -> rel:int -> int
+(** [form_hash forms o ~rel] hashes the form whose length is at offset
+    [o] of [forms], read under relation rank [rel]. *)
+
+val key_of_forms :
+  forms:int array ->
+  at:int array ->
+  hashes:int array ->
+  neg:int ->
+  rel:int ->
+  doms:int array ->
+  key
+(** [key_of_forms ~forms ~at ~hashes ~neg ~rel ~doms] is
+    [key ~domains cs] for a caller that already holds the canonical
+    form as ints, without copying them. [forms] holds {!Constr.flat}
+    forms, each preceded by its length; [at] gives, for each constraint
+    of [cs] in {!Constr.compare} order without duplicates, the offset
+    of its form's length in [forms]; the form at [at.(neg)] (if
+    [neg >= 0]) stands for the constraint under relation rank [rel]
+    instead of its own; [hashes.(k)] is {!form_hash} of the [k]th form
+    under that relation; [doms] is [v; lo; hi] for every variable [cs]
+    mentions, in increasing order, with [lo] and [hi] its domain in
+    [domains] ({!Domain.full} when absent). The key keeps the arrays:
+    the caller must not change them. *)
 
 val key_constrs : key -> Constr.t list
-(** The canonical (sorted, deduplicated) constraint set under the key —
-    exactly the closure a canonical solve of this key's problem runs
-    on, so a miss can feed it straight to
-    [Solver.solve_prepared] without recomputing or re-sorting it. *)
+(** The canonical (sorted, deduplicated) constraint set under the key,
+    decoded from its flat forms: each is {!Constr.equal} to the
+    constraint it came from. *)
 
 type t
 

@@ -80,11 +80,51 @@ let rel_equal a b =
 
 let rel_rank = function Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
 let equal a b = rel_equal a.rel b.rel && Linexp.equal a.exp b.exp
-let hash c = (Linexp.hash c.exp * 31) + rel_rank c.rel
 
 let compare a b =
   let c = Int.compare (rel_rank a.rel) (rel_rank b.rel) in
   if c <> 0 then c else Linexp.compare a.exp b.exp
+
+(* The fields in the order [compare] reads them: the relation, the
+   constant, then the bindings in increasing variable order, each
+   variable before its coefficient. [Varid.Map.compare] puts a shorter
+   map first when one is a prefix of the other, as [compare_flat]
+   does. *)
+let flat c =
+  let n = Linexp.fold_terms (fun n _ _ -> n + 1) c.exp 0 in
+  let a = Array.make ((2 * n) + 2) (rel_rank c.rel) in
+  a.(1) <- Linexp.constant c.exp;
+  let fill i coeff v =
+    a.(i) <- v;
+    a.(i + 1) <- coeff;
+    i + 2
+  in
+  ignore (Linexp.fold_terms fill c.exp 2 : int);
+  a
+
+let rel_of_rank = function
+  | 0 -> Eq
+  | 1 -> Ne
+  | 2 -> Lt
+  | 3 -> Le
+  | 4 -> Gt
+  | 5 -> Ge
+  | r -> invalid_arg (Printf.sprintf "Constr.of_flat: relation rank %d" r)
+
+let of_flat a =
+  let rec bindings i acc =
+    if i < 2 then acc else bindings (i - 2) ((a.(i), a.(i + 1)) :: acc)
+  in
+  { exp = Linexp.of_bindings (bindings (Array.length a - 2) []) a.(1); rel = rel_of_rank a.(0) }
+
+let compare_flat (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let n = if la < lb then la else lb in
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  if !i < n then if a.(!i) < b.(!i) then -1 else 1 else Int.compare la lb
 
 let rel_to_string = function
   | Eq -> "="

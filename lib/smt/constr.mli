@@ -34,8 +34,24 @@ val normalize : t -> [ `Constr of t | `True | `False ]
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val hash : t -> int
-(** Structural hash consistent with [equal] (see {!Linexp.hash}). *)
+val rel_rank : rel -> int
+(** [Eq], [Ne], [Lt], [Le], [Gt], [Ge] rank 0 to 5, the order
+    {!compare} puts relations in. *)
+
+val flat : t -> int array
+(** The flat integer form [[rel_rank; k; v1; c1; ...; vn; cn]]: the
+    relation's rank, the constant, then every binding of the
+    expression in increasing variable order, a zero coefficient that
+    {!Linexp.scale} left included. {!compare_flat} on two flat forms
+    has the sign of {!compare} on the constraints, so equal forms mean
+    {!equal} constraints. *)
+
+val of_flat : int array -> t
+(** The constraint a {!flat} form encodes: [equal] to the original.
+    Raises [Invalid_argument] on a relation rank outside 0 to 5. *)
+
+val compare_flat : int array -> int array -> int
+(** Lexicographic order on ints, a proper prefix first. *)
 
 val pp : Format.formatter -> t -> unit
 val rel_to_string : rel -> string

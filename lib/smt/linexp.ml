@@ -46,6 +46,9 @@ let scale s a =
 
 let add_const k a = { a with k = a.k + k }
 
+let of_bindings bindings k =
+  { coeffs = List.fold_left (fun m (v, c) -> Varid.Map.add v c m) Varid.Map.empty bindings; k }
+
 (* [add]/[sub] against a constant only shift [k] and drop zero
    coefficients, so for a [normalized] [a] the shortcut is [equal] (and
    hashes the same) to the merge it replaces. *)
@@ -62,8 +65,8 @@ let mem v a = Varid.Map.mem v a.coeffs
 let eval lookup a =
   Varid.Map.fold (fun v c acc -> acc + (c * lookup v)) a.coeffs a.k
 
-(* Structural hash for constraint-cache keys: fold the (sorted) terms
-   with a multiplicative mix. Must agree with [equal]. *)
+(* Structural hash: fold the (sorted) terms with a multiplicative mix.
+   Must agree with [equal]. *)
 let hash a =
   let mix acc x = (acc * 0x01000193) lxor (x land max_int) in
   Varid.Map.fold (fun v c acc -> mix (mix acc v) c) a.coeffs (mix 0x811c9dc5 a.k)

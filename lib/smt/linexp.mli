@@ -23,6 +23,11 @@ val neg : t -> t
 val scale : int -> t -> t
 val add_const : int -> t -> t
 
+val of_bindings : (Varid.t * int) list -> int -> t
+(** [of_bindings [(x0, c0); ...] k] is [c0*x0 + ... + k] with every
+    binding kept as given, a zero coefficient included: the inverse of
+    {!fold_terms}, for distinct variables. *)
+
 val plus_const : t -> int -> t
 (** [plus_const a k] is [add a (const k)] — {!equal} to it with the same
     {!hash} — without rebuilding [a]'s terms when [a] holds no zero
@@ -60,7 +65,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
-(** Structural hash, consistent with [equal] — the basis of the solver
-    cache's canonical constraint keys. *)
+(** Structural hash, consistent with [equal]. *)
 
 val pp : Format.formatter -> t -> unit

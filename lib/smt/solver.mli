@@ -78,7 +78,7 @@ val solve_prepared :
     already computed the canonical closure and its variable set — e.g.
     while building the {!Cache} key for the same solve. [closure] must
     be the sorted, deduplicated dependency closure of the negated
-    constraint ({!Cache.key_constrs} of its key) and [vars] the
+    constraint (the set under its {!Cache} key) and [vars] the
     variables that closure mentions; given those, the verdict is
     identical to the canonical entry point's, with no second closure
     traversal or sort. The cache-on campaign path uses this so a miss

@@ -309,6 +309,130 @@ let test_mismatches () =
     [ ("b", "2", "3"); ("c", "<absent>", "4") ]
     (Compi.Checkpoint.mismatches ~stored ~current)
 
+(* --- layout guard ---------------------------------------------------- *)
+
+(* A small state from fixed values that reaches the nested types a
+   snapshot marshals: an execution with its closure index built, a
+   cache holding a key with each verdict, coverage, a folded [test]
+   event, a bug, the strategy and both kinds of work item. Its
+   marshalled bytes change exactly when one of those layouts (or this
+   probe) changes. *)
+let probe_state () =
+  let open Smt in
+  let tab = Concolic.Symtab.create () in
+  let x = Concolic.Symtab.fresh_input tab ~name:"x" ~concrete:3 () in
+  let y = Concolic.Symtab.fresh_input tab ~name:"y" ~concrete:4 () in
+  let record =
+    {
+      Concolic.Execution.constraints =
+        [|
+          (0, Constr.make (Linexp.of_terms [ (1, x) ] 0) Constr.Gt);
+          (2, Constr.cmp (Linexp.var y) Constr.Gt (Linexp.var x));
+        |];
+      symtab = tab;
+      model = Concolic.Symtab.model tab;
+      domains = Concolic.Symtab.domains tab;
+      extra = [ Constr.make (Linexp.of_terms [ (1, y) ] (-1)) Constr.Ge ];
+      nprocs = 2;
+      focus = 0;
+      mapping = [ (0, [| 0; 1 |]) ];
+      exec_id = 0;
+      exec_schedule = [];
+      closure_index = None;
+    }
+  in
+  let cache = Cache.create ~capacity:4 () in
+  Cache.add cache
+    (Concolic.Execution.prepared_key (Concolic.Execution.prepare_negation record 1))
+    Cache.Unsat;
+  Cache.add cache
+    (Concolic.Execution.prepared_key (Concolic.Execution.prepare_negation record 0))
+    (Cache.Sat (Model.of_bindings [ (x, 0) ]));
+  let coverage = Concolic.Coverage.create () in
+  Concolic.Coverage.add_branch coverage 3;
+  Concolic.Coverage.add_func coverage "main";
+  let strategy = Concolic.Strategy.create ~seed:1 (Concolic.Strategy.Bounded_dfs 10) in
+  Concolic.Strategy.observe strategy ~depth:0 record;
+  let fold = Obs.Fold.init () in
+  ignore
+    (Obs.Fold.step fold
+       (Obs.Event.Test
+          {
+            test = 0;
+            parent = -1;
+            origin = "seed";
+            branch = -1;
+            index = -1;
+            cached = false;
+            nprocs = 2;
+            focus = 0;
+            covered = 1;
+            reachable = 4;
+            cs_size = 2;
+            faults = 1;
+            restarted = false;
+            exec_s = 0.0;
+            solve_s = 0.0;
+          }));
+  let pending =
+    {
+      Compi.Driver.p_inputs = [ ("x", 3); ("y", 4) ];
+      p_nprocs = 2;
+      p_focus = 0;
+      p_depth = 1;
+      p_origin = Compi.Driver.O_negated { parent = 0; branch = 3; index = 1; cached = false };
+      p_schedule = [ 1 ];
+    }
+  in
+  {
+    Compi.Checkpoint.fingerprint = [ ("target", "probe") ];
+    iter = 1;
+    rounds = 1;
+    speculated = 0;
+    fold;
+    max_cs = 2;
+    last_improvement = 0;
+    barren = 0;
+    last_np = (2, 0);
+    derived_bound = Some 12;
+    rng = Random.State.make [| 1 |];
+    strategy;
+    coverage;
+    cache = Some cache;
+    bugs =
+      [
+        {
+          Compi.Driver.bug_iteration = 0;
+          bug_rank = 1;
+          bug_fault = Minic.Fault.Fpe { func = "main" };
+          bug_inputs = [ ("x", 3) ];
+          bug_nprocs = 2;
+          bug_focus = 0;
+          bug_context = [ (1, true) ];
+        };
+      ];
+    forced = [ pending ];
+    stagnated_round = false;
+    schedules = [];
+    work =
+      [
+        Compi.Checkpoint.W_negate { Concolic.Strategy.record; index = 1 };
+        Compi.Checkpoint.W_fresh pending;
+      ];
+  }
+
+let test_layout_guard () =
+  (* randomized hash tables (OCAMLRUNPARAM=R) marshal a random seed *)
+  if Hashtbl.is_randomized () then Alcotest.skip ();
+  let digest = Digest.to_hex (Digest.string (Marshal.to_string (probe_state ()) [])) in
+  let recorded_version, recorded = Compi.Checkpoint.layout_digest in
+  if recorded_version <> Compi.Checkpoint.version || digest <> recorded then
+    Alcotest.failf
+      "the marshalled layout of Checkpoint.state reads %s under version %d; recorded: %s \
+       under version %d. A layout change must bump Checkpoint.version and record (version, \
+       digest) in Checkpoint.layout_digest"
+      digest Compi.Checkpoint.version recorded recorded_version
+
 let suite =
   [
     ( "checkpoint:resume",
@@ -335,5 +459,6 @@ let suite =
         Alcotest.test_case "different seed refused" `Quick
           test_resume_rejects_other_seed;
         Alcotest.test_case "fingerprint mismatches" `Quick test_mismatches;
+        Alcotest.test_case "layout change bumps the version" `Quick test_layout_guard;
       ] );
   ]

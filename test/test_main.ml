@@ -22,4 +22,5 @@ let () =
          Test_targets.suite;
          Test_parse.suite;
          Test_replay.suite;
+         Test_trajectories.suite;
        ])

@@ -619,6 +619,94 @@ let prop_incremental_preserves_untouched =
         && not (Varid.Set.mem 9 r.Solver.resolved)
       | Error _ -> false)
 
+(* Flat integer forms. Constraints come with the shapes a flat form must
+   keep apart: coefficients that [scale] wrapped to 0 (kept as
+   bindings), constants at min_int and max_int, and pairs that differ
+   in one place only — the relation, the constant or its sign, one
+   coefficient, one variable, or a missing last binding — or not at
+   all, under another map shape. *)
+let gen_flat_constr =
+  QCheck.Gen.(
+    let* e, k = gen_shifted_linexp in
+    let* r = gen_rel in
+    return (Constr.make (Linexp.add_const k e) r))
+
+let bindings (c : Constr.t) =
+  List.rev (Linexp.fold_terms (fun acc coeff v -> (v, coeff) :: acc) c.exp [])
+
+let rebuild bs k rel = Constr.make (Linexp.of_bindings bs k) rel
+
+let gen_near (c : Constr.t) =
+  QCheck.Gen.(
+    let bs = bindings c and k = Linexp.constant c.exp in
+    let last_dropped = match List.rev bs with [] -> [] | _ :: tl -> List.rev tl in
+    let on_one f = List.mapi (fun i (v, coeff) -> if i = 0 then f v coeff else (v, coeff)) bs in
+    oneof
+      [
+        return (rebuild (List.rev bs) k c.rel);
+        map (fun r -> rebuild bs k r) gen_rel;
+        map (fun d -> rebuild bs (k + d) c.rel) (int_range (-1) 1);
+        return (rebuild bs (-k) c.rel);
+        map (fun d -> rebuild (on_one (fun v coeff -> (v, coeff + d))) k c.rel) (int_range (-1) 1);
+        return (rebuild (on_one (fun v coeff -> (coeff, v))) k c.rel);
+        return (rebuild last_dropped k c.rel);
+        gen_flat_constr;
+      ])
+
+let arb_flat_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Fmt.str "%a | %a" Constr.pp a Constr.pp b)
+    QCheck.Gen.(gen_flat_constr >>= fun a -> map (fun b -> (a, b)) (gen_near a))
+
+let sign n = compare n 0
+
+let prop_flat_order =
+  QCheck.Test.make ~name:"constr: flat forms order as compare" ~count:2000 arb_flat_pair
+    (fun (a, b) ->
+      sign (Constr.compare_flat (Constr.flat a) (Constr.flat b)) = sign (Constr.compare a b))
+
+let prop_flat_equal =
+  QCheck.Test.make ~name:"constr: equal flat forms iff equal" ~count:2000 arb_flat_pair
+    (fun (a, b) ->
+      (Constr.compare_flat (Constr.flat a) (Constr.flat b) = 0) = Constr.equal a b)
+
+let prop_flat_decode =
+  QCheck.Test.make ~name:"constr: of_flat inverts flat" ~count:1000
+    (QCheck.make ~print:(Fmt.str "%a" Constr.pp) gen_flat_constr)
+    (fun c ->
+      let f = Constr.flat c in
+      Constr.equal (Constr.of_flat f) c && Constr.compare_flat (Constr.flat (Constr.of_flat f)) f = 0)
+
+(* Keys are compared as the cache compares them: each must hit where
+   the other was stored, and both hold the same constraints. *)
+let same_key a b =
+  let hits held probe =
+    let cache = Cache.create () in
+    Cache.add cache held Cache.Unsat;
+    Cache.find cache probe <> None
+  in
+  hits a b && hits b a && List.equal Constr.equal (Cache.key_constrs a) (Cache.key_constrs b)
+
+let prop_key_canonical =
+  QCheck.Test.make ~name:"cache: keys ignore order and duplicates" ~count:500
+    (QCheck.make
+       ~print:(fun (cs, cs') ->
+         Fmt.str "%a || %a" (Fmt.list ~sep:Fmt.comma Constr.pp) cs
+           (Fmt.list ~sep:Fmt.comma Constr.pp) cs')
+       QCheck.Gen.(
+         let* pool = list_size (int_range 1 4) gen_flat_constr in
+         let* cs = list_size (int_range 0 8) (oneofl pool) in
+         let* extra = list_size (int_range 0 4) (oneofl pool) in
+         let* cs' = shuffle_l (cs @ List.filter (fun c -> List.memq c cs) extra) in
+         return (cs, cs')))
+    (fun (cs, cs') ->
+      let domains =
+        List.fold_left
+          (fun m v -> Varid.Map.add v (Domain.make ~lo:(-8) ~hi:8) m)
+          Varid.Map.empty [ 0; 1; 2 ]
+      in
+      same_key (Cache.key ~domains cs) (Cache.key ~domains cs'))
+
 let unit_tests =
   [
     ("linexp const", `Quick, test_linexp_const);
@@ -670,6 +758,10 @@ let property_tests =
       prop_normalize_preserves_solutions;
       prop_linexp_const_shortcuts;
       prop_linexp_add_sub_match_merge;
+      prop_flat_order;
+      prop_flat_equal;
+      prop_flat_decode;
+      prop_key_canonical;
     ]
 
 let suite = [ ("smt:unit", unit_tests); ("smt:property", property_tests) ]
